@@ -117,7 +117,7 @@ func main() {
 		queue         = flag.Int("queue", 64, "job queue depth; submits beyond it get 503")
 		maxUpload     = flag.Int64("max-upload", 64<<20, "maximal dataset upload size in bytes")
 		threshold     = flag.Float64("threshold", 0.05, "default On/Off threshold for numeric uploads")
-		shards        = flag.Int("shards", 0, "default shard count for uploads (0 = GOMAXPROCS); sharded datasets ingest and mine in parallel per shard")
+		shards        = flag.Int("shards", 0, "default shard count for uploads (0 = GOMAXPROCS); shards parse, symbolize and cut windows in parallel, and mining runs once over the merged view")
 		data          = flag.String("data", "", "data directory for restart recovery (snapshot + WAL); empty runs purely in memory")
 		tenantQueued  = flag.Int("tenant-max-queued", 0, "per-tenant queued-job quota; submits beyond it get 429 + Retry-After (0 = the global queue depth)")
 		tenantRunning = flag.Int("tenant-max-running", 0, "per-tenant running-job cap (0 = bounded only by the worker pool)")

@@ -16,43 +16,27 @@ import (
 
 // Mine runs HTPGM over the temporal sequence database. With a nil
 // Config.Filter this is the exact E-HTPGM (Alg 1); with a correlation
-// filter it is A-HTPGM (Alg 2).
+// filter it is A-HTPGM (Alg 2). It is MineShardedView over a one-shard
+// view of db.
 //
 // Cancelling ctx aborts the run: workers stop between verification units
 // (candidate nodes and, within a node, sequences), and Mine returns
 // ctx.Err(). A nil ctx is treated as context.Background().
 func Mine(ctx context.Context, db *events.DB, cfg Config) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if db == nil || db.Size() == 0 {
+	if db == nil {
 		return nil, fmt.Errorf("core: empty sequence database")
 	}
-	for i, s := range db.Sequences {
-		if s.ID != i {
-			return nil, fmt.Errorf("core: sequence %d carries id %d; ids must be positional", i, s.ID)
-		}
+	v, err := PrepareShards([]*events.DB{db})
+	if err != nil {
+		return nil, err
 	}
-
-	m := &miner{
-		db:      db,
-		cfg:     cfg,
-		rel:     cfg.relations(),
-		n:       db.Size(),
-		minSupp: cfg.AbsoluteSupport(db.Size()),
-		graph:   &hpg.Graph{},
-		done:    ctx.Done(),
-	}
-	m.stats.Sequences = m.n
-	m.stats.AbsoluteSupport = m.minSupp
-	return m.mineAll(ctx)
+	return MineShardedView(ctx, v, cfg)
 }
 
-// mineAll runs the levelwise mining loop on a fully-constructed miner —
-// the shared driver of Mine and MineSharded.
+// mineAll runs the levelwise mining loop on a fully-constructed miner.
 func (m *miner) mineAll(ctx context.Context) (*Result, error) {
 	start := time.Now()
 	m.scrPool.New = func() any { return &scratch{} }
@@ -93,7 +77,8 @@ func (m *miner) mineAll(ctx context.Context) (*Result, error) {
 
 // miner carries the run state.
 type miner struct {
-	db      *events.DB
+	db      *events.DB   // the view's merged database
+	view    *ShardedView // source of the L1 index memo
 	cfg     Config
 	rel     temporal.Config
 	n       int // |DSEQ|
@@ -131,12 +116,6 @@ type miner struct {
 	// stay fixed within a level so every fan-out of that level sees the
 	// same parallelism.
 	curWorkers int
-
-	// sh is the sharded-run state (nil for unsharded runs): the per-shard
-	// databases, local→global sequence index maps, and shard membership
-	// masks MineSharded built. When set, L1 scanning and L2 verification
-	// run shard-local and merge deterministically.
-	sh *shardInfo
 }
 
 // cancelled reports whether the run's context has been cancelled. A nil
@@ -215,51 +194,30 @@ func (m *miner) spanOK(first, other events.Instance) bool {
 	return end-first.Start <= m.cfg.TMax
 }
 
-// mineSingles is step 1 of Alg 1 (lines 1-4): frequent single events. The
-// support scan is shard-local when the miner was built by MineSharded.
+// mineSingles is step 1 of Alg 1 (lines 1-4): frequent single events.
+// The support bitmap of every vocabulary event is rebuilt from the view's
+// L1 index (one list entry per containing sequence, so a list's length
+// is the event's support); the L1 filters and the support threshold then
+// assemble level 1 of the pattern graph.
 func (m *miner) mineSingles() {
 	t0 := time.Now()
 	m.renegotiateWorkers(1)
-	if m.sh != nil {
-		m.scanSinglesSharded()
-	} else {
-		m.scanSingles()
-	}
-	m.filterSingles(t0)
-}
-
-// scanSingles builds the support bitmap of every vocabulary event with one
-// pass over the sequences: each sequence contributes one bit per distinct
-// event it contains, so the scan is linear in the number of (sequence,
-// distinct event) pairs rather than |vocab| × |DSEQ|.
-func (m *miner) scanSingles() {
+	lists := m.view.singleLists()
 	vocabSize := m.db.Vocab.Size()
 	m.eventSupp = make(map[events.EventID]int, vocabSize)
 	m.eventBm = make(map[events.EventID]*bitmap.Bitmap, vocabSize)
-	for id := 0; id < vocabSize; id++ {
-		m.eventBm[events.EventID(id)] = bitmap.New(m.n)
-	}
-	for i, s := range m.db.Sequences {
-		for _, e := range s.Events() {
-			m.eventBm[e].Set(i)
-		}
-	}
-	for id := 0; id < vocabSize; id++ {
-		e := events.EventID(id)
-		m.eventSupp[e] = m.eventBm[e].Count()
-	}
-}
-
-// filterSingles applies the L1 filters and the support threshold to the
-// scanned event supports and assembles level 1 of the pattern graph.
-func (m *miner) filterSingles(t0 time.Time) {
-	vocabSize := m.db.Vocab.Size()
 	level := hpg.NewLevel(1)
 	allowedSeries := make(map[string]bool)
 	for id := 0; id < vocabSize; id++ {
 		e := events.EventID(id)
-		bm := m.eventBm[e]
-		supp := m.eventSupp[e]
+		idx := lists[e]
+		bm := bitmap.New(m.n)
+		for _, g := range idx {
+			bm.Set(int(g))
+		}
+		m.eventBm[e] = bm
+		supp := len(idx)
+		m.eventSupp[e] = supp
 
 		if !m.eventAllowed(e) {
 			continue
@@ -306,8 +264,8 @@ func (m *miner) keepOccsAt(k int) bool {
 }
 
 // mineLevel2 is step 2 of Alg 1 (lines 5-14): frequent 2-event patterns.
-// Candidate pairs are verified independently — serially or sharded over
-// Config.Workers.
+// Candidate pairs are verified independently — serially or spread over
+// Config.Workers — in one drain over the merged database.
 func (m *miner) mineLevel2() {
 	t0 := time.Now()
 	m.renegotiateWorkers(2)
@@ -324,12 +282,8 @@ func (m *miner) mineLevel2() {
 			tasks = append(tasks, pairTask{a, b})
 		}
 	}
-	if m.sh != nil {
-		m.mineLevel2Sharded(level, &ls, tasks)
-	} else {
-		outcomes := runParallel(m.done, m.workers(), &m.scrPool, tasks, m.verifyPairTask)
-		mergeOutcomes(level, &ls, outcomes)
-	}
+	outcomes := runParallel(m.done, m.workers(), &m.scrPool, tasks, m.verifyPairTask)
+	mergeOutcomes(level, &ls, outcomes)
 
 	m.graph.Levels = append(m.graph.Levels, level)
 	ls.Duration = time.Since(t0)
@@ -341,25 +295,15 @@ func (m *miner) mineLevel2() {
 // occur, classifies their relation, and keeps the frequent and confident
 // ones. All L2 state lives in the worker's scratch pending table.
 func (m *miner) verifyPair(node *hpg.Node, scr *scratch, ls *LevelStats) {
-	scr.pair.reset()
-	m.verifyPairOver(node, node.Bitmap, &scr.pair, scr)
-	m.flushPair(node, &scr.pair, scr, ls)
-}
-
-// verifyPairOver classifies the instance pairs of the node's two events in
-// every sequence of bm, accumulating occurrences into acc. The sharded L2
-// path calls it once per shard with the node bitmap restricted to that
-// shard's sequences; the per-sequence work is identical either way, so
-// merging the per-shard pending tables reproduces the unsharded result
-// exactly.
-func (m *miner) verifyPairOver(node *hpg.Node, bm *bitmap.Bitmap, acc *pairAcc, scr *scratch) {
+	acc := &scr.pair
+	acc.reset()
 	a, b := node.Events[0], node.Events[1]
 	keepOccs := m.keepOccsAt(2)
 
-	scr.idxBuf = bm.AppendIndices(scr.idxBuf[:0])
+	scr.idxBuf = node.Bitmap.AppendIndices(scr.idxBuf[:0])
 	for _, s32 := range scr.idxBuf {
 		if m.cancelled() {
-			return
+			break
 		}
 		seqIdx := int(s32)
 		seq := m.db.Sequences[seqIdx]
@@ -386,6 +330,7 @@ func (m *miner) verifyPairOver(node *hpg.Node, bm *bitmap.Bitmap, acc *pairAcc, 
 			}
 		}
 	}
+	m.flushPair(node, acc, scr, ls)
 }
 
 // classifyInto classifies the instance pair (lo before hi) and records the

@@ -102,33 +102,21 @@ type extendTask struct {
 	e      events.EventID
 }
 
-// filterPair applies the L2 Apriori filter (Lemmas 2-3, when enabled) to
-// one candidate pair on the global bitmaps, returning the candidate node
-// (nil when pruned) and the stat deltas. Shared by the unsharded and
-// sharded L2 paths so the pruning rule cannot drift between them.
-func (m *miner) filterPair(t pairTask) (*hpg.Node, LevelStats) {
-	var ls LevelStats
-	ls.Candidates++
+// verifyPairTask runs the full L2 treatment of one candidate pair:
+// Apriori filtering (Lemmas 2-3, when enabled) on the event bitmaps and
+// relation verification.
+func (m *miner) verifyPairTask(scr *scratch, t pairTask) nodeOutcome {
+	var o nodeOutcome
+	o.ls.Candidates++
 	bm := m.eventBm[t.a].And(m.eventBm[t.b])
 	supp := bm.Count()
 	groupConf := float64(supp) / float64(m.maxEventSupport([]events.EventID{t.a, t.b}))
 	if m.cfg.Pruning.apriori() && (supp < m.minSupp || groupConf < m.cfg.MinConfidence) {
-		ls.PrunedApriori++
-		return nil, ls
-	}
-	ls.NodesVerified++
-	return hpg.NewNode([]events.EventID{t.a, t.b}, bm, supp, groupConf), ls
-}
-
-// verifyPairTask runs the full L2 treatment of one candidate pair:
-// Apriori filtering (when enabled) and relation verification.
-func (m *miner) verifyPairTask(scr *scratch, t pairTask) nodeOutcome {
-	var o nodeOutcome
-	node, ls := m.filterPair(t)
-	o.ls = ls
-	if node == nil {
+		o.ls.PrunedApriori++
 		return o
 	}
+	o.ls.NodesVerified++
+	node := hpg.NewNode([]events.EventID{t.a, t.b}, bm, supp, groupConf)
 	m.verifyPair(node, scr, &o.ls)
 	if node.NumPatterns() > 0 {
 		o.node = node

@@ -67,11 +67,12 @@ type LevelStats struct {
 type Stats struct {
 	Sequences       int
 	AbsoluteSupport int
-	// Shards is the number of data shards the run was partitioned over
-	// (0 for unsharded runs via Mine).
+	// Shards is the number of ingest shards of the mined view (1 for
+	// Mine). Shards partition the DSEQ conversion only; the miner runs
+	// once over the merged database whatever the width.
 	Shards int
-	// ShardSequences lists |shard| per shard for sharded runs — the
-	// balance check of the sharded registry.
+	// ShardSequences lists |shard| per shard — the balance check of the
+	// sharded registry.
 	ShardSequences []int
 	// SinglesConsidered / SinglesFrequent count level L1.
 	SinglesConsidered int

@@ -79,9 +79,7 @@ func pairSlot(rel temporal.Relation, swapped bool) int {
 }
 
 // pairAcc is the integer-indexed L2 pending table: no composite keys at
-// all, just direct slot addressing. The sharded path heap-allocates one
-// per (node, shard) task and merges them slot-wise; the unsharded path
-// uses the scratch-owned instance.
+// all, just direct slot addressing. Each worker's scratch owns one.
 type pairAcc struct {
 	slots [numPairSlots]pendingPattern
 	used  [numPairSlots]bool

@@ -7,44 +7,23 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ftpm/internal/bitmap"
 	"ftpm/internal/events"
 	"ftpm/internal/hpg"
 )
 
-// This file implements the sharded mining path: the sequence database
-// arrives partitioned into K shards (round-robin over sequences, see
-// events.MergeShards), support counting at L1 and L2 runs shard-local,
-// and the per-shard partial results merge deterministically into the
-// global supports before any threshold is applied. Thresholds (minsup,
-// minconf) are evaluated exactly once, on the merged counts — per-shard
-// counts are never compared against the global threshold, so a pattern
-// that is locally infrequent in every shard but globally frequent is
-// still found and nothing is double-counted. Levels k >= 3 extend stored
-// occurrences of the merged view with candidate-level parallelism (the
-// occurrence lists are already per-sequence, hence per-shard disjoint).
-//
-// The invariant backing all of it: every sequence belongs to exactly one
-// shard, and a bitmap bit, occurrence tuple, or sample is keyed by the
-// global sequence index. Merging per-shard structures is therefore a
-// disjoint union — bitmaps OR, occurrence maps union, supports add — and
-// the result is byte-identical to the unsharded miner's.
+// This file implements the mining entry points over a ShardedView.
+// Shards partition ingestion, not mining: events.ConvertShards cuts window
+// i of the split into shard i%K concurrently, and PrepareShards merges the
+// shards back into one global-order database (events.MergeShards). Every
+// run then mines that merged view once — one L1 index, one levelwise
+// drain — so a K-way sharded run performs the same computation as a
+// one-shard run and its results are byte-identical for every K.
 
-// shardInfo is the sharded-run state carried by the miner.
-type shardInfo struct {
-	shards    []*events.DB
-	globalIdx [][]int          // shard -> local seq -> global seq index
-	masks     []*bitmap.Bitmap // shard -> membership bitmap over global indexes
-	view      *ShardedView     // backing view; carries the L1 index memo
-}
-
-// ShardedView is the prepared state of a sharded mining run: the shards,
-// their merged (global-order) database, and the per-shard membership
-// masks over global sequence indexes. Building it — validation, the
-// round-robin merge, the mask bitmaps — is O(sequences) work that
-// depends only on the shard set, so one view can back any number of
-// MineShardedView runs over the same data (the prepared-dataset engine
-// caches it per window geometry).
+// ShardedView is the prepared state of a mining run: the shards and their
+// merged (global-order) database. Building it — validation and the
+// round-robin merge — is O(sequences) work that depends only on the shard
+// set, so one view can back any number of MineShardedView runs over the
+// same data (the prepared-dataset engine caches it per window geometry).
 type ShardedView struct {
 	// Shards is the validated shard set the view was built from.
 	Shards []*events.DB
@@ -52,13 +31,10 @@ type ShardedView struct {
 	// occurrences of mined patterns reference its sequence indexes.
 	Merged *events.DB
 
-	globalIdx [][]int
-	masks     []*bitmap.Bitmap
-
 	// l1 is the memoized L1 occurrence index: per event, the ascending
-	// global indexes of the sequences containing it. The first completed
-	// scan over the view installs it (offerL1); later runs — and delta
-	// views derived from this one (PrepareShardsDelta) — rebuild the L1
+	// global indexes of the sequences containing it. The first run over
+	// the view installs it (offerL1); later runs — and delta views
+	// derived from this one (PrepareShardsDelta) — rebuild the L1
 	// bitmaps from it instead of re-walking every sequence. The map and
 	// its lists are immutable once published.
 	l1mu  sync.Mutex
@@ -85,19 +61,47 @@ func (v *ShardedView) offerL1(lists map[events.EventID][]int32) {
 	}
 }
 
-// scanL1Lists appends, for every sequence of db at global index >= from,
-// the index to each contained event's list. Scanning in index order keeps
-// the lists ascending.
+// scanL1Lists returns the L1 index of db: into's lists (the index of the
+// sequences below from, or nil) extended, for every sequence at global
+// index >= from, by that index in each contained event's list. Scanning
+// in index order keeps the lists ascending. A counting pass sizes every
+// list up front and carves them all from one backing array, so the scan
+// allocates per sequence only what Sequence.Events does; into's lists are
+// copied, never grown.
 func scanL1Lists(db *events.DB, from int, into map[events.EventID][]int32) map[events.EventID][]int32 {
-	if into == nil {
-		into = make(map[events.EventID][]int32)
+	lens := make([]int, db.Vocab.Size())
+	for id := range lens {
+		lens[id] = len(into[events.EventID(id)])
 	}
-	for i := from; i < db.Size(); i++ {
-		for _, e := range db.Sequences[i].Events() {
-			into[e] = append(into[e], int32(i))
+	tail := make([][]events.EventID, db.Size()-from)
+	for i := range tail {
+		tail[i] = db.Sequences[from+i].Events()
+		for _, e := range tail[i] {
+			lens[e]++
 		}
 	}
-	return into
+	total := 0
+	for _, n := range lens {
+		total += n
+	}
+	flat := make([]int32, total)
+	lists := make([][]int32, len(lens))
+	for id, n := range lens {
+		lists[id] = append(flat[:0:n], into[events.EventID(id)]...)
+		flat = flat[n:]
+	}
+	for i, evs := range tail {
+		for _, e := range evs {
+			lists[e] = append(lists[e], int32(from+i))
+		}
+	}
+	out := make(map[events.EventID][]int32, len(lists))
+	for id, l := range lists {
+		if len(l) > 0 {
+			out[events.EventID(id)] = l
+		}
+	}
+	return out
 }
 
 // SeqCounts returns the per-shard sequence counts.
@@ -127,23 +131,18 @@ func PrepareShards(shards []*events.DB) (*ShardedView, error) {
 			}
 		}
 	}
-	merged, globalIdx, err := events.MergeShards(shards)
-	if err != nil {
-		return nil, err
+	// A single shard with positional ids is already in global order.
+	merged := shards[0]
+	if len(shards) > 1 {
+		var err error
+		if merged, _, err = events.MergeShards(shards); err != nil {
+			return nil, err
+		}
 	}
 	if merged.Size() == 0 {
 		return nil, fmt.Errorf("core: empty sequence database")
 	}
-	v := &ShardedView{Shards: shards, Merged: merged, globalIdx: globalIdx}
-	v.masks = make([]*bitmap.Bitmap, len(shards))
-	for s := range shards {
-		mask := bitmap.New(merged.Size())
-		for _, g := range globalIdx[s] {
-			mask.Set(g)
-		}
-		v.masks[s] = mask
-	}
-	return v, nil
+	return &ShardedView{Shards: shards, Merged: merged}, nil
 }
 
 // PrepareShardsDelta builds the ShardedView of a shard set that extends a
@@ -151,10 +150,10 @@ func PrepareShards(shards []*events.DB) (*ShardedView, error) {
 // order under the round-robin discipline) are shared by pointer with prev,
 // everything after them is new or re-cut. When prev carries a completed L1
 // index, the new view starts with that index patched instead of cold: the
-// per-event lists are truncated to entries below stable (copy-on-append,
-// prev's lists stay intact) and only the tail sequences are rescanned, so
-// the next mine's L1 pass re-verifies just the sequences the append
-// touched. Without a usable prev index the view is simply cold and the
+// per-event lists are truncated to entries below stable (into fresh
+// storage; prev's lists stay intact) and only the tail sequences are
+// rescanned, so the next mine's L1 pass re-verifies just the sequences the
+// append touched. Without a usable prev index the view is simply cold and the
 // next mine scans — and memoizes — from scratch. Either way the resulting
 // supports are byte-identical to a full PrepareShards + scan.
 func PrepareShardsDelta(prev *ShardedView, shards []*events.DB, stable int) (*ShardedView, error) {
@@ -175,9 +174,7 @@ func PrepareShardsDelta(prev *ShardedView, shards []*events.DB, stable int) (*Sh
 		if cut == 0 {
 			continue
 		}
-		// Full slice expression: appending the rescanned tail must not
-		// grow into prev's backing array.
-		lists[e] = idx[:cut:cut]
+		lists[e] = idx[:cut] // scanL1Lists copies it
 	}
 	v.l1 = scanL1Lists(v.Merged, stable, lists)
 	v.l1set.Store(true)
@@ -193,8 +190,8 @@ func PrepareShardsDelta(prev *ShardedView, shards []*events.DB, stable int) (*Sh
 // Cancellation behaves exactly like Mine: workers stop between
 // verification units and MineSharded returns ctx.Err().
 func MineSharded(ctx context.Context, shards []*events.DB, cfg Config) (*Result, *events.DB, error) {
-	// Validate before preparing: the merge and mask build walk every
-	// sequence, which a bad config should not pay for.
+	// Validate before preparing: the merge walks every sequence, which a
+	// bad config should not pay for.
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -209,8 +206,10 @@ func MineSharded(ctx context.Context, shards []*events.DB, cfg Config) (*Result,
 	return res, v.Merged, nil
 }
 
-// MineShardedView runs HTPGM over a prepared shard view. The view is
-// read-only during the run, so concurrent runs may share one view.
+// MineShardedView runs HTPGM over a prepared view: the miner every entry
+// point goes through. It mines v.Merged; the shard set only shapes the
+// Shards/ShardSequences stats. The view is read-only during the run apart
+// from the install-once L1 memo, so concurrent runs may share one view.
 func MineShardedView(ctx context.Context, v *ShardedView, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -221,13 +220,13 @@ func MineShardedView(ctx context.Context, v *ShardedView, cfg Config) (*Result, 
 
 	m := &miner{
 		db:      v.Merged,
+		view:    v,
 		cfg:     cfg,
 		rel:     cfg.relations(),
 		n:       v.Merged.Size(),
 		minSupp: cfg.AbsoluteSupport(v.Merged.Size()),
 		graph:   &hpg.Graph{},
 		done:    ctx.Done(),
-		sh:      &shardInfo{shards: v.Shards, globalIdx: v.globalIdx, masks: v.masks, view: v},
 	}
 	m.stats.Sequences = m.n
 	m.stats.AbsoluteSupport = m.minSupp
@@ -237,226 +236,15 @@ func MineShardedView(ctx context.Context, v *ShardedView, cfg Config) (*Result, 
 	return m.mineAll(ctx)
 }
 
-// scanSinglesSharded computes the L1 support bitmaps shard-locally and in
-// parallel: each shard scans only its own sequences and returns, per
-// event, the global indexes of the sequences containing it (bounded by
-// the shard's own size — full-width bitmaps per shard would multiply the
-// transient L1 memory by K). The serial merge sets the bits in shard
-// order; merging is a disjoint union (a sequence lives in exactly one
-// shard), so the merged bitmaps equal the unsharded scan's.
-//
-// The view's L1 index memo short-circuits the scan: when a previous run
-// (or a delta preparation) installed the per-event occurrence lists, the
-// bitmaps rebuild directly from them. A cold scan installs the memo on
-// completion, so the second mine over any view — and the first mine after
-// an append, via PrepareShardsDelta's patched index — skips the walk.
-func (m *miner) scanSinglesSharded() {
-	vocabSize := m.db.Vocab.Size()
-	m.eventSupp = make(map[events.EventID]int, vocabSize)
-	m.eventBm = make(map[events.EventID]*bitmap.Bitmap, vocabSize)
-
-	if lists, ok := m.sh.view.l1Peek(); ok {
-		for id := 0; id < vocabSize; id++ {
-			e := events.EventID(id)
-			idx := lists[e]
-			bm := bitmap.New(m.n)
-			for _, g := range idx {
-				bm.Set(int(g))
-			}
-			m.eventBm[e] = bm
-			// One list entry per containing sequence, so the length is
-			// the support.
-			m.eventSupp[e] = len(idx)
-		}
-		return
+// singleLists returns the view's L1 index: the installed memo, or else
+// one serial scan over the merged sequences, offered as the memo for the
+// runs that follow. A concurrent run may install an equal index first;
+// the scans are deterministic, so either serves.
+func (v *ShardedView) singleLists() map[events.EventID][]int32 {
+	if lists, ok := v.l1Peek(); ok {
+		return lists
 	}
-
-	shardIdx := make([]int, len(m.sh.shards))
-	for i := range shardIdx {
-		shardIdx[i] = i
-	}
-	partials := runParallel(m.done, m.workers(), &m.scrPool, shardIdx, func(_ *scratch, s int) map[events.EventID][]int {
-		p := make(map[events.EventID][]int)
-		for j, seq := range m.sh.shards[s].Sequences {
-			g := m.sh.globalIdx[s][j]
-			for _, e := range seq.Events() {
-				p[e] = append(p[e], g)
-			}
-		}
-		return p
-	})
-
-	for id := 0; id < vocabSize; id++ {
-		m.eventBm[events.EventID(id)] = bitmap.New(m.n)
-	}
-	for _, p := range partials {
-		for e, idxs := range p {
-			bm := m.eventBm[e]
-			for _, g := range idxs {
-				bm.Set(g)
-			}
-		}
-	}
-	for id := 0; id < vocabSize; id++ {
-		e := events.EventID(id)
-		m.eventSupp[e] = m.eventBm[e].Count()
-	}
-
-	// Memoize the completed scan on the view. A cancelled runParallel may
-	// have produced partial results; cancellation closes done permanently,
-	// so seeing it still open here proves the scan ran to completion.
-	select {
-	case <-m.done:
-		return
-	default:
-	}
-	lists := make(map[events.EventID][]int32, vocabSize)
-	for id := 0; id < vocabSize; id++ {
-		e := events.EventID(id)
-		if bm := m.eventBm[e]; bm.Count() > 0 {
-			lists[e] = bm.AppendIndices(nil)
-		}
-	}
-	m.sh.view.offerL1(lists)
-}
-
-// pairShardTask is one unit of sharded L2 verification: one surviving
-// candidate node restricted to one shard's sequences.
-type pairShardTask struct {
-	nodeIdx int
-	shard   int
-}
-
-// mineLevel2Sharded is the sharded form of L2 verification. Candidate
-// pairs are Apriori-filtered on the global (merged) bitmaps first — the
-// thresholds are global, so this filtering is exact — then the surviving
-// nodes fan out as (node × shard) tasks, each building a shard-local
-// pending-pattern map. The partials merge per node in shard order before
-// the one global flushPending applies sigma/delta, keeping the level
-// byte-identical to the unsharded path.
-func (m *miner) mineLevel2Sharded(level *hpg.Level, ls *LevelStats, tasks []pairTask) {
-	// Stage 1: global Apriori filtering, parallel over pairs — the same
-	// filterPair rule as the unsharded path, so the two cannot drift.
-	// Outcomes are collected in task order so node order stays
-	// deterministic.
-	type filtered struct {
-		node *hpg.Node
-		ls   LevelStats
-	}
-	outcomes := runParallel(m.done, m.workers(), &m.scrPool, tasks, func(_ *scratch, t pairTask) filtered {
-		node, ls := m.filterPair(t)
-		return filtered{node: node, ls: ls}
-	})
-	var nodes []*hpg.Node
-	for _, f := range outcomes {
-		ls.Candidates += f.ls.Candidates
-		ls.PrunedApriori += f.ls.PrunedApriori
-		ls.NodesVerified += f.ls.NodesVerified
-		if f.node != nil {
-			nodes = append(nodes, f.node)
-		}
-	}
-
-	// Stage 2+3: shard-local relation verification — the expensive part —
-	// fanned out over (node, shard) units, in node batches. Each task
-	// walks only the sequences of its shard (node bitmap AND shard mask),
-	// so per-shard event lists stay independent until the merge; batching
-	// bounds how many per-shard pending maps (each holding full-width
-	// pattern bitmaps) are alive at once to roughly the worker count,
-	// matching the unsharded path's in-flight footprint, while one batch
-	// still offers ~workers-way parallelism. Partials merge per node in
-	// shard order and the global thresholds apply once, keeping the level
-	// byte-identical to the unsharded path.
-	K := len(m.sh.shards)
-	// The coordinator owns a scratch of its own for the merge + flush
-	// (freelists, canonical table); the per-shard partials are built on
-	// the workers' scratches.
-	scr := m.scrPool.Get().(*scratch)
-	defer m.scrPool.Put(scr)
-	batch := (m.workers() + K - 1) / K // nodes per batch
-	for start := 0; start < len(nodes); start += batch {
-		end := start + batch
-		if end > len(nodes) {
-			end = len(nodes)
-		}
-		var shardTasks []pairShardTask
-		for ni := start; ni < end; ni++ {
-			for s := 0; s < K; s++ {
-				shardTasks = append(shardTasks, pairShardTask{nodeIdx: ni, shard: s})
-			}
-		}
-		partials := runParallel(m.done, m.workers(), &m.scrPool, shardTasks, func(wscr *scratch, t pairShardTask) *pairAcc {
-			node := nodes[t.nodeIdx]
-			local := node.Bitmap.And(m.sh.masks[t.shard])
-			if local.Count() == 0 {
-				return nil
-			}
-			// The accumulator outlives the task (it crosses into the
-			// coordinator's merge), so it is heap-allocated rather than
-			// scratch-owned; its slot bitmaps and stores are drawn from
-			// the worker's freelists and handed over with it.
-			acc := &pairAcc{}
-			m.verifyPairOver(node, local, acc, wscr)
-			return acc
-		})
-
-		for ni := start; ni < end; ni++ {
-			node := nodes[ni]
-			var merged *pairAcc
-			for s := 0; s < K; s++ {
-				p := partials[(ni-start)*K+s]
-				if p == nil {
-					continue
-				}
-				if merged == nil {
-					merged = p
-					continue
-				}
-				m.mergePairAcc(merged, p, scr)
-			}
-			if merged == nil {
-				merged = &pairAcc{}
-			}
-			m.flushPair(node, merged, scr, ls)
-			if node.NumPatterns() > 0 {
-				level.Add(node)
-				ls.GreenNodes++
-			}
-		}
-	}
-}
-
-// mergePairAcc folds a shard-local L2 pending table into dst, slot-wise.
-// The sequence sets of distinct shards are disjoint, so occurrence runs
-// interleave without conflict: bitmaps OR, columnar stores merge by
-// sequence, occurrence counts add, and the sample stays the minimal
-// global sequence index — exactly what a single-table run would have
-// recorded.
-func (m *miner) mergePairAcc(dst, src *pairAcc, scr *scratch) {
-	for i := range src.slots {
-		if !src.used[i] {
-			continue
-		}
-		sp := &src.slots[i]
-		if !dst.used[i] {
-			dst.used[i] = true
-			dst.slots[i] = *sp
-			continue
-		}
-		dp := &dst.slots[i]
-		dp.bm.InPlaceOr(sp.bm)
-		scr.putBitmap(sp.bm)
-		if dp.occs != nil && sp.occs != nil {
-			out := scr.getStore(dp.occs.K())
-			hpg.MergeOccsInto(out, dp.occs, sp.occs, dp.occs.K(), m.cfg.MaxOccurrencesPerSeq)
-			scr.putStore(dp.occs)
-			scr.putStore(sp.occs)
-			dp.occs = out
-		}
-		dp.nOcc += sp.nOcc
-		if sp.sampleSeq >= 0 && (dp.sampleSeq < 0 || sp.sampleSeq < dp.sampleSeq) {
-			dp.sampleSeq = sp.sampleSeq
-			dp.sampleOcc = sp.sampleOcc
-		}
-	}
+	lists := scanL1Lists(v.Merged, 0, nil)
+	v.offerL1(lists)
+	return lists
 }

@@ -106,27 +106,6 @@ func convertDelta(src timeseries.SymbolSource, opt SplitOptions, k int,
 	return shards, stable, nil
 }
 
-// ConvertDelta converts db like Convert, reusing the sequences of a
-// previous conversion of a database that db extends in time. prev must be
-// Convert's output for the same split geometry over the first prevEnd
-// ticks of db's series (same series, same symbol prefix, alphabets only
-// extended). It returns the new database and the number of leading
-// sequences reused; when nothing is reusable (NumWindows geometry, or a
-// vocabulary-shifting append) it degrades to a full conversion with
-// stable 0 and remains exact either way.
-func ConvertDelta(src timeseries.SymbolSource, opt SplitOptions, prev *DB, prevEnd temporal.Time) (*DB, int, error) {
-	if prev == nil {
-		out, err := Convert(src, opt)
-		return out, 0, err
-	}
-	shards, stable, err := convertDelta(src, opt, 1,
-		func(i int) *Sequence { return prev.Sequences[i] }, prev.Size(), prev.Vocab, prevEnd)
-	if err != nil {
-		return nil, 0, err
-	}
-	return shards[0], stable, nil
-}
-
 // ConvertShardsDelta converts db into K round-robin shards like
 // ConvertShards, reusing the stable window prefix of a previous sharded
 // conversion (ConvertShards with the same geometry and shard count) of a

@@ -74,6 +74,24 @@ func sameDB(t *testing.T, got, want *DB) {
 	}
 }
 
+// convertDelta1 is the one-shard delta conversion — the form the
+// prepared engine uses for shard width 1 — returning the single shard.
+func convertDelta1(t *testing.T, src timeseries.SymbolSource, opt SplitOptions, prev *DB, prevEnd temporal.Time) (*DB, int) {
+	t.Helper()
+	var prevShards []*DB
+	if prev != nil {
+		prevShards = []*DB{prev}
+	}
+	got, stable, err := ConvertShardsDelta(src, opt, 1, prevShards, prevEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("got %d shards, want 1", len(got))
+	}
+	return got[0], stable
+}
+
 func TestConvertDeltaMatchesFullConversion(t *testing.T) {
 	full := deltaTestDB(t, 1, 240)
 	opt := SplitOptions{WindowLength: 200, Overlap: 100}
@@ -87,10 +105,7 @@ func TestConvertDeltaMatchesFullConversion(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stable, err := ConvertDelta(full, opt, prev, baseDB.End())
-		if err != nil {
-			t.Fatalf("base %d: %v", base, err)
-		}
+		got, stable := convertDelta1(t, full, opt, prev, baseDB.End())
 		sameDB(t, got, want)
 		if stable == 0 {
 			t.Errorf("base %d: expected a non-empty stable prefix", base)
@@ -117,10 +132,7 @@ func TestConvertDeltaNilPrevIsFullConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stable, err := ConvertDelta(db, opt, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, stable := convertDelta1(t, db, opt, nil, 0)
 	if stable != 0 {
 		t.Fatalf("stable = %d, want 0", stable)
 	}
@@ -178,10 +190,7 @@ func TestConvertDeltaNumWindowsFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, stable, err := ConvertDelta(full, opt, prev, baseDB.End())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, stable := convertDelta1(t, full, opt, prev, baseDB.End())
 	if stable != 0 {
 		t.Fatalf("stable = %d, want 0 under NumWindows geometry", stable)
 	}
@@ -212,10 +221,7 @@ func TestConvertDeltaVocabShiftFallsBack(t *testing.T) {
 	if vocabExtends(prev.Vocab, want.Vocab) {
 		t.Fatal("test setup: expected a vocabulary shift")
 	}
-	got, stable, err := ConvertDelta(full, opt, prev, baseDB.End())
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, stable := convertDelta1(t, full, opt, prev, baseDB.End())
 	if stable != 0 {
 		t.Fatalf("stable = %d, want 0 after a vocabulary shift", stable)
 	}
@@ -247,11 +253,8 @@ func TestConvertDeltaChained(t *testing.T) {
 	prevEnd := temporal.Time(150 * 10)
 	for _, n := range []int{230, 310, 400} {
 		db := truncate(t, full, n)
-		next, _, err := ConvertDelta(db, opt, cur, prevEnd)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		cur, prevEnd = next, db.End()
+		cur, _ = convertDelta1(t, db, opt, cur, prevEnd)
+		prevEnd = db.End()
 	}
 	want, err := Convert(full, opt)
 	if err != nil {

@@ -154,20 +154,18 @@
 // (column parsing, symbolization, window cutting) runs concurrently per
 // shard.
 //
-// Merge invariants: every sequence belongs to exactly one shard and
-// every per-shard structure is keyed by the global sequence index, so
-// merging per-shard counts is a disjoint union (bitmaps OR, occurrence
-// maps union, supports add). Support/confidence thresholds apply exactly
-// once, to the merged counts — never per shard — so mined patterns are
-// byte-identical to the unsharded path regardless of K, and nothing is
-// double-counted against minsup.
+// Shards partition ingestion only: the miner runs once over the merged
+// view (the shards interleaved back into global sequence order), so mined
+// patterns are byte-identical for every K and the thresholds apply to
+// global counts. Mining parallelizes over candidates through the job's
+// worker grant, independently of K.
 //
-// Picking K: the default GOMAXPROCS is right for CPU-bound mining; more
-// shards than cores only adds merge overhead. K=1 reproduces the
-// unsharded path exactly. Dataset responses expose "shards" and the
-// per-shard sequence counts of the most recently mined geometry, job
-// summaries report the shard split, granted workers and cache hits, and
-// every job response carries the current queue depth; GET /metrics adds
+// Picking K: the default GOMAXPROCS is right for ingestion; more shards
+// than cores only adds goroutines. Dataset responses expose "shards" and
+// the per-shard sequence counts of the most recently mined geometry, job
+// summaries report the shard split (absent for one-shard datasets),
+// granted workers and cache hits, and every job response carries the
+// current queue depth; GET /metrics adds
 // the service-wide view — queue depth, job-state counts, per-job level
 // timings sourced from the miner's Progress callback, the cumulative
 // dseq/nmi/result cache counters, the appends_total/append_rows_total

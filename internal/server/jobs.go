@@ -193,15 +193,18 @@ type JobInfo struct {
 	Summary    *JobSummary `json:"summary,omitempty"`
 }
 
-// job is one mining job. Mutable fields are guarded by mu; the request
-// and dataset are immutable after submission.
+// job is one mining job. Mutable fields are guarded by mu; the request is
+// immutable after submission.
 type job struct {
 	id     string
-	ds     *Dataset
 	req    MiningRequest
 	tenant string
 
-	mu    sync.Mutex
+	mu sync.Mutex
+	// ds is the dataset the job mines. It is cleared when the job turns
+	// terminal, so a deleted dataset is not kept reachable by the
+	// retained job.
+	ds    *Dataset
 	state JobState
 	// fp is the content fingerprint of the dataset generation the run
 	// captured — the result cache key component and the provenance stamp
@@ -394,6 +397,18 @@ func (m *jobManager) publishState(id, tenant string, state JobState, errMsg stri
 	m.hub.Publish("state", id, state.Terminal(), jobEventData{
 		JobID: id, Tenant: tenant, State: state, Error: errMsg,
 	})
+}
+
+// finishLocked completes j's transition to its (already set) terminal
+// state: it drops the dataset reference, publishes the final event and
+// returns the terminal record for the persister. Publishing under j.mu
+// makes "state is terminal" and "final event is in the hub" one step for
+// every j.snapshot reader, which the per-job stream handler relies on.
+// Caller holds j.mu.
+func (m *jobManager) finishLocked(j *job) jobRecord {
+	j.ds = nil
+	m.publishState(j.id, j.tenant, j.state, j.errMsg)
+	return j.recordLocked()
 }
 
 // publishProgress pushes one completed level of a running job.
@@ -631,7 +646,7 @@ func (m *jobManager) cancelJob(id string) (j *job, prior JobState, ok bool) {
 		if t, tok := m.tenants[j.tenant]; tok {
 			t.finished++
 		}
-		r := j.recordLocked()
+		r := m.finishLocked(j)
 		rec = &r
 	case JobRunning:
 		if j.cancel != nil {
@@ -641,7 +656,6 @@ func (m *jobManager) cancelJob(id string) (j *job, prior JobState, ok bool) {
 	j.mu.Unlock()
 	m.mu.Unlock()
 	if rec != nil {
-		m.publishState(rec.ID, rec.Tenant, JobCancelled, rec.Error)
 		m.persist.jobTerminal(m.stamp(*rec))
 	}
 	return j, prior, true
@@ -764,13 +778,14 @@ var testMineHook func(*job)
 // the job's data nor mislabel its result — the job simply completes on
 // the generation it started on, and the next job picks up the new one.
 func (m *jobManager) run(j *job) {
-	g := j.ds.view()
 	j.mu.Lock()
 	if j.state != JobQueued { // cancelled between pop and here
 		j.mu.Unlock()
 		m.releaseRun(j, 0, false)
 		return
 	}
+	ds := j.ds
+	g := ds.view() // the dataset lock is a leaf under j.mu
 	ctx, cancel := context.WithCancel(m.baseCtx)
 	j.state = JobRunning
 	j.startedAt = time.Now()
@@ -782,7 +797,7 @@ func (m *jobManager) run(j *job) {
 
 	// Completed-job cache: an identical (dataset content, options) job
 	// returns the memoized document without preparing or mining anything.
-	key := resultKey(g.fingerprint, j.ds.shards, j.req)
+	key := resultKey(g.fingerprint, ds.shards, j.req)
 	if ent, ok := m.results.get(key); ok {
 		j.mu.Lock()
 		j.finishedAt = time.Now()
@@ -801,11 +816,9 @@ func (m *jobManager) run(j *job) {
 			sum.DurationMillis = j.finishedAt.Sub(j.startedAt).Milliseconds()
 			j.summary = &sum
 		}
-		rec := j.recordLocked()
-		state, errMsg := j.state, j.errMsg
+		rec := m.finishLocked(j)
 		millis := j.finishedAt.Sub(j.startedAt).Milliseconds()
 		j.mu.Unlock()
-		m.publishState(j.id, j.tenant, state, errMsg)
 		m.persist.jobTerminal(m.stamp(rec))
 		m.releaseRun(j, millis, true)
 		return
@@ -862,7 +875,7 @@ func (m *jobManager) run(j *job) {
 			h(j)
 		}
 		var prep *ftpm.Prepared
-		prep, err = j.ds.prepared(g, j.req.splitOptions())
+		prep, err = ds.prepared(g, j.req.splitOptions())
 		if err == nil {
 			res, err = prep.Mine(ctx, opt)
 		}
@@ -883,11 +896,7 @@ func (m *jobManager) run(j *job) {
 		// hits + misses always equals the done-job count.
 		m.counters.resultMisses.Add(1)
 		m.counters.note(res.Cache, j.req.Approx != nil)
-		counts := res.Stats.ShardSequences
-		if len(counts) == 0 {
-			counts = []int{res.Stats.Sequences}
-		}
-		j.ds.noteSeqCounts(counts)
+		ds.noteSeqCounts(res.Stats.ShardSequences)
 		doc := res.Document()
 		j.doc = &doc
 		j.state = JobDone
@@ -895,21 +904,21 @@ func (m *jobManager) run(j *job) {
 			Sequences:      res.Stats.Sequences,
 			FrequentEvents: len(res.Singles),
 			Patterns:       len(res.Patterns),
-			Shards:         res.Stats.Shards,
-			ShardSeqs:      res.Stats.ShardSequences,
 			Workers:        workers,
 			DSEQCache:      res.Cache.DSEQ,
 			NMICache:       res.Cache.NMI,
 			Mu:             res.Mu,
 			DurationMillis: res.Stats.Duration.Milliseconds(),
 		}
+		if res.Stats.Shards > 1 {
+			j.summary.Shards = res.Stats.Shards
+			j.summary.ShardSeqs = res.Stats.ShardSequences
+		}
 		m.results.put(key, &resultEntry{doc: j.doc, summary: *j.summary, size: docSize(j.doc)})
 	}
-	rec := j.recordLocked()
-	state, errMsg := j.state, j.errMsg
+	rec := m.finishLocked(j)
 	millis := j.finishedAt.Sub(j.startedAt).Milliseconds()
 	j.mu.Unlock()
-	m.publishState(j.id, j.tenant, state, errMsg)
 	m.persist.jobTerminal(m.stamp(rec))
 	m.releaseRun(j, millis, true)
 }
@@ -951,7 +960,7 @@ func (m *jobManager) close() {
 			if t, ok := m.tenants[j.tenant]; ok {
 				t.finished++
 			}
-			recs = append(recs, j.recordLocked())
+			recs = append(recs, m.finishLocked(j))
 		}
 		j.mu.Unlock()
 	}
@@ -960,11 +969,10 @@ func (m *jobManager) close() {
 	}
 	m.totalQueued = 0
 	m.mu.Unlock()
+	// The shutdown cancellations were published before the hub closes
+	// (Server.Close closes it after this returns), so streaming clients
+	// see them as ordinary terminal events.
 	for _, rec := range recs {
-		// Published before the hub closes (Server.Close closes it after
-		// this returns), so streaming clients see the shutdown
-		// cancellations as ordinary terminal events.
-		m.publishState(rec.ID, rec.Tenant, JobCancelled, rec.Error)
 		m.persist.jobTerminal(m.stamp(rec))
 	}
 }

@@ -63,6 +63,28 @@ func mineDone(t *testing.T, base string, req MiningRequest) JobInfo {
 // graceful Close performs.
 func crash(s *Server) { s.persist.log.Close() }
 
+// waitJobsSettled blocks until no job is queued or holds a worker slot. A
+// worker logs a job's terminal record before it releases the slot, so once
+// settled the WAL holds every terminal transition the API has reported;
+// crash tests that reason about the log's tail wait for this first.
+func waitJobsSettled(t *testing.T, s *Server) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		busy := false
+		for _, tm := range s.jobs.tenantMetrics() {
+			busy = busy || tm.Queued > 0 || tm.Running > 0
+		}
+		if !busy {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("jobs did not settle")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // waitCompacted polls the metrics endpoint until the background
 // compaction has reset the WAL below limit records.
 func waitCompacted(t *testing.T, base string, limit int) MetricsJSON {
@@ -308,6 +330,7 @@ func TestTornWALTailRecoveryEndToEnd(t *testing.T) {
 
 	// Crash (so the WAL still holds the events), then tear its tail as a
 	// power cut mid-append would.
+	waitJobsSettled(t, srv1)
 	crash(srv1)
 	walPath := filepath.Join(dir, "wal")
 	data, err := os.ReadFile(walPath)
@@ -343,6 +366,7 @@ func TestTornWALTailRecoveryEndToEnd(t *testing.T) {
 		DatasetID: info3.ID, MinSupport: 0.2, MinConfidence: 0,
 		NumWindows: 2, MaxPatternSize: 3,
 	})
+	waitJobsSettled(t, srv3)
 	crash(srv3)
 	wal3 := filepath.Join(dir2, "wal")
 	data3, err := os.ReadFile(wal3)

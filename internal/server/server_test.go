@@ -660,6 +660,41 @@ func TestTerminalJobEviction(t *testing.T) {
 	}
 }
 
+// TestFinishedJobReleasesDataset: a retained finished job must not keep
+// its dataset reachable. Once the dataset is deleted, its generation is
+// collectable even though the job stays listed.
+func TestFinishedJobReleasesDataset(t *testing.T) {
+	s, ts := testServer(t, Options{Workers: 1})
+	info := uploadCSV(t, ts.URL, "name=energy&threshold=0.5", smallCSV())
+	freed := make(chan struct{})
+	func() {
+		ds, ok := s.reg.get(info.ID)
+		if !ok {
+			t.Fatal("uploaded dataset not registered")
+		}
+		runtime.SetFinalizer(ds.view(), func(*dsGen) { close(freed) })
+	}()
+
+	job := mineDone(t, ts.URL, MiningRequest{
+		DatasetID: info.ID, MinSupport: 0.2, NumWindows: 2, MaxPatternSize: 2,
+	})
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/datasets/"+info.ID, nil, nil); code != http.StatusNoContent {
+		t.Fatalf("delete: status %d", code)
+	}
+	if _, ok := s.jobs.get(job.ID); !ok {
+		t.Fatal("finished job must stay retained")
+	}
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("deleted dataset's generation is still reachable after its job finished")
+}
+
 func TestWorkersClamped(t *testing.T) {
 	if (MiningRequest{DatasetID: "x", MinSupport: 0.5, NumWindows: 2, Workers: -1}).validate() == nil {
 		t.Fatal("negative workers must be rejected")

@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"ftpm/internal/server/events"
 )
 
 // Real-time job event streams: GET /v1/jobs/{id}/events follows one job
@@ -78,6 +80,11 @@ func mustJSON(v any) json.RawMessage {
 	}
 	return b
 }
+
+// testStreamHook, when non-nil, runs in every per-job stream handler
+// between its hub subscription and its job snapshot; the stream tests use
+// it to land a job's final event inside that window.
+var testStreamHook func(*job)
 
 // handleEvents serves one event stream; jobID "" is the firehose.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, jobID string) {
@@ -153,14 +160,37 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, jobID stri
 		}
 	}
 
-	// A per-job stream whose job is already terminal and whose replay did
-	// not seed the final event ends immediately: either the client's
-	// Last-Event-ID proves it already saw the finale (clean end), or the
-	// ring rotated past it / the job predates this process, in which case
-	// a synthetic unsequenced "state" snapshot resynchronizes the client.
+	// deliver writes one hub event, preceded by a "dropped" frame when the
+	// hub discarded events for this subscriber, and reports whether the
+	// stream is over.
+	deliver := func(ev events.Event) bool {
+		if missed := s.hub.TakeMissed(sub); missed > 0 {
+			if sw.event(0, "dropped", mustJSON(droppedData{Dropped: missed})) != nil {
+				return true
+			}
+		}
+		return sw.event(ev.ID, ev.Type, ev.Data) != nil || (jobID != "" && ev.Final)
+	}
+
+	if h := testStreamHook; h != nil && j != nil {
+		h(j)
+	}
+
+	// A per-job stream whose job is already terminal but whose replay did
+	// not seed the final event ends without waiting. The job publishes
+	// its final event under the lock that makes it terminal, so a final
+	// published after Subscribe is already buffered: flush the buffer
+	// first. Otherwise either the client's Last-Event-ID proves it already
+	// saw the finale (clean end), or the ring rotated past it / the job
+	// predates this process, in which case a synthetic unsequenced
+	// "state" snapshot resynchronizes the client.
 	if j != nil && !seededFinal {
-		info := j.snapshot()
-		if info.State.Terminal() {
+		if info := j.snapshot(); info.State.Terminal() {
+			for len(sub.C) > 0 {
+				if deliver(<-sub.C) {
+					return
+				}
+			}
 			if !resume || gap > 0 {
 				_ = sw.event(0, "state", mustJSON(jobEventData{
 					JobID: info.ID, Tenant: info.Tenant, State: info.State, Error: info.Error,
@@ -190,19 +220,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, jobID stri
 				sw.flusher.Flush()
 			}
 		case ev, ok := <-sub.C:
-			if !ok {
-				return // hub closed: server shutting down
-			}
-			if missed := s.hub.TakeMissed(sub); missed > 0 {
-				if sw.event(0, "dropped", mustJSON(droppedData{Dropped: missed})) != nil {
-					return
-				}
-			}
-			if sw.event(ev.ID, ev.Type, ev.Data) != nil {
-				return
-			}
-			if jobID != "" && ev.Final {
-				return
+			if !ok || deliver(ev) {
+				return // !ok: hub closed, server shutting down
 			}
 		}
 	}

@@ -211,6 +211,47 @@ func TestJobEventStreamEndToEnd(t *testing.T) {
 	}
 }
 
+// TestJobEventStreamFinalAfterSubscribe forces the subscribe/finish race
+// deterministically: the per-job stream subscribes while testMineHook
+// holds the job, and testStreamHook then lets the job run to done before
+// the handler takes its job snapshot. The subscription's replay carries no
+// final event while the snapshot is terminal; the stream must still
+// deliver the whole queued → running → done sequence, not just a
+// synthetic terminal state.
+func TestJobEventStreamFinalAfterSubscribe(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1})
+	info := uploadCSV(t, ts.URL, "name=energy&threshold=0.5", smallCSV())
+
+	release := make(chan struct{})
+	testMineHook = func(*job) { <-release }
+	testStreamHook = func(j *job) {
+		close(release)
+		deadline := time.Now().Add(10 * time.Second)
+		for !j.snapshot().State.Terminal() {
+			if time.Now().After(deadline) {
+				t.Errorf("job did not finish")
+				return
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+	defer func() { testMineHook, testStreamHook = nil, nil }()
+
+	job, resp := submitTenantJob(t, ts.URL, "", MiningRequest{
+		DatasetID: info.ID, MinSupport: 0.2, MinConfidence: 0,
+		NumWindows: 2, MaxPatternSize: 3,
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("submit: status %d", resp.StatusCode)
+	}
+	waitState(t, ts.URL, job.ID, 10*time.Second, func(j JobInfo) bool { return j.State == JobRunning })
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	events := readSSE(t, ctx, ts.URL+"/v1/jobs/"+job.ID+"/events", "", nil)
+	assertJobTransitions(t, events, JobDone)
+}
+
 // TestJobEventStreamReconnect forces a disconnect mid-mine and resumes
 // with Last-Event-ID: the union of both connections must hold every
 // transition exactly once, in order.

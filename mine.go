@@ -54,12 +54,12 @@ type Options struct {
 	// Approx, when non-nil, runs A-HTPGM instead of E-HTPGM.
 	Approx *ApproxOptions
 
-	// Shards partitions the sequence database round-robin into this many
-	// shards (0 or 1 = unsharded): the DSYB→DSEQ conversion and L1/L2
-	// support counting then run shard-local and merge deterministically,
-	// with results byte-identical to the unsharded run. Only honoured by
-	// MineSymbolic (Mine takes a prebuilt SequenceDB; use MineSharded for
-	// prebuilt shards).
+	// Shards partitions the DSYB→DSEQ conversion round-robin into this
+	// many shards (0 or 1 = one shard): window cutting runs concurrently,
+	// one goroutine per shard, and the miner then runs once over the
+	// merged view, so results are byte-identical for every width. Only
+	// honoured by MineSymbolic (Mine takes a prebuilt SequenceDB; use
+	// MineSharded for prebuilt shards).
 	Shards int
 
 	// Pruning selects the E-HTPGM pruning ablation; the zero value
@@ -155,11 +155,11 @@ func Mine(ctx context.Context, db *SequenceDB, opt Options) (*Result, error) {
 
 // MineSharded runs E-HTPGM (exact) over an already-sharded sequence
 // database — shards as produced by BuildShardedSequences or
-// SequenceDB.ShardRoundRobin, sharing one vocabulary. L1/L2 support
-// counting runs shard-local before a deterministic merge; the mined
-// patterns and supports are byte-identical to Mine over the merged
-// database. Options.Approx is rejected here for the same reason as in
-// Mine; use MineSymbolic with Options.Shards for sharded A-HTPGM.
+// SequenceDB.ShardRoundRobin, sharing one vocabulary. The shards merge
+// back into global order and are mined once, so the patterns and
+// supports are byte-identical to Mine over the merged database.
+// Options.Approx is rejected here for the same reason as in Mine; use
+// MineSymbolic with Options.Shards for sharded A-HTPGM.
 func MineSharded(ctx context.Context, shards []*SequenceDB, opt Options) (*Result, error) {
 	if opt.Approx != nil {
 		return nil, fmt.Errorf("ftpm: MineSharded is exact-only; use MineSymbolic with Options.Shards for A-HTPGM")
@@ -191,20 +191,7 @@ func MineSymbolic(ctx context.Context, sdb *SymbolicDB, opt Options) (*Result, e
 // Accuracy returns the fraction of the exact result's patterns that the
 // approximate result retained (Table IX's metric).
 func Accuracy(approx, exact *Result) float64 {
-	ex := make(map[string]bool, len(exact.Patterns))
-	for _, p := range exact.Patterns {
-		ex[p.Pattern.Key()] = true
-	}
-	if len(ex) == 0 {
-		return 1
-	}
-	hit := 0
-	for _, p := range approx.Patterns {
-		if ex[p.Pattern.Key()] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(ex))
+	return core.Accuracy(&core.Result{Patterns: approx.Patterns}, &core.Result{Patterns: exact.Patterns})
 }
 
 // Describe renders a mined pattern with event names and, when a sample

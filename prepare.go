@@ -16,8 +16,8 @@ import (
 //
 //   - Prepare fixes the dataset geometry — the symbolic database, the
 //     window split, the shard width — and owns the derived artifacts:
-//     the (sharded) DSEQ conversion with its merged view and membership
-//     masks, and the series-level and event-level pairwise NMI tables.
+//     the (sharded) DSEQ conversion with its merged view and L1 index,
+//     and the series-level and event-level pairwise NMI tables.
 //   - Analyze is the lazy construction of those artifacts: each is built
 //     at most once per Prepared, on first use, and memoized.
 //   - Mine runs E-HTPGM or A-HTPGM against the cached artifacts; only
@@ -63,20 +63,12 @@ func (c *cached[T]) peek() (T, bool) {
 	return zero, false
 }
 
-// preparedSeqs is the memoized DSEQ conversion of one Prepared: for
-// sharded geometries the shard set plus its prepared merge view, for
-// unsharded ones the single converted database.
-type preparedSeqs struct {
-	db   *SequenceDB       // merged (global-order) view; always set
-	view *core.ShardedView // non-nil iff the geometry is sharded
-}
-
 // PreparedStats are the cumulative artifact-cache counters of one
 // Prepared: how often each artifact class was built versus served from
 // cache. Builds+Hits equals the number of accesses.
 type PreparedStats struct {
 	// DSEQBuilds / DSEQHits count accesses to the DSYB→DSEQ conversion
-	// (including, for sharded geometries, the merged view and masks).
+	// (including the merged view).
 	DSEQBuilds int64 `json:"dseq_builds"`
 	DSEQHits   int64 `json:"dseq_hits"`
 	// NMIBuilds / NMIHits count accesses to the pairwise NMI tables,
@@ -146,7 +138,7 @@ type Prepared struct {
 	prevMu sync.Mutex
 	prev   *Prepared
 
-	seq cached[*preparedSeqs]
+	seq cached[*core.ShardedView]
 
 	dseqBuilds, dseqHits atomic.Int64
 	nmiBuilds, nmiHits   atomic.Int64
@@ -155,8 +147,8 @@ type Prepared struct {
 // Prepare builds a mining handle for one dataset geometry. The split
 // geometry is validated eagerly; the expensive artifacts (DSEQ
 // conversion, NMI tables) are built lazily on first use and then reused
-// by every subsequent Mine. shards <= 1 prepares the unsharded engine;
-// larger values partition the DSEQ round-robin exactly like
+// by every subsequent Mine. shards <= 1 converts in one shard; larger
+// values partition the DSEQ conversion round-robin exactly like
 // Options.Shards.
 func Prepare(sdb *SymbolicDB, split SplitOptions, shards int) (*Prepared, error) {
 	return PrepareWith(NewAnalysis(sdb), split, shards)
@@ -238,8 +230,8 @@ func extends(old, next SymbolSource) error {
 // width. The new handle's first DSEQ access converts incrementally: the
 // window prefix untouched by the appended samples is shared by pointer
 // with this handle's memoized conversion (which stays fully usable for
-// in-flight mines), and for sharded geometries the L1 occurrence index is
-// patched rather than rebuilt. The NMI tables are not carried over — they
+// in-flight mines), and the L1 occurrence index is patched rather than
+// rebuilt. The NMI tables are not carried over — they
 // depend on every sample, so next starts with fresh ones.
 //
 // The delta path is an optimization, never a semantic: when nothing is
@@ -280,57 +272,28 @@ func (p *Prepared) Stats() PreparedStats {
 }
 
 // sequences returns the memoized DSEQ conversion, building it on first
-// use: an unsharded Convert for shard width 1, otherwise the sharded
-// conversion plus its prepared merge view. A handle created by Advance
-// converts incrementally against its ancestor's memoized conversion when
-// one exists (sharing the stable window prefix by pointer and, for
-// sharded geometries, patching the L1 index), and falls back to the full
-// conversion otherwise.
-func (p *Prepared) sequences() (*preparedSeqs, bool, error) {
-	ps, hit, err := p.seq.get(func() (*preparedSeqs, error) {
-		var memo *preparedSeqs
+// use: the sharded conversion (one shard for width 1) plus its prepared
+// merge view. A handle created by Advance converts incrementally against
+// its ancestor's memoized conversion when one exists (sharing the stable
+// window prefix by pointer and patching the L1 index), and falls back to
+// the full conversion otherwise.
+func (p *Prepared) sequences() (*core.ShardedView, bool, error) {
+	v, hit, err := p.seq.get(func() (*core.ShardedView, error) {
+		var prevView *core.ShardedView
+		var prevShards []*events.DB
 		var prevEnd Time
 		if prev := p.takePrev(); prev != nil {
-			if m, ok := prev.seq.peek(); ok {
-				memo, prevEnd = m, prev.src.End()
+			if pv, ok := prev.seq.peek(); ok {
+				prevView, prevShards, prevEnd = pv, pv.Shards, prev.src.End()
 			}
 		}
-		if p.shards <= 1 {
-			var db *SequenceDB
-			var err error
-			if memo != nil && memo.view == nil {
-				db, _, err = events.ConvertDelta(p.src, p.split, memo.db, prevEnd)
-			} else {
-				db, err = events.Convert(p.src, p.split)
-			}
-			if err != nil {
-				return nil, err
-			}
-			if db.Size() == 0 {
-				return nil, fmt.Errorf("ftpm: empty sequence database")
-			}
-			return &preparedSeqs{db: db}, nil
-		}
-		if memo != nil && memo.view != nil && len(memo.view.Shards) == p.shards {
-			shards, stable, err := events.ConvertShardsDelta(p.src, p.split, p.shards, memo.view.Shards, prevEnd)
-			if err != nil {
-				return nil, err
-			}
-			view, err := core.PrepareShardsDelta(memo.view, shards, stable)
-			if err != nil {
-				return nil, err
-			}
-			return &preparedSeqs{db: view.Merged, view: view}, nil
-		}
-		shards, err := events.ConvertShards(p.src, p.split, p.shards)
+		// Without an ancestor conversion both delta calls degrade to the
+		// full ConvertShards + PrepareShards.
+		shards, stable, err := events.ConvertShardsDelta(p.src, p.split, p.shards, prevShards, prevEnd)
 		if err != nil {
 			return nil, err
 		}
-		view, err := core.PrepareShards(shards)
-		if err != nil {
-			return nil, err
-		}
-		return &preparedSeqs{db: view.Merged, view: view}, nil
+		return core.PrepareShardsDelta(prevView, shards, stable)
 	})
 	if err != nil {
 		return nil, hit, err
@@ -340,7 +303,7 @@ func (p *Prepared) sequences() (*preparedSeqs, bool, error) {
 	} else {
 		p.dseqBuilds.Add(1)
 	}
-	return ps, hit, nil
+	return v, hit, nil
 }
 
 // pairwise returns the memoized series-level NMI table of the shared
@@ -440,7 +403,7 @@ func (p *Prepared) Mine(ctx context.Context, opt Options) (*Result, error) {
 		return nil, fmt.Errorf("ftpm: Options geometry %+v conflicts with the prepared geometry %+v", s, p.split)
 	}
 	// Non-positive Shards means unset (Prepare clamps the same way, so
-	// MineSymbolic with Shards <= 1 keeps its unsharded behavior).
+	// MineSymbolic with Shards <= 1 converts in one shard).
 	if opt.Shards > 0 && opt.Shards != p.shards {
 		return nil, fmt.Errorf("ftpm: Options.Shards %d conflicts with the prepared shard width %d", opt.Shards, p.shards)
 	}
@@ -454,19 +417,14 @@ func (p *Prepared) Mine(ctx context.Context, opt Options) (*Result, error) {
 		out.Cache.NMI = hit
 	}
 
-	ps, seqHit, err := p.sequences()
+	view, seqHit, err := p.sequences()
 	if err != nil {
 		return nil, err
 	}
 	out.Cache.DSEQ = seqHit
-	out.DB = ps.db
+	out.DB = view.Merged
 
-	var res *core.Result
-	if ps.view != nil {
-		res, err = core.MineShardedView(ctx, ps.view, cfg)
-	} else {
-		res, err = core.Mine(ctx, ps.db, cfg)
-	}
+	res, err := core.MineShardedView(ctx, view, cfg)
 	if err != nil {
 		return nil, err
 	}
