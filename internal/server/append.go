@@ -7,11 +7,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"path/filepath"
 	"strconv"
 
 	"ftpm"
-	"ftpm/internal/server/store"
 )
 
 // Incremental dataset appends: POST /datasets/{id}/append accepts NDJSON
@@ -44,10 +42,8 @@ type appendParser struct {
 	rows int
 }
 
-// newAppendParser builds the parser schema from the generation the append
-// applies to. The generation's content view abstracts the storage mode:
-// an in-memory symbolic database and an mmap'd segment chain present the
-// same names, alphabets and grid.
+// newAppendParser builds the parser schema from the content view of the
+// generation the append applies to: its names, alphabets and grid.
 func newAppendParser(src ftpm.SymbolSource, threshold float64) *appendParser {
 	n := src.NumSeries()
 	p := &appendParser{
@@ -217,28 +213,8 @@ func (p *appendParser) parseCSV(body io.Reader) error {
 	}
 }
 
-// extend builds the appended symbolic database: each series keeps its
-// identity and grid, gains the parsed symbol column, and carries the
-// (possibly extended) alphabet. Full slice expressions force the appends
-// to reallocate, so the previous generation's series — potentially
-// mid-mine — never observe the growth.
-func (p *appendParser) extend(old *ftpm.SymbolicDB) (*ftpm.SymbolicDB, error) {
-	series := make([]*ftpm.SymbolicSeries, len(old.Series))
-	for i, s := range old.Series {
-		n := len(s.Symbols)
-		series[i] = &ftpm.SymbolicSeries{
-			Name:     s.Name,
-			Start:    s.Start,
-			Step:     s.Step,
-			Alphabet: p.alphabets[i],
-			Symbols:  append(s.Symbols[:n:n], p.cols[i]...),
-		}
-	}
-	return ftpm.NewSymbolicDB(series...)
-}
-
 // deltaDB builds a symbolic database of only the appended samples — the
-// payload a segment-mode append seals into its delta segment file. Its
+// payload an append seals into its delta segment. Its
 // grid starts where the base generation ends, and each series carries the
 // full post-append alphabet, so chaining it after the base view yields
 // exactly the extended dataset.
@@ -256,26 +232,11 @@ func (p *appendParser) deltaDB() (*ftpm.SymbolicDB, error) {
 	return ftpm.NewSymbolicDB(series...)
 }
 
-// record assembles the WAL payload of the append: the delta symbols per
-// series, the full post-append alphabets, the new generation number, and
-// the pre-append sample count that makes replay idempotent.
-func (p *appendParser) record(id string, gen int64, prevSamples int) appendRecord {
-	rec := appendRecord{ID: id, Gen: gen, PrevSamples: prevSamples,
-		Series: make([]appendSeriesRecord, len(p.names))}
-	for i, name := range p.names {
-		rec.Series[i] = appendSeriesRecord{
-			Name:     name,
-			Alphabet: p.alphabets[i],
-			Symbols:  p.cols[i],
-		}
-	}
-	return rec
-}
-
 // handleAppendDataset ingests one append: parse and validate the body
-// against the dataset's current generation, build the extended symbolic
-// database, derive the next generation (advancing the Prepared caches
-// incrementally), and commit the swap together with its WAL record. The
+// against the dataset's current generation, seal the appended samples
+// into a delta segment, derive the next generation (advancing the
+// Prepared caches incrementally), and commit the swap together with its
+// WAL record. The
 // per-dataset appendMu serializes concurrent appends — each one builds on
 // the generation its predecessor installed — while running mines are
 // untouched: they hold the generation they started on.
@@ -320,31 +281,15 @@ func (s *Server) handleAppendDataset(w http.ResponseWriter, r *http.Request, id 
 		return
 	}
 
-	var next *dsGen
-	var rec appendRecord
-	if g.sdb != nil {
-		// Memory-backed dataset: build the extended in-heap database and
-		// log the delta payload in the record, exactly as before.
-		sdb, err := p.extend(g.sdb)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeInvalidArgument, "append failed: %v", err)
-			return
-		}
-		next = ds.nextGen(sdb)
-		rec = p.record(ds.id, next.gen, g.sdb.Len())
-	} else {
-		// Segment-backed dataset: seal the delta into its own segment file
-		// and log only the reference.
-		delta, err := p.deltaDB()
-		if err != nil {
-			writeError(w, http.StatusBadRequest, codeInvalidArgument, "append failed: %v", err)
-			return
-		}
-		next, rec, err = s.sealAppend(ds, g, delta)
-		if err != nil {
-			s.storeFailure(w, "append storage", err)
-			return
-		}
+	delta, err := p.deltaDB()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, codeInvalidArgument, "append failed: %v", err)
+		return
+	}
+	next, rec, err := s.sealAppend(ds, g, delta)
+	if err != nil {
+		s.storeFailure(w, "append storage", err)
+		return
 	}
 	if !s.reg.appendDataset(ds, next, rec) {
 		// The dataset was removed between lookup and commit: the append
@@ -358,32 +303,24 @@ func (s *Server) handleAppendDataset(w http.ResponseWriter, r *http.Request, id 
 	writeJSON(w, http.StatusOK, ds.info())
 }
 
-// sealAppend builds a segment-mode append's next generation: the delta
-// samples are sealed into a new segment file (named by the generation it
-// produces, so a crashed-and-retried append replaces its own leftover),
-// the file is mapped back, and the chained view over the previous
-// generation plus the mapped delta becomes the new content source. The
-// fingerprint hashes the full post-append content — computed over the
-// chain before sealing — and is stored in both the segment footer and the
-// WAL record, so restart trusts it without rehashing. A crash between the
-// seal and the WAL append leaves an unreferenced file for startup orphan
-// collection; replaying the WAL without the record simply reproduces the
-// pre-append generation.
+// sealAppend builds an append's next generation: the delta samples are
+// sealed into a new segment (named by the generation it produces, so a
+// crashed-and-retried durable append replaces its own leftover file), and
+// the chained view over the previous generation plus the sealed delta
+// becomes the new content source. The fingerprint hashes the full
+// post-append content — computed over the chain before sealing — and is
+// stored in both the segment footer and the WAL record, so restart trusts
+// it without rehashing. A crash between the seal and the WAL append
+// leaves an unreferenced file for startup orphan collection; replaying
+// the WAL without the record simply reproduces the pre-append generation.
 func (s *Server) sealAppend(ds *Dataset, g *dsGen, delta *ftpm.SymbolicDB) (*dsGen, appendRecord, error) {
 	fp := fingerprintSource(&chainSource{base: g.src, tail: delta})
-	segName := segmentName(ds.id, g.gen+1)
-	path := filepath.Join(s.segDir, segName)
-	size, err := store.WriteSegmentFS(s.fsys, path, delta, fp)
-	if err != nil {
-		return nil, appendRecord{}, err
-	}
-	seg, err := store.OpenSegmentFS(s.fsys, path)
+	seg, segName, err := s.seal(ds.id, g.gen+1, delta, fp)
 	if err != nil {
 		return nil, appendRecord{}, err
 	}
 	chain := &chainSource{base: g.src, tail: seg}
-	segments := append(append([]string(nil), g.segments...), segName)
-	next := ds.nextGenSource(chain, segments, g.segBytes+size, fp)
+	next := ds.advanceTo(genFromSource(chain, fp, withSegment(g.segments, segName), g.sealedBytes+seg.Size()))
 	rec := appendRecord{
 		ID:          ds.id,
 		Gen:         next.gen,

@@ -130,54 +130,63 @@ func resultBytes(t *testing.T, base string, req MiningRequest) []byte {
 // uploading a base dataset, appending the remainder in chunks (NDJSON
 // then CSV), and mining must produce result documents byte-identical to
 // uploading everything at once and mining cold — across shard counts,
-// every engine mode, and with the appending server's caches both cold
-// and warm (pre-append mines populate the Prepared handles and result
-// cache; stale hits must miss after the append).
+// every engine mode, both storage modes of the appending server (delta
+// segments in files or in the heap), and with the appending server's
+// caches both cold and warm (pre-append mines populate the Prepared
+// handles and result cache; stale hits must miss after the append).
 func TestAppendThenMineMatchesReupload(t *testing.T) {
 	rows := appendRows(31, 240)
 	base, mid := 180, 210
 	for _, k := range []int{1, 2, 7} {
 		for _, warm := range []bool{false, true} {
 			t.Run(fmt.Sprintf("k=%d/warm=%v", k, warm), func(t *testing.T) {
-				_, tsA := testServer(t, Options{Workers: 2})
 				q := fmt.Sprintf("name=inc&threshold=0.5&shards=%d", k)
-				dsA := uploadCSV(t, tsA.URL, q, appendCSV(rows, 0, base))
-				if dsA.Generation != 0 {
-					t.Fatalf("fresh dataset generation = %d", dsA.Generation)
-				}
-				varsA := appendVariants(dsA.ID)
-				if warm {
-					for _, req := range varsA {
-						resultBytes(t, tsA.URL, req)
-					}
-				}
-
-				info := mustAppend(t, tsA.URL, dsA.ID, "", appendNDJSON(rows, base, mid))
-				if info.Generation != 1 || info.Samples != mid {
-					t.Fatalf("after NDJSON append: %+v", info)
-				}
-				info = mustAppend(t, tsA.URL, dsA.ID, "csv", appendCSV(rows, mid, len(rows)))
-				if info.Generation != 2 || info.Samples != len(rows) {
-					t.Fatalf("after CSV append: %+v", info)
-				}
-
 				_, tsB := testServer(t, Options{Workers: 2})
 				dsB := uploadCSV(t, tsB.URL, q, appendCSV(rows, 0, len(rows)))
 				varsB := appendVariants(dsB.ID)
-				for i := range varsA {
-					got := resultBytes(t, tsA.URL, varsA[i])
-					want := resultBytes(t, tsB.URL, varsB[i])
-					if !bytes.Equal(got, want) {
-						t.Fatalf("variant %d: append-then-mine diverges from re-upload:\n%s\nvs\n%s", i, got, want)
-					}
-					if i == 0 {
-						var doc struct {
-							Patterns []json.RawMessage `json:"patterns"`
+				for _, durable := range []bool{false, true} {
+					t.Run(fmt.Sprintf("durable=%v", durable), func(t *testing.T) {
+						optA := Options{Workers: 2}
+						if durable {
+							optA.DataDir = t.TempDir()
 						}
-						if err := json.Unmarshal(want, &doc); err != nil || len(doc.Patterns) == 0 {
-							t.Fatalf("vacuous comparison: %v, %d patterns", err, len(doc.Patterns))
+						_, tsA := testServer(t, optA)
+						dsA := uploadCSV(t, tsA.URL, q, appendCSV(rows, 0, base))
+						if dsA.Generation != 0 {
+							t.Fatalf("fresh dataset generation = %d", dsA.Generation)
 						}
-					}
+						varsA := appendVariants(dsA.ID)
+						if warm {
+							for _, req := range varsA {
+								resultBytes(t, tsA.URL, req)
+							}
+						}
+
+						info := mustAppend(t, tsA.URL, dsA.ID, "", appendNDJSON(rows, base, mid))
+						if info.Generation != 1 || info.Samples != mid {
+							t.Fatalf("after NDJSON append: %+v", info)
+						}
+						info = mustAppend(t, tsA.URL, dsA.ID, "csv", appendCSV(rows, mid, len(rows)))
+						if info.Generation != 2 || info.Samples != len(rows) {
+							t.Fatalf("after CSV append: %+v", info)
+						}
+
+						for i := range varsA {
+							got := resultBytes(t, tsA.URL, varsA[i])
+							want := resultBytes(t, tsB.URL, varsB[i])
+							if !bytes.Equal(got, want) {
+								t.Fatalf("variant %d: append-then-mine diverges from re-upload:\n%s\nvs\n%s", i, got, want)
+							}
+							if i == 0 {
+								var doc struct {
+									Patterns []json.RawMessage `json:"patterns"`
+								}
+								if err := json.Unmarshal(want, &doc); err != nil || len(doc.Patterns) == 0 {
+									t.Fatalf("vacuous comparison: %v, %d patterns", err, len(doc.Patterns))
+								}
+							}
+						}
+					})
 				}
 			})
 		}
@@ -282,7 +291,8 @@ func TestAppendRemovedDataset(t *testing.T) {
 	if code := doJSON(t, http.MethodDelete, ts.URL+"/datasets/"+ds.ID, nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: status %d", code)
 	}
-	next := held.nextGen(held.view().sdb)
+	cur := held.view()
+	next := held.advanceTo(genFromSource(cur.src, cur.fingerprint, nil, 0))
 	if srv.reg.appendDataset(held, next, appendRecord{ID: held.id, Gen: next.gen}) {
 		t.Fatal("appendDataset committed to a removed dataset")
 	}

@@ -18,6 +18,13 @@
 //     — shares the same cached artifacts and a repeat A-HTPGM job
 //     recomputes neither the conversion nor the O(n²) NMI analysis.
 //
+//     A dataset's content is always a chain of sealed segments
+//     (source.go, internal/server/store's "FTPMSEG1" format): the upload
+//     seals a base segment and every append a delta. Server.seal is the
+//     only code the storage mode changes: a durable server keeps each
+//     segment in a file under DataDir/segments, mapped read-only, and a
+//     non-durable server keeps the encoded image in the heap.
+//
 //     Dataset content lives in immutable generations (append.go):
 //     POST /datasets/{id}/append extends a dataset with NDJSON rows or a
 //     CSV chunk without re-uploading it. Rows must continue the sampling

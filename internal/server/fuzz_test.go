@@ -29,8 +29,8 @@ func fuzzBaseSDB(tb testing.TB) *ftpm.SymbolicDB {
 // The contract under fuzzing: the parser may reject (any error) but must
 // never panic, and on acceptance the parsed state must uphold the
 // invariants the rest of the append path builds on — rectangular
-// columns, in-range symbol ids, alphabets only ever extended — and
-// extend() must yield a database that is a valid temporal extension.
+// columns, in-range symbol ids, alphabets only ever extended — and the
+// delta database chained after the base must be its temporal extension.
 func FuzzAppendParser(f *testing.F) {
 	// The seed corpus mirrors the handwritten 400 table: well-formed
 	// bodies, duplicate and gapped timestamps, mixed arity, unknown and
@@ -99,17 +99,19 @@ func FuzzAppendParser(f *testing.F) {
 			}
 		}
 		if p.rows == 0 {
-			return // the handler 400s row-less bodies before extending
+			return // the handler 400s row-less bodies before sealing
 		}
-		next, err := p.extend(sdb)
+		delta, err := p.deltaDB()
 		if err != nil {
-			t.Fatalf("accepted body failed to extend: %v", err)
+			t.Fatalf("accepted body failed to build its delta: %v", err)
 		}
-		if next.Len() != sdb.Len()+p.rows {
-			t.Fatalf("extended to %d samples, want %d", next.Len(), sdb.Len()+p.rows)
+		next := &chainSource{base: sdb, tail: delta}
+		if next.Len() != sdb.Len()+p.rows || next.End() != delta.End() {
+			t.Fatalf("extended to %d samples ending at %d, want %d ending at %d",
+				next.Len(), next.End(), sdb.Len()+p.rows, delta.End())
 		}
 		if sdb.Len() != 4 {
-			t.Fatal("extend mutated the base database")
+			t.Fatal("parsing mutated the base database")
 		}
 	})
 }

@@ -122,14 +122,13 @@ type PersistenceMetricsJSON struct {
 	LastError          string  `json:"last_error,omitempty"`
 }
 
-// StorageMetricsJSON gauges where dataset payloads live. A durable
-// server keeps DatasetResidentBytes at (or near) zero — content is
-// served from mmap'd segment files whose pages the kernel reclaims under
-// pressure — while an in-memory server reports the full heap footprint
-// of its symbol slices and no segments. The split is the operator's
-// direct view of the out-of-core story: resident is what restarts must
-// rebuild and the heap must hold, segment bytes are sealed files that
-// survive for free.
+// StorageMetricsJSON gauges where datasets' sealed segments live. A
+// durable server keeps DatasetResidentBytes at zero — content is served
+// from mmap'd segment files whose pages the kernel reclaims under
+// pressure — while a non-durable server reports the heap footprint of
+// its encoded segment images and no segment files. The split is the
+// operator's direct view of the out-of-core story: resident is what the
+// heap must hold, segment bytes are sealed files that survive restarts.
 type StorageMetricsJSON struct {
 	DatasetResidentBytes int64 `json:"dataset_resident_bytes"`
 	DatasetSegmentBytes  int64 `json:"dataset_segment_bytes"`

@@ -2,15 +2,22 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"ftpm"
+	"ftpm/internal/csvio"
+	"ftpm/internal/server/store"
 )
 
 // Out-of-core storage end-to-end tests: mining from mmap'd segments must
@@ -43,14 +50,56 @@ func periodicCSV(nSeries, nSamples, period int) string {
 	return sb.String()
 }
 
+// referenceDB symbolizes a numeric upload body in-process, as the
+// server's ingestion does.
+func referenceDB(t *testing.T, body string, threshold float64) *ftpm.SymbolicDB {
+	t.Helper()
+	series, err := csvio.ReadNumeric(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdb, err := ftpm.Symbolize(series, func(string) ftpm.Symbolizer { return ftpm.OnOff(threshold) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sdb
+}
+
+// referenceDoc mines sdb in-process through the library's SymbolicDB
+// path (ftpm.Prepare + Prepared.Mine) with the options of req, decoded
+// from JSON as a server /result document is.
+func referenceDoc(t *testing.T, sdb *ftpm.SymbolicDB, shards int, req MiningRequest) *ftpm.ResultJSON {
+	t.Helper()
+	prep, err := ftpm.Prepare(sdb, req.splitOptions(), shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.Mine(context.Background(), req.options())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(res.Document())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc ftpm.ResultJSON
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	return &doc
+}
+
 // TestSegmentMiningByteIdentical is the storage-equivalence property
-// test: the same CSV uploaded to a durable (segment-backed) server and
-// to an in-memory server, mined with every job kind across shard counts,
-// must produce byte-identical result documents. Runs under -race in
-// short mode — it is the core correctness claim of the storage layer.
+// test: the same CSV uploaded to a durable server (segment files) and to
+// a non-durable one (heap-held segments), mined with every job kind
+// across shard counts, must produce byte-identical result documents —
+// equal, once decoded, to mining the in-memory symbolic database
+// in-process. Runs under -race in short mode — it is the core
+// correctness claim of the storage layer.
 func TestSegmentMiningByteIdentical(t *testing.T) {
 	_, tsSeg := testServer(t, Options{Workers: 2, DataDir: t.TempDir()})
 	_, tsMem := testServer(t, Options{Workers: 2})
+	sdb := referenceDB(t, smallCSV(), 0.5)
 
 	for _, shards := range []int{1, 2, 7} {
 		query := fmt.Sprintf("name=k%d&threshold=0.5&shards=%d", shards, shards)
@@ -90,6 +139,14 @@ func TestSegmentMiningByteIdentical(t *testing.T) {
 				t.Fatalf("shards=%d job %s: segment-backed result differs from in-memory result\nsegment: %s\nmemory:  %s",
 					shards, jobSeg.ID, docSeg, docMem)
 			}
+			var got ftpm.ResultJSON
+			if err := json.Unmarshal(docSeg, &got); err != nil {
+				t.Fatal(err)
+			}
+			if want := referenceDoc(t, sdb, shards, req); !reflect.DeepEqual(&got, want) {
+				t.Fatalf("shards=%d job %s: served result (%d patterns) differs from the in-process SymbolicDB mine (%d patterns)",
+					shards, jobSeg.ID, len(got.Patterns), len(want.Patterns))
+			}
 		}
 	}
 }
@@ -100,10 +157,8 @@ func TestSegmentMiningByteIdentical(t *testing.T) {
 func TestFreshUploadWALIsMetadataOnly(t *testing.T) {
 	csv := periodicCSV(4, 20000, 100)
 	_, tsSeg := testServer(t, Options{Workers: 1, DataDir: t.TempDir()})
-	srvMem, tsMem := testServer(t, Options{Workers: 1})
 
-	uploadCSV(t, tsSeg.URL, "name=wal&threshold=0.5&shards=1", csv)
-	dsMem := uploadCSV(t, tsMem.URL, "name=wal&threshold=0.5&shards=1", csv)
+	ds := uploadCSV(t, tsSeg.URL, "name=wal&threshold=0.5&shards=1", csv)
 
 	var m MetricsJSON
 	if code := doJSON(t, http.MethodGet, tsSeg.URL+"/metrics", nil, &m); code != 200 {
@@ -116,11 +171,7 @@ func TestFreshUploadWALIsMetadataOnly(t *testing.T) {
 		t.Fatalf("storage metrics = %+v, want one segment and no resident payload", m.Storage)
 	}
 
-	d, ok := srvMem.reg.get(dsMem.ID)
-	if !ok {
-		t.Fatal("memory dataset missing")
-	}
-	legacy, err := json.Marshal(datasetRecordOf(d))
+	legacy, err := json.Marshal(legacyRecord(ds, referenceDB(t, csv, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,6 +179,18 @@ func TestFreshUploadWALIsMetadataOnly(t *testing.T) {
 		t.Fatalf("WAL after fresh upload = %d bytes, legacy payload record = %d bytes; want >= 10x shrink",
 			m.Persistence.WALBytes, len(legacy))
 	}
+}
+
+// legacyRecord is the full-payload dataset record a log written before
+// datasets lived in segments holds for sdb.
+func legacyRecord(ds DatasetInfo, sdb *ftpm.SymbolicDB) datasetRecord {
+	rec := datasetRecord{ID: ds.ID, Name: ds.Name, CreatedAt: ds.CreatedAt, Shards: ds.Shards,
+		Series: make([]seriesRecord, len(sdb.Series))}
+	for i, s := range sdb.Series {
+		rec.Series[i] = seriesRecord{Name: s.Name, Start: int64(s.Start), Step: int64(s.Step),
+			Alphabet: s.Alphabet, Symbols: s.Symbols}
+	}
+	return rec
 }
 
 // TestOrphanSegmentCleanupAndAppendRetry exercises the crash window
@@ -314,4 +377,87 @@ func TestOutOfCoreSoak(t *testing.T) {
 		DatasetID: ds.ID, MinSupport: 0.4, NumWindows: 8, MaxPatternSize: 2,
 		Approx: &ApproxRequest{Density: 0.6, EventLevel: true},
 	})
+}
+
+// goldenFingerprint is the content fingerprint of goldenDB. Fingerprints
+// are recorded in WAL records and segment footers and key the result
+// cache across restarts, so the digest must never change.
+const goldenFingerprint = "7c78a0590be456ec118e7e6e069bbe187051a3df1d0f6bbac5f9a03232bd02ae"
+
+// goldenDB builds the fixed database of samples [lo, hi) behind
+// goldenFingerprint. Every slice carries the full alphabets, as an
+// append's delta does.
+func goldenDB(t *testing.T, lo, hi int) *ftpm.SymbolicDB {
+	t.Helper()
+	a := []int{0, 0, 1, 1, 1, 0, 1, 1}
+	b := []int{2, 2, 2, 0, 1, 1, 0, 0}
+	start := ftpm.Time(100 + 10*lo)
+	sdb, err := ftpm.NewSymbolicDB(
+		&ftpm.SymbolicSeries{Name: "A", Start: start, Step: 10, Alphabet: []string{"Off", "On"}, Symbols: a[lo:hi]},
+		&ftpm.SymbolicSeries{Name: "B", Start: start, Step: 10, Alphabet: []string{"Lo", "Mid", "Hi"}, Symbols: b[lo:hi]},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sdb
+}
+
+// TestFingerprintGolden pins the fingerprint digest over every form a
+// dataset's content takes: the in-memory database, its sealed segment,
+// and a chain of two sealed segments split at sample 3, where series A's
+// run of Ons crosses the seam and series B's runs meet it.
+func TestFingerprintGolden(t *testing.T) {
+	sealed := func(sdb *ftpm.SymbolicDB) *store.Segment {
+		img, err := store.EncodeSegment(sdb, "fp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := store.ParseSegment(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seg
+	}
+	for _, c := range []struct {
+		name string
+		src  ftpm.SymbolSource
+	}{
+		{"memory", goldenDB(t, 0, 8)},
+		{"segment", sealed(goldenDB(t, 0, 8))},
+		{"chain", &chainSource{base: sealed(goldenDB(t, 0, 3)), tail: sealed(goldenDB(t, 3, 8))}},
+	} {
+		if got := fingerprintSource(c.src); got != goldenFingerprint {
+			t.Errorf("%s: fingerprint = %s, want %s", c.name, got, goldenFingerprint)
+		}
+	}
+}
+
+// TestFingerprintBufferBoundaries checks the batched hash against the
+// unbatched encoding on content that crosses the scratch buffer many
+// times, including a series name longer than the buffer itself.
+func TestFingerprintBufferBoundaries(t *testing.T) {
+	rows := appendRows(44, 5000)
+	sdb := referenceDB(t, appendCSV(rows, 0, len(rows)), 0.5)
+	sdb.Series[1].Name = strings.Repeat("n", 40<<10)
+
+	h := sha256.New()
+	writeInt := func(v int64) { binary.Write(h, binary.LittleEndian, v) }
+	writeStr := func(s string) { writeInt(int64(len(s))); io.WriteString(h, s) }
+	writeInt(int64(len(sdb.Series)))
+	for _, s := range sdb.Series {
+		writeStr(s.Name)
+		writeInt(int64(s.Start))
+		writeInt(int64(s.Step))
+		writeInt(int64(len(s.Alphabet)))
+		for _, a := range s.Alphabet {
+			writeStr(a)
+		}
+		writeInt(int64(len(s.Symbols)))
+		for _, sym := range s.Symbols {
+			writeInt(int64(sym))
+		}
+	}
+	if got, want := fingerprintSource(sdb), fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("batched fingerprint = %s, unbatched encoding = %s", got, want)
+	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,8 +18,8 @@ import (
 // Persistence layer: the mining service's registry and job log survive
 // restarts. Dataset payloads live out-of-core: an ingestion seals the
 // symbolized columns into an immutable segment file and an append seals
-// a delta segment (internal/server/store's columnar format), so the
-// write-ahead log under Options.DataDir records only metadata plus
+// a delta segment (internal/server/store's columnar format; Server.seal),
+// so the write-ahead log under Options.DataDir records only metadata plus
 // segment references — dataset ingested (shard width, fingerprint,
 // segment name), dataset appended (the new generation and its delta
 // segment), dataset removed, job submitted, job reached a terminal state
@@ -32,9 +33,10 @@ import (
 //     served straight from their mmap'd segments (fingerprints read from
 //     the records, not recomputed); the Analysis (NMI tables) and the
 //     Prepared cache are re-derived, not persisted — they are
-//     recomputable, and lazily so. Datasets persisted by earlier
-//     versions carry full symbolic payloads in their records; those
-//     replay into memory-backed datasets exactly as before.
+//     recomputable, and lazily so. A log written before datasets lived in
+//     segments has payload records, which replay folds into one payload
+//     per dataset; restore seals it into a segment file once and logs a
+//     segment record that supersedes the payload ones.
 //   - Terminal jobs come back with their summaries and result documents
 //     byte-identical; done jobs re-seed the result cache, so a repeat
 //     submission after a restart is still a cache hit.
@@ -64,9 +66,9 @@ const (
 // previous one.
 const defaultSnapshotEvery = 256
 
-// maxWALBytes is the byte-based compaction trigger. Segment-mode dataset
-// records are O(1), but terminal job records still carry result
-// documents (and legacy payload records can replay in), so a byte bound
+// maxWALBytes is the byte-based compaction trigger. Dataset records are
+// O(1), but terminal job records still carry result documents (and a
+// legacy log can hold payload records), so a byte bound
 // keeps startup's whole-WAL read bounded regardless of record mix.
 const maxWALBytes = 128 << 20
 
@@ -84,39 +86,62 @@ const (
 // mining failures.
 const lostToRestart = "lost to restart: the server restarted while the job was queued or running"
 
-// seriesRecord is the persisted form of one symbolic series.
+// seriesRecord is one series of a legacy full-payload dataset record.
 type seriesRecord struct {
-	Name     string   `json:"name"`
-	Start    int64    `json:"start"`
-	Step     int64    `json:"step"`
-	Alphabet []string `json:"alphabet"`
-	Symbols  []int    `json:"symbols"`
+	Name     string     `json:"name"`
+	Start    int64      `json:"start"`
+	Step     int64      `json:"step"`
+	Alphabet []string   `json:"alphabet"`
+	Symbols  symbolList `json:"symbols"`
 }
 
-// datasetRecord is the persisted form of one dataset. Segment-backed
-// datasets (the durable server's native mode) record identity plus
-// references: the segment file names holding the columnar payload, the
-// content fingerprint sealed into them, and the sample count — O(1)
-// bytes regardless of dataset size, which is what lifts the WAL off the
-// record-size cap and makes restart a footer read instead of a payload
-// replay. Memory-backed datasets (and records written by earlier
-// versions) carry the full symbolic payload in Series instead; either
-// shape replays. Analysis and the Prepared cache are always re-derived
-// on restore. Generation and Threshold are omitempty so records written
-// by earlier versions replay unchanged (generation 0, server-default
-// threshold).
+// symbolList is a legacy payload's per-sample symbol array. An array
+// decodes into one allocation sized by its element count, not through the
+// reflective decoder, which grows the slice a quarter at a time.
+type symbolList []int
+
+func (l *symbolList) UnmarshalJSON(data []byte) error {
+	body, ok := bytes.CutPrefix(data, []byte("["))
+	if !ok {
+		return json.Unmarshal(data, (*[]int)(l)) // null, or the type error
+	}
+	body = bytes.TrimSpace(bytes.TrimSuffix(body, []byte("]")))
+	syms := make([]int, 0, bytes.Count(body, []byte(","))+1)
+	for len(body) > 0 {
+		var tok []byte
+		tok, body, _ = bytes.Cut(body, []byte(","))
+		v, err := strconv.Atoi(string(bytes.TrimSpace(tok)))
+		if err != nil {
+			return fmt.Errorf("symbols: %w", err)
+		}
+		syms = append(syms, v)
+	}
+	*l = syms
+	return nil
+}
+
+// datasetRecord is the persisted form of one dataset: identity plus
+// references — the segment file names holding the columnar payload, the
+// content fingerprint sealed into them, and the sample count. That is
+// O(1) bytes regardless of dataset size, which is what lifts the WAL off
+// the record-size cap and makes restart a footer read instead of a
+// payload replay. Records written before datasets lived in segments
+// carry the full symbolic payload in Series instead; restore upgrades
+// them once (Server.restore). Analysis and the Prepared cache are always
+// re-derived on restore. Generation and Threshold are omitempty so
+// records written by earlier versions replay unchanged (generation 0,
+// server-default threshold).
 type datasetRecord struct {
-	ID         string         `json:"id"`
-	Name       string         `json:"name"`
-	CreatedAt  time.Time      `json:"created_at"`
-	Shards     int            `json:"shards"`
-	Generation int64          `json:"generation,omitempty"`
-	Threshold  *float64       `json:"threshold,omitempty"`
-	Series     []seriesRecord `json:"series,omitempty"`
-	// Segment-mode fields; Series stays empty when these are set.
-	Segments    []string `json:"segments,omitempty"`
-	Fingerprint string   `json:"fingerprint,omitempty"`
-	Samples     int      `json:"samples,omitempty"`
+	ID          string         `json:"id"`
+	Name        string         `json:"name"`
+	CreatedAt   time.Time      `json:"created_at"`
+	Shards      int            `json:"shards"`
+	Generation  int64          `json:"generation,omitempty"`
+	Threshold   *float64       `json:"threshold,omitempty"`
+	Series      []seriesRecord `json:"series,omitempty"` // legacy payload only
+	Segments    []string       `json:"segments,omitempty"`
+	Fingerprint string         `json:"fingerprint,omitempty"`
+	Samples     int            `json:"samples,omitempty"`
 }
 
 // removeRecord is the payload of a dataset removal event.
@@ -124,14 +149,14 @@ type removeRecord struct {
 	ID string `json:"id"`
 }
 
-// appendSeriesRecord is one series' slice of an append event: the
-// appended symbols only, plus the full post-append alphabet (appends may
-// extend alphabets, never renumber them, so replaying the whole alphabet
-// is idempotent by construction).
+// appendSeriesRecord is one series' slice of a legacy payload append
+// event: the appended symbols only, plus the full post-append alphabet
+// (appends may extend alphabets, never renumber them, so replaying the
+// whole alphabet is idempotent by construction).
 type appendSeriesRecord struct {
-	Name     string   `json:"name"`
-	Alphabet []string `json:"alphabet"`
-	Symbols  []int    `json:"symbols"`
+	Name     string     `json:"name"`
+	Alphabet []string   `json:"alphabet"`
+	Symbols  symbolList `json:"symbols"`
 }
 
 // appendRecord is the payload of a dataset append event. PrevSamples is
@@ -145,11 +170,10 @@ type appendRecord struct {
 	ID          string               `json:"id"`
 	Gen         int64                `json:"generation"`
 	PrevSamples int                  `json:"prev_samples"`
-	Series      []appendSeriesRecord `json:"series,omitempty"`
-	// Segment-mode fields: the delta segment sealed by this append, the
-	// post-append total sample count and content fingerprint. Series
-	// stays empty — the delta payload lives in the segment file, and
-	// replay only folds the reference in.
+	Series      []appendSeriesRecord `json:"series,omitempty"` // legacy payload only
+	// The delta segment sealed by this append, the post-append total
+	// sample count and content fingerprint. The delta payload lives in the
+	// segment file, and replay only folds the reference in.
 	Segment     string `json:"segment,omitempty"`
 	Samples     int    `json:"samples,omitempty"`
 	Fingerprint string `json:"fingerprint,omitempty"`
@@ -214,36 +238,20 @@ type snapshotRecord struct {
 func datasetRecordOf(d *Dataset) datasetRecord {
 	g := d.view()
 	threshold := d.threshold
-	rec := datasetRecord{
-		ID:         d.id,
-		Name:       d.name,
-		CreatedAt:  d.createdAt,
-		Shards:     d.shards,
-		Generation: g.gen,
-		Threshold:  &threshold,
+	return datasetRecord{
+		ID:          d.id,
+		Name:        d.name,
+		CreatedAt:   d.createdAt,
+		Shards:      d.shards,
+		Generation:  g.gen,
+		Threshold:   &threshold,
+		Segments:    append([]string(nil), g.segments...),
+		Fingerprint: g.fingerprint,
+		Samples:     g.src.Len(),
 	}
-	if len(g.segments) > 0 {
-		// Segment-backed: the payload lives in sealed files; the record
-		// carries only references and is O(1) regardless of dataset size.
-		rec.Segments = append([]string(nil), g.segments...)
-		rec.Fingerprint = g.fingerprint
-		rec.Samples = g.src.Len()
-		return rec
-	}
-	rec.Series = make([]seriesRecord, len(g.sdb.Series))
-	for i, s := range g.sdb.Series {
-		rec.Series[i] = seriesRecord{
-			Name:     s.Name,
-			Start:    int64(s.Start),
-			Step:     int64(s.Step),
-			Alphabet: s.Alphabet,
-			Symbols:  s.Symbols,
-		}
-	}
-	return rec
 }
 
-// symbolicDB rebuilds the symbolic database of a persisted dataset.
+// symbolicDB rebuilds the symbolic database of a legacy payload record.
 func (rec datasetRecord) symbolicDB() (*ftpm.SymbolicDB, error) {
 	series := make([]*ftpm.SymbolicSeries, len(rec.Series))
 	for i, s := range rec.Series {
@@ -485,10 +493,10 @@ func applyAppend(st *recoveredState, dsIndex map[string]int, ar appendRecord) {
 		d.Generation = ar.Gen
 	}
 	if ar.Segment != "" {
-		// Segment-mode append: fold the delta segment reference in. The
-		// record applies only when the replayed dataset does not already
-		// reference the segment and still has the pre-append sample count
-		// — the same idempotence contract as the payload shape below.
+		// Fold the delta segment reference in. The record applies only
+		// when the replayed dataset does not already reference the segment
+		// and still has the pre-append sample count — the same idempotence
+		// contract as the legacy payload shape below.
 		for _, seg := range d.Segments {
 			if seg == ar.Segment {
 				return
@@ -567,20 +575,31 @@ func (p *persister) append(kind store.Kind, v any) {
 		}
 		return
 	}
-	trigger := !p.compacting && p.gather != nil &&
-		(p.log.WALRecords() >= p.snapshotEvery || p.log.WALBytes() >= maxWALBytes)
+	trigger := !p.compacting && p.gather != nil && p.pastTrigger()
 	if trigger {
 		p.compacting = true
 	}
 	p.mu.Unlock()
 	if trigger {
 		go func() {
-			p.compact()
-			p.mu.Lock()
-			p.compacting = false
-			p.mu.Unlock()
+			for again := true; again; {
+				ok := p.compact()
+				// Records logged while the compaction ran stay in the WAL and
+				// could not start one themselves; when they alone are past
+				// the trigger, go again rather than wait for the next write.
+				p.mu.Lock()
+				again = ok && p.pastTrigger()
+				p.compacting = again
+				p.mu.Unlock()
+			}
 		}()
 	}
+}
+
+// pastTrigger reports whether the WAL has reached a compaction trigger,
+// record count or bytes.
+func (p *persister) pastTrigger() bool {
+	return p.log.WALRecords() >= p.snapshotEvery || p.log.WALBytes() >= maxWALBytes
 }
 
 // snapshotChunk bounds one streamed snapshot chunk. Chunking keeps every
@@ -592,36 +611,38 @@ const snapshotChunk = 4 << 20
 // captured LSN and trims the covered prefix out of the WAL. The gather
 // callback may take registry and job locks; appends proceed throughout —
 // anything logged mid-gather lands both in the snapshot and the retained
-// WAL, which replay applies idempotently.
-func (p *persister) compact() {
+// WAL, which replay applies idempotently. It reports whether a snapshot
+// was committed.
+func (p *persister) compact() bool {
 	p.snapMu.Lock()
 	defer p.snapMu.Unlock()
 	if p.gather == nil {
-		return
+		return false
 	}
 	w, err := p.log.BeginSnapshot()
 	if err != nil {
 		p.noteSnapshotErr(err)
-		return
+		return false
 	}
 	data, err := json.Marshal(p.gather())
 	if err != nil {
 		w.Abort()
 		p.noteSnapshotErr(err)
-		return
+		return false
 	}
 	for off := 0; off < len(data); off += snapshotChunk {
 		end := min(off+snapshotChunk, len(data))
 		if err := w.WriteChunk(data[off:end]); err != nil {
 			p.noteSnapshotErr(err)
-			return
+			return false
 		}
 	}
 	if err := w.Commit(); err != nil {
 		p.noteSnapshotErr(err)
-		return
+		return false
 	}
 	p.lastErr.Store("")
+	return true
 }
 
 // noteSnapshotErr records a failed compaction for the /metrics gauges. A

@@ -9,10 +9,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"ftpm"
+	"ftpm/internal/server/store"
 )
 
 // Restart-recovery tests: a server reopened on the same DataDir must
@@ -297,7 +299,10 @@ func TestGracefulShutdownPersistsCancellations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := srv1.reg.add("a", sdb, 1, 0.5)
+	ds, err := srv1.addDataset("a", sdb, 1, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	j, err := srv1.jobs.submit(ds, MiningRequest{DatasetID: ds.id, MinSupport: 0.5, NumWindows: 2}, DefaultTenant)
 	if err != nil {
 		t.Fatal(err)
@@ -647,4 +652,104 @@ func TestClosedServerRejectsAppends(t *testing.T) {
 	if code, _ := postAppend(t, ts.URL, ds.ID, "", appendNDJSON(rows, 30, 31)); code != http.StatusServiceUnavailable {
 		t.Fatalf("append after Close: status %d, want 503", code)
 	}
+}
+
+// TestLegacyPayloadLogUpgrade opens a server on a log written before
+// datasets lived in segments — a full-payload dataset record plus a
+// payload append record — and checks the one-time upgrade: the dataset
+// comes back sealed into the segment of its replayed generation, with
+// the fingerprint and result document a fresh upload of the same content
+// gets, and an append after the upgrade survives the next restart.
+func TestLegacyPayloadLogUpgrade(t *testing.T) {
+	dir := t.TempDir()
+	rows := appendRows(43, 240)
+	full := referenceDB(t, appendCSV(rows, 0, 210), 0.5)
+	base := referenceDB(t, appendCSV(rows, 0, 180), 0.5)
+	dsRec := legacyRecord(DatasetInfo{ID: "ds-1", Name: "legacy", Shards: 2}, base)
+	appRec := appendRecord{ID: "ds-1", Gen: 1, PrevSamples: 180, Series: make([]appendSeriesRecord, len(full.Series))}
+	for i, s := range full.Series {
+		appRec.Series[i] = appendSeriesRecord{Name: s.Name, Alphabet: s.Alphabet, Symbols: s.Symbols[180:]}
+	}
+	l, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []struct {
+		kind store.Kind
+		v    any
+	}{{kindDatasetAdded, dsRec}, {kindDatasetAppended, appRec}} {
+		data, err := json.Marshal(r.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Append(r.kind, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv1, ts1 := testServer(t, Options{Workers: 2, DataDir: dir, SnapshotEvery: 10_000})
+	var got DatasetInfo
+	if code := doJSON(t, http.MethodGet, ts1.URL+"/datasets/ds-1", nil, &got); code != 200 {
+		t.Fatalf("upgraded dataset: status %d", code)
+	}
+	if got.Storage != "segment" || got.Segments != 1 || got.Samples != 210 || got.Generation != 1 {
+		t.Fatalf("upgraded dataset = %+v, want one segment holding 210 samples at generation 1", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "segments", segmentName("ds-1", 1))); err != nil {
+		t.Fatalf("upgrade sealed no segment file: %v", err)
+	}
+
+	srvRef, tsRef := testServer(t, Options{Workers: 2})
+	ref := uploadCSV(t, tsRef.URL, "name=ref&threshold=0.5&shards=2", appendCSV(rows, 0, 210))
+	if fp, want := srv1.reg.byID["ds-1"].view().fingerprint, srvRef.reg.byID[ref.ID].view().fingerprint; fp != want {
+		t.Fatalf("upgraded fingerprint %s, fresh upload %s", fp, want)
+	}
+	doc := resultBytes(t, ts1.URL, appendVariants("ds-1")[0])
+	if want := resultBytes(t, tsRef.URL, appendVariants(ref.ID)[0]); !bytes.Equal(doc, want) {
+		t.Fatalf("upgraded dataset mines differently from a fresh upload:\n%s\nvs\n%s", doc, want)
+	}
+
+	mustAppend(t, ts1.URL, "ds-1", "csv", appendCSV(rows, 210, 240))
+	crash(srv1)
+	ts1.Close()
+
+	_, ts2 := testServer(t, Options{Workers: 2, DataDir: dir})
+	if code := doJSON(t, http.MethodGet, ts2.URL+"/datasets/ds-1", nil, &got); code != 200 {
+		t.Fatalf("dataset after restart: status %d", code)
+	}
+	if got.Samples != 240 || got.Generation != 2 || got.Segments != 2 {
+		t.Fatalf("dataset after restart = %+v, want the append kept: 240 samples at generation 2 in 2 segments", got)
+	}
+}
+
+// TestCompactionRerunsWhenTriggerCrossedMidCompaction holds a background
+// compaction open while enough records to reach the trigger again are
+// logged. Those records stay in the WAL past the snapshot and could not
+// trigger a compaction themselves (one was running), so the compaction
+// must run again when it finishes instead of leaving the WAL at the
+// trigger until some later write.
+func TestCompactionRerunsWhenTriggerCrossedMidCompaction(t *testing.T) {
+	srv, ts := testServer(t, Options{Workers: 1, DataDir: t.TempDir(), SnapshotEvery: 4})
+	held, release := make(chan struct{}), make(chan struct{})
+	gather := srv.persist.gather
+	var once sync.Once
+	srv.persist.gather = func() snapshotRecord {
+		once.Do(func() {
+			close(held)
+			<-release
+		})
+		return gather()
+	}
+	for i := 0; i < 4; i++ {
+		uploadCSV(t, ts.URL, "name=d&threshold=0.5", smallCSV())
+	}
+	<-held // the fourth record started a compaction, now parked in gather
+	for i := 0; i < 4; i++ {
+		uploadCSV(t, ts.URL, "name=d&threshold=0.5", smallCSV())
+	}
+	close(release)
+	waitCompacted(t, ts.URL, 4)
 }

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sync"
 	"time"
 
@@ -13,9 +10,10 @@ import (
 
 // Dataset is one ingested, symbolized dataset held by the registry. Its
 // content lives in immutable generations: appending data never mutates
-// the current generation's symbolic database — it builds a new one
-// (sharing the unchanged sample prefix) and swaps it in, so jobs that
-// captured the previous generation keep mining a consistent view. Mining
+// the current generation — it seals the appended samples into a delta
+// segment, chains it after the current view and swaps the chain in, so
+// jobs that captured the previous generation keep mining a consistent
+// view. Mining
 // goes through geometry-keyed ftpm.Prepared handles owned by the
 // generation: one handle per window geometry owns that geometry's sharded
 // DSEQ conversion (window i of the split lives in shard i%K), its merged
@@ -44,29 +42,28 @@ type Dataset struct {
 	lastShardSeqs []int
 }
 
-// dsGen is one immutable content generation of a dataset: the symbolic
-// database as of some append, its content fingerprint, the shared NMI
-// analysis, and the geometry-keyed Prepared cache. An append builds the
-// next generation (advancing each cached Prepared incrementally) and the
-// dataset atomically swaps to it; jobs hold the generation they started
-// on, so a swap never tears a running mine.
+// dsGen is one immutable content generation of a dataset: a chain of
+// sealed segments as of some append, its content fingerprint, the shared
+// NMI analysis, and the geometry-keyed Prepared cache. An append builds
+// the next generation (advancing each cached Prepared incrementally) and
+// the dataset atomically swaps to it; jobs hold the generation they
+// started on, so a swap never tears a running mine.
 type dsGen struct {
 	gen int64
 	// src is the generation's content view — what conversion, NMI and the
-	// info endpoints consume. In-memory datasets point it at sdb; durable
-	// datasets point it at an mmap'd segment (or a chain of base segment +
-	// delta segments after appends), and sdb stays nil.
+	// info endpoints consume: the base segment chained with one delta
+	// segment per append.
 	src ftpm.SymbolSource
-	sdb *ftpm.SymbolicDB
 	// segments are the file names (under the data directory's segments/
-	// subdirectory) backing this generation, oldest first; segBytes is
-	// their total on-disk size. Empty / 0 for memory-backed generations.
-	segments []string
-	segBytes int64
-	// fingerprint is a content hash of the symbolic database, recomputed
-	// per generation. The completed-job result cache keys on it (not the
-	// dataset id), so stale-generation lookups structurally miss and
-	// re-uploading identical content hits.
+	// subdirectory) backing a durable generation, oldest first; empty when
+	// the segments are heap-held. sealedBytes is the total size of the
+	// sealed images, on disk or in the heap.
+	segments    []string
+	sealedBytes int64
+	// fingerprint is a content hash of the generation (fingerprintSource),
+	// recomputed per generation. The completed-job result cache keys on it
+	// (not the dataset id), so stale-generation lookups structurally miss
+	// and re-uploading identical content hits.
 	fingerprint string
 	// analysis holds the generation's geometry-independent NMI tables;
 	// every Prepared handle of the generation shares it. NMI depends on
@@ -85,49 +82,16 @@ type dsGen struct {
 // bound.
 const maxPreparedCache = 8
 
-// fingerprintSDB hashes the full content of a symbolic database — series
-// names, timing, alphabets, and symbol streams — into a stable key. The
-// result cache serves documents across datasets purely by this key, so
-// the hash must be collision-resistant (sha256) and the encoding
-// unambiguous: every string and collection is length-prefixed.
-func fingerprintSDB(sdb *ftpm.SymbolicDB) string {
-	h := sha256.New()
-	var buf [8]byte
-	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
-	}
-	writeStr := func(s string) {
-		writeInt(int64(len(s)))
-		io.WriteString(h, s)
-	}
-	writeInt(int64(len(sdb.Series)))
-	for _, s := range sdb.Series {
-		writeStr(s.Name)
-		writeInt(int64(s.Start))
-		writeInt(int64(s.Step))
-		writeInt(int64(len(s.Alphabet)))
-		for _, a := range s.Alphabet {
-			writeStr(a)
-		}
-		writeInt(int64(len(s.Symbols)))
-		for _, sym := range s.Symbols {
-			writeInt(int64(sym))
-		}
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
 // DatasetInfo is the JSON view of a dataset. ShardSeqs reports the
 // per-shard sequence counts of the most recently mined window geometry
 // (empty until a first job converts one) so operators and the bench job
 // can verify shard balance. Generation counts the appends applied since
 // upload (0 for a freshly uploaded dataset) and never regresses, restarts
-// included. Storage reports where the content lives: "memory" (in-heap
-// symbol slices) or "segment" (mmap'd columnar segment files), with
-// ResidentBytes the heap footprint of the symbol payload and SegmentBytes
-// its on-disk footprint — segment-backed datasets keep ResidentBytes 0
-// because the kernel pages column bytes in and out on demand.
+// included. Storage reports where the dataset's sealed segments live:
+// "segment" (mmap'd files) or "memory" (images in the heap of a
+// non-durable server). ResidentBytes is the images' heap footprint and
+// SegmentBytes their on-disk footprint — file-backed datasets keep
+// ResidentBytes 0 because the kernel pages column bytes in on demand.
 type DatasetInfo struct {
 	ID            string    `json:"id"`
 	Name          string    `json:"name"`
@@ -145,23 +109,14 @@ type DatasetInfo struct {
 	CreatedAt     time.Time `json:"created_at"`
 }
 
-// storage reports the generation's storage mode.
-func (g *dsGen) storage() string {
+// storage reports where the generation's segments live, splitting their
+// size into heap-resident and on-disk bytes (mapped files are not
+// resident).
+func (g *dsGen) storage() (mode string, resident, onDisk int64) {
 	if len(g.segments) > 0 {
-		return "segment"
+		return "segment", 0, g.sealedBytes
 	}
-	return "memory"
-}
-
-// residentBytes estimates the heap bytes the generation's symbol payload
-// pins: the per-sample symbol slices for memory-backed generations,
-// nothing for segment-backed ones (runs decode transiently per use).
-func (g *dsGen) residentBytes() int64 {
-	if g.sdb == nil {
-		return 0
-	}
-	const intSize = 8
-	return int64(g.sdb.Len()) * int64(len(g.sdb.Series)) * intSize
+	return "memory", g.sealedBytes, 0
 }
 
 // view returns the dataset's current generation. Generations are
@@ -182,6 +137,7 @@ func (d *Dataset) info() DatasetInfo {
 	d.mu.Lock()
 	shardSeqs := append([]int(nil), d.lastShardSeqs...)
 	d.mu.Unlock()
+	mode, resident, onDisk := g.storage()
 	return DatasetInfo{
 		ID:            d.id,
 		Name:          d.name,
@@ -191,9 +147,9 @@ func (d *Dataset) info() DatasetInfo {
 		Step:          g.src.Step(),
 		Shards:        d.shards,
 		Generation:    g.gen,
-		Storage:       g.storage(),
-		ResidentBytes: g.residentBytes(),
-		SegmentBytes:  g.segBytes,
+		Storage:       mode,
+		ResidentBytes: resident,
+		SegmentBytes:  onDisk,
 		Segments:      len(g.segments),
 		ShardSeqs:     shardSeqs,
 		CreatedAt:     d.createdAt,
@@ -229,29 +185,12 @@ func (d *Dataset) prepared(g *dsGen, opt ftpm.SplitOptions) (*ftpm.Prepared, err
 	return p, nil
 }
 
-// nextGen assembles the generation an append produces: the extended
-// symbolic database with a fresh fingerprint and fresh (lazily built) NMI
-// tables, plus the previous generation's Prepared cache advanced handle
-// by handle — each advanced handle converts incrementally against its
-// predecessor's memoized DSEQ artifacts on first use. A handle that
-// cannot advance (geometry no longer valid for the grown span, or the
-// append broke the extension contract) is dropped from the cache rather
-// than carried stale. Callers hold d.appendMu.
-func (d *Dataset) nextGen(sdb *ftpm.SymbolicDB) *dsGen {
-	return d.advanceTo(genFromSDB(0, sdb))
-}
-
-// nextGenSource assembles the generation a segment-mode append produces:
-// the chained view over the previous generation plus the new delta
-// segment, with the fingerprint computed by the caller (the append
-// handler hashes the chain before sealing, so the segment footer and the
-// WAL record carry the same value). Callers hold d.appendMu.
-func (d *Dataset) nextGenSource(src ftpm.SymbolSource, segments []string, segBytes int64, fingerprint string) *dsGen {
-	return d.advanceTo(genFromSource(0, src, fingerprint, segments, segBytes))
-}
-
 // advanceTo numbers next after the current generation and carries the
-// Prepared cache forward, advancing handle by handle.
+// Prepared cache forward handle by handle — each advanced handle converts
+// incrementally against its predecessor's memoized DSEQ artifacts on first
+// use. A handle that cannot advance (geometry no longer valid for the
+// grown span, or the append broke the extension contract) is dropped from
+// the cache rather than carried stale. Callers hold d.appendMu.
 func (d *Dataset) advanceTo(next *dsGen) *dsGen {
 	cur := d.view()
 	next.gen = cur.gen + 1
@@ -289,9 +228,8 @@ type registry struct {
 	persist *persister // nil when DataDir is unset
 	// logMu serializes each mutate+log pair: without it, a DELETE racing
 	// an upload (ids are predictable) could append its removal record at
-	// a lower LSN than the addition's — the addition's payload marshal is
-	// large and slow — and replay would then resurrect the deleted
-	// dataset. Appends take it for the same reason (an append record
+	// a lower LSN than the addition's, and replay would then resurrect the
+	// deleted dataset. Appends take it for the same reason (an append record
 	// after its dataset's removal record would be a silent no-op at
 	// replay but a lie to the acknowledged client). Held before (never
 	// inside) mu and the persister's lock.
@@ -307,30 +245,16 @@ func newRegistry(persist *persister) *registry {
 	return &registry{persist: persist, byID: make(map[string]*Dataset)}
 }
 
-// genFromSDB assembles a memory-backed generation, re-deriving the
-// content fingerprint and the shared NMI analysis from the symbolic
-// payload.
-func genFromSDB(gen int64, sdb *ftpm.SymbolicDB) *dsGen {
+// genFromSource assembles a generation (numbered by advanceTo or
+// registry.restore) around its sealed content view. The fingerprint is
+// taken, not recomputed: it was hashed when the content was sealed (and
+// is recorded in the segment footer and the WAL), so restart never pays
+// an O(samples) rehash.
+func genFromSource(src ftpm.SymbolSource, fingerprint string, segments []string, sealedBytes int64) *dsGen {
 	return &dsGen{
-		gen:         gen,
-		src:         sdb,
-		sdb:         sdb,
-		fingerprint: fingerprintSDB(sdb),
-		analysis:    ftpm.NewAnalysis(sdb),
-		prep:        make(map[string]*ftpm.Prepared),
-	}
-}
-
-// genFromSource assembles a segment-backed generation around an mmap'd
-// view. The fingerprint is taken, not recomputed: it was hashed when the
-// content was sealed (and is recorded in the segment footer and the WAL),
-// so restart never pays an O(samples) rehash.
-func genFromSource(gen int64, src ftpm.SymbolSource, fingerprint string, segments []string, segBytes int64) *dsGen {
-	return &dsGen{
-		gen:         gen,
 		src:         src,
 		segments:    segments,
-		segBytes:    segBytes,
+		sealedBytes: sealedBytes,
 		fingerprint: fingerprint,
 		analysis:    ftpm.NewAnalysisSource(src),
 		prep:        make(map[string]*ftpm.Prepared),
@@ -353,7 +277,7 @@ func newDataset(id, name string, createdAt time.Time, g *dsGen, shards int, thre
 }
 
 // reserveID issues the next dataset id without registering anything.
-// The durable upload path needs the id before registration: the segment
+// The upload path needs the id before registration: a durable segment
 // file is named after it and must be sealed (and the seal survive a
 // crash as a collectible orphan) before the dataset becomes visible.
 // Ids are never reissued, so an id whose upload fails is simply skipped.
@@ -362,11 +286,6 @@ func (r *registry) reserveID() string {
 	defer r.mu.Unlock()
 	r.seq++
 	return fmt.Sprintf("ds-%d", r.seq)
-}
-
-func (r *registry) add(name string, sdb *ftpm.SymbolicDB, shards int, threshold float64) *Dataset {
-	d := newDataset(r.reserveID(), name, time.Now(), genFromSDB(0, sdb), shards, threshold)
-	return r.addPrepared(d)
 }
 
 // addPrepared registers a fully-assembled dataset under its (reserved)
@@ -408,10 +327,9 @@ func (r *registry) appendDataset(d *Dataset, next *dsGen, rec appendRecord) bool
 }
 
 // restore re-inserts a recovered dataset under its original id (and
-// replayed generation) without logging a new event; the caller builds the
-// generation (memory- or segment-backed, matching how the record was
-// persisted). defaultThreshold covers records from before thresholds were
-// persisted.
+// replayed generation) without logging a new event; the caller opens the
+// generation's segments. defaultThreshold covers records from before
+// thresholds were persisted.
 func (r *registry) restore(rec datasetRecord, g *dsGen, defaultThreshold float64) *Dataset {
 	threshold := defaultThreshold
 	if rec.Threshold != nil {
@@ -508,8 +426,8 @@ func (r *registry) liveSegments() map[string]bool {
 }
 
 // storageTotals sums the storage gauges across all datasets' current
-// generations for /metrics: heap-resident payload bytes, on-disk segment
-// bytes, and the live segment count.
+// generations for /metrics: heap-resident segment bytes, on-disk segment
+// bytes, and the live segment file count.
 func (r *registry) storageTotals() (resident, segBytes int64, segments int) {
 	r.mu.RLock()
 	datasets := make([]*Dataset, 0, len(r.ids))
@@ -519,8 +437,9 @@ func (r *registry) storageTotals() (resident, segBytes int64, segments int) {
 	r.mu.RUnlock()
 	for _, d := range datasets {
 		g := d.view()
-		resident += g.residentBytes()
-		segBytes += g.segBytes
+		_, r, disk := g.storage()
+		resident += r
+		segBytes += disk
 		segments += len(g.segments)
 	}
 	return resident, segBytes, segments

@@ -201,12 +201,11 @@ func New(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// restore loads the replayed datasets and jobs. Segment-backed datasets
-// mmap their sealed files and trust the recorded fingerprint — no
-// payload re-read, no rehash — which is what makes restart near-instant;
-// legacy payload records rebuild memory-backed datasets exactly as
-// before. Jobs that were live at crash time surface as failed ("lost to
-// restart").
+// restore loads the replayed datasets and jobs. Datasets mmap their
+// sealed segment files and trust the recorded fingerprint — no payload
+// re-read, no rehash — which is what makes restart near-instant. A legacy
+// payload record is upgraded once. Jobs that were live at crash time
+// surface as failed ("lost to restart").
 func (s *Server) restore(st *recoveredState) error {
 	if st.snapshotDamaged {
 		s.logf("persist: snapshot failed verification and was ignored")
@@ -215,27 +214,39 @@ func (s *Server) restore(st *recoveredState) error {
 		s.logf("persist: truncated %d bytes of torn WAL tail", st.truncatedBytes)
 	}
 	restored := 0
+	var upgraded []*Dataset
 	for _, rec := range st.datasets {
-		var g *dsGen
-		if len(rec.Segments) > 0 {
-			var err error
-			g, err = s.segmentGen(rec)
-			if err != nil {
-				// A lost or corrupt segment loses this dataset (its live
-				// jobs fail as "lost to restart"), not the whole service:
-				// the rest of the log is intact and serveable.
-				s.logf("persist: dataset %s dropped: %v", rec.ID, err)
-				continue
-			}
-		} else {
+		if len(rec.Segments) == 0 {
+			// A legacy payload record, written before datasets lived in
+			// segments: seal it into the segment of its generation.
 			sdb, err := rec.symbolicDB()
+			var g *dsGen
+			if err == nil {
+				g, err = s.baseGen(rec.ID, rec.Generation, sdb)
+			}
 			if err != nil {
 				return fmt.Errorf("server: dataset %s does not replay: %w", rec.ID, err)
 			}
-			g = genFromSDB(rec.Generation, sdb)
+			upgraded = append(upgraded, s.reg.restore(rec, g, *s.opts.DefaultThreshold))
+			restored++
+			continue
+		}
+		g, err := s.segmentGen(rec)
+		if err != nil {
+			// A lost or corrupt segment loses this dataset (its live jobs
+			// fail as "lost to restart"), not the whole service: the rest
+			// of the log is intact and serveable.
+			s.logf("persist: dataset %s dropped: %v", rec.ID, err)
+			continue
 		}
 		s.reg.restore(rec, g, *s.opts.DefaultThreshold)
 		restored++
+	}
+	// A segment record per upgraded dataset, logged past every payload
+	// record it supersedes: without it the next replay would rebuild the
+	// payload shape and skip later appends' segment references.
+	for _, d := range upgraded {
+		s.persist.datasetAdded(d)
 	}
 	// Seq counters apply even when nothing survived replay (the highest
 	// id's dataset or job may have been removed or evicted).
@@ -264,18 +275,12 @@ func (s *Server) restore(st *recoveredState) error {
 func (s *Server) segmentGen(rec datasetRecord) (*dsGen, error) {
 	var src ftpm.SymbolSource
 	var segBytes int64
-	fp := rec.Fingerprint
 	for _, name := range rec.Segments {
 		seg, err := store.OpenSegmentFS(s.fsys, filepath.Join(s.segDir, name))
 		if err != nil {
 			return nil, fmt.Errorf("segment %s: %w", name, err)
 		}
 		segBytes += seg.Size()
-		if fp == "" {
-			// Records always carry the fingerprint; the footer of the
-			// newest segment is the belt-and-suspenders fallback.
-			fp = seg.Fingerprint()
-		}
 		if src == nil {
 			src = seg
 		} else {
@@ -288,7 +293,7 @@ func (s *Server) segmentGen(rec datasetRecord) (*dsGen, error) {
 	if rec.Samples != 0 && src.Len() != rec.Samples {
 		return nil, fmt.Errorf("segments hold %d samples, record expects %d", src.Len(), rec.Samples)
 	}
-	return genFromSource(rec.Generation, src, fp, append([]string(nil), rec.Segments...), segBytes), nil
+	return genFromSource(src, rec.Fingerprint, append([]string(nil), rec.Segments...), segBytes), nil
 }
 
 // cleanOrphanSegments removes files under the segments directory that no
@@ -746,44 +751,71 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var ds *Dataset
-	if s.persist != nil {
-		ds, err = s.addSegmentDataset(name, sdb, shards, threshold)
-		if err != nil {
-			s.storeFailure(w, "dataset storage", err)
-			return
-		}
-	} else {
-		ds = s.reg.add(name, sdb, shards, threshold)
+	ds, err := s.addDataset(name, sdb, shards, threshold)
+	if err != nil {
+		s.storeFailure(w, "dataset storage", err)
+		return
 	}
 	s.logf("dataset %s ingested: %q, %d series, %d samples, %d shards", ds.id, name, len(sdb.Series), sdb.Len(), shards)
 	writeJSON(w, http.StatusCreated, ds.info())
 }
 
-// addSegmentDataset is the durable ingestion path: the symbolized upload
-// is sealed into an immutable columnar segment file, the file is mapped
-// back as the dataset's content view, and only then is the dataset
-// registered (logging an O(1) record that references the segment). The
-// in-heap symbol slices are dropped on return — the dataset is served
-// from the mapping from its first job on. A crash after the seal but
-// before the log append leaves an orphan file that the next startup
-// collects; the sealed name is deterministic (id + generation), so a
-// client retry overwrites rather than accumulates.
-func (s *Server) addSegmentDataset(name string, sdb *ftpm.SymbolicDB, shards int, threshold float64) (*Dataset, error) {
+// addDataset seals the symbolized upload into the base segment of a new
+// dataset, serves the dataset from that segment, and only then registers
+// it (logging, when durable, an O(1) record that references the segment
+// file). A crash after the seal but before the log append leaves an
+// orphan file that the next startup collects; the sealed name is
+// deterministic (id + generation), so a client retry overwrites rather
+// than accumulates.
+func (s *Server) addDataset(name string, sdb *ftpm.SymbolicDB, shards int, threshold float64) (*Dataset, error) {
 	id := s.reg.reserveID()
-	fp := fingerprintSDB(sdb)
-	segName := segmentName(id, 0)
-	path := filepath.Join(s.segDir, segName)
-	size, err := store.WriteSegmentFS(s.fsys, path, sdb, fp)
+	g, err := s.baseGen(id, 0, sdb)
 	if err != nil {
 		return nil, err
 	}
-	seg, err := store.OpenSegmentFS(s.fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	g := genFromSource(0, seg, fp, []string{segName}, size)
 	return s.reg.addPrepared(newDataset(id, name, time.Now(), g, shards, threshold)), nil
+}
+
+// baseGen fingerprints sdb and seals it as the one segment of dataset
+// id's generation gen.
+func (s *Server) baseGen(id string, gen int64, sdb *ftpm.SymbolicDB) (*dsGen, error) {
+	fp := fingerprintSource(sdb)
+	seg, segName, err := s.seal(id, gen, sdb, fp)
+	if err != nil {
+		return nil, err
+	}
+	return genFromSource(seg, fp, withSegment(nil, segName), seg.Size()), nil
+}
+
+// seal encodes src, the content of dataset id's generation gen, as a
+// segment with fingerprint fp in its footer. It is the only code the
+// storage mode changes: a durable server writes file segName =
+// segmentName(id, gen) and maps it back, a non-durable one keeps the
+// validated image in the heap (segName "").
+func (s *Server) seal(id string, gen int64, src ftpm.SymbolSource, fp string) (seg *store.Segment, segName string, err error) {
+	if s.segDir == "" {
+		img, err := store.EncodeSegment(src, fp)
+		if err != nil {
+			return nil, "", err
+		}
+		seg, err = store.ParseSegment(img)
+		return seg, "", err
+	}
+	segName = segmentName(id, gen)
+	path := filepath.Join(s.segDir, segName)
+	if _, err := store.WriteSegmentFS(s.fsys, path, src, fp); err != nil {
+		return nil, "", err
+	}
+	seg, err = store.OpenSegmentFS(s.fsys, path)
+	return seg, segName, err
+}
+
+// withSegment extends (a copy of) names by seal's file name, if any.
+func withSegment(names []string, segName string) []string {
+	if segName == "" {
+		return names
+	}
+	return append(append([]string(nil), names...), segName)
 }
 
 // segmentName is the sealed-file name of one dataset generation's

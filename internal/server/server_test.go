@@ -497,7 +497,11 @@ func TestUploadTooLarge(t *testing.T) {
 }
 
 func TestPreparedCacheReuse(t *testing.T) {
-	reg := newRegistry(nil)
+	srv, err := New(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	vals := make([]float64, 64)
 	for i := range vals {
 		vals[i] = float64(i % 2)
@@ -510,7 +514,10 @@ func TestPreparedCacheReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := reg.add("a", sdb, 2, 0.5)
+	ds, err := srv.addDataset("a", sdb, 2, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ds.view().fingerprint == "" {
 		t.Fatal("dataset must carry a content fingerprint")
 	}

@@ -4,19 +4,17 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"io"
 
 	"ftpm"
 )
 
-// Out-of-core dataset views. A durable server serves each dataset
-// generation from sealed columnar segment files (internal/server/store's
-// "FTPMSEG1" format) instead of an in-memory symbolic database: the
-// upload seals one base segment, and every append seals a delta segment
-// holding only the appended samples. chainSource stitches a base view and
-// a delta into one ftpm.SymbolSource, which is what the mining pipeline
-// consumes — so the mmap-backed path and the in-memory path run the exact
-// same conversion and NMI code over the exact same runs.
+// Dataset content views. Every dataset generation is a chain of sealed
+// segments (internal/server/store's "FTPMSEG1" format), in files when the
+// server is durable and in the heap otherwise: the upload seals one base
+// segment, and every append seals a delta segment holding only the
+// appended samples. chainSource stitches a base view and a delta into one
+// ftpm.SymbolSource, which is what the mining pipeline consumes — so both
+// storage modes run the exact same conversion and NMI code.
 
 // chainSource is the SymbolSource of a dataset generation built by an
 // append: the previous generation's view followed by a delta segment of
@@ -64,22 +62,29 @@ func (c *chainSource) AppendRuns(i int, dst []ftpm.Run) []ftpm.Run {
 	return dst
 }
 
-// fingerprintSource hashes a source's full content into the same key
-// fingerprintSDB produces for the equivalent in-memory database: the
-// run expansion writes every sample's symbol id in order, so a dataset
-// fingerprints identically whether it lives in RAM or in segments — the
-// content-addressed result cache then hits across storage modes and
-// restarts.
+// fingerprintSource hashes a source's full content — series names,
+// timing, alphabets, and every sample's symbol id in order — into the
+// content key the result cache serves documents by. It is recorded in
+// WAL records and segment footers and keys the cache across restarts, so
+// the digest must never change; a chained view hashes exactly like the
+// same content sealed in one segment. Every string and collection is
+// length-prefixed, so the encoding is unambiguous.
 func fingerprintSource(src ftpm.SymbolSource) string {
 	h := sha256.New()
-	var buf [8]byte
+	// Writes are batched in buf and reach the hash 32 KiB at a time, not
+	// 8 bytes per sample; a hash digests the concatenation of its writes,
+	// so the batching leaves the digest unchanged.
+	buf := make([]byte, 0, 32<<10)
 	writeInt := func(v int64) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+		if len(buf)+8 > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
 	}
 	writeStr := func(s string) {
 		writeInt(int64(len(s)))
-		io.WriteString(h, s)
+		buf = append(buf, s...)
 	}
 	n := src.NumSeries()
 	writeInt(int64(n))
@@ -101,5 +106,6 @@ func fingerprintSource(src ftpm.SymbolSource) string {
 			}
 		}
 	}
+	h.Write(buf)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }

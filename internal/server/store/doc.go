@@ -40,9 +40,11 @@
 // run-length-encoded symbol columns — the exact maximal runs the DSEQ
 // converter and the NMI tables consume. OpenSegment maps the file
 // read-only (mmap on Unix, a plain read elsewhere) and serves it through
-// the same SymbolSource interface the in-memory path implements, so
+// the SymbolSource interface an in-memory SymbolicDB implements, so
 // mining from a segment is byte-identical to mining from RAM while the
-// kernel pages column bytes in and out on demand. A fixed-size trailer
+// kernel pages column bytes in and out on demand. EncodeSegment and
+// ParseSegment are the same encoding and validation without a file, for
+// callers that keep the sealed image in the heap. A fixed-size trailer
 // locates the CRC-protected footer without scanning, and Open fully
 // validates the run blocks in O(runs) before anything is served.
 // Segments are immutable after the tmp+fsync+rename that creates them;

@@ -5,7 +5,10 @@
 // of a read-only memory map instead of materializing per-sample symbol
 // slices. The WAL then records only metadata plus segment references,
 // which shrinks dataset records from O(samples) to O(1) and makes restart
-// a footer read per segment instead of a payload replay.
+// a footer read per segment instead of a payload replay. A non-durable
+// server keeps the same encoded image in the heap instead of a file
+// (EncodeSegment + ParseSegment), so every dataset generation is a
+// sealed segment either way.
 //
 // On-disk layout ("FTPMSEG1"):
 //
@@ -23,8 +26,8 @@
 //	       fingerprint (uvarint len + bytes)
 //	[16] trailer: u32 LE footerLen, u32 LE crc32-IEEE(footer), magic "FTPMSEGF"
 //
-// The fixed-size trailer lets Open find the footer without scanning; the
-// footer CRC plus a full O(runs) decode walk at Open reject torn or
+// The fixed-size trailer lets ParseSegment find the footer without
+// scanning; the footer CRC plus a full O(runs) decode walk reject torn or
 // bit-flipped files before anything is served from them (the walk touches
 // only the RLE bytes, which are proportional to runs, not samples — a
 // constant column of a billion samples is one run). Segments are immutable
@@ -37,7 +40,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"path/filepath"
+	"slices"
 
 	"ftpm/internal/temporal"
 	"ftpm/internal/timeseries"
@@ -58,16 +63,16 @@ type segSeries struct {
 	runs     int
 }
 
-// Segment is an open, validated segment file served through a read-only
-// memory map (a heap copy on platforms without mmap). It implements
+// Segment is an open, validated segment image: a file served through a
+// read-only memory map (a heap copy on platforms without mmap), or an
+// encoded image held in the heap (ParseSegment). It implements
 // timeseries.SymbolSource, so mining consumes it exactly like an
 // in-memory SymbolicDB; AppendRuns decodes the RLE column on the fly and
 // allocates only the caller's destination slice. Safe for concurrent use:
-// all state is immutable after Open.
+// all state is immutable after Open or Parse.
 type Segment struct {
 	fs          FS
-	path        string
-	data        []byte // full file image, mmap'd or read
+	data        []byte // full segment image: mmap'd, read, or encoded in memory
 	mapped      bool   // data came from mmap (must munmap on Close)
 	series      []segSeries
 	samples     int
@@ -84,15 +89,11 @@ func WriteSegment(path string, src timeseries.SymbolSource, fingerprint string) 
 	return WriteSegmentFS(OS(), path, src, fingerprint)
 }
 
-// WriteSegmentFS seals src into a segment file at path on fsys,
-// atomically (tmp + fsync + rename + dir sync), and returns its size in
-// bytes. Adjacent equal-symbol runs are merged on write, so the stored
-// column is always in canonical maximal-run form even when src is a
-// chained view whose seam duplicates a symbol.
-func WriteSegmentFS(fsys FS, path string, src timeseries.SymbolSource, fingerprint string) (int64, error) {
-	if fsys == nil {
-		fsys = OS()
-	}
+// EncodeSegment encodes src as a segment image: the exact bytes
+// WriteSegmentFS seals into a file. Adjacent equal-symbol runs are merged
+// on encode, so the stored column is always in canonical maximal-run
+// form even when src is a chained view whose seam duplicates a symbol.
+func EncodeSegment(src timeseries.SymbolSource, fingerprint string) ([]byte, error) {
 	buf := append(make([]byte, 0, 4096), segMagic...)
 	n := src.NumSeries()
 	offsets := make([]int, n)
@@ -106,7 +107,7 @@ func WriteSegmentFS(fsys FS, path string, src timeseries.SymbolSource, fingerpri
 		buf = binary.AppendUvarint(buf, uint64(len(runs)))
 		for _, r := range runs {
 			if r.Symbol < 0 || r.Last < r.First {
-				return 0, fmt.Errorf("store: series %d has malformed run %+v", i, r)
+				return nil, fmt.Errorf("store: series %d has malformed run %+v", i, r)
 			}
 			buf = binary.AppendUvarint(buf, uint64(r.Symbol))
 			buf = binary.AppendUvarint(buf, uint64(r.Last-r.First+1))
@@ -133,7 +134,20 @@ func WriteSegmentFS(fsys FS, path string, src timeseries.SymbolSource, fingerpri
 	binary.LittleEndian.PutUint32(tr[0:], uint32(len(footer)))
 	binary.LittleEndian.PutUint32(tr[4:], crc32.ChecksumIEEE(footer))
 	copy(tr[8:], segEndMagic)
-	buf = append(buf, tr[:]...)
+	return append(buf, tr[:]...), nil
+}
+
+// WriteSegmentFS seals src into a segment file at path on fsys,
+// atomically (tmp + fsync + rename + dir sync), and returns its size in
+// bytes. The file holds EncodeSegment's image.
+func WriteSegmentFS(fsys FS, path string, src timeseries.SymbolSource, fingerprint string) (int64, error) {
+	if fsys == nil {
+		fsys = OS()
+	}
+	buf, err := EncodeSegment(src, fingerprint)
+	if err != nil {
+		return 0, err
+	}
 
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)
@@ -229,13 +243,9 @@ func (r *segReader) str() string {
 	return s
 }
 
-// OpenSegment maps a segment file read-only and fully validates it: head
-// and trailer magics, footer CRC, and a complete decode walk of every run
-// block (varint well-formedness, symbol < alphabet size, runLen >= 1,
-// per-series totals == sample count). A torn tail — the file cut anywhere
-// — loses the trailer or breaks its CRC and is rejected here, never
-// half-served. The walk is O(total runs), so opening is near-instant even
-// for segments encoding billions of samples.
+// OpenSegment maps a segment file read-only and validates it with
+// ParseSegment. A torn tail — the file cut anywhere — loses the trailer
+// or breaks its CRC and is rejected here, never half-served.
 func OpenSegment(path string) (*Segment, error) {
 	return OpenSegmentFS(OS(), path)
 }
@@ -249,10 +259,26 @@ func OpenSegmentFS(fsys FS, path string) (*Segment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	s := &Segment{fs: fsys, path: path, data: data, mapped: mapped}
+	s, err := ParseSegment(data)
+	if err != nil {
+		if mapped {
+			fsys.UnmapFile(data)
+		}
+		return nil, fmt.Errorf("%w (%s)", err, filepath.Base(path))
+	}
+	s.fs, s.mapped = fsys, mapped
+	return s, nil
+}
+
+// ParseSegment serves a segment image held in memory (EncodeSegment's
+// output, or a mapped file) after validating it fully: magics, footer
+// CRC, and an O(runs) decode walk of every run block (well-formed
+// varints, symbols inside the alphabet, run lengths >= 1 summing to the
+// sample count). The Segment aliases data, which must not change.
+func ParseSegment(data []byte) (*Segment, error) {
+	s := &Segment{data: data}
 	if err := s.validate(); err != nil {
-		s.Close()
-		return nil, fmt.Errorf("store: segment %s: %w", filepath.Base(path), err)
+		return nil, fmt.Errorf("store: segment: %w", err)
 	}
 	return s, nil
 }
@@ -291,11 +317,18 @@ func (s *Segment) validate() error {
 		for j := uint64(0); j < alphaLen && r.err == nil; j++ {
 			e.alphabet = append(e.alphabet, r.str())
 		}
-		e.offset = int(r.uvarint())
-		e.runs = int(r.uvarint())
+		offset, runs := r.uvarint(), r.uvarint()
+		if r.err == nil && (offset > uint64(len(s.data)) || runs > uint64(len(s.data))) {
+			return fmt.Errorf("series %d block offset %d or run count %d overruns the image", i, offset, runs)
+		}
+		e.offset, e.runs = int(offset), int(runs)
 		s.series = append(s.series, e)
 	}
-	s.samples = int(r.uvarint())
+	samples := r.uvarint()
+	if r.err == nil && samples > math.MaxInt {
+		return fmt.Errorf("implausible sample count %d", samples)
+	}
+	s.samples = int(samples)
 	s.start = temporal.Time(r.varint())
 	s.step = temporal.Duration(r.uvarint())
 	s.fingerprint = r.str()
@@ -343,7 +376,8 @@ func (s *Segment) validate() error {
 	return nil
 }
 
-// Close releases the mapping. The Segment must not be used afterwards.
+// Close releases the mapping, if any. The Segment must not be used
+// afterwards.
 func (s *Segment) Close() error {
 	data, mapped := s.data, s.mapped
 	s.data, s.mapped = nil, false
@@ -353,14 +387,11 @@ func (s *Segment) Close() error {
 	return nil
 }
 
-// Size returns the on-disk size of the segment in bytes.
+// Size returns the size of the segment image in bytes.
 func (s *Segment) Size() int64 { return int64(len(s.data)) }
 
 // Fingerprint returns the content fingerprint recorded at seal time.
 func (s *Segment) Fingerprint() string { return s.fingerprint }
-
-// Path returns the file path the segment was opened from.
-func (s *Segment) Path() string { return s.path }
 
 // NumSeries implements timeseries.SymbolSource.
 func (s *Segment) NumSeries() int { return len(s.series) }
@@ -391,6 +422,7 @@ func (s *Segment) End() temporal.Time {
 // proved the block well-formed, so the decode loop runs unchecked.
 func (s *Segment) AppendRuns(i int, dst []timeseries.Run) []timeseries.Run {
 	e := s.series[i]
+	dst = slices.Grow(dst, e.runs)
 	data := s.data
 	off := e.offset
 	_, n := binary.Uvarint(data[off:])

@@ -14,7 +14,7 @@ import (
 // randomSDB builds a SymbolicDB with the given shape from a seeded
 // generator: run lengths are geometric-ish so both long constant
 // stretches and single-sample flips appear.
-func randomSDB(t *testing.T, seed int64, nSeries, nSamples int, start temporal.Time, step temporal.Duration) *timeseries.SymbolicDB {
+func randomSDB(t testing.TB, seed int64, nSeries, nSamples int, start temporal.Time, step temporal.Duration) *timeseries.SymbolicDB {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	series := make([]*timeseries.SymbolicSeries, nSeries)
