@@ -71,7 +71,11 @@
 //     options — worker count excluded, results are byte-identical across
 //     it): a repeat submission returns the cached document without
 //     mining. Job summaries report cache effectiveness as the
-//     dseq_cache / nmi_cache / result_cache booleans.
+//     dseq_cache / nmi_cache / result_cache booleans. A done job's
+//     document is encoded once, at completion or replay, into compact
+//     JSON (result.go); jobs, cache entries and log records share those
+//     bytes, and /result and /patterns are served from them — indented
+//     or sliced per request, never re-encoded.
 //
 //   - An optional persistence layer (persist.go over internal/server/
 //     store): with Options.DataDir set, dataset ingestions/appends/

@@ -2,9 +2,14 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"net/http"
+	"net/url"
 	"testing"
 
 	"ftpm"
+	"ftpm/internal/server/store"
 )
 
 // fuzzBaseSDB is the fixed schema the fuzzed append bodies are parsed
@@ -112,6 +117,67 @@ func FuzzAppendParser(f *testing.F) {
 		}
 		if sdb.Len() != 4 {
 			t.Fatal("parsing mutated the base database")
+		}
+	})
+}
+
+// fuzzRecovery decodes fuzz input into what store.Open hands replay: a
+// sequence of frames, each a kind byte, a big-endian uint16 length and
+// that many payload bytes (fewer when the input ends first). Kind 0 is
+// the snapshot payload; any other kind is a WAL record of that kind.
+func fuzzRecovery(data []byte) store.Recovery {
+	var rec store.Recovery
+	for lsn := uint64(1); len(data) >= 3; lsn++ {
+		kind, n := data[0], int(binary.BigEndian.Uint16(data[1:3]))
+		data = data[3:]
+		n = min(n, len(data))
+		payload := data[:n]
+		data = data[n:]
+		if kind == 0 {
+			rec.Snapshot = payload
+			continue
+		}
+		rec.Records = append(rec.Records, store.Record{Kind: store.Kind(kind), LSN: lsn, Data: payload})
+	}
+	return rec
+}
+
+// FuzzReplay drives arbitrary snapshot and WAL bytes through replay and,
+// when replay accepts them, through the job manager's restore, then
+// serves /result and the first pattern page of every restored job. The
+// bytes come from disk, so replay may reject them (any error) but nothing
+// may panic, and a restored job must serve: 200 once done, 409 before.
+// The checked-in corpus under testdata/fuzz/FuzzReplay holds a valid
+// snapshot, truncated and bit-flipped job records, and done records whose
+// doc is not a result document.
+func FuzzReplay(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := replay(fuzzRecovery(data))
+		if err != nil {
+			return // rejection is fine; panicking is the bug class under test
+		}
+		srv, err := New(Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		// No dataset is registered, so live jobs come back failed instead
+		// of re-queueing: nothing mines.
+		srv.jobs.restore(st.jobs, st.maxJobSeq, srv.reg)
+		for _, info := range srv.jobs.list() {
+			if info.ID == "" || url.PathEscape(info.ID) != info.ID {
+				continue // not addressable as one path segment
+			}
+			want := http.StatusOK
+			if info.State != JobDone {
+				want = http.StatusConflict
+			}
+			for _, path := range []string{"/result", "/patterns?limit=100"} {
+				target := fmt.Sprintf("/v1/jobs/%s%s", info.ID, path)
+				if rec := serve(srv, target); rec.Code != want {
+					t.Fatalf("GET %s of a %s job: status %d, want %d (%s)", target, info.State, rec.Code, want, rec.Body.Bytes())
+				}
+			}
 		}
 	})
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -219,7 +218,7 @@ type job struct {
 	// callback; the /metrics endpoint exposes them.
 	levels  []LevelTimingJSON
 	cancel  context.CancelFunc
-	doc     *ftpm.ResultJSON
+	doc     *resultDoc
 	summary *JobSummary
 }
 
@@ -250,7 +249,7 @@ func (j *job) snapshot() JobInfo {
 
 // document returns the result document of a done job, or nil and the
 // current state otherwise.
-func (j *job) document() (*ftpm.ResultJSON, JobState) {
+func (j *job) document() (*resultDoc, JobState) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.doc, j.state
@@ -466,6 +465,12 @@ func (m *jobManager) restore(records []jobRecord, maxSeq int, reg *registry) {
 				j.progress.Patterns += lv.Patterns
 			}
 		}
+		if j.state == JobDone && j.doc == nil {
+			// Every done record is logged with its document; one without
+			// has nothing to serve, so it comes back failed, not done.
+			j.state = JobFailed
+			j.errMsg = "result document missing from the job record"
+		}
 		if !j.state.Terminal() {
 			if ds, ok := reg.get(rec.Request.DatasetID); ok {
 				// Re-queue: reset to a clean pre-run lifecycle (a snapshot
@@ -487,7 +492,7 @@ func (m *jobManager) restore(records []jobRecord, maxSeq int, reg *registry) {
 				j.finishedAt = now
 			}
 		}
-		if j.state == JobDone && j.doc != nil && j.summary != nil {
+		if j.state == JobDone && j.summary != nil {
 			if ds, ok := reg.get(rec.Request.DatasetID); ok {
 				// Pre-append-era records carry no fingerprint; their log
 				// cannot contain appends, so the dataset's current
@@ -496,7 +501,7 @@ func (m *jobManager) restore(records []jobRecord, maxSeq int, reg *registry) {
 				if fp == "" {
 					fp = ds.view().fingerprint
 				}
-				m.results.put(resultKey(fp, ds.shards, rec.Request), &resultEntry{doc: j.doc, summary: *j.summary, size: docSize(j.doc)})
+				m.results.put(resultKey(fp, ds.shards, rec.Request), &resultEntry{doc: j.doc, summary: *j.summary, size: j.doc.size()})
 			}
 		}
 		m.byID[j.id] = j
@@ -735,17 +740,6 @@ func (m *jobManager) releaseRun(j *job, minedMillis int64, finished bool) {
 	m.mu.Unlock()
 }
 
-// docSize measures a result document's serialized size — the byte cost
-// the result cache accounts for an entry. One marshal per completed job
-// is noise next to the mining itself.
-func docSize(doc *ftpm.ResultJSON) int64 {
-	data, err := json.Marshal(doc)
-	if err != nil {
-		return 0
-	}
-	return int64(len(data))
-}
-
 // resultKey is the completed-job cache key: the content fingerprint of
 // the dataset generation the job runs against and the shard width, plus
 // every result-affecting option. Appending to a dataset changes its
@@ -863,6 +857,7 @@ func (m *jobManager) run(j *job) {
 	// the panic reason (stack to the log) and the worker — and every
 	// other job — keeps going.
 	var res *ftpm.Result
+	var doc *resultDoc
 	var err error
 	func() {
 		defer func() {
@@ -878,6 +873,12 @@ func (m *jobManager) run(j *job) {
 		prep, err = ds.prepared(g, j.req.splitOptions())
 		if err == nil {
 			res, err = prep.Mine(ctx, opt)
+		}
+		if err == nil {
+			// The one encoding of the document: every later /result,
+			// pattern page and log record is served from these bytes.
+			d := res.Document()
+			doc, err = encodeResult(&d)
 		}
 	}()
 
@@ -897,8 +898,7 @@ func (m *jobManager) run(j *job) {
 		m.counters.resultMisses.Add(1)
 		m.counters.note(res.Cache, j.req.Approx != nil)
 		ds.noteSeqCounts(res.Stats.ShardSequences)
-		doc := res.Document()
-		j.doc = &doc
+		j.doc = doc
 		j.state = JobDone
 		j.summary = &JobSummary{
 			Sequences:      res.Stats.Sequences,
@@ -914,7 +914,7 @@ func (m *jobManager) run(j *job) {
 			j.summary.Shards = res.Stats.Shards
 			j.summary.ShardSeqs = res.Stats.ShardSequences
 		}
-		m.results.put(key, &resultEntry{doc: j.doc, summary: *j.summary, size: docSize(j.doc)})
+		m.results.put(key, &resultEntry{doc: doc, summary: *j.summary, size: doc.size()})
 	}
 	rec := m.finishLocked(j)
 	millis := j.finishedAt.Sub(j.startedAt).Milliseconds()

@@ -175,8 +175,9 @@ type MetricsJSON struct {
 	// sealed on-disk segment bytes.
 	Storage StorageMetricsJSON `json:"storage"`
 	// ResultCacheEntries and ResultCacheBytes gauge the completed-job
-	// result cache: live entry count and the cumulative serialized size of
-	// the retained documents (the byte-budget eviction currency).
+	// result cache: live entry count and the cumulative size of the
+	// retained documents' encoded bytes — compact JSON, the form the cache
+	// holds them in (the byte-budget eviction currency).
 	ResultCacheEntries int   `json:"result_cache_entries"`
 	ResultCacheBytes   int64 `json:"result_cache_bytes"`
 	// Persistence gauges the WAL and snapshot of a durable server; absent
@@ -254,11 +255,11 @@ func (s *Server) metricsDoc() MetricsJSON {
 	return doc
 }
 
-// resultEntry is one memoized completed job: its export document, the
-// summary of the run that produced it, and the document's serialized size
-// in bytes — the currency of the cache's byte budget.
+// resultEntry is one memoized completed job: its encoded export
+// document, the summary of the run that produced it, and the size of the
+// encoded bytes it holds — the currency of the cache's byte budget.
 type resultEntry struct {
-	doc     *ftpm.ResultJSON
+	doc     *resultDoc
 	summary JobSummary
 	size    int64
 }
@@ -266,7 +267,7 @@ type resultEntry struct {
 // resultCache memoizes completed jobs by (dataset fingerprint, canonical
 // options), bounded by an LRU that is both entry- and size-aware: an
 // entry count cap keeps lookup structures small, and a byte budget over
-// the stored documents' serialized sizes keeps a handful of huge pattern
+// the stored documents' encoded bytes keeps a handful of huge pattern
 // sets from pinning unbounded memory (low thresholds can make a single
 // document orders of magnitude larger than the median). Keys are
 // content-addressed, so dataset deletion needs no invalidation and
@@ -281,7 +282,7 @@ type resultCache struct {
 }
 
 // maxResultCache bounds the number of memoized job results and
-// maxResultCacheBytes their cumulative serialized size. 64 hot
+// maxResultCacheBytes the cumulative size of their encoded bytes. 64 hot
 // parameterizations within 64 MiB is plenty for repeat-query traffic
 // without letting memory grow with either request variety or result
 // volume. A single document larger than the whole byte budget is not

@@ -207,13 +207,44 @@ type jobRecord struct {
 	FinishedAt  *time.Time        `json:"finished_at,omitempty"`
 	Summary     *JobSummary       `json:"summary,omitempty"`
 	Levels      []LevelTimingJSON `json:"levels,omitempty"`
-	Doc         *ftpm.ResultJSON  `json:"doc,omitempty"`
+	Doc         *resultDoc        `json:"doc,omitempty"`
 	// EventSeq is the event hub's last assigned id when the record was
 	// persisted. Restore seeds the hub's sequence past the maximum
 	// recorded value, so event ids stay monotone across restarts and a
 	// client's Last-Event-ID resume survives a server bounce instead of
 	// silently replaying a restarted sequence.
 	EventSeq uint64 `json:"event_seq,omitempty"`
+}
+
+// storedJob decodes a persisted job record with its result document as
+// the struct it was encoded from, in the one decoding pass that also
+// validates it; record then encodes the document into its retained form.
+// The outer Doc field shadows jobRecord's.
+type storedJob struct {
+	jobRecord
+	Doc *ftpm.ResultJSON `json:"doc,omitempty"`
+}
+
+// record returns the job record with its document encoded.
+func (s storedJob) record() (jobRecord, error) {
+	rec := s.jobRecord
+	if s.Doc != nil {
+		doc, err := encodeResult(s.Doc)
+		if err != nil {
+			return rec, err
+		}
+		rec.Doc = doc
+	}
+	return rec, nil
+}
+
+// decodeJob decodes one job record of the WAL.
+func decodeJob(data []byte) (jobRecord, error) {
+	var sj storedJob
+	if err := json.Unmarshal(data, &sj); err != nil {
+		return jobRecord{}, err
+	}
+	return sj.record()
 }
 
 // snapshotRecord is the payload of a compacting snapshot: the whole
@@ -426,7 +457,10 @@ func replay(rec store.Recovery) (*recoveredState, error) {
 	}
 
 	if rec.Snapshot != nil {
-		var snap snapshotRecord
+		var snap struct {
+			snapshotRecord
+			Jobs []storedJob `json:"jobs"`
+		}
 		if err := json.Unmarshal(rec.Snapshot, &snap); err != nil {
 			return nil, fmt.Errorf("server: corrupt snapshot payload: %w", err)
 		}
@@ -436,7 +470,11 @@ func replay(rec store.Recovery) (*recoveredState, error) {
 		for _, d := range snap.Datasets {
 			putDataset(d)
 		}
-		for _, j := range snap.Jobs {
+		for _, sj := range snap.Jobs {
+			j, err := sj.record()
+			if err != nil {
+				return nil, fmt.Errorf("server: corrupt snapshot payload: job %s: %w", sj.ID, err)
+			}
 			putJob(j, j.State.Terminal())
 		}
 	}
@@ -461,8 +499,8 @@ func replay(rec store.Recovery) (*recoveredState, error) {
 			}
 			applyAppend(st, dsIndex, ar)
 		case kindJobSubmitted, kindJobTerminal:
-			var j jobRecord
-			if err := json.Unmarshal(r.Data, &j); err != nil {
+			j, err := decodeJob(r.Data)
+			if err != nil {
 				return nil, fmt.Errorf("server: corrupt job record (lsn %d): %w", r.LSN, err)
 			}
 			putJob(j, r.Kind == kindJobTerminal)
@@ -662,6 +700,17 @@ func (p *persister) noteSnapshotErr(err error) {
 	if f := p.noteFault; f != nil {
 		f(err, false)
 	}
+}
+
+// setGather installs the snapshot gather callback. Workers start before
+// restore finishes, so a re-queued job's terminal append can read it
+// concurrently; both of its readers' locks are taken.
+func (p *persister) setGather(gather func() snapshotRecord) {
+	p.snapMu.Lock()
+	p.mu.Lock()
+	p.gather = gather
+	p.mu.Unlock()
+	p.snapMu.Unlock()
 }
 
 // maybeCompact compacts if the WAL (e.g. as replayed at open) is already

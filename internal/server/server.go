@@ -195,7 +195,7 @@ func New(opts Options) (*Server, error) {
 		// Compaction needs the gather callback and must not fire during
 		// replay, so it is installed after restore; an oversized replayed
 		// WAL is then collapsed into a fresh snapshot immediately.
-		s.persist.gather = s.snapshotState
+		s.persist.setGather(s.snapshotState)
 		s.persist.maybeCompact()
 	}
 	return s, nil
@@ -1009,7 +1009,7 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request, id strin
 		return
 	}
 
-	total := len(doc.Patterns)
+	total := len(doc.patterns())
 	if offset > total {
 		offset = total
 	}
@@ -1017,30 +1017,23 @@ func (s *Server) handlePatterns(w http.ResponseWriter, r *http.Request, id strin
 	if end > total {
 		end = total
 	}
-	page := doc.Patterns[offset:end]
 
 	if q.Get("format") == "ndjson" || strings.Contains(r.Header.Get("Accept"), "application/x-ndjson") {
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		enc := json.NewEncoder(w)
-		for i := range page {
-			if err := enc.Encode(&page[i]); err != nil {
-				return // client went away mid-stream
-			}
-		}
+		doc.writeNDJSON(w, offset, end)
 		return
 	}
 
-	resp := patternsPage{JobID: id, Total: total, Offset: offset, Limit: limit, Patterns: page}
+	resp := patternsPage{JobID: id, Total: total, Offset: offset, Limit: limit}
 	if end < total {
 		next := end
 		resp.NextOffset = &next
 		resp.NextPageToken = encodeOffsetToken(end)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	doc.writePage(w, resp, end)
 }
 
 // handleResult returns the full export document of a done job — the same
-// shape as the CLI's -json output.
+// shape as the CLI's -json output — from the bytes encoded when it finished.
 func (s *Server) handleResult(w http.ResponseWriter, _ *http.Request, id string) {
 	j, ok := s.jobs.get(id)
 	if !ok {
@@ -1052,7 +1045,7 @@ func (s *Server) handleResult(w http.ResponseWriter, _ *http.Request, id string)
 		writeError(w, http.StatusConflict, codeConflict, "job %s is %s; the result is available once it is done", id, state)
 		return
 	}
-	writeJSON(w, http.StatusOK, doc)
+	doc.writeResult(w)
 }
 
 // intParam parses an optional integer query parameter.

@@ -965,7 +965,7 @@ func TestResultCacheAndMetrics(t *testing.T) {
 // budget rather than evicting everything else to hold one outlier.
 func TestResultCacheSizeAwareEviction(t *testing.T) {
 	entry := func(size int64) *resultEntry {
-		return &resultEntry{doc: &ftpm.ResultJSON{}, size: size}
+		return &resultEntry{doc: &resultDoc{}, size: size}
 	}
 	c := newResultCache(100, 1000)
 
