@@ -100,22 +100,52 @@ func (in Instance) Before(o Instance) bool {
 
 // Sequence is a temporal sequence: event instances in chronological order
 // (Def 3.9). Window records the time span the sequence was cut from.
+//
+// The per-event index is a CSR (compressed sparse row) table built once
+// by a counting sort over the instances' event ids: idx holds the
+// instance indexes grouped by event, chronological within an event, and
+// offs (length maxEvent+2) delimits each event's group, so the instances
+// of e are idx[offs[e]:offs[e+1]]. It costs 4 B per event id up to the
+// sequence's largest plus 4 B per instance; a sequence is immutable after
+// construction, so shallow copies share the table.
 type Sequence struct {
 	ID        int
 	Window    temporal.Interval
 	Instances []Instance
 
-	byEvent map[EventID][]int32 // event -> indexes into Instances
+	idx  []int32 // instance indexes grouped by event
+	offs []int32 // event e's group is idx[offs[e]:offs[e+1]]
 }
 
 // sortAndIndex normalizes the instance order and (re)builds the per-event
 // index. It must be called after constructing or mutating Instances.
 func (s *Sequence) sortAndIndex() {
 	sort.Slice(s.Instances, func(i, j int) bool { return s.Instances[i].Before(s.Instances[j]) })
-	s.byEvent = make(map[EventID][]int32)
-	for i, in := range s.Instances {
-		s.byEvent[in.Event] = append(s.byEvent[in.Event], int32(i))
+	var maxEvent EventID
+	for _, in := range s.Instances {
+		if in.Event > maxEvent {
+			maxEvent = in.Event
+		}
 	}
+	// Count into offs[e+1], prefix-sum into group starts, then place each
+	// instance at its group's cursor offs[e]. Placing advances offs[e] to
+	// the group's end (the next group's start), so shifting the table one
+	// slot right restores the starts.
+	offs := make([]int32, int(maxEvent)+2)
+	for _, in := range s.Instances {
+		offs[in.Event+1]++
+	}
+	for e := 1; e < len(offs); e++ {
+		offs[e] += offs[e-1]
+	}
+	idx := make([]int32, len(s.Instances))
+	for i, in := range s.Instances {
+		idx[offs[in.Event]] = int32(i)
+		offs[in.Event]++
+	}
+	copy(offs[1:], offs[:len(offs)-1])
+	offs[0] = 0
+	s.idx, s.offs = idx, offs
 }
 
 // NewSequence builds a sequence from instances (any order).
@@ -126,26 +156,38 @@ func NewSequence(id int, window temporal.Interval, instances []Instance) *Sequen
 }
 
 // InstancesOf returns the indexes (into Instances) of all instances of the
-// event, in chronological order.
-func (s *Sequence) InstancesOf(e EventID) []int32 { return s.byEvent[e] }
+// event, in chronological order; empty for an event the sequence lacks.
+// The result shares the sequence's index and must not be modified.
+func (s *Sequence) InstancesOf(e EventID) []int32 {
+	if e < 0 || int(e) >= len(s.offs)-1 {
+		return nil
+	}
+	lo, hi := s.offs[e], s.offs[e+1]
+	return s.idx[lo:hi:hi]
+}
 
 // Events returns the distinct events occurring in the sequence, in id
 // order. The L1 scan uses it to visit each sequence once instead of
-// probing every vocabulary entry against every sequence. The callers do
-// not need the ordering (bitmap sets commute), but a deterministic result
-// keeps the method usable for display and tests; the sort is over the
-// distinct events of one sequence, negligible next to the scan itself.
+// probing every vocabulary entry against every sequence; a counting pass
+// sizes the result so that each call allocates once.
 func (s *Sequence) Events() []EventID {
-	out := make([]EventID, 0, len(s.byEvent))
-	for e := range s.byEvent {
-		out = append(out, e)
+	n := 0
+	for e := 0; e+1 < len(s.offs); e++ {
+		if s.offs[e+1] > s.offs[e] {
+			n++
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]EventID, 0, n)
+	for e := 0; e+1 < len(s.offs); e++ {
+		if s.offs[e+1] > s.offs[e] {
+			out = append(out, EventID(e))
+		}
+	}
 	return out
 }
 
 // Has reports whether at least one instance of e occurs in the sequence.
-func (s *Sequence) Has(e EventID) bool { return len(s.byEvent[e]) > 0 }
+func (s *Sequence) Has(e EventID) bool { return len(s.InstancesOf(e)) > 0 }
 
 // Len returns the number of instances (|S| of Def 3.9).
 func (s *Sequence) Len() int { return len(s.Instances) }
@@ -177,17 +219,16 @@ func (db *DB) Stats() Stats {
 		vars[d.Series] = true
 	}
 	st.NumVariables = len(vars)
-	perEvent := make(map[EventID]int)
+	perEvent := make([]int, db.Vocab.Size())
 	for _, s := range db.Sequences {
 		st.TotalInstances += s.Len()
-		for e, idx := range s.byEvent {
-			perEvent[e] += len(idx)
+		for e := 0; e+1 < len(s.offs); e++ {
+			perEvent[e] += int(s.offs[e+1] - s.offs[e])
 		}
 	}
 	if st.NumSequences > 0 {
 		st.AvgInstancesPerSeq = float64(st.TotalInstances) / float64(st.NumSequences)
 	}
-	//ftpm:ordered max over map values is commutative; no iteration order reaches the result
 	for _, n := range perEvent {
 		if n > st.MaxInstancesPerEvent {
 			st.MaxInstancesPerEvent = n

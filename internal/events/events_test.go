@@ -1,6 +1,8 @@
 package events
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"ftpm/internal/temporal"
@@ -73,6 +75,117 @@ func TestSequenceIndex(t *testing.T) {
 	}
 	if !s.Has(1) || s.Has(9) {
 		t.Error("Has wrong")
+	}
+}
+
+// TestSequenceIndexMatchesScan checks the per-event index against a plain
+// scan of the sorted instances on random sequences — empty, single
+// instance, tied start times, sparse high event ids — including the
+// shallow copies ShardRoundRobin and MergeShards make.
+func TestSequenceIndexMatchesScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const maxID = 300
+	vocab := NewVocab()
+	for id := 0; id <= maxID; id++ {
+		vocab.Define(fmt.Sprint("S", id), "x")
+	}
+	db := &DB{Vocab: vocab}
+	for i := 0; i < 60; i++ {
+		n := rng.Intn(40)
+		switch i {
+		case 0:
+			n = 0
+		case 1:
+			n = 1
+		}
+		// Sparse ids: a few distinct events drawn from the whole range,
+		// high ones included; small start ranges force ties.
+		pool := make([]EventID, 1+rng.Intn(5))
+		for j := range pool {
+			pool[j] = EventID(rng.Intn(maxID + 1))
+		}
+		if i == 2 {
+			pool = []EventID{maxID}
+		}
+		ins := make([]Instance, n)
+		for j := range ins {
+			start := temporal.Time(rng.Intn(1 + n/4))
+			ins[j] = Instance{Event: pool[rng.Intn(len(pool))], Interval: temporal.NewInterval(start, start+1+temporal.Time(rng.Intn(5)))}
+		}
+		db.Sequences = append(db.Sequences, NewSequence(i, temporal.NewInterval(0, 100), ins))
+	}
+
+	check := func(where string, s *Sequence) {
+		t.Helper()
+		top := EventID(-1)
+		for i, in := range s.Instances {
+			if i > 0 && in.Before(s.Instances[i-1]) {
+				t.Fatalf("%s seq %d: instances not chronological at %d", where, s.ID, i)
+			}
+			if in.Event > top {
+				top = in.Event
+			}
+		}
+		var wantEvents []EventID
+		for e := EventID(0); e <= top+2; e++ {
+			var want []int32
+			for i, in := range s.Instances {
+				if in.Event == e {
+					want = append(want, int32(i))
+				}
+			}
+			got := s.InstancesOf(e)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s seq %d: InstancesOf(%d) = %v, want %v", where, s.ID, e, got, want)
+			}
+			if s.Has(e) != (len(want) > 0) {
+				t.Fatalf("%s seq %d: Has(%d) = %v", where, s.ID, e, s.Has(e))
+			}
+			if len(want) > 0 {
+				wantEvents = append(wantEvents, e)
+			}
+		}
+		if got := s.Events(); fmt.Sprint(got) != fmt.Sprint(wantEvents) {
+			t.Fatalf("%s seq %d: Events = %v, want %v", where, s.ID, got, wantEvents)
+		}
+	}
+	for _, s := range db.Sequences {
+		check("built", s)
+	}
+
+	perEvent := make(map[EventID]int)
+	total := 0
+	for _, s := range db.Sequences {
+		total += s.Len()
+		for _, in := range s.Instances {
+			perEvent[in.Event]++
+		}
+	}
+	maxPer := 0
+	for _, n := range perEvent {
+		if n > maxPer {
+			maxPer = n
+		}
+	}
+	if st := db.Stats(); st.TotalInstances != total || st.MaxInstancesPerEvent != maxPer {
+		t.Fatalf("Stats = %+v, want total %d, max per event %d", st, total, maxPer)
+	}
+
+	shards, err := db.ShardRoundRobin(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range shards {
+		for _, s := range sh.Sequences {
+			check("sharded", s)
+		}
+	}
+	merged, _, err := MergeShards(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range merged.Sequences {
+		check("merged", s)
 	}
 }
 

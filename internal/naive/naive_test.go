@@ -82,27 +82,36 @@ func TestHTPGMMatchesNaiveOracle(t *testing.T) {
 			t.Fatal(err)
 		}
 		wm := asMap(want.Patterns)
-		for _, mode := range []core.PruningMode{core.PruneAll, core.PruneNone, core.PruneApriori, core.PruneTrans} {
+		// Every pruning mode, serial and with parallel verification.
+		for _, run := range []struct {
+			mode    core.PruningMode
+			workers int
+		}{
+			{core.PruneAll, 0}, {core.PruneNone, 0}, {core.PruneApriori, 0}, {core.PruneTrans, 0},
+			{core.PruneAll, 3}, {core.PruneNone, 3}, {core.PruneApriori, 3}, {core.PruneTrans, 3},
+		} {
+			mode := run.mode
 			c := cfg
 			c.Pruning = mode
+			c.Workers = run.workers
 			got, err := core.Mine(context.Background(), db, c)
 			if err != nil {
 				t.Fatal(err)
 			}
 			gm := asMap(got.Patterns)
 			if len(gm) != len(wm) {
-				t.Errorf("trial %d mode %v: %d patterns, oracle has %d", trial, mode, len(gm), len(wm))
+				t.Errorf("trial %d mode %v workers %d: %d patterns, oracle has %d", trial, mode, c.Workers, len(gm), len(wm))
 			}
 			for k, v := range wm {
 				if g, ok := gm[k]; !ok {
-					t.Errorf("trial %d mode %v: missing pattern (oracle %s)", trial, mode, v)
+					t.Errorf("trial %d mode %v workers %d: missing pattern (oracle %s)", trial, mode, c.Workers, v)
 				} else if g != v {
-					t.Errorf("trial %d mode %v: stats %s, oracle %s", trial, mode, g, v)
+					t.Errorf("trial %d mode %v workers %d: stats %s, oracle %s", trial, mode, c.Workers, g, v)
 				}
 			}
 			for k := range gm {
 				if _, ok := wm[k]; !ok {
-					t.Errorf("trial %d mode %v: extra pattern mined", trial, mode)
+					t.Errorf("trial %d mode %v workers %d: extra pattern mined", trial, mode, c.Workers)
 				}
 			}
 			if t.Failed() {

@@ -56,12 +56,13 @@
 //     through ftpm.Options.WorkersFunc, so a newly-arrived tenant
 //     shrinks an incumbent job's parallelism at its next level boundary
 //     instead of waiting for the whole run (results are byte-identical
-//     across worker counts, so mid-run renegotiation is safe). Jobs move
-//     through the states queued → running → done | failed | cancelled;
-//     per-job progress is sourced from the miner's per-level stats via
-//     Options.Progress, and cancellation is real — DELETE propagates
-//     context cancellation into the miner, which stops between
-//     verification units and returns ctx.Err(). Every transition and
+//     across worker counts, so mid-run renegotiation is safe). A job
+//     that leaves workers unset runs on its fair share; workers 1 mines
+//     serially. Jobs move through the states queued → running → done |
+//     failed | cancelled; per-job progress is sourced from the miner's
+//     per-level stats via Options.Progress, and cancellation is real —
+//     DELETE propagates context cancellation into the miner, which stops
+//     between verification units and returns ctx.Err(). Every transition and
 //     per-level progress tick is also published to a broadcast hub
 //     (events/hub.go) feeding the event-stream endpoints: per-client
 //     bounded buffers never block the miner, and a stalled consumer is

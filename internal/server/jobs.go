@@ -103,9 +103,11 @@ func (req MiningRequest) validate() error {
 
 // options maps the request onto the library's mining options. The
 // client-supplied worker count is clamped to the machine's parallelism
-// here as a first bound; the job manager's fair-share budget then grants
-// the job its tenant's share of that parallelism at admission and
-// renegotiates it at every level boundary (see grantLocked in tenant.go).
+// here as a first bound; 0 (unset) is passed on as a request for the
+// whole budget. The job manager's fair-share budget then grants the job
+// its tenant's share of that parallelism at admission and renegotiates
+// it at every level boundary (see grantLocked in tenant.go); workers 1
+// mines serially.
 func (req MiningRequest) options() ftpm.Options {
 	workers := req.Workers
 	if max := runtime.GOMAXPROCS(0); workers > max {
@@ -826,9 +828,7 @@ func (m *jobManager) run(j *job) {
 	requested := opt.Workers
 	workers := m.grantFor(j.tenant, requested)
 	opt.Workers = workers
-	if requested > 0 {
-		opt.WorkersFunc = func(int) int { return m.grantFor(j.tenant, requested) }
-	}
+	opt.WorkersFunc = func(int) int { return m.grantFor(j.tenant, requested) }
 	opt.Progress = func(ls ftpm.LevelStats) {
 		lv := LevelTimingJSON{
 			Level:          ls.K,

@@ -140,12 +140,12 @@ func (m *jobManager) pickLocked() *tenantState {
 // the worker budget splits over the tenants currently running jobs in
 // proportion to their weights, and a tenant's share splits evenly over
 // its running jobs. Every running job gets at least one worker, and no
-// job more than it requested; requested <= 0 stays 0 (a serial mine, the
-// library default). Caller holds m.mu and t.running counts the job being
-// granted.
+// job more than it requested; requested <= 0 (a job that left workers
+// unset) requests the whole budget, so it runs on its fair share.
+// Caller holds m.mu and t.running counts the job being granted.
 func (m *jobManager) grantLocked(t *tenantState, requested int) int {
 	if requested <= 0 {
-		return 0
+		requested = m.budgetTotal
 	}
 	sumW := 0
 	for _, name := range m.tenantOrder {

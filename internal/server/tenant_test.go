@@ -84,20 +84,64 @@ func TestGrantMath(t *testing.T) {
 	if got := m.grantLocked(gold, 4); got != 4 {
 		t.Fatalf("capped grant = %d, want the requested 4", got)
 	}
-	// requested <= 0 is the serial default and stays serial.
-	if got := m.grantLocked(gold, 0); got != 0 {
-		t.Fatalf("serial grant = %d, want 0", got)
+	// An unset request (0) asks for the whole budget: the weighted share.
+	if got := m.grantLocked(gold, 0); got != 6 {
+		t.Fatalf("unset grant = %d, want the weighted share 6", got)
 	}
-	// A lone running tenant takes the whole budget.
+	// A lone running tenant takes the whole budget, requested or unset.
 	bronze.running = 0
 	if got := m.grantLocked(gold, 16); got != 8 {
 		t.Fatalf("solo grant = %d, want the full budget 8", got)
+	}
+	if got := m.grantLocked(gold, 0); got != 8 {
+		t.Fatalf("solo unset grant = %d, want the full budget 8", got)
 	}
 	// Oversubscribed within one tenant: every running job keeps at least
 	// one worker.
 	gold.running = 10
 	if got := m.grantLocked(gold, 16); got != 1 {
 		t.Fatalf("oversubscribed grant = %d, want the floor 1", got)
+	}
+}
+
+// TestUnsetWorkersRunsOnFairShare pins the server's worker default: a job
+// that leaves workers unset is granted its tenant's fair share of the
+// budget (the whole budget when it runs alone), and its /result is
+// byte-identical to a serial workers: 1 job on another server.
+func TestUnsetWorkersRunsOnFairShare(t *testing.T) {
+	mine := func(workers int) (JobInfo, []byte) {
+		_, ts := testServer(t, Options{Workers: 1})
+		ds := uploadCSV(t, ts.URL, "name=energy&threshold=0.5", smallCSV())
+		req := MiningRequest{DatasetID: ds.ID, MinSupport: 0.2, MinConfidence: 0, NumWindows: 6, MaxPatternSize: 3, Workers: workers}
+		var job JobInfo
+		if resp := submitRaw(t, ts.URL, "", req, &job); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit (workers %d): status %d", workers, resp.StatusCode)
+		}
+		done := waitState(t, ts.URL, job.ID, 30*time.Second, func(j JobInfo) bool { return j.State.Terminal() })
+		if done.State != JobDone {
+			t.Fatalf("job (workers %d) finished as %s (%s)", workers, done.State, done.Error)
+		}
+		code, body := getRaw(t, ts.URL+"/v1/jobs/"+job.ID+"/result")
+		if code != http.StatusOK {
+			t.Fatalf("result (workers %d): status %d", workers, code)
+		}
+		return done, body
+	}
+	unset, unsetDoc := mine(0)
+	serial, serialDoc := mine(1)
+	// Alone on its server, the default tenant's fair share is the whole
+	// GOMAXPROCS budget.
+	if want := runtime.GOMAXPROCS(0); unset.Summary.Workers != want {
+		t.Fatalf("unset workers: summary.workers = %d, want the fair share %d", unset.Summary.Workers, want)
+	}
+	if unset.Summary.Patterns == 0 {
+		t.Fatal("the job mined no patterns; the comparison would be vacuous")
+	}
+	if serial.Summary.Workers != 1 {
+		t.Fatalf("workers 1: summary.workers = %d, want 1", serial.Summary.Workers)
+	}
+	if !bytes.Equal(unsetDoc, serialDoc) {
+		t.Fatalf("unset-workers /result differs from the serial one:\n%s\nvs\n%s", unsetDoc, serialDoc)
 	}
 }
 
