@@ -224,6 +224,11 @@ func (b *Bitmap) Indices() []int {
 	return out
 }
 
+// Words returns the backing words: bit i is bit i%64 of word i/64. The
+// slice aliases the bitmap, so word-level unions can be written straight
+// into it; bits at or past Len must stay clear.
+func (b *Bitmap) Words() []uint64 { return b.words }
+
 // SizeBytes returns the heap footprint of the word storage, used by the
 // memory accounting of the experiment harness.
 func (b *Bitmap) SizeBytes() int { return len(b.words) * 8 }

@@ -37,7 +37,7 @@ func deltaSDB(t *testing.T, seed int64, n int) *timeseries.SymbolicDB {
 	return db
 }
 
-func truncateSDB(t *testing.T, db *timeseries.SymbolicDB, n int) *timeseries.SymbolicDB {
+func truncateSDB(t testing.TB, db *timeseries.SymbolicDB, n int) *timeseries.SymbolicDB {
 	t.Helper()
 	series := make([]*timeseries.SymbolicSeries, len(db.Series))
 	for i, s := range db.Series {
@@ -103,8 +103,8 @@ func TestPrepareShardsDeltaMatchesFresh(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: delta view did not inherit a patched L1 index", label)
 			}
-			wantL1 := scanL1Lists(deltaView.Merged, 0, nil)
-			if !reflect.DeepEqual(gotL1, wantL1) {
+			wantL1 := scanL1(deltaView.Merged, 0)
+			if !reflect.DeepEqual(*gotL1, wantL1) {
 				t.Fatalf("%s: patched L1 index differs from a full scan", label)
 			}
 
@@ -195,11 +195,11 @@ func TestL1MemoRepeatMine(t *testing.T) {
 // completed offer is kept, later offers are dropped.
 func TestOfferL1FirstWins(t *testing.T) {
 	v := &ShardedView{}
-	first := map[events.EventID][]int32{0: {1, 2}}
+	first := &vbits{off: []int32{0, 1}, words: []uint64{6}}
 	v.offerL1(first)
-	v.offerL1(map[events.EventID][]int32{0: {9}})
+	v.offerL1(&vbits{off: []int32{0, 1}, words: []uint64{1 << 9}})
 	got, ok := v.l1Peek()
-	if !ok || !reflect.DeepEqual(got, first) {
+	if !ok || got != first {
 		t.Fatalf("memo = %v (ok=%v), want first offer kept", got, ok)
 	}
 }

@@ -1,0 +1,251 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"ftpm/internal/events"
+	"ftpm/internal/temporal"
+	"ftpm/internal/timeseries"
+)
+
+// memoChainSDB is a seeded four-series database of n samples whose last
+// series gains a third symbol at sample newAt: the append that first
+// reaches it interns a new event while keeping every earlier id (events
+// intern in series order, so only the last series may grow the
+// vocabulary without a fallback to a full conversion). The series switch
+// on at different rates, so event supports spread across the thresholds
+// the tests mine at and runs differ in the pairs they verify.
+func memoChainSDB(t *testing.T, seed int64, n, newAt int) *timeseries.SymbolicDB {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	names := []string{"W", "X", "Y", "Z"}
+	rates := []float64{0.5, 0.15, 0.06, 0.035}
+	series := make([]*timeseries.SymbolicSeries, len(names))
+	for si, name := range names {
+		syms := make([]int, n)
+		for i := range syms {
+			if rng.Float64() < rates[si] {
+				syms[i] = 1
+			}
+			if name == "Z" && i >= newAt && rng.Intn(5) == 0 {
+				syms[i] = 2
+			}
+		}
+		series[si] = &timeseries.SymbolicSeries{
+			Name: name, Start: 0, Step: 10,
+			Alphabet: []string{"Off", "On", "Mid"}, Symbols: syms,
+		}
+	}
+	db, err := timeseries.NewSymbolicDB(series...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// sameLevelCounts checks the per-level counters the pruning scoreboard
+// reads: they must not depend on the memo's state.
+func sameLevelCounts(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if len(got.Stats.Levels) != len(want.Stats.Levels) {
+		t.Fatalf("%s: %d levels, want %d", label, len(got.Stats.Levels), len(want.Stats.Levels))
+	}
+	for i, g := range got.Stats.Levels {
+		w := want.Stats.Levels[i]
+		if g.Candidates != w.Candidates || g.PrunedApriori != w.PrunedApriori || g.PrunedTrans != w.PrunedTrans ||
+			g.NodesVerified != w.NodesVerified || g.GreenNodes != w.GreenNodes || g.Patterns != w.Patterns ||
+			g.Occurrences != w.Occurrences || g.TripleChecksFailed != w.TripleChecksFailed {
+			t.Fatalf("%s: level %d counters %+v, want %+v", label, g.K, g, w)
+		}
+	}
+}
+
+func memoHits(res *Result) int {
+	n := 0
+	for _, l := range res.Stats.Levels {
+		n += l.MemoHits
+	}
+	return n
+}
+
+// TestMemoDeltaChainMatchesFresh is the L2 memo's property test. Along a
+// chain of PrepareShardsDelta generations — one of which interns a new
+// event, and each of which re-cuts the parent's clipped last window, so
+// the memo must truncate what it learned there — every configuration is
+// mined warm on each generation's view and must match a cold mine of a
+// freshly prepared view: same patterns, supports, confidences, samples
+// and level counters. All configurations of one generation share its
+// view, and the order rotates per generation, so each kind of run meets
+// the memo after each other kind — first on the delta-truncated memo,
+// then on what earlier runs published. Support thresholds vary, so
+// a run may verify pairs an earlier run on the view left truncated.
+func TestMemoDeltaChainMatchesFresh(t *testing.T) {
+	gens := []int{203, 231, 262, 294, 333, 357}
+	full := memoChainSDB(t, 21, gens[len(gens)-1], 300)
+	opt := events.SplitOptions{WindowLength: 100, Overlap: 50}
+	const shards = 2
+
+	var cfgs []Config
+	for _, mode := range []PruningMode{PruneAll, PruneNone, PruneApriori, PruneTrans} {
+		for _, workers := range []int{0, 3} {
+			for _, maxK := range []int{2, 3} {
+				for _, occCap := range []int{0, 1} {
+					for _, tmax := range []temporal.Duration{0, 60} {
+						cfgs = append(cfgs, Config{
+							MinSupport: 0.3 + 0.1*float64(len(cfgs)%3), MinConfidence: 0.2, Pruning: mode, Workers: workers,
+							MaxK: maxK, MaxOccurrencesPerSeq: occCap, TMax: tmax,
+						})
+					}
+				}
+			}
+		}
+	}
+	if testing.Short() {
+		// Keep every dimension, drop the full cross product.
+		var some []Config
+		for i, c := range cfgs {
+			if i%5 == 0 {
+				some = append(some, c)
+			}
+		}
+		cfgs = some
+	}
+
+	ctx := context.Background()
+	var prevShards []*events.DB
+	var prevView *ShardedView
+	var prevEnd temporal.Time
+	vocab0, hits := 0, 0
+	for g, n := range gens {
+		sdb := truncateSDB(t, full, n)
+		sh, stable, err := events.ConvertShardsDelta(sdb, opt, shards, prevShards, prevEnd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g > 0 && (stable == 0 || stable == prevView.Merged.Size()) {
+			t.Fatalf("generation %d: stable prefix %d of %d parent windows, want a re-cut", g, stable, prevView.Merged.Size())
+		}
+		view, err := PrepareShardsDelta(prevView, sh, stable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g == 0 {
+			vocab0 = view.Merged.Vocab.Size()
+		}
+		for i := range cfgs {
+			cfg := cfgs[(i+7*g)%len(cfgs)]
+			label := fmt.Sprintf("gen %d cfg %+v", g, cfg)
+			fresh, err := PrepareShards(sh)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := MineShardedView(ctx, fresh, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h := memoHits(want); h != 0 {
+				t.Fatalf("%s: a cold run reports %d memo hits", label, h)
+			}
+			got, err := MineShardedView(ctx, view, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameResults(t, label, got, want)
+			sameLevelCounts(t, label, got, want)
+			hits += memoHits(got)
+		}
+		// A run that verifies every pair of the lowest threshold's frequent
+		// singles leaves the memo covering the whole view.
+		if _, err := MineShardedView(ctx, view, Config{MinSupport: 0.3, MaxK: 2, Pruning: PruneNone}); err != nil {
+			t.Fatal(err)
+		}
+		pm := view.pairMemo(memoKey{rel: temporal.DefaultConfig()})
+		for e := range pm.pair {
+			if c := pm.coverage(int32(e)); int(c) != view.Merged.Size() {
+				t.Fatalf("generation %d: memo entry %d covers %d of %d sequences", g, e, c, view.Merged.Size())
+			}
+		}
+		prevShards, prevView, prevEnd = sh, view, sdb.End()
+	}
+	if prevView.Merged.Vocab.Size() <= vocab0 {
+		t.Fatalf("no append interned a new event (vocabulary %d -> %d)", vocab0, prevView.Merged.Vocab.Size())
+	}
+	if hits == 0 {
+		t.Fatal("no warm run was answered from the memo")
+	}
+}
+
+// TestMemoConcurrentRunsShareView runs jobs with different relation
+// parameters — different memo keys — concurrently on one view and on a
+// delta view derived from it while they publish, each publish replacing
+// the other key's memo. Under -race this pins
+// the copy-on-write publication; every run must match its cold result.
+func TestMemoConcurrentRunsShareView(t *testing.T) {
+	full := memoChainSDB(t, 22, 300, 1<<30)
+	base := truncateSDB(t, full, 260)
+	opt := events.SplitOptions{WindowLength: 100, Overlap: 50}
+	cfgs := []Config{
+		{MinSupport: 0.3, MinConfidence: 0.2, MaxK: 3, Workers: 2},
+		{MinSupport: 0.3, MinConfidence: 0.2, MaxK: 2, Workers: 2,
+			Relations: temporal.Config{Epsilon: 10, MinOverlap: 20}},
+	}
+	ctx := context.Background()
+	mineAll := func(t *testing.T, label string, view *ShardedView, shards []*events.DB) {
+		t.Helper()
+		want := make([]*Result, len(cfgs))
+		for i, cfg := range cfgs {
+			fresh, err := PrepareShards(shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want[i], err = MineShardedView(ctx, fresh, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := 0; round < 3; round++ {
+			got := make([]*Result, 2*len(cfgs))
+			errs := make([]error, len(got))
+			var wg sync.WaitGroup
+			for i := range got {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					got[i], errs[i] = MineShardedView(ctx, view, cfgs[i%len(cfgs)])
+				}(i)
+			}
+			wg.Wait()
+			for i, res := range got {
+				if errs[i] != nil {
+					t.Fatal(errs[i])
+				}
+				l := fmt.Sprintf("%s round %d run %d", label, round, i)
+				sameResults(t, l, res, want[i%len(cfgs)])
+				sameLevelCounts(t, l, res, want[i%len(cfgs)])
+			}
+		}
+	}
+
+	prevShards, err := events.ConvertShards(base, opt, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := PrepareShards(prevShards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mineAll(t, "base", view, prevShards)
+
+	shards, stable, err := events.ConvertShardsDelta(full, opt, 3, prevShards, base.End())
+	if err != nil {
+		t.Fatal(err)
+	}
+	delta, err := PrepareShardsDelta(view, shards, stable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mineAll(t, "delta", delta, shards)
+}

@@ -78,7 +78,7 @@ func (m *miner) mineAll(ctx context.Context) (*Result, error) {
 // miner carries the run state.
 type miner struct {
 	db      *events.DB   // the view's merged database
-	view    *ShardedView // source of the L1 index memo
+	view    *ShardedView // source of the L1 index and L2 memos
 	cfg     Config
 	rel     temporal.Config
 	n       int // |DSEQ|
@@ -100,6 +100,10 @@ type miner struct {
 	// level-k mining.
 	l2nodes map[uint64]bool
 	l2pats  map[pairPatKey]bool
+
+	// pairs is the view's L2 memo for this run's verification key, as
+	// loaded when level 2 starts (nil when the view has none).
+	pairs *pairMemo
 
 	// scrPool recycles per-worker scratch state across the run's parallel
 	// drains. Scoped to the miner (not package-global) so pooled bitmaps
@@ -196,8 +200,8 @@ func (m *miner) spanOK(first, other events.Instance) bool {
 
 // mineSingles is step 1 of Alg 1 (lines 1-4): frequent single events.
 // The support bitmap of every vocabulary event is rebuilt from the view's
-// L1 index (one list entry per containing sequence, so a list's length
-// is the event's support); the L1 filters and the support threshold then
+// L1 index (one bit per containing sequence, so a list's count is the
+// event's support); the L1 filters and the support threshold then
 // assemble level 1 of the pattern graph.
 func (m *miner) mineSingles() {
 	t0 := time.Now()
@@ -210,13 +214,11 @@ func (m *miner) mineSingles() {
 	allowedSeries := make(map[string]bool)
 	for id := 0; id < vocabSize; id++ {
 		e := events.EventID(id)
-		idx := lists[e]
+		l := lists.at(id)
 		bm := bitmap.New(m.n)
-		for _, g := range idx {
-			bm.Set(int(g))
-		}
+		l.orInto(bm.Words())
 		m.eventBm[e] = bm
-		supp := len(idx)
+		supp := l.count()
 		m.eventSupp[e] = supp
 
 		if !m.eventAllowed(e) {
@@ -265,7 +267,9 @@ func (m *miner) keepOccsAt(k int) bool {
 
 // mineLevel2 is step 2 of Alg 1 (lines 5-14): frequent 2-event patterns.
 // Candidate pairs are verified independently — serially or spread over
-// Config.Workers — in one drain over the merged database.
+// Config.Workers — in one drain over the merged database, against the
+// view's L2 memo; the pairs the drain verified are published to the memo
+// afterwards, unless the run was cancelled (their lists may be partial).
 func (m *miner) mineLevel2() {
 	t0 := time.Now()
 	m.renegotiateWorkers(2)
@@ -282,26 +286,87 @@ func (m *miner) mineLevel2() {
 			tasks = append(tasks, pairTask{a, b})
 		}
 	}
+	key := memoKey{rel: m.rel, tmax: m.cfg.TMax}
+	m.pairs = m.view.pairMemo(key)
 	outcomes := runParallel(m.done, m.workers(), &m.scrPool, tasks, m.verifyPairTask)
-	mergeOutcomes(level, &ls, outcomes)
+	var fresh []*pairEntry
+	for i := range outcomes {
+		o := &outcomes[i]
+		o.mergeInto(level, &ls)
+		if o.fresh {
+			fresh = append(fresh, &o.entry)
+		}
+	}
+	if len(fresh) > 0 && !m.cancelled() {
+		m.view.publishPairs(key, m.pairs, int32(m.n), fresh)
+	}
 
 	m.graph.Levels = append(m.graph.Levels, level)
 	ls.Duration = time.Since(t0)
 	m.finishLevel(ls)
 }
 
-// verifyPair mines the frequent 2-event patterns of one node (step 2.2):
-// it retrieves the instance pairs in every sequence where both events
-// occur, classifies their relation, and keeps the frequent and confident
-// ones. All L2 state lives in the worker's scratch pending table.
-func (m *miner) verifyPair(node *hpg.Node, scr *scratch, ls *LevelStats) {
+// verifyPair mines the frequent 2-event patterns of one node (step 2.2).
+// The memo answers the sequences an earlier run verified; the pair's
+// instance pairs are classified only in the rest — every sequence where
+// both events occur on a miss, the tail beyond the entry's coverage on a
+// delta view, none on a full hit. The patterns are then emitted from the
+// combined entry, which the outcome carries to the memo when this run
+// verified part of it. Occurrences, which level 3 extends, are not
+// memoized: when they must be kept, a miss stores them while classifying,
+// and a hit re-verifies the pairs that have a pattern passing the
+// thresholds.
+func (m *miner) verifyPair(node *hpg.Node, scr *scratch, o *pairOutcome) {
+	keepOccs := m.keepOccsAt(2)
+	pe := &o.entry
+	pe.pair = packPair(node.Events[0], node.Events[1])
+	from := 0
+	if e, ok := m.pairs.entry(pe.pair); ok {
+		pe.memo, pe.ei = m.pairs, e
+		from = int(m.pairs.coverage(e))
+	}
+	hit := pe.memo != nil
+	occs := keepOccs && !hit
+	var tail *pairAcc // the pending table holding what this run classified
+	if !hit || from < m.n {
+		m.classifyPair(node, scr, from, occs)
+		pe.takeTail(scr, from)
+		o.fresh = true
+		tail = &scr.pair
+	}
+	pe.tally()
+	if occs {
+		m.flushPair(node, tail, scr, &o.ls)
+		return
+	}
+	maxSupp := m.maxEventSupport(node.Events)
+	if keepOccs && m.survives(pe, maxSupp) {
+		if tail != nil {
+			tail.release(scr)
+		}
+		m.classifyPair(node, scr, 0, true)
+		m.flushPair(node, &scr.pair, scr, &o.ls)
+		return
+	}
+	if hit {
+		o.ls.MemoHits++
+	}
+	m.emitPairs(node, pe, maxSupp, tail, scr, &o.ls)
+}
+
+// classifyPair fills the worker's L2 pending table from the sequences
+// from on where both of the node's events occur: it retrieves their
+// instance pairs and classifies each relation. keepOccs stores the
+// occurrences too.
+func (m *miner) classifyPair(node *hpg.Node, scr *scratch, from int, keepOccs bool) {
 	acc := &scr.pair
 	acc.reset()
 	a, b := node.Events[0], node.Events[1]
-	keepOccs := m.keepOccsAt(2)
 
-	scr.idxBuf = node.Bitmap.AppendIndices(scr.idxBuf[:0])
-	for _, s32 := range scr.idxBuf {
+	seqs := node.Bitmap.AppendIndices(scr.idxBuf[:0])
+	scr.idxBuf = seqs
+	seqs = seqs[sort.Search(len(seqs), func(i int) bool { return int(seqs[i]) >= from }):]
+	for _, s32 := range seqs {
 		if m.cancelled() {
 			break
 		}
@@ -330,7 +395,6 @@ func (m *miner) verifyPair(node *hpg.Node, scr *scratch, ls *LevelStats) {
 			}
 		}
 	}
-	m.flushPair(node, acc, scr, ls)
 }
 
 // classifyInto classifies the instance pair (lo before hi) and records the
@@ -350,8 +414,11 @@ func (m *miner) classifyInto(acc *pairAcc, a, b events.EventID, seq *events.Sequ
 	if !acc.used[slot] {
 		acc.used[slot] = true
 		pp.reset()
-		pp.pat = pattern.Pair(first.Event, rel, second.Event)
 		pp.bm = scr.getBitmap(m.n)
+		// A sample without stored occurrences lands in the table's own
+		// storage: takeTail copies it out, and flushPair (which requires
+		// stored occurrences) takes the sample from the store instead.
+		pp.sampleOcc = acc.samp[slot][:0]
 		if keepOccs {
 			pp.occs = scr.getStore(2)
 		}
@@ -360,28 +427,30 @@ func (m *miner) classifyInto(acc *pairAcc, a, b events.EventID, seq *events.Sequ
 	pp.record(m, seqIdx, scr.tupleBuf)
 }
 
-// flushPair flushes the L2 pending table in slot order. At L2 every slot
-// already realizes a distinct canonical pattern, so no merging occurs and
-// the slot order is irrelevant for the (lazily key-sorted) node.
+// flushPair flushes the L2 pending table, filled with stored occurrences,
+// in slot order. At L2 every slot already realizes a distinct canonical
+// pattern, so no merging occurs and the slot order is irrelevant for the
+// (lazily key-sorted) node.
 func (m *miner) flushPair(node *hpg.Node, acc *pairAcc, scr *scratch, ls *LevelStats) {
 	buf := scr.flushBuf[:0]
-	for i := range acc.slots {
-		if acc.used[i] {
-			buf = append(buf, &acc.slots[i])
+	for s := range acc.slots {
+		if acc.used[s] {
+			pp := &acc.slots[s]
+			pp.pat = slotPattern(node.Events[0], node.Events[1], s)
+			buf = append(buf, pp)
 		}
 	}
 	scr.flushBuf = buf
 	m.flushInto(node, buf, scr, ls)
 }
 
-// flushInto applies the final sigma/delta thresholds (the problem
-// definition, applied in every pruning mode) and stores survivors in the
-// node. pps arrives in composite-key order; entries realizing the same
-// canonical pattern are merged first, in that order — which fixes the
-// occurrence merge order under the per-sequence cap and the sample
-// tie-break, exactly as the former sorted-string-key flush did. Canonical
-// output order needs no sort here: the node sorts its patterns lazily on
-// first read (see TestFlushDeterminism).
+// flushInto applies the final sigma/delta thresholds (passes) and stores
+// survivors in the node. pps arrives in composite-key order; entries
+// realizing the same canonical pattern are merged first, in that order —
+// which fixes the occurrence merge order under the per-sequence cap and
+// the sample tie-break, exactly as the former sorted-string-key flush
+// did. Canonical output order needs no sort here: the node sorts its
+// patterns lazily on first read (see TestFlushDeterminism).
 func (m *miner) flushInto(node *hpg.Node, pps []*pendingPattern, scr *scratch, ls *LevelStats) {
 	if scr.canon == nil {
 		scr.canon = make(map[string]int)
@@ -416,13 +485,8 @@ func (m *miner) flushInto(node *hpg.Node, pps []*pendingPattern, scr *scratch, l
 	maxSupp := m.maxEventSupport(node.Events)
 	for _, pp := range pps[:n] {
 		supp := pp.bm.Count()
-		if supp < m.minSupp {
-			scr.putBitmap(pp.bm)
-			scr.putStore(pp.occs)
-			continue
-		}
-		conf := float64(supp) / float64(maxSupp)
-		if conf < m.cfg.MinConfidence {
+		conf, ok := m.passes(supp, maxSupp)
+		if !ok {
 			scr.putBitmap(pp.bm)
 			scr.putStore(pp.occs)
 			continue
@@ -482,7 +546,9 @@ func (m *miner) mineLevelK(k int) int {
 		}
 	}
 	outcomes := runParallel(m.done, m.workers(), &m.scrPool, tasks, m.extendNodeTask)
-	mergeOutcomes(level, &ls, outcomes)
+	for i := range outcomes {
+		outcomes[i].mergeInto(level, &ls)
+	}
 
 	// Level k-1 occurrences can be released: only level k extends them.
 	if !m.cfg.KeepGraph {

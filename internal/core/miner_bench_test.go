@@ -8,6 +8,7 @@ import (
 	"ftpm/internal/datagen"
 	"ftpm/internal/events"
 	"ftpm/internal/paperex"
+	"ftpm/internal/temporal"
 )
 
 // BenchmarkMinePaperExample measures the exact miner on the paper's
@@ -111,6 +112,66 @@ func BenchmarkLevelSplit(b *testing.B) {
 				if _, err := Mine(context.Background(), db, cfg); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkMineDelta measures re-mining after an append on the geometry
+// of the served append path: one one-day window appended to a 133-window
+// NIST view, mined at MaxK 2 with sigma = delta = 0.8. cold prepares the
+// grown shard set from scratch and mines it; warm derives its view from
+// the mined parent with PrepareShardsDelta, so the L1 index and the L2
+// memo re-verify only the appended window. CI gates warm >= 3x faster.
+func BenchmarkMineDelta(b *testing.B) {
+	const days = 134
+	p := datagen.NIST()
+	full, err := p.Generate(datagen.Options{SequenceFraction: (days + 0.5) / float64(p.Sequences)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if full.Len() != days*p.SamplesPerSeq {
+		b.Fatalf("generated %d samples, want %d", full.Len(), days*p.SamplesPerSeq)
+	}
+	base := truncateSDB(b, full, (days-1)*p.SamplesPerSeq)
+	opt := events.SplitOptions{WindowLength: p.Step * temporal.Duration(p.SamplesPerSeq)}
+	cfg := Config{MinSupport: 0.8, MinConfidence: 0.8, MaxK: 2}
+
+	prevShards, err := events.ConvertShards(base, opt, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	parent, err := PrepareShards(prevShards)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := MineShardedView(context.Background(), parent, cfg); err != nil {
+		b.Fatal(err)
+	}
+	shards, stable, err := events.ConvertShardsDelta(full, opt, 1, prevShards, base.End())
+	if err != nil {
+		b.Fatal(err)
+	}
+	if stable == 0 {
+		b.Fatal("the append left no stable prefix")
+	}
+	for _, mode := range []string{"cold", "warm"} {
+		b.Run(mode, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var v *ShardedView
+				if mode == "cold" {
+					v, err = PrepareShards(shards)
+				} else {
+					v, err = PrepareShardsDelta(parent, shards, stable)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := MineShardedView(context.Background(), v, cfg); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(float64(v.MemoBytes()), "memo_B")
 			}
 		})
 	}

@@ -74,26 +74,33 @@ func runParallel[T, R any](done <-chan struct{}, workers int, pool *sync.Pool, t
 	return out
 }
 
-// mergeOutcomes folds worker outcomes into the level and its stats, in
-// task order.
-func mergeOutcomes(level *hpg.Level, ls *LevelStats, outcomes []nodeOutcome) {
-	for _, o := range outcomes {
-		ls.Candidates += o.ls.Candidates
-		ls.PrunedApriori += o.ls.PrunedApriori
-		ls.PrunedTrans += o.ls.PrunedTrans
-		ls.NodesVerified += o.ls.NodesVerified
-		ls.Patterns += o.ls.Patterns
-		ls.Occurrences += o.ls.Occurrences
-		ls.TripleChecksFailed += o.ls.TripleChecksFailed
-		if o.node != nil {
-			level.Add(o.node)
-			ls.GreenNodes++
-		}
+// mergeInto folds one worker outcome into the level and its stats; the
+// drains call it in task order.
+func (o *nodeOutcome) mergeInto(level *hpg.Level, ls *LevelStats) {
+	ls.Candidates += o.ls.Candidates
+	ls.PrunedApriori += o.ls.PrunedApriori
+	ls.PrunedTrans += o.ls.PrunedTrans
+	ls.NodesVerified += o.ls.NodesVerified
+	ls.MemoHits += o.ls.MemoHits
+	ls.Patterns += o.ls.Patterns
+	ls.Occurrences += o.ls.Occurrences
+	ls.TripleChecksFailed += o.ls.TripleChecksFailed
+	if o.node != nil {
+		level.Add(o.node)
+		ls.GreenNodes++
 	}
 }
 
 // pairTask is one L2 candidate.
 type pairTask struct{ a, b events.EventID }
+
+// pairOutcome is a nodeOutcome plus the pair's memo entry; fresh marks an
+// entry this run verified (in part), which goes to the view's memo.
+type pairOutcome struct {
+	nodeOutcome
+	entry pairEntry
+	fresh bool
+}
 
 // extendTask is one L_k candidate: a parent node and the event extending
 // it.
@@ -105,8 +112,8 @@ type extendTask struct {
 // verifyPairTask runs the full L2 treatment of one candidate pair:
 // Apriori filtering (Lemmas 2-3, when enabled) on the event bitmaps and
 // relation verification.
-func (m *miner) verifyPairTask(scr *scratch, t pairTask) nodeOutcome {
-	var o nodeOutcome
+func (m *miner) verifyPairTask(scr *scratch, t pairTask) pairOutcome {
+	var o pairOutcome
 	o.ls.Candidates++
 	bm := m.eventBm[t.a].And(m.eventBm[t.b])
 	supp := bm.Count()
@@ -117,7 +124,7 @@ func (m *miner) verifyPairTask(scr *scratch, t pairTask) nodeOutcome {
 	}
 	o.ls.NodesVerified++
 	node := hpg.NewNode([]events.EventID{t.a, t.b}, bm, supp, groupConf)
-	m.verifyPair(node, scr, &o.ls)
+	m.verifyPair(node, scr, &o)
 	if node.NumPatterns() > 0 {
 		o.node = node
 	}

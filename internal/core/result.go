@@ -46,6 +46,12 @@ type LevelStats struct {
 	// NodesVerified is the number of combinations that reached relation
 	// verification.
 	NodesVerified int
+	// MemoHits counts the verified pairs (level 2) answered from the
+	// view's L2 memo: relations classified in no sequence, or on a delta
+	// view only in the sequences past the memo's coverage. Like Workers it
+	// describes how a run went, not what it mined: the other counters read
+	// the same whether the memo was warm or cold.
+	MemoHits int
 	// GreenNodes is the number of nodes holding at least one frequent
 	// pattern (paper's green vs brown distinction, step 2.2).
 	GreenNodes int

@@ -78,11 +78,31 @@ func pairSlot(rel temporal.Relation, swapped bool) int {
 	return i
 }
 
+// slotPattern inverts pairSlot: the 2-event pattern slot s of the pair
+// node (a, b) realizes.
+func slotPattern(a, b events.EventID, s int) pattern.Pattern {
+	if s%2 == 1 {
+		a, b = b, a
+	}
+	return pattern.Pair(a, temporal.Relation(s/2+1), b)
+}
+
 // pairAcc is the integer-indexed L2 pending table: no composite keys at
 // all, just direct slot addressing. Each worker's scratch owns one.
 type pairAcc struct {
 	slots [numPairSlots]pendingPattern
 	used  [numPairSlots]bool
+	samp  [numPairSlots][2]int32 // the slots' sample storage
+}
+
+// release recycles the bitmaps and occurrence stores of the used slots.
+func (pa *pairAcc) release(scr *scratch) {
+	for i := range pa.slots {
+		if pa.used[i] {
+			scr.putBitmap(pa.slots[i].bm)
+			scr.putStore(pa.slots[i].occs)
+		}
+	}
 }
 
 func (pa *pairAcc) reset() {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -24,6 +23,8 @@ import (
 // round-robin merge — is O(sequences) work that depends only on the shard
 // set, so one view can back any number of MineShardedView runs over the
 // same data (the prepared-dataset engine caches it per window geometry).
+// The view also carries the memo those runs leave behind (memo.go): the
+// L1 index and the L2 relation supports of the last verification key.
 type ShardedView struct {
 	// Shards is the validated shard set the view was built from.
 	Shards []*events.DB
@@ -31,77 +32,77 @@ type ShardedView struct {
 	// occurrences of mined patterns reference its sequence indexes.
 	Merged *events.DB
 
-	// l1 is the memoized L1 occurrence index: per event, the ascending
-	// global indexes of the sequences containing it. The first run over
-	// the view installs it (offerL1); later runs — and delta views
-	// derived from this one (PrepareShardsDelta) — rebuild the L1
-	// bitmaps from it instead of re-walking every sequence. The map and
-	// its lists are immutable once published.
-	l1mu  sync.Mutex
-	l1    map[events.EventID][]int32
-	l1set atomic.Bool
+	// memo is the current immutable memo state. Runs read it lock-free;
+	// writers, serialized by memoMu, publish copy-on-write successors
+	// (updateMemo). Delta views derived from this one start from it
+	// (PrepareShardsDelta).
+	memoMu sync.Mutex
+	memo   atomic.Pointer[viewMemo]
+}
+
+// updateMemo publishes the successor fn derives from the current memo.
+// fn must not write the state it is given.
+func (v *ShardedView) updateMemo(fn func(cur viewMemo) viewMemo) {
+	v.memoMu.Lock()
+	defer v.memoMu.Unlock()
+	var cur viewMemo
+	if p := v.memo.Load(); p != nil {
+		cur = *p
+	}
+	next := fn(cur)
+	v.memo.Store(&next)
 }
 
 // l1Peek returns the memoized L1 index, if a completed scan has been
-// installed. The returned map must not be mutated.
-func (v *ShardedView) l1Peek() (map[events.EventID][]int32, bool) {
-	if !v.l1set.Load() {
-		return nil, false
+// installed. The returned lists must not be mutated.
+func (v *ShardedView) l1Peek() (*vbits, bool) {
+	if p := v.memo.Load(); p != nil && p.l1 != nil {
+		return p.l1, true
 	}
-	return v.l1, true
+	return nil, false
 }
 
 // offerL1 installs a completed L1 scan; only the first offer wins.
-func (v *ShardedView) offerL1(lists map[events.EventID][]int32) {
-	v.l1mu.Lock()
-	defer v.l1mu.Unlock()
-	if v.l1 == nil {
-		v.l1 = lists
-		v.l1set.Store(true)
-	}
+func (v *ShardedView) offerL1(lists *vbits) {
+	v.updateMemo(func(cur viewMemo) viewMemo {
+		if cur.l1 == nil {
+			cur.l1 = lists
+		}
+		return cur
+	})
 }
 
-// scanL1Lists returns the L1 index of db: into's lists (the index of the
-// sequences below from, or nil) extended, for every sequence at global
-// index >= from, by that index in each contained event's list. Scanning
-// in index order keeps the lists ascending. A counting pass sizes every
-// list up front and carves them all from one backing array, so the scan
-// allocates per sequence only what Sequence.Events does; into's lists are
-// copied, never grown.
-func scanL1Lists(db *events.DB, from int, into map[events.EventID][]int32) map[events.EventID][]int32 {
-	lens := make([]int, db.Vocab.Size())
-	for id := range lens {
-		lens[id] = len(into[events.EventID(id)])
+// pairMemo returns the view's L2 memo for key, or nil.
+func (v *ShardedView) pairMemo(key memoKey) *pairMemo {
+	if p := v.memo.Load(); p != nil && p.pairs != nil && p.pairs.key == key {
+		return p.pairs
 	}
-	tail := make([][]events.EventID, db.Size()-from)
-	for i := range tail {
-		tail[i] = db.Sequences[from+i].Events()
-		for _, e := range tail[i] {
-			lens[e]++
+	return nil
+}
+
+// publishPairs merges fresh — pair entries one run verified over all n
+// sequences of the view, against snap, the L2 memo of key it loaded — into
+// the view's current memo of key. When another key's memo has replaced
+// snap since, the successor builds on snap and replaces that one in turn.
+func (v *ShardedView) publishPairs(key memoKey, snap *pairMemo, n int32, fresh []*pairEntry) {
+	v.updateMemo(func(cur viewMemo) viewMemo {
+		base := cur.pairs
+		if base == nil || base.key != key {
+			base = snap
 		}
+		cur.pairs = base.merged(key, n, fresh)
+		return cur
+	})
+}
+
+// MemoBytes reports the heap footprint of the view's memo: the L1 index
+// plus the L2 relation-support memo. Lists a delta view shares with its
+// parent count for both.
+func (v *ShardedView) MemoBytes() int64 {
+	if p := v.memo.Load(); p != nil {
+		return p.bytes()
 	}
-	total := 0
-	for _, n := range lens {
-		total += n
-	}
-	flat := make([]int32, total)
-	lists := make([][]int32, len(lens))
-	for id, n := range lens {
-		lists[id] = append(flat[:0:n], into[events.EventID(id)]...)
-		flat = flat[n:]
-	}
-	for i, evs := range tail {
-		for _, e := range evs {
-			lists[e] = append(lists[e], int32(from+i))
-		}
-	}
-	out := make(map[events.EventID][]int32, len(lists))
-	for id, l := range lists {
-		if len(l) > 0 {
-			out[events.EventID(id)] = l
-		}
-	}
-	return out
+	return 0
 }
 
 // SeqCounts returns the per-shard sequence counts.
@@ -148,14 +149,15 @@ func PrepareShards(shards []*events.DB) (*ShardedView, error) {
 // PrepareShardsDelta builds the ShardedView of a shard set that extends a
 // previous one: the first stable global sequences (window order == merged
 // order under the round-robin discipline) are shared by pointer with prev,
-// everything after them is new or re-cut. When prev carries a completed L1
-// index, the new view starts with that index patched instead of cold: the
-// per-event lists are truncated to entries below stable (into fresh
-// storage; prev's lists stay intact) and only the tail sequences are
-// rescanned, so the next mine's L1 pass re-verifies just the sequences the
-// append touched. Without a usable prev index the view is simply cold and the
-// next mine scans — and memoizes — from scratch. Either way the resulting
-// supports are byte-identical to a full PrepareShards + scan.
+// everything after them is new or re-cut. The new view starts from prev's
+// memo instead of cold, cut to what the shared prefix still vouches for:
+// the L1 lists are truncated below stable and the tail sequences
+// rescanned, and every L2 relation-support list is truncated below stable
+// with its coverage capped there, so the next mine verifies only the
+// sequences the append touched. prev's memo stays intact for its own
+// runs. Without a memo on prev the view is simply cold and the next mine
+// scans — and memoizes — from scratch. Either way the mined results are
+// byte-identical to a full PrepareShards.
 func PrepareShardsDelta(prev *ShardedView, shards []*events.DB, stable int) (*ShardedView, error) {
 	v, err := PrepareShards(shards)
 	if err != nil {
@@ -164,20 +166,18 @@ func PrepareShardsDelta(prev *ShardedView, shards []*events.DB, stable int) (*Sh
 	if prev == nil || stable <= 0 || stable > v.Merged.Size() {
 		return v, nil
 	}
-	pl, ok := prev.l1Peek()
-	if !ok {
+	pm := prev.memo.Load()
+	if pm == nil {
 		return v, nil
 	}
-	lists := make(map[events.EventID][]int32, len(pl))
-	for e, idx := range pl {
-		cut := sort.Search(len(idx), func(i int) bool { return idx[i] >= int32(stable) })
-		if cut == 0 {
-			continue
-		}
-		lists[e] = idx[:cut] // scanL1Lists copies it
+	var next viewMemo
+	if pm.l1 != nil {
+		next.l1 = patchL1(pm.l1, v.Merged, stable)
 	}
-	v.l1 = scanL1Lists(v.Merged, stable, lists)
-	v.l1set.Store(true)
+	if pm.pairs != nil {
+		next.pairs = pm.pairs.truncated(int32(stable))
+	}
+	v.memo.Store(&next)
 	return v, nil
 }
 
@@ -208,8 +208,11 @@ func MineSharded(ctx context.Context, shards []*events.DB, cfg Config) (*Result,
 
 // MineShardedView runs HTPGM over a prepared view: the miner every entry
 // point goes through. It mines v.Merged; the shard set only shapes the
-// Shards/ShardSequences stats. The view is read-only during the run apart
-// from the install-once L1 memo, so concurrent runs may share one view.
+// Shards/ShardSequences stats. The run reads the view's memo and
+// publishes what it adds copy-on-write — the L1 index once, the L2
+// relation supports of the pairs it verified — and otherwise leaves the
+// view alone, so concurrent runs may share one view. Results never depend
+// on the memo's state.
 func MineShardedView(ctx context.Context, v *ShardedView, cfg Config) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -240,11 +243,11 @@ func MineShardedView(ctx context.Context, v *ShardedView, cfg Config) (*Result, 
 // one serial scan over the merged sequences, offered as the memo for the
 // runs that follow. A concurrent run may install an equal index first;
 // the scans are deterministic, so either serves.
-func (v *ShardedView) singleLists() map[events.EventID][]int32 {
+func (v *ShardedView) singleLists() *vbits {
 	if lists, ok := v.l1Peek(); ok {
 		return lists
 	}
-	lists := scanL1Lists(v.Merged, 0, nil)
-	v.offerL1(lists)
-	return lists
+	lists := scanL1(v.Merged, 0)
+	v.offerL1(&lists)
+	return &lists
 }

@@ -57,13 +57,22 @@ func asMap(ps []core.PatternInfo) map[string]string {
 // TestHTPGMMatchesNaiveOracle is the central correctness test of the exact
 // miner: on random databases, every pruning mode of E-HTPGM must produce
 // exactly the ground-truth pattern set of the brute-force oracle, with
-// identical supports and confidences.
+// identical supports and confidences. Each run is mined several ways, so
+// the prepared view's memo is checked against the oracle too: cold on a
+// fresh view, warm on the same view (L1 and L2 answered from the memo),
+// and on a one-window delta view whose parent was mined first — directly,
+// and, for the 2-event patterns, after a stricter run on the delta view.
+// The parent holds the database's windows but the last, with its own last
+// window replaced by another's content: that window stands in for one an
+// append re-cuts, so the delta view must drop what the memo learned from
+// it.
 func TestHTPGMMatchesNaiveOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	trials := 30
 	if testing.Short() {
 		trials = 8
 	}
+	ctx := context.Background()
 	for trial := 0; trial < trials; trial++ {
 		db := randomDB(rng)
 		cfg := core.Config{
@@ -81,7 +90,21 @@ func TestHTPGMMatchesNaiveOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wm := asMap(want.Patterns)
+		// wantK is the oracle's pattern set cut to patterns of at most k
+		// events.
+		wantK := func(k int) map[string]string {
+			var ps []core.PatternInfo
+			for _, p := range want.Patterns {
+				if p.Pattern.K() <= k {
+					ps = append(ps, p)
+				}
+			}
+			return asMap(ps)
+		}
+		stable := db.Size() - 2
+		recut := *db.Sequences[0]
+		recut.ID = stable
+		prefix := &events.DB{Vocab: db.Vocab, Sequences: append(db.Sequences[:stable:stable], &recut)}
 		// Every pruning mode, serial and with parallel verification.
 		for _, run := range []struct {
 			mode    core.PruningMode
@@ -90,32 +113,69 @@ func TestHTPGMMatchesNaiveOracle(t *testing.T) {
 			{core.PruneAll, 0}, {core.PruneNone, 0}, {core.PruneApriori, 0}, {core.PruneTrans, 0},
 			{core.PruneAll, 3}, {core.PruneNone, 3}, {core.PruneApriori, 3}, {core.PruneTrans, 3},
 		} {
-			mode := run.mode
 			c := cfg
-			c.Pruning = mode
+			c.Pruning = run.mode
 			c.Workers = run.workers
-			got, err := core.Mine(context.Background(), db, c)
+			view, err := core.PrepareShards([]*events.DB{db})
 			if err != nil {
 				t.Fatal(err)
 			}
-			gm := asMap(got.Patterns)
-			if len(gm) != len(wm) {
-				t.Errorf("trial %d mode %v workers %d: %d patterns, oracle has %d", trial, mode, c.Workers, len(gm), len(wm))
+			parent, err := core.PrepareShards([]*events.DB{prefix})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for k, v := range wm {
-				if g, ok := gm[k]; !ok {
-					t.Errorf("trial %d mode %v workers %d: missing pattern (oracle %s)", trial, mode, c.Workers, v)
-				} else if g != v {
-					t.Errorf("trial %d mode %v workers %d: stats %s, oracle %s", trial, mode, c.Workers, g, v)
+			if _, err := core.MineShardedView(ctx, parent, c); err != nil {
+				t.Fatal(err)
+			}
+			delta, err := core.PrepareShardsDelta(parent, []*events.DB{db}, stable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A stricter run on a second delta view re-verifies only some
+			// pairs; the rest stay in its memo cut at the stable prefix.
+			strict, err := core.PrepareShardsDelta(parent, []*events.DB{db}, stable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Both mine pairs only: at MaxK 2 the pairs are answered from the
+			// memo rather than re-verified for their occurrences.
+			sc := c
+			sc.MinSupport, sc.MaxK = (1+c.MinSupport)/2, 2
+			if _, err := core.MineShardedView(ctx, strict, sc); err != nil {
+				t.Fatal(err)
+			}
+			for _, pass := range []struct {
+				name string
+				view *core.ShardedView
+				maxK int
+			}{{"cold", view, c.MaxK}, {"warm", view, c.MaxK}, {"delta", delta, c.MaxK}, {"delta after stricter", strict, 2}} {
+				pc := c
+				pc.MaxK = pass.maxK
+				got, err := core.MineShardedView(ctx, pass.view, pc)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			for k := range gm {
-				if _, ok := wm[k]; !ok {
-					t.Errorf("trial %d mode %v workers %d: extra pattern mined", trial, mode, c.Workers)
+				label := fmt.Sprintf("trial %d mode %v workers %d %s", trial, run.mode, c.Workers, pass.name)
+				wm := wantK(pass.maxK)
+				gm := asMap(got.Patterns)
+				if len(gm) != len(wm) {
+					t.Errorf("%s: %d patterns, oracle has %d", label, len(gm), len(wm))
 				}
-			}
-			if t.Failed() {
-				t.Fatalf("stopping after first failing trial (%d)", trial)
+				for k, v := range wm {
+					if g, ok := gm[k]; !ok {
+						t.Errorf("%s: missing pattern (oracle %s)", label, v)
+					} else if g != v {
+						t.Errorf("%s: stats %s, oracle %s", label, g, v)
+					}
+				}
+				for k := range gm {
+					if _, ok := wm[k]; !ok {
+						t.Errorf("%s: extra pattern mined", label)
+					}
+				}
+				if t.Failed() {
+					t.Fatalf("stopping after first failing trial (%d)", trial)
+				}
 			}
 		}
 	}

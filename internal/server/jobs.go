@@ -836,6 +836,7 @@ func (m *jobManager) run(j *job) {
 			Candidates:     ls.Candidates,
 			Patterns:       ls.Patterns,
 			Workers:        ls.Workers,
+			MemoHits:       ls.MemoHits,
 		}
 		j.mu.Lock()
 		if ls.K > j.progress.Level {

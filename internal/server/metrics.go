@@ -46,11 +46,15 @@ type CounterJSON struct {
 	Misses int64 `json:"misses"`
 }
 
-// CacheMetricsJSON groups the cumulative cache counters.
+// CacheMetricsJSON groups the cumulative cache counters and the memo
+// gauge. PreparedMemoBytes is the heap the live Prepared handles' mining
+// memos hold — the L1 index and the L2 relation supports each prepared
+// view keeps for the runs that follow.
 type CacheMetricsJSON struct {
-	DSEQ   CounterJSON `json:"dseq"`
-	NMI    CounterJSON `json:"nmi"`
-	Result CounterJSON `json:"result"`
+	DSEQ              CounterJSON `json:"dseq"`
+	NMI               CounterJSON `json:"nmi"`
+	Result            CounterJSON `json:"result"`
+	PreparedMemoBytes int64       `json:"prepared_memo_bytes"`
 }
 
 func (c *cacheCounters) snapshot() CacheMetricsJSON {
@@ -65,12 +69,15 @@ func (c *cacheCounters) snapshot() CacheMetricsJSON {
 // from the miner's Options.Progress callback. Workers is the effective
 // worker grant the level ran with — under fair-share scheduling it can
 // change between levels as other tenants' jobs arrive or finish.
+// MemoHits counts the level-2 pairs answered from the prepared view's
+// memo (core.LevelStats.MemoHits).
 type LevelTimingJSON struct {
 	Level          int   `json:"level"`
 	DurationMillis int64 `json:"duration_ms"`
 	Candidates     int   `json:"candidates"`
 	Patterns       int   `json:"patterns"`
 	Workers        int   `json:"workers,omitempty"`
+	MemoHits       int   `json:"memo_hits,omitempty"`
 }
 
 // TenantMetricsJSON is one tenant's slice of the scheduler on /metrics:
@@ -123,12 +130,15 @@ type PersistenceMetricsJSON struct {
 }
 
 // StorageMetricsJSON gauges where datasets' sealed segments live. A
-// durable server keeps DatasetResidentBytes at zero — content is served
+// durable server holds no segment image in the heap — content is served
 // from mmap'd segment files whose pages the kernel reclaims under
-// pressure — while a non-durable server reports the heap footprint of
-// its encoded segment images and no segment files. The split is the
-// operator's direct view of the out-of-core story: resident is what the
-// heap must hold, segment bytes are sealed files that survive restarts.
+// pressure — while a non-durable server holds its encoded segment images
+// and no segment files. DatasetResidentBytes sums the datasets'
+// resident_bytes: those images plus the mining memos of their prepared
+// handles (also gauged alone as cache.prepared_memo_bytes). The split is
+// the operator's direct view of the out-of-core story: resident is what
+// the heap must hold, segment bytes are sealed files that survive
+// restarts.
 type StorageMetricsJSON struct {
 	DatasetResidentBytes int64 `json:"dataset_resident_bytes"`
 	DatasetSegmentBytes  int64 `json:"dataset_segment_bytes"`
@@ -250,6 +260,7 @@ func (s *Server) metricsDoc() MetricsJSON {
 		DatasetSegmentBytes:  segBytes,
 		SegmentsTotal:        segments,
 	}
+	doc.Cache.PreparedMemoBytes = s.reg.preparedMemoBytes()
 	doc.Events.RejectedStreams = s.streamRejected.Load()
 	doc.Events.FirehoseStreams = s.streamSubs.Load()
 	return doc

@@ -89,9 +89,11 @@ const maxPreparedCache = 8
 // upload (0 for a freshly uploaded dataset) and never regresses, restarts
 // included. Storage reports where the dataset's sealed segments live:
 // "segment" (mmap'd files) or "memory" (images in the heap of a
-// non-durable server). ResidentBytes is the images' heap footprint and
-// SegmentBytes their on-disk footprint — file-backed datasets keep
-// ResidentBytes 0 because the kernel pages column bytes in on demand.
+// non-durable server). ResidentBytes is the dataset's heap footprint: the
+// images (file-backed datasets hold none, because the kernel pages column
+// bytes in on demand) plus the mining memos of its prepared handles
+// (Dataset.memoBytes), 0 until a first job mines. SegmentBytes is the
+// images' on-disk footprint.
 type DatasetInfo struct {
 	ID            string    `json:"id"`
 	Name          string    `json:"name"`
@@ -138,6 +140,7 @@ func (d *Dataset) info() DatasetInfo {
 	shardSeqs := append([]int(nil), d.lastShardSeqs...)
 	d.mu.Unlock()
 	mode, resident, onDisk := g.storage()
+	resident += d.memoBytes()
 	return DatasetInfo{
 		ID:            d.id,
 		Name:          d.name,
@@ -438,11 +441,46 @@ func (r *registry) storageTotals() (resident, segBytes int64, segments int) {
 	for _, d := range datasets {
 		g := d.view()
 		_, r, disk := g.storage()
-		resident += r
+		resident += r + d.memoBytes()
 		segBytes += disk
 		segments += len(g.segments)
 	}
 	return resident, segBytes, segments
+}
+
+// preparedMemoBytes sums every dataset's memo footprint (memoBytes) for
+// the /metrics gauge.
+func (r *registry) preparedMemoBytes() int64 {
+	r.mu.RLock()
+	datasets := make([]*Dataset, 0, len(r.ids))
+	for _, id := range r.ids {
+		datasets = append(datasets, r.byID[id])
+	}
+	r.mu.RUnlock()
+	var total int64
+	for _, d := range datasets {
+		total += d.memoBytes()
+	}
+	return total
+}
+
+// memoBytes sums the memo footprint (Prepared.MemoBytes) of the Prepared
+// handles cached on the dataset's current generation. Handles of retired
+// generations that running jobs still hold are not counted; they are
+// released when those jobs finish.
+func (d *Dataset) memoBytes() int64 {
+	g := d.view()
+	d.mu.Lock()
+	preps := make([]*ftpm.Prepared, 0, len(g.keys))
+	for _, k := range g.keys {
+		preps = append(preps, g.prep[k])
+	}
+	d.mu.Unlock()
+	var total int64
+	for _, p := range preps {
+		total += p.MemoBytes()
+	}
+	return total
 }
 
 // generations snapshots every dataset's current generation number, for

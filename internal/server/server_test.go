@@ -840,6 +840,17 @@ func TestResultCacheAndMetrics(t *testing.T) {
 		m.Cache.DSEQ.Hits != 0 || m.Cache.NMI.Hits != 0 || m.Cache.Result.Hits != 0 {
 		t.Fatalf("counters after cold job = %+v", m.Cache)
 	}
+	if m.Cache.PreparedMemoBytes <= 0 {
+		t.Fatalf("prepared_memo_bytes = %d after a mined job, want > 0", m.Cache.PreparedMemoBytes)
+	}
+	// The dataset's resident_bytes counts its memo on top of its images.
+	var mined DatasetInfo
+	if code := doJSON(t, http.MethodGet, ts.URL+"/datasets/"+info.ID, nil, &mined); code != http.StatusOK {
+		t.Fatalf("dataset: status %d", code)
+	}
+	if got, want := mined.ResidentBytes, info.ResidentBytes+m.Cache.PreparedMemoBytes; got != want {
+		t.Fatalf("resident_bytes = %d after a mined job, want images %d + memo %d", got, info.ResidentBytes, m.Cache.PreparedMemoBytes)
+	}
 
 	// Job 2: a second A-HTPGM job at a different threshold reuses the
 	// dataset's DSEQ conversion and pairwise NMI table — zero rebuilds.
@@ -855,6 +866,19 @@ func TestResultCacheAndMetrics(t *testing.T) {
 	}
 	if m.Cache.DSEQ.Hits != 1 || m.Cache.NMI.Hits != 1 {
 		t.Fatalf("second approx job did not hit the artifact caches: %+v", m.Cache)
+	}
+	// Job 1 verified every L2 pair job 2 verifies, on the same prepared
+	// view: the view's memo answers them.
+	var l2 *LevelTimingJSON
+	for _, jm := range m.Jobs {
+		for i, lv := range jm.Levels {
+			if jm.ID == secondInfo.ID && lv.Level == 2 {
+				l2 = &jm.Levels[i]
+			}
+		}
+	}
+	if l2 == nil || l2.Candidates == 0 || l2.MemoHits == 0 {
+		t.Fatalf("second approx job level 2 = %+v, want memo hits", l2)
 	}
 
 	// An exact job over the same geometry shares the same conversion and

@@ -16,8 +16,9 @@ import (
 //
 //   - Prepare fixes the dataset geometry — the symbolic database, the
 //     window split, the shard width — and owns the derived artifacts:
-//     the (sharded) DSEQ conversion with its merged view and L1 index,
-//     and the series-level and event-level pairwise NMI tables.
+//     the (sharded) DSEQ conversion with its merged view, whose memo
+//     keeps the L1 index and the L2 relation supports across runs, and
+//     the series-level and event-level pairwise NMI tables.
 //   - Analyze is the lazy construction of those artifacts: each is built
 //     at most once per Prepared, on first use, and memoized.
 //   - Mine runs E-HTPGM or A-HTPGM against the cached artifacts; only
@@ -230,9 +231,11 @@ func extends(old, next SymbolSource) error {
 // width. The new handle's first DSEQ access converts incrementally: the
 // window prefix untouched by the appended samples is shared by pointer
 // with this handle's memoized conversion (which stays fully usable for
-// in-flight mines), and the L1 occurrence index is patched rather than
-// rebuilt. The NMI tables are not carried over — they
-// depend on every sample, so next starts with fresh ones.
+// in-flight mines), the L1 occurrence index is patched rather than
+// rebuilt, and the L2 memo is cut at the stable prefix, so the first mine
+// verifies pair relations only in the re-cut and appended windows. The
+// NMI tables are not carried over — they depend on every sample, so next
+// starts with fresh ones.
 //
 // The delta path is an optimization, never a semantic: when nothing is
 // reusable (this handle never converted, a NumWindows geometry whose
@@ -271,12 +274,23 @@ func (p *Prepared) Stats() PreparedStats {
 	}
 }
 
+// MemoBytes reports the heap footprint of the mining memo on the handle's
+// converted view (core.ShardedView.MemoBytes): the L1 index and the L2
+// relation supports earlier runs left behind. It is 0 before the first
+// conversion.
+func (p *Prepared) MemoBytes() int64 {
+	if v, ok := p.seq.peek(); ok {
+		return v.MemoBytes()
+	}
+	return 0
+}
+
 // sequences returns the memoized DSEQ conversion, building it on first
 // use: the sharded conversion (one shard for width 1) plus its prepared
 // merge view. A handle created by Advance converts incrementally against
 // its ancestor's memoized conversion when one exists (sharing the stable
-// window prefix by pointer and patching the L1 index), and falls back to
-// the full conversion otherwise.
+// window prefix by pointer and carrying the ancestor view's memo, cut at
+// that prefix), and falls back to the full conversion otherwise.
 func (p *Prepared) sequences() (*core.ShardedView, bool, error) {
 	v, hit, err := p.seq.get(func() (*core.ShardedView, error) {
 		var prevView *core.ShardedView
