@@ -125,8 +125,10 @@ type Config struct {
 	// the default 0.
 	MaxOccurrencesPerSeq int
 	// Workers shards candidate verification over this many goroutines
-	// (0 or 1 = serial). Results are byte-identical to serial runs; this
-	// is an extension over the paper's single-threaded implementation.
+	// (0 or 1 = serial); the façade's A-HTPGM runs build their
+	// series-level pairwise NMI table on as many. Results are
+	// byte-identical to serial runs; this is an extension over the
+	// paper's single-threaded implementation.
 	Workers int
 	// WorkersFunc, when non-nil, renegotiates the worker count at each
 	// level boundary: it is invoked on the mining goroutine with the level

@@ -13,13 +13,21 @@
 //	time,Kitchen,Toaster
 //	0,On,Off
 //	300,On,On
+//
+// Readers take the whole body, split it into records with one newline
+// scan, and parse the records in contiguous row blocks on up to the
+// requested number of goroutines — fields straight from the body's
+// bytes, with no string per field. A body containing a quote is split by
+// encoding/csv instead, the one splitter here that implements quoting.
 package csvio
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
 	"strconv"
+	"strings"
 
 	"ftpm/internal/par"
 	"ftpm/internal/temporal"
@@ -67,40 +75,60 @@ func ReadNumeric(r io.Reader) ([]*timeseries.Series, error) {
 	return ReadNumericChunked(r, 1)
 }
 
-// ReadNumericChunked parses the wide numeric layout with the per-column
-// value parsing fanned out over up to chunks goroutines. The CSV record
-// scan stays serial (it is a single pass over the byte stream), but the
-// float parsing — the dominant cost on wide uploads — is independent per
-// column, so columns are dealt to workers. Output and errors are
-// identical to ReadNumeric: when several columns fail, the error of the
-// lowest-indexed one is reported.
+// ReadNumericChunked parses the wide numeric layout in up to chunks
+// contiguous row blocks, one goroutine each. Only the split of the body
+// into records is serial (a newline scan); every timestamp and value is
+// parsed inside its block, straight into one float64 array whose
+// per-column slices are the returned series' Values. Output and errors
+// are identical to a row-by-row parse: the first bad row's field-count
+// or timestamp error wins, then the grid error, then the error of the
+// lowest-indexed failing column at its first bad row.
 func ReadNumericChunked(r io.Reader, chunks int) ([]*timeseries.Series, error) {
-	rows, names, times, err := readWide(r)
+	w, err := split(r)
 	if err != nil {
 		return nil, err
 	}
-	start, step, err := inferGrid(times)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*timeseries.Series, len(names))
-	errs := make([]error, len(names))
-	parseColumn := func(j int) {
-		name := names[j]
-		values := make([]float64, len(rows))
-		for i, row := range rows {
-			v, err := strconv.ParseFloat(row[j], 64)
-			if err != nil {
-				errs[j] = fmt.Errorf("csvio: row %d column %q: %v", i+2, name, err)
+	n, cols := w.rows(), len(w.names)
+	nb := blockCount(n, chunks)
+	times := make([]temporal.Time, n)
+	values := make([]float64, n*cols)
+	rowErrs := make([]error, nb)
+	colErrs := make([][]error, nb) // per block: first bad value per column
+	forBlocks(n, nb, func(b, lo, hi int) {
+		var buf [][]byte
+		for i := lo; i < hi; i++ {
+			var err error
+			if buf, times[i], err = w.record(i, buf); err != nil {
+				rowErrs[b] = err
 				return
 			}
-			values[i] = v
+			for j, f := range buf[1:] {
+				v, err := parseFloat(f)
+				if err == nil {
+					values[j*n+i] = v
+					continue
+				}
+				if colErrs[b] == nil {
+					colErrs[b] = make([]error, cols)
+				}
+				if colErrs[b][j] == nil {
+					colErrs[b][j] = fmt.Errorf("csvio: row %d column %q: %v", i+2, w.names[j], err)
+				}
+			}
 		}
-		out[j], errs[j] = timeseries.NewSeries(name, start, step, values)
+	})
+	start, step, err := grid(times, rowErrs)
+	if err != nil {
+		return nil, err
 	}
-	par.For(len(names), chunks, parseColumn)
-	for _, err := range errs {
-		if err != nil {
+	out := make([]*timeseries.Series, cols)
+	for j, name := range w.names {
+		for _, errs := range colErrs {
+			if errs != nil && errs[j] != nil {
+				return nil, errs[j]
+			}
+		}
+		if out[j], err = timeseries.NewSeries(name, start, step, values[j*n:(j+1)*n:(j+1)*n]); err != nil {
 			return nil, err
 		}
 	}
@@ -135,67 +163,293 @@ func WriteSymbolic(w io.Writer, db *timeseries.SymbolicDB) error {
 // ReadSymbolic parses the wide symbolic layout; each column's alphabet is
 // the set of distinct symbols observed, in first-appearance order.
 func ReadSymbolic(r io.Reader) (*timeseries.SymbolicDB, error) {
-	rows, names, times, err := readWide(r)
+	return ReadSymbolicChunked(r, 1)
+}
+
+// ReadSymbolicChunked parses the wide symbolic layout in up to chunks
+// contiguous row blocks, one goroutine each, like ReadNumericChunked.
+// Each block numbers its symbols per column in first-appearance order;
+// appending the blocks' alphabets in block order keeps that order for the
+// whole column, so only the later blocks' symbols are renumbered. Output
+// and errors are identical to ReadSymbolic.
+func ReadSymbolicChunked(r io.Reader, chunks int) (*timeseries.SymbolicDB, error) {
+	w, err := split(r)
 	if err != nil {
 		return nil, err
 	}
-	start, step, err := inferGrid(times)
-	if err != nil {
-		return nil, err
-	}
-	series := make([]*timeseries.SymbolicSeries, len(names))
-	for j, name := range names {
-		var alphabet []string
-		index := make(map[string]int)
-		syms := make([]int, len(rows))
-		for i, row := range rows {
-			sym := row[j]
-			id, ok := index[sym]
-			if !ok {
-				id = len(alphabet)
-				alphabet = append(alphabet, sym)
-				index[sym] = id
+	n, cols := w.rows(), len(w.names)
+	nb := blockCount(n, chunks)
+	times := make([]temporal.Time, n)
+	syms := make([]int, n*cols)
+	rowErrs := make([]error, nb)
+	interners := make([][]interner, nb) // per block, per column
+	forBlocks(n, nb, func(b, lo, hi int) {
+		in := make([]interner, cols)
+		interners[b] = in
+		var buf [][]byte
+		for i := lo; i < hi; i++ {
+			var err error
+			if buf, times[i], err = w.record(i, buf); err != nil {
+				rowErrs[b] = err
+				return
 			}
-			syms[i] = id
+			for j, f := range buf[1:] {
+				syms[j*n+i] = in[j].id(f)
+			}
+		}
+	})
+	start, step, err := grid(times, rowErrs)
+	if err != nil {
+		return nil, err
+	}
+	series := make([]*timeseries.SymbolicSeries, cols)
+	par.For(cols, nb, func(j int) {
+		col := syms[j*n : (j+1)*n : (j+1)*n]
+		in := &interners[0][j]
+		for b := 1; b < nb; b++ {
+			local := interners[b][j].alphabet
+			remap := make([]int, len(local))
+			for k, s := range local {
+				id, ok := in.index[s]
+				if !ok {
+					id = in.add(s)
+				}
+				remap[k] = id
+			}
+			for i := b * n / nb; i < (b+1)*n/nb; i++ {
+				col[i] = remap[col[i]]
+			}
 		}
 		series[j] = &timeseries.SymbolicSeries{
-			Name: name, Start: start, Step: step, Alphabet: alphabet, Symbols: syms,
+			Name: w.names[j], Start: start, Step: step, Alphabet: in.alphabet, Symbols: col,
 		}
-	}
+	})
 	return timeseries.NewSymbolicDB(series...)
 }
 
-// readWide parses the common wide shape: header row, then a timestamp
-// column followed by one column per series.
-func readWide(r io.Reader) (rows [][]string, names []string, times []temporal.Time, err error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	all, err := cr.ReadAll()
+// interner numbers the distinct symbols of one column in first-appearance
+// order.
+type interner struct {
+	alphabet []string
+	index    map[string]int
+}
+
+// id returns the number of symbol b, adding it if new. A known symbol is
+// looked up without converting b to a string.
+func (in *interner) id(b []byte) int {
+	if id, ok := in.index[string(b)]; ok {
+		return id
+	}
+	return in.add(string(b))
+}
+
+func (in *interner) add(s string) int {
+	if in.index == nil {
+		in.index = make(map[string]int)
+	}
+	id := len(in.alphabet)
+	in.index[s] = id
+	in.alphabet = append(in.alphabet, s)
+	return id
+}
+
+// wide is a wide-layout body split into records: the series names of the
+// header and the data records after it.
+type wide struct {
+	names []string
+	// lines holds the data records of a body without quotes, each one
+	// line with its fields still comma-separated. A body with quotes is
+	// split by encoding/csv instead: its data records' fields, unquoted,
+	// are laid end to end in text, field k ending at cuts[k], and record
+	// i is fields [ends[i-1], ends[i]) (ends[-1] = 0).
+	lines [][]byte
+	text  []byte
+	cuts  []int
+	ends  []int
+}
+
+// split reads the whole body and splits it into records the way
+// encoding/csv counts them: empty lines are skipped, and one \r before a
+// line's end is dropped. Only encoding/csv implements quoting, so a body
+// containing a quote is split by it instead (csv.Writer quotes names and
+// symbols with commas, quotes or leading spaces).
+func split(r io.Reader) (*wide, error) {
+	data, err := io.ReadAll(r)
 	if err != nil {
 		// %w keeps the reader's error chain intact (the HTTP server matches
 		// http.MaxBytesError through it to answer 413).
-		return nil, nil, nil, fmt.Errorf("csvio: %w", err)
+		return nil, fmt.Errorf("csvio: %w", err)
 	}
-	if len(all) < 2 {
-		return nil, nil, nil, fmt.Errorf("csvio: need a header and at least one data row")
+	w := &wide{}
+	var header []string
+	if bytes.IndexByte(data, '"') >= 0 {
+		if header, err = w.splitQuoted(data); err != nil {
+			return nil, err
+		}
+	} else if lines := splitLines(data); len(lines) > 0 {
+		header, w.lines = strings.Split(string(lines[0]), ","), lines[1:]
 	}
-	header := all[0]
+	if w.rows() == 0 {
+		return nil, fmt.Errorf("csvio: need a header and at least one data row")
+	}
 	if len(header) < 2 || header[0] != "time" {
-		return nil, nil, nil, fmt.Errorf("csvio: header must start with \"time\" and name at least one series")
+		return nil, fmt.Errorf("csvio: header must start with \"time\" and name at least one series")
 	}
-	names = header[1:]
-	for i, row := range all[1:] {
-		if len(row) != len(header) {
-			return nil, nil, nil, fmt.Errorf("csvio: row %d has %d fields, want %d", i+2, len(row), len(header))
+	w.names = header[1:]
+	return w, nil
+}
+
+// splitQuoted splits a body with quotes by encoding/csv, returning its
+// header and keeping its data records in w.text, w.cuts and w.ends. The
+// fields are copied into one buffer rather than kept as strings, so
+// parsing them needs no allocation per field.
+func (w *wide) splitQuoted(data []byte) ([]string, error) {
+	cr := csv.NewReader(bytes.NewReader(data))
+	cr.FieldsPerRecord = -1
+	header, err := cr.Read()
+	if err == io.EOF {
+		return nil, nil
+	} else if err != nil {
+		return nil, fmt.Errorf("csvio: %w", err)
+	}
+	cr.ReuseRecord = true
+	w.text = make([]byte, 0, len(data))
+	w.cuts = make([]int, 0, bytes.Count(data, []byte{','})+bytes.Count(data, []byte{'\n'})+1)
+	for {
+		rec, err := cr.Read()
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("csvio: %w", err)
 		}
-		t, err := strconv.ParseInt(row[0], 10, 64)
+		for _, f := range rec {
+			w.text = append(w.text, f...)
+			w.cuts = append(w.cuts, len(w.text))
+		}
+		w.ends = append(w.ends, len(w.cuts))
+	}
+	return header, nil
+}
+
+// splitLines cuts data into its non-empty lines without their
+// terminators: a \n and one \r before it, or one \r ending the data.
+func splitLines(data []byte) [][]byte {
+	lines := make([][]byte, 0, bytes.Count(data, []byte{'\n'})+1)
+	for len(data) > 0 {
+		line := data
+		if k := bytes.IndexByte(data, '\n'); k >= 0 {
+			line, data = data[:k], data[k+1:]
+		} else {
+			data = nil
+		}
+		if k := len(line) - 1; k >= 0 && line[k] == '\r' {
+			line = line[:k]
+		}
+		if len(line) > 0 {
+			lines = append(lines, line)
+		}
+	}
+	return lines
+}
+
+// rows returns the number of data records.
+func (w *wide) rows() int { return len(w.lines) + len(w.ends) }
+
+// record splits data record i into buf, reusing its capacity, and parses
+// its timestamp, buf[0]; the series fields are buf[1:]. A record with the
+// wrong field count fails before its timestamp is looked at. Errors
+// number rows by record, the header being row 1.
+func (w *wide) record(i int, buf [][]byte) ([][]byte, temporal.Time, error) {
+	buf = buf[:0]
+	if w.ends != nil {
+		k, from := 0, 0
+		if i > 0 {
+			k = w.ends[i-1]
+			from = w.cuts[k-1]
+		}
+		for ; k < w.ends[i]; k++ {
+			buf = append(buf, w.text[from:w.cuts[k]])
+			from = w.cuts[k]
+		}
+	} else {
+		line := w.lines[i]
+		for {
+			k := bytes.IndexByte(line, ',')
+			if k < 0 {
+				buf = append(buf, line)
+				break
+			}
+			buf = append(buf, line[:k])
+			line = line[k+1:]
+		}
+	}
+	if len(buf) != len(w.names)+1 {
+		return buf, 0, fmt.Errorf("csvio: row %d has %d fields, want %d", i+2, len(buf), len(w.names)+1)
+	}
+	t, err := strconv.ParseInt(string(buf[0]), 10, 64)
+	if err != nil {
+		return buf, 0, fmt.Errorf("csvio: row %d timestamp: %v", i+2, err)
+	}
+	return buf, t, nil
+}
+
+// blockCount is the number of row blocks n records are parsed in on up to
+// chunks goroutines.
+func blockCount(n, chunks int) int { return max(1, min(n, chunks)) }
+
+// forBlocks cuts n records into nb contiguous blocks and runs fn(b, lo,
+// hi) for block b = [lo, hi) of each, one goroutine per block.
+func forBlocks(n, nb int, fn func(b, lo, hi int)) {
+	par.For(nb, nb, func(b int) { fn(b, b*n/nb, (b+1)*n/nb) })
+}
+
+// grid returns the first record error of the blocks, in block order, or
+// else the sampling grid of times.
+func grid(times []temporal.Time, rowErrs []error) (temporal.Time, temporal.Duration, error) {
+	for _, err := range rowErrs {
 		if err != nil {
-			return nil, nil, nil, fmt.Errorf("csvio: row %d timestamp: %v", i+2, err)
+			return 0, 0, err
 		}
-		times = append(times, t)
-		rows = append(rows, row[1:])
 	}
-	return rows, names, times, nil
+	return inferGrid(times)
+}
+
+// pow10 holds the powers of ten a plain decimal's fraction can need.
+var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15}
+
+// parseFloat is strconv.ParseFloat(string(b), 64), bit for bit. A plain
+// decimal ([-+]?d+(.d*)? with at most 15 digits) is m/10^k with m and
+// 10^k both exact in a float64, so one IEEE division rounds it correctly
+// — strconv's own first path. Everything else goes through strconv.
+func parseFloat(b []byte) (float64, error) {
+	d, neg := b, false
+	if len(d) > 0 && (d[0] == '-' || d[0] == '+') {
+		d, neg = d[1:], d[0] == '-'
+	}
+	var m uint64
+	digits, frac, dot := 0, 0, false
+	for i, c := range d {
+		switch {
+		case c >= '0' && c <= '9':
+			m = m*10 + uint64(c-'0')
+			digits++
+			if dot {
+				frac++
+			}
+		case c == '.' && !dot && i > 0:
+			dot = true
+		default:
+			return strconv.ParseFloat(string(b), 64)
+		}
+	}
+	if digits == 0 || digits > 15 {
+		return strconv.ParseFloat(string(b), 64)
+	}
+	f := float64(m)
+	if neg {
+		f = -f
+	}
+	return f / pow10[frac], nil
 }
 
 // inferGrid validates even ascending spacing and returns (start, step).

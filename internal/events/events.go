@@ -351,16 +351,18 @@ func windowsOf(src timeseries.SymbolSource, w, overlap temporal.Duration) []temp
 
 // cutWindow builds the temporal sequence of one window: every run
 // intersecting the window becomes an instance, clipped at the window
-// boundaries.
+// boundaries. A series' runs are ascending and disjoint, so the ones
+// intersecting the window are a contiguous range: a binary search finds
+// the first run ending after the window starts, and the scan stops at the
+// first run starting at or after its end.
 func cutWindow(id int, window temporal.Interval, all []seriesRuns) *Sequence {
 	var instances []Instance
 	for _, sr := range all {
-		for i, iv := range sr.intervals {
-			clipped, ok := iv.Clip(window.Start, window.End)
-			if !ok {
-				continue
+		first := sort.Search(len(sr.intervals), func(i int) bool { return sr.intervals[i].End > window.Start })
+		for i := first; i < len(sr.intervals) && sr.intervals[i].Start < window.End; i++ {
+			if clipped, ok := sr.intervals[i].Clip(window.Start, window.End); ok {
+				instances = append(instances, Instance{Event: sr.eventIDs[i], Interval: clipped})
 			}
-			instances = append(instances, Instance{Event: sr.eventIDs[i], Interval: clipped})
 		}
 	}
 	return NewSequence(id, window, instances)

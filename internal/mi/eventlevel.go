@@ -79,6 +79,7 @@ func ComputeEventPairwise(src timeseries.SymbolSource) (*EventPairwise, error) {
 		entropies[i] = entropyFromCounts(counts[i], samples)
 		p.Values[i] = make([]float64, m)
 	}
+	var joint [4]int
 	for i := 0; i < m; i++ {
 		if entropies[i] == 0 {
 			continue // constant indicator: NMI 0 against everything
@@ -92,8 +93,8 @@ func ComputeEventPairwise(src timeseries.SymbolSource) (*EventPairwise, error) {
 				p.Values[i][j] = p.Values[j][i] * entropies[j] / entropies[i]
 				continue
 			}
-			joint := jointFromRuns(inds[i], inds[j], 2, 2)
-			p.Values[i][j] = nmiFromCounts(joint, counts[i], counts[j], samples, entropies[i])
+			jointFromRuns(joint[:], inds[i], inds[j], 2)
+			p.Values[i][j] = nmiFromCounts(joint[:], counts[i], counts[j], samples, entropies[i])
 		}
 	}
 	return p, nil

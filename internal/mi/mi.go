@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"ftpm/internal/par"
 	"ftpm/internal/timeseries"
 )
 
@@ -151,15 +152,14 @@ func entropyFromCounts(counts []int, samples int) float64 {
 	return h
 }
 
-// jointFromRuns tallies the joint counts of two aligned series by a
+// jointFromRuns tallies the joint counts of two aligned series into the
+// flat row-major table joint (cell (a, b) at a*ny+b, len nx*ny), by a
 // two-pointer sweep over their run partitions: the overlap length of each
-// run pair lands in one joint cell. Equal to the per-sample tally of
-// jointCounts, in O(|xr| + |yr|).
-func jointFromRuns(xr, yr []timeseries.Run, nx, ny int) [][]int {
-	joint := make([][]int, nx)
-	for i := range joint {
-		joint[i] = make([]int, ny)
-	}
+// run pair lands in one cell. Equal to the per-sample tally of
+// jointCounts, in O(|xr| + |yr|). The table is cleared first, so one
+// scratch serves every pair.
+func jointFromRuns(joint []int, xr, yr []timeseries.Run, ny int) {
+	clear(joint)
 	i, j := 0, 0
 	for i < len(xr) && j < len(yr) {
 		a, b := xr[i], yr[j]
@@ -171,7 +171,7 @@ func jointFromRuns(xr, yr []timeseries.Run, nx, ny int) [][]int {
 			hi = b.Last
 		}
 		if hi >= lo {
-			joint[a.Symbol][b.Symbol] += hi - lo + 1
+			joint[a.Symbol*ny+b.Symbol] += hi - lo + 1
 		}
 		if a.Last <= b.Last {
 			i++
@@ -180,18 +180,19 @@ func jointFromRuns(xr, yr []timeseries.Run, nx, ny int) [][]int {
 			j++
 		}
 	}
-	return joint
 }
 
 // nmiFromCounts evaluates Ĩ(X;Y) = I/H(X) from precomputed counts with
-// the exact float operation order of MutualInformation + NMI. hx must be
+// the exact float operation order of MutualInformation + NMI; joint is
+// the flat table jointFromRuns filled. hx must be
 // entropyFromCounts(xCounts, samples) and must be non-zero (callers
 // short-circuit constant series to 0 first).
-func nmiFromCounts(joint [][]int, xCounts, yCounts []int, samples int, hx float64) float64 {
+func nmiFromCounts(joint []int, xCounts, yCounts []int, samples int, hx float64) float64 {
 	n := float64(samples)
+	ny := len(yCounts)
 	mi := 0.0
-	for xi := range joint {
-		for yi, c := range joint[xi] {
+	for xi := range xCounts {
+		for yi, c := range joint[xi*ny : (xi+1)*ny] {
 			if c == 0 {
 				continue
 			}
@@ -220,11 +221,20 @@ type Pairwise struct {
 	Values [][]float64
 }
 
-// ComputePairwise evaluates NMI for all ordered pairs (Alg 2, lines 2-3).
-// It consumes the source's maximal symbol runs only, so any SymbolSource
-// — the in-memory database or an mmap'd segment — yields a bit-identical
-// table.
+// ComputePairwise evaluates NMI for all ordered pairs (Alg 2, lines 2-3)
+// on one goroutine; it is ComputePairwiseWorkers(src, 1).
 func ComputePairwise(src timeseries.SymbolSource) (*Pairwise, error) {
+	return ComputePairwiseWorkers(src, 1)
+}
+
+// ComputePairwiseWorkers evaluates NMI for all ordered pairs with the
+// table's rows fanned out over up to workers goroutines. It consumes the
+// source's maximal symbol runs only, so any SymbolSource — the in-memory
+// database or an mmap'd segment — yields a bit-identical table, and so
+// does every worker count: each row's upper-triangle cells (and the cells
+// against constant series) are computed directly, then the rest of the
+// lower triangle is derived from the transpose, I being symmetric.
+func ComputePairwiseWorkers(src timeseries.SymbolSource, workers int) (*Pairwise, error) {
 	n := src.NumSeries()
 	samples := src.Len()
 	p := &Pairwise{
@@ -234,39 +244,41 @@ func ComputePairwise(src timeseries.SymbolSource) (*Pairwise, error) {
 	runs := make([][]timeseries.Run, n)
 	counts := make([][]int, n)
 	entropies := make([]float64, n)
+	maxAlpha := 0
 	for i := 0; i < n; i++ {
 		p.Names[i] = src.SeriesName(i)
+		maxAlpha = max(maxAlpha, len(src.SeriesAlphabet(i)))
+	}
+	par.For(n, workers, func(i int) {
 		p.Values[i] = make([]float64, n)
 		runs[i] = src.AppendRuns(i, nil)
 		counts[i] = countsFromRuns(runs[i], len(src.SeriesAlphabet(i)))
 		entropies[i] = entropyFromCounts(counts[i], samples)
-	}
-	nmiOf := func(i, j int) float64 {
-		joint := jointFromRuns(runs[i], runs[j], len(counts[i]), len(counts[j]))
-		return nmiFromCounts(joint, counts[i], counts[j], samples, entropies[i])
-	}
-	for i := 0; i < n; i++ {
+	})
+	par.For(n, workers, func(i int) {
+		if entropies[i] == 0 {
+			return // constant series: NMI 0 against everything
+		}
+		row := p.Values[i]
+		row[i] = 1
+		joint := make([]int, len(counts[i])*maxAlpha) // one flat scratch for all of the row's pairs
 		for j := 0; j < n; j++ {
-			if entropies[i] == 0 {
-				p.Values[i][j] = 0
-				continue
+			if j == i || (j < i && entropies[j] != 0) {
+				continue // the diagonal, or derived from the transpose below
 			}
-			if i == j {
-				p.Values[i][j] = 1
-				continue
-			}
-			if j < i {
-				// I is symmetric; reuse the transpose computation.
-				if entropies[j] == 0 {
-					// I(X;Y) unavailable from transpose (it was zeroed);
-					// compute directly.
-					p.Values[i][j] = nmiOf(i, j)
-					continue
-				}
+			cells := joint[:len(counts[i])*len(counts[j])]
+			jointFromRuns(cells, runs[i], runs[j], len(counts[j]))
+			row[j] = nmiFromCounts(cells, counts[i], counts[j], samples, entropies[i])
+		}
+	})
+	for i := 0; i < n; i++ {
+		if entropies[i] == 0 {
+			continue
+		}
+		for j := 0; j < i; j++ {
+			if entropies[j] != 0 {
 				p.Values[i][j] = p.Values[j][i] * entropies[j] / entropies[i]
-				continue
 			}
-			p.Values[i][j] = nmiOf(i, j)
 		}
 	}
 	return p, nil

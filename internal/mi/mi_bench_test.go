@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ftpm/internal/datagen"
 	"ftpm/internal/paperex"
 	"ftpm/internal/timeseries"
 )
@@ -34,15 +35,53 @@ func BenchmarkNMI(b *testing.B) {
 }
 
 // BenchmarkComputePairwise measures the full A-HTPGM setup cost on the
-// paper's Table I database.
+// paper's Table I database, and on a wide database (two NIST-profile
+// replicas side by side, 144 series of 3504 samples) serially and on two
+// workers.
 func BenchmarkComputePairwise(b *testing.B) {
-	db := paperex.SymbolicDB()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := ComputePairwise(db); err != nil {
-			b.Fatal(err)
+	b.Run("paper", func(b *testing.B) {
+		db := paperex.SymbolicDB()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ComputePairwise(db); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	db := wideDB(b)
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("wide/workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := ComputePairwiseWorkers(db, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// wideDB places two NIST-profile replicas side by side: 144 series of
+// 3504 samples with the profile's correlation structure within each
+// replica.
+func wideDB(tb testing.TB) *timeseries.SymbolicDB {
+	tb.Helper()
+	var all []*timeseries.SymbolicSeries
+	for r := 0; r < 2; r++ {
+		db, err := datagen.NIST().Generate(datagen.Options{SequenceFraction: 0.05, SeedOffset: int64(r)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, s := range db.Series {
+			s.Name = fmt.Sprintf("R%d_%s", r, s.Name)
+			all = append(all, s)
 		}
 	}
+	db, err := timeseries.NewSymbolicDB(all...)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return db
 }
 
 // BenchmarkComputeEventPairwise measures the event-level extension's

@@ -358,3 +358,60 @@ func TestTheoremOneEmpirically(t *testing.T) {
 		t.Errorf("Theorem 1 violated: LB %v exceeds observed confidence 1", lb)
 	}
 }
+
+// TestComputePairwiseWorkersBitIdentical pins the pairwise table, at every
+// worker count, bit for bit to the serial definition: the upper triangle
+// and every cell against a constant series evaluated per sample by NMI,
+// the rest of the lower triangle derived from the transpose, and
+// constant series' rows zero.
+func TestComputePairwiseWorkersBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var ss []*timeseries.SymbolicSeries
+	for k := 0; k < 23; k++ {
+		alpha := []string{"a", "b", "c", "d"}[:1+rng.Intn(4)]
+		s := &timeseries.SymbolicSeries{Name: string(rune('A' + k)), Step: 1, Alphabet: alpha, Symbols: make([]int, 300)}
+		cur := 0
+		for i := range s.Symbols {
+			if k%5 != 0 && rng.Float64() < 0.2 { // every fifth series stays constant
+				cur = rng.Intn(len(alpha))
+			}
+			s.Symbols[i] = cur
+		}
+		ss = append(ss, s)
+	}
+	db := mustDB(t, ss...)
+	n := len(ss)
+	want := make([][]float64, n)
+	for i, x := range ss {
+		want[i] = make([]float64, n)
+		hx := Entropy(x)
+		for j, y := range ss {
+			switch hy := Entropy(y); {
+			case hx == 0:
+			case i == j:
+				want[i][j] = 1
+			case j > i || hy == 0:
+				v, err := NMI(x, y)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i][j] = v
+			default:
+				want[i][j] = want[j][i] * hy / hx
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 3, 8} {
+		pw, err := ComputePairwiseWorkers(db, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			for j := range want[i] {
+				if math.Float64bits(pw.Values[i][j]) != math.Float64bits(want[i][j]) {
+					t.Fatalf("workers=%d: Values[%d][%d] = %v, want %v", workers, i, j, pw.Values[i][j], want[i][j])
+				}
+			}
+		}
+	}
+}

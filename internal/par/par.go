@@ -1,5 +1,6 @@
 // Package par provides the small data-parallel loop shared by the
-// ingestion paths (chunked CSV parsing, concurrent symbolization). The
+// ingestion paths (row-block CSV parsing, concurrent symbolization) and
+// the pairwise NMI table. The
 // miner keeps its own runParallel, which additionally threads per-worker
 // scratch and cancellation; this helper is for simple index-parallel work
 // with no failure mode beyond what fn records itself.

@@ -415,3 +415,29 @@ func TestConcurrentAppendsVsMines(t *testing.T) {
 		}
 	}
 }
+
+// TestIngestRejectsWrappingGrid pins that a sampling grid whose end
+// Start + Len·Step wraps past the largest int64 timestamp is a 400
+// invalid_argument on upload, in both layouts, and on an append that
+// would push a valid grid's end past it — never an accepted dataset
+// whose jobs panic cutting backwards intervals.
+func TestIngestRejectsWrappingGrid(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1})
+	// The differences wrap to an even step of 2 from MaxInt64-1.
+	wrap := "time,A,B\n9223372036854775806,0.9,0\n-9223372036854775808,0,0.9\n-9223372036854775806,0.9,0.9\n"
+	for _, format := range []string{"numeric", "symbolic"} {
+		var env apiError
+		code := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets?format="+format, strings.NewReader(wrap), &env)
+		if code != http.StatusBadRequest || env.Error.Code != codeInvalidArgument {
+			t.Errorf("%s upload: status %d code %q (%s), want 400 %s", format, code, env.Error.Code, env.Error.Message, codeInvalidArgument)
+		}
+	}
+
+	// This grid ends exactly at MaxInt64; one more sample would wrap.
+	ds := uploadCSV(t, ts.URL, "format=numeric&threshold=0.5", "time,A,B\n9223372036854775803,0.9,0\n9223372036854775805,0,0.9\n")
+	code, body := postAppend(t, ts.URL, ds.ID, "", `{"time":9223372036854775807,"values":{"A":0.9,"B":0}}`)
+	var env apiError
+	if err := json.Unmarshal(body, &env); err != nil || code != http.StatusBadRequest || env.Error.Code != codeInvalidArgument {
+		t.Errorf("wrapping append: status %d (%s), want 400 %s", code, body, codeInvalidArgument)
+	}
+}

@@ -679,11 +679,12 @@ func (s *Server) routeDatasets(w http.ResponseWriter, r *http.Request, rest []st
 // with request variety.
 const maxShards = 64
 
-// handleUploadDataset ingests one CSV upload: the body streams through
-// the csvio reader in column chunks, numeric input is symbolized
-// concurrently (one On/Off mapping per series, fanned over the shard
-// count), and the resulting symbolic database is registered with its
-// shard width for sharded mining.
+// handleUploadDataset ingests one CSV upload: the csvio reader reads the
+// body whole and parses it in row blocks over the shard count, in both
+// layouts; numeric input is then symbolized concurrently (one On/Off
+// mapping per series, fanned over the shard count), and the resulting
+// symbolic database is registered with its shard width for sharded
+// mining.
 func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	name := q.Get("name")
@@ -736,7 +737,7 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 			sdb, err = symbolizeConcurrent(series, threshold, shards)
 		}
 	case "symbolic":
-		sdb, err = csvio.ReadSymbolic(body)
+		sdb, err = csvio.ReadSymbolicChunked(body, shards)
 	default:
 		writeError(w, http.StatusBadRequest, codeInvalidArgument, "unknown format %q (want numeric or symbolic)", format)
 		return

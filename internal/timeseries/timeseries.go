@@ -14,6 +14,8 @@ package timeseries
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -271,7 +273,27 @@ func NewSymbolicDB(series ...*SymbolicSeries) (*SymbolicDB, error) {
 		}
 		names[s.Name] = true
 	}
+	if err := checkGridEnd(first.Start, first.Step, first.Len()); err != nil {
+		return nil, err
+	}
 	return &SymbolicDB{Series: series}, nil
+}
+
+// checkGridEnd rejects a grid whose end Start + n·Step lies past the
+// largest timestamp: the sum would wrap, and the window split and run
+// intervals downstream would see time run backwards. Every ingest path —
+// both CSV layouts and appends — builds its database through
+// NewSymbolicDB, so this is where such grids stop.
+func checkGridEnd(start temporal.Time, step temporal.Duration, n int) error {
+	if step <= 0 || n <= 0 {
+		return nil
+	}
+	hi, span := bits.Mul64(uint64(n), uint64(step))
+	if room := uint64(math.MaxInt64 - start); hi != 0 || span > room {
+		return fmt.Errorf("timeseries: %d samples from time %d at step %d end past the largest timestamp %d",
+			n, start, step, int64(math.MaxInt64))
+	}
+	return nil
 }
 
 // Find returns the series with the given name, or nil.
@@ -321,7 +343,8 @@ func (db *SymbolicDB) Restrict(names []string) (*SymbolicDB, error) {
 // Implementations must present mutually aligned series: every series
 // covers samples [0, Len()) on the grid Start() + i*Step(), and
 // AppendRuns(i, ...) yields the maximal runs of series i in ascending
-// sample order, partitioning [0, Len()).
+// sample order, partitioning [0, Len()). Being read-only, they must be
+// safe for concurrent use: the analysis reads series in parallel.
 type SymbolSource interface {
 	// NumSeries returns the number of series in the view.
 	NumSeries() int

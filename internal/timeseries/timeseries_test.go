@@ -266,3 +266,19 @@ func TestSymbolizeRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+func TestSymbolicDBRejectsWrappingEnd(t *testing.T) {
+	const maxTime = 1<<63 - 1
+	last, _ := ParseSymbols("A", maxTime-4, 2, []string{"Off", "On"}, "On Off")
+	if _, err := NewSymbolicDB(last); err != nil {
+		t.Errorf("grid ending exactly at the largest timestamp rejected: %v", err)
+	}
+	over, _ := ParseSymbols("A", maxTime-4, 2, []string{"Off", "On"}, "On Off On")
+	if _, err := NewSymbolicDB(over); err == nil {
+		t.Error("grid whose end wraps past the largest timestamp must be rejected")
+	}
+	huge, _ := ParseSymbols("A", -1<<63, 1<<62, []string{"Off", "On"}, "On Off")
+	if _, err := NewSymbolicDB(huge); err != nil {
+		t.Errorf("grid from the smallest timestamp ending at 0 rejected: %v", err)
+	}
+}

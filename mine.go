@@ -68,7 +68,8 @@ type Options struct {
 	// KeepGraph retains the Hierarchical Pattern Graph on the result.
 	KeepGraph bool
 	// Workers shards candidate verification over goroutines (0 or 1 =
-	// serial); results are identical to serial runs.
+	// serial), and so does the series-level pairwise NMI table an
+	// A-HTPGM run builds; results are identical to serial runs.
 	Workers int
 	// WorkersFunc, when non-nil, renegotiates the worker count at each
 	// level boundary of the mining loop: it is called on the mining

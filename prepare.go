@@ -321,10 +321,10 @@ func (p *Prepared) sequences() (*core.ShardedView, bool, error) {
 }
 
 // pairwise returns the memoized series-level NMI table of the shared
-// Analysis.
-func (p *Prepared) pairwise() (*mi.Pairwise, bool, error) {
+// Analysis, building it on up to workers goroutines on a miss.
+func (p *Prepared) pairwise(workers int) (*mi.Pairwise, bool, error) {
 	pw, hit, err := p.an.pw.get(func() (*mi.Pairwise, error) {
-		return mi.ComputePairwise(p.src)
+		return mi.ComputePairwiseWorkers(p.src, workers)
 	})
 	if err != nil {
 		return nil, hit, err
@@ -357,7 +357,8 @@ func (p *Prepared) eventPairwise() (*mi.EventPairwise, bool, error) {
 // analyze resolves the approximate options against the memoized pairwise
 // tables: it derives µ (from Mu directly or from Density against the
 // cached table) and installs the thresholded correlation graph into the
-// mining config. It reports whether the NMI table came from cache. The
+// mining config. A series-level table it builds runs on the config's
+// Workers. It reports whether the NMI table came from cache. The
 // selector is validated before any table access, so malformed options
 // never trigger the O(n²) analysis.
 func (p *Prepared) analyze(a *ApproxOptions, cfg *core.Config, out *Result) (bool, error) {
@@ -384,7 +385,7 @@ func (p *Prepared) analyze(a *ApproxOptions, cfg *core.Config, out *Result) (boo
 		out.Mu = mu
 		return hit, nil
 	}
-	pw, hit, err := p.pairwise()
+	pw, hit, err := p.pairwise(cfg.Workers)
 	if err != nil {
 		return hit, err
 	}
