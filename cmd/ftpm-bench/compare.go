@@ -33,10 +33,12 @@ import (
 )
 
 // benchLine matches one result line of `go test -bench` output with the
-// optional -benchmem columns, e.g.
+// optional -benchmem columns, which follow any custom metrics
+// (testing.B.ReportMetric), e.g.
 //
 //	BenchmarkIngestConvert/serial-8   1   120132295 ns/op   36385920 B/op   57072 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
+//	BenchmarkMineSweep-8              1   258000000 ns/op   9.9 lk_ms/cell   39292089 B/op   540476 allocs/op
+var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+([0-9.]+) ns/op(?:.*?\s([0-9.]+) B/op\s+([0-9.]+) allocs/op)?`)
 
 // procSuffix is the GOMAXPROCS suffix go test appends to benchmark names
 // (absent when GOMAXPROCS is 1).

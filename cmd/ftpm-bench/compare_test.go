@@ -40,6 +40,15 @@ func TestParseBenchFile(t *testing.T) {
 	if _, ok := bf.NsPerOp["BenchmarkIngestConvert/sharded"]; !ok {
 		t.Fatalf("sub-benchmark missing: %v", bf.NsPerOp)
 	}
+	// Custom metrics sit between ns/op and the -benchmem columns.
+	custom, err := parseBenchFile(writeBench(t, "custom.txt",
+		"BenchmarkSweep-8  1  250000 ns/op  9.9 lk_ms/cell  64 B/op  3 allocs/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ns, a := custom.NsPerOp["BenchmarkSweep"], custom.AllocsPerOp["BenchmarkSweep"]; ns != 250000 || a != 3 {
+		t.Fatalf("line with a custom metric: ns/op %v allocs/op %v, want 250000 and 3", ns, a)
+	}
 	if _, err := parseBenchFile(writeBench(t, "empty.txt", "PASS\n")); err == nil {
 		t.Fatal("file without results must error")
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -48,8 +49,8 @@ func (m *miner) mineAll(ctx context.Context) (*Result, error) {
 	if m.cfg.MaxK != 1 && len(m.oneFreq) > 0 {
 		m.mineLevel2()
 		if m.cfg.MaxK == 0 || m.cfg.MaxK >= 3 {
-			// The packed L2 lookup tables only serve level-k (k >= 3)
-			// mining; a MaxK=2 run never reads them.
+			// The L2 relation table only serves level-k (k >= 3)
+			// mining; a MaxK=2 run never reads it.
 			m.buildL2Index()
 		}
 		for k := 3; ; k++ {
@@ -93,13 +94,16 @@ type miner struct {
 	graph *hpg.Graph
 	stats Stats
 
-	// l2nodes and l2pats are packed lookup tables over the finished level
-	// 2 — the Lemma 5 candidate filter and the iterative triple
-	// verification hit these with comparable keys instead of assembling
-	// string keys per check. Built once by buildL2Index, read-only during
-	// level-k mining.
-	l2nodes map[uint64]bool
-	l2pats  map[pairPatKey]bool
+	// l2rank and l2rels are the finished level 2 as one dense relation
+	// table, built once by buildL2Index and read-only during level-k
+	// mining. l2rank maps every vocabulary event to its rank in oneFreq
+	// (-1 when infrequent); l2rels[rank(a)*len(oneFreq)+rank(b)] holds
+	// bit 0 (l2Green) when {a, b} is a green L2 node and bit r when
+	// (a, r, b) is a frequent 2-event pattern. The Lemma 5 candidate
+	// filter reads bit 0; extendNode turns the relation bits into per-role
+	// masks, so the iterative triple verification is one bit test.
+	l2rank []int32
+	l2rels []uint8
 
 	// pairs is the view's L2 memo for this run's verification key, as
 	// loaded when level 2 starts (nil when the view has none).
@@ -562,37 +566,53 @@ func (m *miner) mineLevelK(k int) int {
 	return ls.GreenNodes
 }
 
-// pairPatKey identifies one frequent 2-event pattern (a, rel, b) in the
-// packed L2 index.
-type pairPatKey struct {
-	a, b events.EventID
-	rel  temporal.Relation
-}
-
-// packPair packs a sorted event pair into the L2 node index key.
+// packPair packs a sorted event pair into the L2 memo's entry key.
 func packPair(lo, hi events.EventID) uint64 {
 	return uint64(uint32(lo))<<32 | uint64(uint32(hi))
 }
 
-// buildL2Index snapshots the finished level 2 into packed lookup tables:
-// the green node multisets for Lemma 5 and the frequent (a, rel, b)
-// patterns for the iterative triple verification. Both are hit per
-// candidate triple in the extension hot path — comparable map keys, no
-// string assembly.
+// l2Green is the relation table bit of a green L2 node; bit r (1..3)
+// marks relation r.
+const l2Green = 1
+
+// buildL2Index snapshots the finished level 2 into the dense relation
+// table l2rels: |L1|² bytes, indexed by the frequent singles' ranks.
+// Both the Lemma 5 filter and the triple verification read it per
+// candidate node, with no hashing.
 func (m *miner) buildL2Index() {
 	l2 := m.graph.Level(2)
 	if l2 == nil {
 		return
 	}
-	m.l2nodes = make(map[uint64]bool, l2.Size())
-	m.l2pats = make(map[pairPatKey]bool)
-	for _, n := range l2.Nodes() {
-		m.l2nodes[packPair(n.Events[0], n.Events[1])] = true
-		for _, pd := range n.Patterns() {
+	m.l2rank = make([]int32, m.db.Vocab.Size())
+	for i := range m.l2rank {
+		m.l2rank[i] = -1
+	}
+	for r, e := range m.oneFreq {
+		m.l2rank[e] = int32(r)
+	}
+	n := len(m.oneFreq)
+	m.l2rels = make([]uint8, n*n)
+	for _, nd := range l2.Nodes() {
+		a, b := int(m.l2rank[nd.Events[0]]), int(m.l2rank[nd.Events[1]])
+		m.l2rels[a*n+b] |= l2Green
+		m.l2rels[b*n+a] |= l2Green
+		for _, pd := range nd.Patterns() {
 			p := pd.Pattern
-			m.l2pats[pairPatKey{a: p.Events[0], b: p.Events[1], rel: p.Rels[0]}] = true
+			a, b := int(m.l2rank[p.Events[0]]), int(m.l2rank[p.Events[1]])
+			m.l2rels[a*n+b] |= 1 << p.Rels[0]
 		}
 	}
+}
+
+// l2rel returns the relation table entry of the ordered event pair
+// (a, b): 0 when either event is infrequent.
+func (m *miner) l2rel(a, b events.EventID) uint8 {
+	ra, rb := m.l2rank[a], m.l2rank[b]
+	if ra < 0 || rb < 0 {
+		return 0
+	}
+	return m.l2rels[int(ra)*len(m.oneFreq)+int(rb)]
 }
 
 // lemma5Allows implements the Lemma 5 candidate filter: the new event must
@@ -600,11 +620,7 @@ func (m *miner) buildL2Index() {
 // the parent combination.
 func (m *miner) lemma5Allows(node *hpg.Node, e events.EventID) bool {
 	for _, ei := range node.Events {
-		lo, hi := ei, e
-		if hi < lo {
-			lo, hi = hi, lo
-		}
-		if m.l2nodes[packPair(lo, hi)] {
+		if m.l2rel(ei, e)&l2Green != 0 {
 			return true
 		}
 	}
@@ -618,15 +634,9 @@ func (m *miner) lemma5Allows(node *hpg.Node, e events.EventID) bool {
 // against L2 (Lemmas 6-7) before the occurrence is accepted.
 func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, scr *scratch, ls *LevelStats) {
 	scr.ext.reset()
-	trans := m.cfg.Pruning.trans()
-	keepOccs := m.keepOccsAt(child.K())
-	dup := false // does e already occur in the parent's events?
-	for _, pe := range parent.Events {
-		if pe == e {
-			dup = true
-			break
-		}
-	}
+	k := child.K()
+	x := extension{m: m, scr: scr, ls: ls, dup: slices.Contains(parent.Events, e),
+		trans: m.cfg.Pruning.trans(), keepOccs: m.keepOccsAt(k)}
 	parentPatterns := parent.Patterns()
 
 	// One monotone run cursor per parent pattern: the sequence sweep below
@@ -638,36 +648,68 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 	for i := range cursors {
 		cursors[i] = 0
 	}
+	// The buffers the sweep works in, sized once per node.
+	if cap(scr.tupleBuf) < k {
+		scr.tupleBuf = make([]int32, k)
+	}
+	if cap(scr.relsBuf) < k {
+		scr.relsBuf = make([]temporal.Relation, k)
+	}
+	x.tuple, x.rels = scr.tupleBuf[:k], scr.relsBuf[:k]
+
+	// With transitivity pruning, read the L2 relation table once per
+	// parent role: before[pi*(k-1)+i] has bit r set when (role i's event,
+	// r, e) is a frequent 2-event pattern of L2 — the triple of a role
+	// preceding the new instance — and after[pi*(k-1)+i] when (e, r,
+	// role i's event) is. A role's event is the same in every occurrence
+	// of its pattern.
+	var before, after []uint8
+	if x.trans {
+		n := len(parentPatterns) * (k - 1)
+		if cap(scr.masks) < 2*n {
+			scr.masks = make([]uint8, 2*n)
+		}
+		before, after = scr.masks[:n], scr.masks[n:2*n]
+		for pi, pd := range parentPatterns {
+			for i, a := range pd.Pattern.Events {
+				before[pi*(k-1)+i] = m.l2rel(a, e)
+				after[pi*(k-1)+i] = m.l2rel(e, a)
+			}
+		}
+	}
 
 	scr.idxBuf = child.Bitmap.AppendIndices(scr.idxBuf[:0])
 	for _, s32 := range scr.idxBuf {
 		if m.cancelled() {
 			break
 		}
-		seqIdx := int(s32)
-		seq := m.db.Sequences[seqIdx]
+		seq := m.db.Sequences[s32]
 		eIdxs := seq.InstancesOf(e)
 		if len(eIdxs) == 0 {
 			continue
 		}
 		// Dedup occurrences across parent patterns: with duplicate events
 		// the same child tuple can be reached from two parent occurrences.
-		if dup {
-			scr.seen.reset(child.K())
+		if x.dup {
+			scr.seen.reset(k)
 		}
 		for pi, pd := range parentPatterns {
 			st := pd.Occs
 			if st == nil {
 				continue
 			}
+			x.parent, x.parentIdx = pd.Pattern, int32(pi)
+			if x.trans {
+				x.before, x.after = before[pi*(k-1):(pi+1)*(k-1)], after[pi*(k-1):(pi+1)*(k-1)]
+			}
 			lo, hi := st.SeekRun(&cursors[pi], s32)
 			for oi := lo; oi < hi; oi++ {
 				occ := st.Occ(oi)
 				for _, ie := range eIdxs {
-					if dup && hpg.Occurrence(occ).Contains(ie) {
+					if x.dup && hpg.Occurrence(occ).Contains(ie) {
 						continue
 					}
-					m.tryExtend(seq, seqIdx, pd.Pattern, int32(pi), occ, ie, dup, trans, keepOccs, scr, ls)
+					x.try(seq, s32, occ, ie)
 				}
 			}
 		}
@@ -683,16 +725,38 @@ func (m *miner) flushExt(node *hpg.Node, scr *scratch, ls *LevelStats) {
 	m.flushInto(node, scr.flushBuf, scr, ls)
 }
 
-// tryExtend inserts instance ie into occurrence occ, classifies the new
-// triples, and records the occurrence under its typed extension composite
-// key (parent pattern index, insert position, new event, packed new
-// relations). The child pattern is spliced only when the composite is seen
-// for the first time; composites that canonicalize to the same pattern are
-// merged in flushInto.
-func (m *miner) tryExtend(seq *events.Sequence, seqIdx int, parentPat pattern.Pattern, parentIdx int32,
-	occ []int32, ie int32, dup, trans, keepOccs bool, scr *scratch, ls *LevelStats) {
+// extension is the state of one extendNode sweep. It lives on extendNode's
+// stack, so the per-occurrence work in try stores nothing to the heap.
+type extension struct {
+	m        *miner
+	scr      *scratch
+	ls       *LevelStats
+	dup      bool // the inserted event already occurs in the parent
+	trans    bool // verify the new triples against L2
+	keepOccs bool
 
-	k := len(occ) + 1
+	tuple []int32             // the extended occurrence tuple (k roles)
+	rels  []temporal.Relation // rels[j]: the new instance's relation to child role j
+
+	// The current parent pattern, its index in the parent's pattern
+	// order, and its per-role L2 masks (nil without transitivity
+	// pruning, which alone reads them).
+	parent        pattern.Pattern
+	parentIdx     int32
+	before, after []uint8
+}
+
+// try inserts instance ie into the parent occurrence occ, classifies the
+// new triples, and records the occurrence under its typed extension
+// composite key (parent pattern index, insert position, new event, packed
+// new relations). The checks run in the same order whatever the outcome,
+// so TripleChecksFailed counts exactly the extensions whose first failing
+// check is a triple's. The extended tuple is only materialized once the
+// checks pass, unless the dedup probe needs it first. The child pattern
+// is spliced only when the composite is seen for the first time;
+// composites that canonicalize to the same pattern are merged in
+// flushInto.
+func (x *extension) try(seq *events.Sequence, seqIdx int32, occ []int32, ie int32) {
 	// Instance order in a sequence equals chronological order, so the
 	// insert position is found by index comparison.
 	pos := len(occ)
@@ -702,102 +766,94 @@ func (m *miner) tryExtend(seq *events.Sequence, seqIdx int, parentPat pattern.Pa
 			break
 		}
 	}
-	// Materialize the extended tuple once into the scratch buffer; the
-	// dedup probe, span check, classification and the final arena append
-	// all read it — no per-occurrence slice is ever heap-allocated.
-	if cap(scr.tupleBuf) < k {
-		scr.tupleBuf = make([]int32, 0, 2*k)
-	}
-	tb := scr.tupleBuf[:0]
-	tb = append(tb, occ[:pos]...)
-	tb = append(tb, ie)
-	tb = append(tb, occ[pos:]...)
-	scr.tupleBuf = tb
-
-	if dup && !scr.seen.insert(tb) {
-		return
-	}
-
-	// Monotone t_max span check (see spanOK).
-	if m.cfg.TMax > 0 {
-		firstStart := seq.Instances[tb[0]].Start
-		maxEnd := seq.Instances[ie].End
-		for _, idx := range occ {
-			if e := seq.Instances[idx].End; e > maxEnd {
-				maxEnd = e
-			}
-		}
-		if maxEnd-firstStart > m.cfg.TMax {
+	tb := x.tuple
+	if x.dup {
+		// The dedup probe runs first, on the materialized tuple.
+		buildTuple(tb, occ, pos, ie)
+		if !x.scr.seen.insert(tb) {
 			return
 		}
 	}
 
-	// Classify the k-1 new triples between ie and every other role,
-	// packing the relations into the composite key as they are accepted.
 	newIns := seq.Instances[ie]
-	if cap(scr.relsBuf) < k {
-		scr.relsBuf = make([]temporal.Relation, k)
+	// Monotone t_max span check (see spanOK).
+	if tmax := x.m.cfg.TMax; tmax > 0 {
+		firstStart := newIns.Start
+		if pos > 0 {
+			firstStart = seq.Instances[occ[0]].Start
+		}
+		maxEnd := newIns.End
+		for _, idx := range occ {
+			maxEnd = max(maxEnd, seq.Instances[idx].End)
+		}
+		if maxEnd-firstStart > tmax {
+			return
+		}
 	}
-	rels := scr.relsBuf[:k] // rels[j] for role j (pos slot unused)
+
+	// Classify the k-1 new triples between ie and every parent role i
+	// (child role j), packing the relations into the composite key as
+	// they are accepted.
+	rc := x.m.rel
+	rels := x.rels
 	var packed uint64
 	var overflow []byte // engages only beyond maxPackedRoles (k > 33)
-	slot := 0
-	for j := 0; j < k; j++ {
-		if j == pos {
-			continue
-		}
-		other := seq.Instances[tb[j]]
-		var rel temporal.Relation
-		if j < pos {
-			rel = m.rel.Classify(other.Interval, newIns.Interval)
+	for i, idx := range occ {
+		other := &seq.Instances[idx]
+		j, rel := i, temporal.None
+		if i < pos {
+			rel = rc.Classify(other.Interval, newIns.Interval)
 		} else {
-			rel = m.rel.Classify(newIns.Interval, other.Interval)
+			j, rel = i+1, rc.Classify(newIns.Interval, other.Interval)
 		}
 		if rel == temporal.None {
 			return
 		}
-		if trans {
-			// Iterative verification (Lemmas 4, 6, 7): the new triple must
-			// itself be a frequent, confident 2-event pattern in L2.
-			ok := false
-			if j < pos {
-				ok = m.l2HasPair(other.Event, rel, newIns.Event)
-			} else {
-				ok = m.l2HasPair(newIns.Event, rel, other.Event)
+		// Iterative verification (Lemmas 4, 6, 7): the new triple must
+		// itself be a frequent, confident 2-event pattern in L2.
+		if x.trans {
+			mask := x.after[i]
+			if i < pos {
+				mask = x.before[i]
 			}
-			if !ok {
-				ls.TripleChecksFailed++
+			if mask&(1<<rel) == 0 {
+				x.ls.TripleChecksFailed++
 				return
 			}
 		}
 		rels[j] = rel
-		if slot < maxPackedRoles {
-			packed |= uint64(rel) << (2 * slot)
+		if i < maxPackedRoles {
+			packed |= uint64(rel) << (2 * i)
 		} else {
 			overflow = append(overflow, byte(rel))
 		}
-		slot++
+	}
+	if !x.dup {
+		buildTuple(tb, occ, pos, ie)
 	}
 
-	key := extKey{parent: parentIdx, pos: int32(pos), event: newIns.Event, rels: packed}
+	scr := x.scr
+	key := extKey{parent: x.parentIdx, pos: int32(pos), event: newIns.Event, rels: packed}
 	if overflow != nil {
 		key.relsOv = string(overflow)
 	}
 	pp, created := scr.ext.get(key)
 	if created {
-		pp.pat = splice(parentPat, pos, newIns.Event, rels)
-		pp.bm = scr.getBitmap(m.n)
-		if keepOccs {
-			pp.occs = scr.getStore(k)
+		pp.pat = splice(x.parent, pos, newIns.Event, rels)
+		pp.bm = scr.getBitmap(x.m.n)
+		if x.keepOccs {
+			pp.occs = scr.getStore(len(tb))
 		}
 	}
-	pp.record(m, seqIdx, tb)
+	pp.record(x.m, int(seqIdx), tb)
 }
 
-// l2HasPair reports whether the triple (a, rel, b) was mined as a
-// frequent, confident 2-event pattern at L2 — one packed-key map hit.
-func (m *miner) l2HasPair(a events.EventID, rel temporal.Relation, b events.EventID) bool {
-	return m.l2pats[pairPatKey{a: a, b: b, rel: rel}]
+// buildTuple writes the extended tuple — occ with ie inserted at role
+// pos — into tb (len(occ)+1 roles).
+func buildTuple(tb, occ []int32, pos int, ie int32) {
+	copy(tb, occ[:pos])
+	tb[pos] = ie
+	copy(tb[pos+1:], occ[pos:])
 }
 
 // splice builds the (k)-event pattern obtained by inserting newEvent at

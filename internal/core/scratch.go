@@ -307,6 +307,7 @@ type scratch struct {
 	idxBuf   []int32             // set-bit indexes of the node bitmap
 	tupleBuf []int32             // candidate occurrence materialization
 	relsBuf  []temporal.Relation // per-role relations of the inserted event
+	masks    []uint8             // per parent role L2 relation masks
 	cursors  []int               // per parent pattern occurrence-run cursors
 	seen     tupleSet            // per-sequence extension dedup
 	ext      extPend             // Lk pending table

@@ -833,6 +833,7 @@ func (m *jobManager) run(j *job) {
 		lv := LevelTimingJSON{
 			Level:          ls.K,
 			DurationMillis: ls.Duration.Milliseconds(),
+			DurationMicros: ls.Duration.Microseconds(),
 			Candidates:     ls.Candidates,
 			Patterns:       ls.Patterns,
 			Workers:        ls.Workers,

@@ -70,10 +70,13 @@ func (c *cacheCounters) snapshot() CacheMetricsJSON {
 // worker grant the level ran with — under fair-share scheduling it can
 // change between levels as other tenants' jobs arrive or finish.
 // MemoHits counts the level-2 pairs answered from the prepared view's
-// memo (core.LevelStats.MemoHits).
+// memo (core.LevelStats.MemoHits). DurationMicros is the level's time at
+// microsecond resolution: DurationMillis truncates a sub-millisecond
+// level to 0. Records persisted before it existed restore without it.
 type LevelTimingJSON struct {
 	Level          int   `json:"level"`
 	DurationMillis int64 `json:"duration_ms"`
+	DurationMicros int64 `json:"duration_us,omitempty"`
 	Candidates     int   `json:"candidates"`
 	Patterns       int   `json:"patterns"`
 	Workers        int   `json:"workers,omitempty"`

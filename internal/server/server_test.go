@@ -230,6 +230,49 @@ func TestEndToEndMineAndPage(t *testing.T) {
 	}
 }
 
+// TestLevelDurationMicros checks the microsecond level timings: a small
+// job's levels often take under a millisecond, where duration_ms reads 0,
+// but the duration_us of a finished job sum to more than 0, and each
+// truncates to its duration_ms.
+func TestLevelDurationMicros(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 2})
+	info := uploadCSV(t, ts.URL, "name=energy&format=numeric&threshold=0.5", smallCSV())
+	body, _ := json.Marshal(MiningRequest{
+		DatasetID: info.ID, MinSupport: 0.2, MinConfidence: 0,
+		NumWindows: 2, MaxPatternSize: 3,
+	})
+	var job JobInfo
+	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
+		t.Fatalf("submit: status %d", code)
+	}
+	if done := waitState(t, ts.URL, job.ID, 30*time.Second, func(j JobInfo) bool { return j.State.Terminal() }); done.State != JobDone {
+		t.Fatalf("job finished as %s (%s)", done.State, done.Error)
+	}
+	var m MetricsJSON
+	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &m); code != 200 {
+		t.Fatalf("metrics: status %d", code)
+	}
+	var levels []LevelTimingJSON
+	for _, jm := range m.Jobs {
+		if jm.ID == job.ID {
+			levels = jm.Levels
+		}
+	}
+	if len(levels) < 2 {
+		t.Fatalf("job levels = %+v, want at least two", levels)
+	}
+	var sum int64
+	for _, lv := range levels {
+		if lv.DurationMicros/1000 != lv.DurationMillis {
+			t.Errorf("level %d: duration_us %d does not truncate to duration_ms %d", lv.Level, lv.DurationMicros, lv.DurationMillis)
+		}
+		sum += lv.DurationMicros
+	}
+	if sum <= 0 {
+		t.Fatalf("job levels = %+v, want a positive duration_us sum", levels)
+	}
+}
+
 func TestCancelRunningJob(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1})
 	info := uploadCSV(t, ts.URL, "name=slow&threshold=0.5", slowCSV(4, 12000))
