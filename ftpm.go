@@ -269,8 +269,8 @@ func CorrelationGraphAt(db SymbolSource, mu float64) (*CorrelationGraph, error) 
 // count realizes the expected density (Def 5.6) — the paper's
 // "µ = X% of edges" settings. It returns the graph and the chosen µ.
 // Density 0 is the degenerate sweep endpoint: µ lands just above the
-// largest pairwise NMI, leaving the graph empty unless perfectly
-// correlated pairs force µ's ceiling of 1.
+// largest pairwise min-NMI, leaving the graph empty (above 1 when some
+// pair is perfectly correlated).
 func CorrelationGraphByDensity(db SymbolSource, density float64) (*CorrelationGraph, float64, error) {
 	pw, err := mi.ComputePairwise(db)
 	if err != nil {
@@ -278,14 +278,10 @@ func CorrelationGraphByDensity(db SymbolSource, density float64) (*CorrelationGr
 	}
 	// Resolved directly rather than through mi.ResolveMu (which rejects
 	// density 0 — a mining run needs a positive µ selector) so the full
-	// 0..100% sweep stays usable here; the clamp mirrors ResolveMu's
-	// (µ ≤ 1, Def 5.4).
+	// 0..100% sweep stays usable here.
 	mu, err := pw.MuForDensity(density)
 	if err != nil {
 		return nil, 0, err
-	}
-	if mu > 1 {
-		mu = 1
 	}
 	g, err := pw.Graph(mu)
 	if err != nil {

@@ -232,3 +232,30 @@ func TestReset(t *testing.T) {
 		t.Fatal("bitmap must be reusable after Reset")
 	}
 }
+
+// Property: SetRange equals setting each bit of the range in turn, for
+// ranges that start and end on and around word edges.
+func TestSetRangeMatchesSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{1, 63, 64, 65, 129, 300} {
+		for trial := 0; trial < 200; trial++ {
+			lo := rng.Intn(n)
+			hi := lo + rng.Intn(n-lo)
+			got, want := New(n), New(n)
+			got.Set(rng.Intn(n)) // ranges OR into bits already set
+			copy(want.words, got.words)
+			got.SetRange(lo, hi)
+			for i := lo; i <= hi; i++ {
+				want.Set(i)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("n=%d SetRange(%d,%d) = %s, want %s", n, lo, hi, got, want)
+			}
+		}
+	}
+	b := New(10)
+	b.SetRange(5, 4)
+	if b.Any() {
+		t.Error("an empty range must set nothing")
+	}
+}

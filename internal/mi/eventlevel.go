@@ -10,10 +10,7 @@
 package mi
 
 import (
-	"fmt"
-	"math"
-	"sort"
-
+	"ftpm/internal/bitmap"
 	"ftpm/internal/timeseries"
 )
 
@@ -31,112 +28,60 @@ type EventPairwise struct {
 	Values [][]float64
 }
 
-// indicatorRuns maps the base runs of a series onto the binary indicator
-// of symbol sym: runs keep their extents, the symbol becomes 1 where it
-// matched and 0 elsewhere. The result is a valid (if not maximal) run
-// partition of the indicator series — the run-based counting only needs a
-// partition into constant runs, so adjacent same-value runs need no
-// merging.
-func indicatorRuns(base []timeseries.Run, sym int) []timeseries.Run {
-	out := make([]timeseries.Run, len(base))
-	for i, r := range base {
-		v := 0
-		if r.Symbol == sym {
-			v = 1
-		}
-		out[i] = timeseries.Run{Symbol: v, First: r.First, Last: r.Last}
-	}
-	return out
+// ComputeEventPairwise evaluates NMI between every pair of event
+// indicator series on one goroutine; it is
+// ComputeEventPairwiseWorkers(src, 1).
+func ComputeEventPairwise(src timeseries.SymbolSource) (*EventPairwise, error) {
+	return ComputeEventPairwiseWorkers(src, 1)
 }
 
-// ComputeEventPairwise evaluates NMI between every pair of event
-// indicator series. The indicators are derived from the source's maximal
-// symbol runs, so with m total events the table costs O(m² · runs)
-// rather than O(m² · samples); it is the price of finer pruning and is
-// included in the A-HTPGM timing when event-level pruning is enabled.
-// Like ComputePairwise, any SymbolSource over the same data yields a
+// ComputeEventPairwiseWorkers evaluates NMI between every pair of event
+// indicator series, the table's rows fanned out over up to workers
+// goroutines. Each indicator is the bitmap of its symbol's samples, built
+// from the source's maximal runs, so with m total events the table costs
+// about m²/2 AND counts of ⌈samples/64⌉ words: a pair's 2×2 joint table
+// is one AND count, and its other cells follow from the two occurrence
+// counts.
+// It is the price of finer pruning and is included in the A-HTPGM timing
+// when event-level pruning is enabled. Like ComputePairwiseWorkers, any
+// SymbolSource over the same data and any worker count yield a
 // bit-identical table.
-func ComputeEventPairwise(src timeseries.SymbolSource) (*EventPairwise, error) {
+func ComputeEventPairwiseWorkers(src timeseries.SymbolSource, workers int) (*EventPairwise, error) {
 	samples := src.Len()
 	var keys []EventKey
-	var inds [][]timeseries.Run
-	var counts [][]int
+	var bits []*bitmap.Bitmap
+	var counts [][]int // per indicator: samples without, with the event
 	for si := 0; si < src.NumSeries(); si++ {
 		name := src.SeriesName(si)
 		alpha := src.SeriesAlphabet(si)
-		base := src.AppendRuns(si, nil)
-		for sym := range alpha {
+		runs := src.AppendRuns(si, nil)
+		bits = append(bits, runBitmaps(runs, len(alpha), samples)...)
+		for sym, occ := range countsFromRuns(runs, len(alpha)) {
 			keys = append(keys, EventKey{Series: name, Symbol: alpha[sym]})
-			ind := indicatorRuns(base, sym)
-			inds = append(inds, ind)
-			counts = append(counts, countsFromRuns(ind, 2))
+			counts = append(counts, []int{samples - occ, occ})
 		}
 	}
-	m := len(keys)
-	p := &EventPairwise{Keys: keys, Values: make([][]float64, m)}
-	entropies := make([]float64, m)
-	for i := range inds {
-		entropies[i] = entropyFromCounts(counts[i], samples)
-		p.Values[i] = make([]float64, m)
+	entropies := make([]float64, len(keys))
+	for i, c := range counts {
+		entropies[i] = entropyFromCounts(c, samples)
 	}
-	var joint [4]int
-	for i := 0; i < m; i++ {
-		if entropies[i] == 0 {
-			continue // constant indicator: NMI 0 against everything
-		}
-		for j := 0; j < m; j++ {
-			if i == j {
-				p.Values[i][j] = 1
-				continue
-			}
-			if j < i && entropies[j] > 0 {
-				p.Values[i][j] = p.Values[j][i] * entropies[j] / entropies[i]
-				continue
-			}
-			jointFromRuns(joint[:], inds[i], inds[j], 2)
-			p.Values[i][j] = nmiFromCounts(joint[:], counts[i], counts[j], samples, entropies[i])
-		}
-	}
-	return p, nil
+	values := nmiTable(entropies, workers, 4, func(i, j int, joint []int) float64 {
+		both := bits[i].AndCount(bits[j])
+		x, y := counts[i][1], counts[j][1]
+		joint[0], joint[1], joint[2], joint[3] = samples-x-y+both, y-both, x-both, both
+		return nmiFromCounts(joint, counts[i], counts[j], samples, entropies[i])
+	})
+	return &EventPairwise{Keys: keys, Values: values}, nil
 }
 
 // MinNMI returns min(NMI(i;j), NMI(j;i)).
-func (p *EventPairwise) MinNMI(i, j int) float64 {
-	a, b := p.Values[i][j], p.Values[j][i]
-	if a < b {
-		return a
-	}
-	return b
-}
+func (p *EventPairwise) MinNMI(i, j int) float64 { return minNMI(p.Values, i, j) }
 
 // MuForDensity chooses the event-level µ realizing the expected density
-// of the event correlation graph (the analog of Def 5.6).
+// of the event correlation graph (the analog of Def 5.6), as
+// Pairwise.MuForDensity does.
 func (p *EventPairwise) MuForDensity(density float64) (float64, error) {
-	if density < 0 || density > 1 {
-		return 0, fmt.Errorf("mi: density %v out of [0,1]", density)
-	}
-	var mins []float64
-	for i := range p.Keys {
-		for j := i + 1; j < len(p.Keys); j++ {
-			mins = append(mins, p.MinNMI(i, j))
-		}
-	}
-	if len(mins) == 0 {
-		return 1, nil
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(mins)))
-	k := int(math.Round(density * float64(len(mins))))
-	if k <= 0 {
-		return math.Nextafter(mins[0], math.Inf(1)), nil
-	}
-	if k > len(mins) {
-		k = len(mins)
-	}
-	mu := mins[k-1]
-	if mu <= 0 {
-		mu = math.SmallestNonzeroFloat64
-	}
-	return mu, nil
+	return muForDensity(p.Values, density)
 }
 
 // EventGraph is the undirected event-level correlation graph; it
@@ -149,22 +94,13 @@ type EventGraph struct {
 
 // Graph thresholds the event pairwise matrix at µ.
 func (p *EventPairwise) Graph(mu float64) (*EventGraph, error) {
-	if mu <= 0 || mu > 1 {
-		return nil, fmt.Errorf("mi: µ must be in (0,1], got %v", mu)
+	adj, err := correlated(p.Values, mu)
+	if err != nil {
+		return nil, err
 	}
-	m := len(p.Keys)
-	g := &EventGraph{Mu: mu, index: make(map[EventKey]int, m), adj: make([][]bool, m)}
+	g := &EventGraph{Mu: mu, index: make(map[EventKey]int, len(p.Keys)), adj: adj}
 	for i, k := range p.Keys {
 		g.index[k] = i
-		g.adj[i] = make([]bool, m)
-	}
-	for i := 0; i < m; i++ {
-		for j := i + 1; j < m; j++ {
-			if p.Values[i][j] >= mu && p.Values[j][i] >= mu {
-				g.adj[i][j] = true
-				g.adj[j][i] = true
-			}
-		}
 	}
 	return g, nil
 }
@@ -201,14 +137,4 @@ func (g *EventGraph) EventPairAllowed(aSeries, aSymbol, bSeries, bSymbol string)
 }
 
 // NumEdges returns the number of undirected edges.
-func (g *EventGraph) NumEdges() int {
-	n := 0
-	for i := range g.adj {
-		for j := i + 1; j < len(g.adj); j++ {
-			if g.adj[i][j] {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (g *EventGraph) NumEdges() int { return numEdges(g.adj) }

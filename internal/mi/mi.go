@@ -3,8 +3,10 @@ package mi
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
+	"ftpm/internal/bitmap"
 	"ftpm/internal/par"
 	"ftpm/internal/timeseries"
 )
@@ -112,17 +114,19 @@ func NMI(x, y *timeseries.SymbolicSeries) (float64, error) {
 	return nmi, nil
 }
 
-// Run-based counting. The entropy and mutual-information formulas only
-// consume integer occurrence counts; those counts are computed exactly
-// from the maximal symbol runs a SymbolSource exposes — a run of length L
-// contributes L to its symbol's marginal, and two overlapping runs
-// contribute their overlap length to one joint cell. The counts are
-// identical integers to a per-sample tally, and the floating-point
-// summation below visits cells in the same order as the per-sample
-// formulas above, so NMI tables computed through a SymbolSource (e.g. an
-// mmap'd segment file) are bit-identical to the in-memory ones. It is
-// also the cheaper path: a pair costs O(|runs_x| + |runs_y|) instead of
-// O(samples).
+// Bitset counting. The entropy and mutual-information formulas only
+// consume integer occurrence counts, and the pairwise tables compute them
+// exactly from the maximal symbol runs a SymbolSource exposes. A run of
+// length L contributes L to its symbol's marginal. Each series also gets a
+// bitmap of the samples holding each of its symbols but the last, filled a
+// word range per run. A joint cell of two bitmapped symbols is the
+// popcount of their AND; the cells of a last symbol are what the
+// marginals leave over. The counts are identical integers to a per-sample
+// tally, and the floating-point summation below visits cells in the same
+// order as the per-sample formulas above, so NMI tables computed through a
+// SymbolSource (e.g. an mmap'd segment file) are bit-identical to the
+// in-memory ones. A pair costs (nx−1)(ny−1)·⌈samples/64⌉ branch-free word
+// operations.
 
 // countsFromRuns tallies the marginal symbol counts of one series from
 // its maximal runs.
@@ -132,6 +136,21 @@ func countsFromRuns(runs []timeseries.Run, alphabetLen int) []int {
 		c[r.Symbol] += r.Last - r.First + 1
 	}
 	return c
+}
+
+// runBitmaps returns, for each symbol below syms, the bitmap of the
+// samples the runs give that symbol.
+func runBitmaps(runs []timeseries.Run, syms, samples int) []*bitmap.Bitmap {
+	out := make([]*bitmap.Bitmap, syms)
+	for s := range out {
+		out[s] = bitmap.New(samples)
+	}
+	for _, r := range runs {
+		if r.Symbol < syms {
+			out[r.Symbol].SetRange(r.First, r.Last)
+		}
+	}
+	return out
 }
 
 // entropyFromCounts is Entropy over precomputed marginal counts; the
@@ -152,39 +171,43 @@ func entropyFromCounts(counts []int, samples int) float64 {
 	return h
 }
 
-// jointFromRuns tallies the joint counts of two aligned series into the
-// flat row-major table joint (cell (a, b) at a*ny+b, len nx*ny), by a
-// two-pointer sweep over their run partitions: the overlap length of each
-// run pair lands in one cell. Equal to the per-sample tally of
-// jointCounts, in O(|xr| + |yr|). The table is cleared first, so one
+// symbolBits is one series prepared for joint counting: its marginal
+// symbol counts, and the bitmaps of every symbol but the last.
+type symbolBits struct {
+	counts []int
+	bits   []*bitmap.Bitmap
+}
+
+// jointFromBits fills the flat row-major joint table of x and y (cell
+// (a, b) at a*ny+b, len nx*ny). A cell of two bitmapped symbols is a
+// popcount; the last column is each row's marginal minus its other cells,
+// and the last row each column's marginal minus the rows above. Equal to
+// the per-sample tally of jointCounts. Every cell is written, so one
 // scratch serves every pair.
-func jointFromRuns(joint []int, xr, yr []timeseries.Run, ny int) {
-	clear(joint)
-	i, j := 0, 0
-	for i < len(xr) && j < len(yr) {
-		a, b := xr[i], yr[j]
-		lo, hi := a.First, a.Last
-		if b.First > lo {
-			lo = b.First
+func jointFromBits(joint []int, x, y *symbolBits) {
+	ny := len(y.counts)
+	for a, xa := range x.bits {
+		row := joint[a*ny : (a+1)*ny]
+		rest := x.counts[a]
+		for b, yb := range y.bits {
+			row[b] = xa.AndCount(yb)
+			rest -= row[b]
 		}
-		if b.Last < hi {
-			hi = b.Last
+		row[ny-1] = rest
+	}
+	last := joint[len(x.bits)*ny:]
+	for b := range last {
+		c := y.counts[b]
+		for a := range x.bits {
+			c -= joint[a*ny+b]
 		}
-		if hi >= lo {
-			joint[a.Symbol*ny+b.Symbol] += hi - lo + 1
-		}
-		if a.Last <= b.Last {
-			i++
-		}
-		if b.Last <= a.Last {
-			j++
-		}
+		last[b] = c
 	}
 }
 
 // nmiFromCounts evaluates Ĩ(X;Y) = I/H(X) from precomputed counts with
 // the exact float operation order of MutualInformation + NMI; joint is
-// the flat table jointFromRuns filled. hx must be
+// the flat row-major table of jointFromBits. hx must be
 // entropyFromCounts(xCounts, samples) and must be non-zero (callers
 // short-circuit constant series to 0 first).
 func nmiFromCounts(joint []int, xCounts, yCounts []int, samples int, hx float64) float64 {
@@ -212,6 +235,45 @@ func nmiFromCounts(joint []int, xCounts, yCounts []int, samples int, hx float64)
 	return nmi
 }
 
+// nmiTable evaluates the NMI table of variables with the given entropies,
+// rows fanned out over up to workers goroutines. cell(i, j, joint)
+// returns Ĩ(i; j) using joint, a per-row scratch of the given length.
+// Each row's upper-triangle cells, and its cells against constant
+// variables, come from cell; the rest of the lower triangle is derived
+// from the transpose, I being symmetric. A constant variable's row is 0,
+// and every other diagonal cell is 1. The table is bit-identical at every
+// worker count.
+func nmiTable(entropies []float64, workers, scratch int, cell func(i, j int, joint []int) float64) [][]float64 {
+	n := len(entropies)
+	values := make([][]float64, n)
+	par.For(n, workers, func(i int) {
+		row := make([]float64, n)
+		values[i] = row
+		if entropies[i] == 0 {
+			return // constant: NMI 0 against everything
+		}
+		row[i] = 1
+		joint := make([]int, scratch)
+		for j := range row {
+			if j == i || (j < i && entropies[j] != 0) {
+				continue // the diagonal, or derived from the transpose below
+			}
+			row[j] = cell(i, j, joint)
+		}
+	})
+	for i := range values {
+		if entropies[i] == 0 {
+			continue
+		}
+		for j := 0; j < i; j++ {
+			if entropies[j] != 0 {
+				values[i][j] = values[j][i] * entropies[j] / entropies[i]
+			}
+		}
+	}
+	return values
+}
+
 // Pairwise holds the NMI values of every ordered series pair of a symbolic
 // database.
 type Pairwise struct {
@@ -231,63 +293,39 @@ func ComputePairwise(src timeseries.SymbolSource) (*Pairwise, error) {
 // table's rows fanned out over up to workers goroutines. It consumes the
 // source's maximal symbol runs only, so any SymbolSource — the in-memory
 // database or an mmap'd segment — yields a bit-identical table, and so
-// does every worker count: each row's upper-triangle cells (and the cells
-// against constant series) are computed directly, then the rest of the
-// lower triangle is derived from the transpose, I being symmetric.
+// does every worker count (see nmiTable).
 func ComputePairwiseWorkers(src timeseries.SymbolSource, workers int) (*Pairwise, error) {
 	n := src.NumSeries()
 	samples := src.Len()
-	p := &Pairwise{
-		Names:  make([]string, n),
-		Values: make([][]float64, n),
-	}
-	runs := make([][]timeseries.Run, n)
-	counts := make([][]int, n)
+	names := make([]string, n)
+	series := make([]symbolBits, n)
 	entropies := make([]float64, n)
 	maxAlpha := 0
-	for i := 0; i < n; i++ {
-		p.Names[i] = src.SeriesName(i)
+	for i := range names {
+		names[i] = src.SeriesName(i)
 		maxAlpha = max(maxAlpha, len(src.SeriesAlphabet(i)))
 	}
 	par.For(n, workers, func(i int) {
-		p.Values[i] = make([]float64, n)
-		runs[i] = src.AppendRuns(i, nil)
-		counts[i] = countsFromRuns(runs[i], len(src.SeriesAlphabet(i)))
-		entropies[i] = entropyFromCounts(counts[i], samples)
+		runs := src.AppendRuns(i, nil)
+		counts := countsFromRuns(runs, len(src.SeriesAlphabet(i)))
+		series[i] = symbolBits{counts: counts, bits: runBitmaps(runs, max(len(counts)-1, 0), samples)}
+		entropies[i] = entropyFromCounts(counts, samples)
 	})
-	par.For(n, workers, func(i int) {
-		if entropies[i] == 0 {
-			return // constant series: NMI 0 against everything
-		}
-		row := p.Values[i]
-		row[i] = 1
-		joint := make([]int, len(counts[i])*maxAlpha) // one flat scratch for all of the row's pairs
-		for j := 0; j < n; j++ {
-			if j == i || (j < i && entropies[j] != 0) {
-				continue // the diagonal, or derived from the transpose below
-			}
-			cells := joint[:len(counts[i])*len(counts[j])]
-			jointFromRuns(cells, runs[i], runs[j], len(counts[j]))
-			row[j] = nmiFromCounts(cells, counts[i], counts[j], samples, entropies[i])
-		}
+	values := nmiTable(entropies, workers, maxAlpha*maxAlpha, func(i, j int, joint []int) float64 {
+		x, y := &series[i], &series[j]
+		cells := joint[:len(x.counts)*len(y.counts)]
+		jointFromBits(cells, x, y)
+		return nmiFromCounts(cells, x.counts, y.counts, samples, entropies[i])
 	})
-	for i := 0; i < n; i++ {
-		if entropies[i] == 0 {
-			continue
-		}
-		for j := 0; j < i; j++ {
-			if entropies[j] != 0 {
-				p.Values[i][j] = p.Values[j][i] * entropies[j] / entropies[i]
-			}
-		}
-	}
-	return p, nil
+	return &Pairwise{Names: names, Values: values}, nil
 }
 
 // MinNMI returns min(Ĩ(i;j), Ĩ(j;i)) — the quantity an undirected
 // correlation edge is thresholded on (Def 5.5).
-func (p *Pairwise) MinNMI(i, j int) float64 {
-	a, b := p.Values[i][j], p.Values[j][i]
+func (p *Pairwise) MinNMI(i, j int) float64 { return minNMI(p.Values, i, j) }
+
+func minNMI(values [][]float64, i, j int) float64 {
+	a, b := values[i][j], values[j][i]
 	if a < b {
 		return a
 	}
@@ -297,31 +335,42 @@ func (p *Pairwise) MinNMI(i, j int) float64 {
 // MuForDensity chooses the MI threshold µ realizing the expected
 // correlation-graph density (Def 5.6): the k-th largest pairwise min-NMI,
 // where k = round(density · #pairs). This is how the evaluation's
-// "µ = 80%/60%/40%/20% of edges" settings are produced. A density of 0
-// returns a threshold just above the maximum (empty graph).
+// "µ = 80%/60%/40%/20% of edges" settings are produced. A density that
+// rounds to no pair returns a threshold just above the largest min-NMI,
+// so the graph is empty; it exceeds 1 when some pair is perfectly
+// correlated, and Graph accepts it (see muCeiling).
 func (p *Pairwise) MuForDensity(density float64) (float64, error) {
+	return muForDensity(p.Values, density)
+}
+
+// muCeiling is the largest threshold Graph accepts: the float just above
+// 1, which no NMI reaches. MuForDensity returns it for a density that
+// rounds to no pair when a pair's min-NMI is 1 — complementary event
+// indicators, or identical series — so that the graph is still empty. An
+// explicit µ stays in (0, 1] (ResolveMu).
+const muCeiling = 1 + 0x1p-52
+
+// muForDensity implements MuForDensity for either pairwise table.
+func muForDensity(values [][]float64, density float64) (float64, error) {
 	if density < 0 || density > 1 {
 		return 0, fmt.Errorf("mi: density %v out of [0,1]", density)
 	}
-	n := len(p.Names)
-	var mins []float64
-	for i := 0; i < n; i++ {
+	n := len(values)
+	mins := make([]float64, 0, n*(n-1)/2)
+	for i := range values {
 		for j := i + 1; j < n; j++ {
-			mins = append(mins, p.MinNMI(i, j))
+			mins = append(mins, minNMI(values, i, j))
 		}
 	}
 	if len(mins) == 0 {
 		return 1, nil
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(mins)))
+	slices.Sort(mins)
 	k := int(math.Round(density * float64(len(mins))))
 	if k <= 0 {
-		return math.Nextafter(mins[0], math.Inf(1)), nil
+		return math.Nextafter(mins[len(mins)-1], math.Inf(1)), nil
 	}
-	if k > len(mins) {
-		k = len(mins)
-	}
-	mu := mins[k-1]
+	mu := mins[len(mins)-min(k, len(mins))]
 	if mu <= 0 {
 		// µ must be positive (Def 5.4); the smallest positive threshold
 		// keeps every pair with any mutual dependency.
@@ -349,26 +398,59 @@ func ValidateSelector(mu, density float64) error {
 }
 
 // ResolveMu derives the MI threshold µ of one A-HTPGM run from its two
-// mutually exclusive selectors: an explicit µ, or an expected graph
-// density evaluated against the pairwise table (Def 5.6). Exactly one of
-// mu and density must be positive. A density-derived µ is clamped to 1 —
-// MuForDensity can exceed it on degenerate tables (e.g. a single pair of
-// identical series) and Graph rejects µ > 1.
+// mutually exclusive selectors: an explicit µ, which must lie in (0, 1],
+// or an expected graph density evaluated against the pairwise table
+// (Def 5.6). Exactly one of mu and density must be positive.
 func ResolveMu(t DensityThresholder, mu, density float64) (float64, error) {
 	if err := ValidateSelector(mu, density); err != nil {
 		return 0, err
 	}
 	if density > 0 {
-		m, err := t.MuForDensity(density)
-		if err != nil {
-			return 0, err
-		}
-		if m > 1 {
-			m = 1
-		}
-		return m, nil
+		return t.MuForDensity(density)
+	}
+	if mu > 1 {
+		return 0, errMuRange(mu)
 	}
 	return mu, nil
+}
+
+func errMuRange(mu float64) error {
+	return fmt.Errorf("mi: µ must be in (0,1], got %v", mu)
+}
+
+// correlated returns the adjacency of the undirected graph over an NMI
+// table whose edges join the pairs meeting µ in both directions.
+func correlated(values [][]float64, mu float64) ([][]bool, error) {
+	if mu <= 0 || mu > muCeiling {
+		return nil, errMuRange(mu)
+	}
+	n := len(values)
+	adj := make([][]bool, n)
+	for i := range adj {
+		adj[i] = make([]bool, n)
+	}
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			if values[i][j] >= mu && values[j][i] >= mu {
+				adj[i][j] = true
+				adj[j][i] = true
+			}
+		}
+	}
+	return adj, nil
+}
+
+// numEdges counts the undirected edges of an adjacency matrix.
+func numEdges(adj [][]bool) int {
+	n := 0
+	for i := range adj {
+		for j := i + 1; j < len(adj); j++ {
+			if adj[i][j] {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // Graph is the undirected correlation graph G_C (Def 5.5): vertices are
@@ -383,22 +465,13 @@ type Graph struct {
 
 // Graph thresholds the pairwise NMI matrix at µ (Alg 2, lines 4-6).
 func (p *Pairwise) Graph(mu float64) (*Graph, error) {
-	if mu <= 0 || mu > 1 {
-		return nil, fmt.Errorf("mi: µ must be in (0,1], got %v", mu)
+	adj, err := correlated(p.Values, mu)
+	if err != nil {
+		return nil, err
 	}
-	n := len(p.Names)
-	g := &Graph{Mu: mu, names: p.Names, index: make(map[string]int, n), adj: make([][]bool, n)}
+	g := &Graph{Mu: mu, names: p.Names, index: make(map[string]int, len(p.Names)), adj: adj}
 	for i, name := range p.Names {
 		g.index[name] = i
-		g.adj[i] = make([]bool, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if p.Values[i][j] >= mu && p.Values[j][i] >= mu {
-				g.adj[i][j] = true
-				g.adj[j][i] = true
-			}
-		}
 	}
 	return g, nil
 }
@@ -436,17 +509,7 @@ func (g *Graph) PairAllowed(a, b string) bool {
 }
 
 // NumEdges returns the number of undirected edges.
-func (g *Graph) NumEdges() int {
-	n := 0
-	for i := range g.adj {
-		for j := i + 1; j < len(g.adj); j++ {
-			if g.adj[i][j] {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (g *Graph) NumEdges() int { return numEdges(g.adj) }
 
 // Density returns d_C (Def 5.6): edges divided by the complete graph's
 // edge count.

@@ -35,9 +35,11 @@ func BenchmarkNMI(b *testing.B) {
 }
 
 // BenchmarkComputePairwise measures the full A-HTPGM setup cost on the
-// paper's Table I database, and on a wide database (two NIST-profile
-// replicas side by side, 144 series of 3504 samples) serially and on two
-// workers.
+// paper's Table I database; on a wide database (two NIST-profile replicas
+// side by side, 144 series of 3504 samples) serially and on two workers;
+// on the SmartCity profile, whose weather series have multi-state
+// alphabets and so several bitmaps per series; and the event-level table
+// of the wide database.
 func BenchmarkComputePairwise(b *testing.B) {
 	b.Run("paper", func(b *testing.B) {
 		db := paperex.SymbolicDB()
@@ -59,6 +61,27 @@ func BenchmarkComputePairwise(b *testing.B) {
 			}
 		})
 	}
+	b.Run("smartcity", func(b *testing.B) {
+		city, err := datagen.SmartCity().Generate(datagen.Options{SequenceFraction: 0.05})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ComputePairwise(city); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("event/wide", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := ComputeEventPairwise(db); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // wideDB places two NIST-profile replicas side by side: 144 series of

@@ -338,10 +338,10 @@ func (p *Prepared) pairwise(workers int) (*mi.Pairwise, bool, error) {
 }
 
 // eventPairwise returns the memoized event-level NMI table of the shared
-// Analysis.
-func (p *Prepared) eventPairwise() (*mi.EventPairwise, bool, error) {
+// Analysis, building it on up to workers goroutines on a miss.
+func (p *Prepared) eventPairwise(workers int) (*mi.EventPairwise, bool, error) {
 	epw, hit, err := p.an.epw.get(func() (*mi.EventPairwise, error) {
-		return mi.ComputeEventPairwise(p.src)
+		return mi.ComputeEventPairwiseWorkers(p.src, workers)
 	})
 	if err != nil {
 		return nil, hit, err
@@ -357,10 +357,10 @@ func (p *Prepared) eventPairwise() (*mi.EventPairwise, bool, error) {
 // analyze resolves the approximate options against the memoized pairwise
 // tables: it derives µ (from Mu directly or from Density against the
 // cached table) and installs the thresholded correlation graph into the
-// mining config. A series-level table it builds runs on the config's
-// Workers. It reports whether the NMI table came from cache. The
-// selector is validated before any table access, so malformed options
-// never trigger the O(n²) analysis.
+// mining config. A table it builds runs on the config's Workers. It
+// reports whether the NMI table came from cache. The selector is
+// validated before any table access, so malformed options never trigger
+// the O(n²) analysis.
 func (p *Prepared) analyze(a *ApproxOptions, cfg *core.Config, out *Result) (bool, error) {
 	if err := mi.ValidateSelector(a.Mu, a.Density); err != nil {
 		// The façade's documented wording, kept stable across the
@@ -368,7 +368,7 @@ func (p *Prepared) analyze(a *ApproxOptions, cfg *core.Config, out *Result) (boo
 		return false, fmt.Errorf("ftpm: ApproxOptions requires exactly one of Mu or Density")
 	}
 	if a.EventLevel {
-		epw, hit, err := p.eventPairwise()
+		epw, hit, err := p.eventPairwise(cfg.Workers)
 		if err != nil {
 			return hit, err
 		}
