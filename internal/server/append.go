@@ -34,6 +34,7 @@ type appendParser struct {
 	alphabets [][]string
 	alphaIdx  []map[string]int
 	onoff     ftpm.Symbolizer
+	onoffSyms []string // onoff's alphabet, fetched once
 
 	start ftpm.Time // first expected timestamp (the dataset's End)
 	step  ftpm.Duration
@@ -46,12 +47,14 @@ type appendParser struct {
 // generation the append applies to: its names, alphabets and grid.
 func newAppendParser(src ftpm.SymbolSource, threshold float64) *appendParser {
 	n := src.NumSeries()
+	onoff := ftpm.OnOff(threshold)
 	p := &appendParser{
 		names:     make([]string, n),
 		index:     make(map[string]int, n),
 		alphabets: make([][]string, n),
 		alphaIdx:  make([]map[string]int, n),
-		onoff:     ftpm.OnOff(threshold),
+		onoff:     onoff,
+		onoffSyms: onoff.Alphabet(),
 		start:     src.End(),
 		step:      src.Step(),
 		cols:      make([][]int, n),
@@ -98,14 +101,10 @@ func (p *appendParser) checkTime(t int64) error {
 	return fmt.Errorf("row %d: time %d leaves a gap before the expected grid point %d", p.rows+1, t, want)
 }
 
-// symbolize maps one cell to a symbol id for series col: numeric values
-// go through the dataset's On/Off threshold mapper, symbolic values are
-// interned by name.
-func (p *appendParser) symbolize(col int, numeric bool, num float64, sym string) int {
-	if numeric {
-		return p.intern(col, p.onoff.Alphabet()[p.onoff.Symbolize(num)])
-	}
-	return p.intern(col, sym)
+// number maps a numeric cell of series col to a symbol id through the
+// dataset's On/Off threshold mapper; symbolic cells are interned by name.
+func (p *appendParser) number(col int, v float64) int {
+	return p.intern(col, p.onoffSyms[p.onoff.Symbolize(v)])
 }
 
 // ndjsonRow is one NDJSON append row: a grid timestamp plus one value per
@@ -145,20 +144,30 @@ func (p *appendParser) parseNDJSON(body io.Reader) error {
 				return fmt.Errorf("row %d: unknown series %q", p.rows+1, name)
 			}
 			if string(raw) == "null" {
-				// Unmarshal into float64 would silently accept null as a
-				// no-op and read 0.
+				// Unmarshal into a string would silently accept null as a
+				// no-op and read the empty name.
 				return fmt.Errorf("row %d: series %q: value is null", p.rows+1, name)
 			}
-			var num float64
-			if err := json.Unmarshal(raw, &num); err == nil {
-				p.cols[col] = append(p.cols[col], p.symbolize(col, true, num, ""))
-				continue
+			var id int
+			var err error
+			if c := raw[0]; c == '-' || '0' <= c && c <= '9' {
+				// The decoder has checked raw is a JSON number, and ParseFloat
+				// is what json.Unmarshal into a float64 runs on one: only a
+				// value beyond float64's range fails.
+				var num float64
+				if num, err = strconv.ParseFloat(string(raw), 64); err == nil {
+					id = p.number(col, num)
+				}
+			} else {
+				var sym string
+				if err = json.Unmarshal(raw, &sym); err == nil {
+					id = p.intern(col, sym)
+				}
 			}
-			var sym string
-			if err := json.Unmarshal(raw, &sym); err != nil {
+			if err != nil {
 				return fmt.Errorf("row %d: series %q: value %s is neither a number nor a symbol name", p.rows+1, name, raw)
 			}
-			p.cols[col] = append(p.cols[col], p.symbolize(col, false, 0, sym))
+			p.cols[col] = append(p.cols[col], id)
 		}
 		p.rows++
 	}
@@ -204,10 +213,10 @@ func (p *appendParser) parseCSV(body io.Reader) error {
 				return fmt.Errorf("row %d: empty cell for series %q", p.rows+1, p.names[col])
 			}
 			if num, err := strconv.ParseFloat(cell, 64); err == nil {
-				p.cols[col] = append(p.cols[col], p.symbolize(col, true, num, ""))
+				p.cols[col] = append(p.cols[col], p.number(col, num))
 				continue
 			}
-			p.cols[col] = append(p.cols[col], p.symbolize(col, false, 0, cell))
+			p.cols[col] = append(p.cols[col], p.intern(col, cell))
 		}
 		p.rows++
 	}
@@ -314,19 +323,19 @@ func (s *Server) handleAppendDataset(w http.ResponseWriter, r *http.Request, id 
 // leaves an unreferenced file for startup orphan collection; replaying
 // the WAL without the record simply reproduces the pre-append generation.
 func (s *Server) sealAppend(ds *Dataset, g *dsGen, delta *ftpm.SymbolicDB) (*dsGen, appendRecord, error) {
-	fp := fingerprintSource(&chainSource{base: g.src, tail: delta})
+	fp := fingerprintSource(chain(g.src, delta))
 	seg, segName, err := s.seal(ds.id, g.gen+1, delta, fp)
 	if err != nil {
 		return nil, appendRecord{}, err
 	}
-	chain := &chainSource{base: g.src, tail: seg}
-	next := ds.advanceTo(genFromSource(chain, fp, withSegment(g.segments, segName), g.sealedBytes+seg.Size()))
+	src := chain(g.src, seg)
+	next := ds.advanceTo(genFromSource(src, fp, withSegment(g.segments, segName), g.sealedBytes+seg.Size()))
 	rec := appendRecord{
 		ID:          ds.id,
 		Gen:         next.gen,
 		PrevSamples: g.src.Len(),
 		Segment:     segName,
-		Samples:     chain.Len(),
+		Samples:     src.Len(),
 		Fingerprint: fp,
 	}
 	return next, rec, nil

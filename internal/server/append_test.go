@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -256,6 +257,14 @@ func TestAppendValidation(t *testing.T) {
 		}
 	}
 
+	// A number beyond float64's range gets the message of any value that
+	// is neither a number nor a string.
+	overflow := fmt.Sprintf(`{"time":%d,"values":{"A":1,"B":0,"C":1e309}}`, next)
+	if code, body := postAppend(t, ts.URL, ds.ID, "", overflow); code != http.StatusBadRequest ||
+		!strings.Contains(string(body), `series \"C\": value 1e309 is neither a number nor a symbol name`) {
+		t.Errorf("overflowing value: status %d (%s), want 400 naming the value", code, body)
+	}
+
 	// Unknown dataset ids are 404, not 400.
 	if code, _ := postAppend(t, ts.URL, "ds-999", "", appendNDJSON(rows, 0, 1)); code != http.StatusNotFound {
 		t.Errorf("unknown dataset: status %d, want 404", code)
@@ -439,5 +448,68 @@ func TestIngestRejectsWrappingGrid(t *testing.T) {
 	var env apiError
 	if err := json.Unmarshal(body, &env); err != nil || code != http.StatusBadRequest || env.Error.Code != codeInvalidArgument {
 		t.Errorf("wrapping append: status %d (%s), want 400 %s", code, body, codeInvalidArgument)
+	}
+}
+
+// BenchmarkAppendChain times one append of a NIST-sized day — 48 rows of
+// 72 series, as NDJSON — through ServeHTTP on an in-memory server, where
+// the timed append is the dataset's depth-th (so it chains a delta onto
+// depth-1 earlier ones). An append's cost should follow the rows it adds,
+// not the chain it lands on. Every further iteration appends one more
+// day, so beyond -benchtime=1x the depth grows by b.N.
+func BenchmarkAppendChain(b *testing.B) {
+	const series, day, step = 72, 48, 1800
+	value := func(s, i int) int { return (i/(3+s%5) + s) % 2 } // runs of 3–7
+	for _, depth := range []int{1, 120} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			srv, err := New(Options{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			post := func(target string, body []byte) {
+				rec := httptest.NewRecorder()
+				srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, target, bytes.NewReader(body)))
+				if rec.Code != http.StatusOK && rec.Code != http.StatusCreated {
+					b.Fatalf("POST %s: status %d: %s", target, rec.Code, rec.Body.Bytes())
+				}
+			}
+			var csv bytes.Buffer
+			csv.WriteString("time")
+			for s := 0; s < series; s++ {
+				fmt.Fprintf(&csv, ",S%d", s)
+			}
+			const baseRows = 14 * day
+			for i := 0; i < baseRows; i++ {
+				fmt.Fprintf(&csv, "\n%d", i*step)
+				for s := 0; s < series; s++ {
+					fmt.Fprintf(&csv, ",%d", value(s, i))
+				}
+			}
+			post("/v1/datasets?name=chain&threshold=0.5", csv.Bytes())
+			days := make([][]byte, depth-1+b.N)
+			for d := range days {
+				var nd bytes.Buffer
+				for i := baseRows + d*day; i < baseRows+(d+1)*day; i++ {
+					fmt.Fprintf(&nd, `{"time":%d,"values":{`, i*step)
+					for s := 0; s < series; s++ {
+						if s > 0 {
+							nd.WriteByte(',')
+						}
+						fmt.Fprintf(&nd, `"S%d":%d`, s, value(s, i))
+					}
+					nd.WriteString("}}\n")
+				}
+				days[d] = nd.Bytes()
+			}
+			for _, body := range days[:depth-1] {
+				post("/v1/datasets/ds-1/append", body)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for _, body := range days[depth-1:] {
+				post("/v1/datasets/ds-1/append", body)
+			}
+		})
 	}
 }

@@ -20,7 +20,11 @@
 //
 //     A dataset's content is always a chain of sealed segments
 //     (source.go, internal/server/store's "FTPMSEG1" format): the upload
-//     seals a base segment and every append a delta. Server.seal is the
+//     seals a base segment and every append a delta. The chain is one
+//     level deep: a flat list of the base and every delta with their
+//     cumulative sample counts, which an append copies and extends by one
+//     entry, so its length is O(1) to read and one pass over a series
+//     visits each segment once. Server.seal is the
 //     only code the storage mode changes: a durable server keeps each
 //     segment in a file under DataDir/segments, mapped read-only, and a
 //     non-durable server keeps the encoded image in the heap.

@@ -3,7 +3,9 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"testing"
@@ -36,6 +38,11 @@ func fuzzBaseSDB(tb testing.TB) *ftpm.SymbolicDB {
 // invariants the rest of the append path builds on — rectangular
 // columns, in-range symbol ids, alphabets only ever extended — and the
 // delta database chained after the base must be its temporal extension.
+// An accepted NDJSON body's cells must also match a reference decode
+// (checkNDJSONCells); the checked-in corpus under
+// testdata/fuzz/FuzzAppendParser holds number spellings (-0, exponents,
+// the threshold itself, the largest float64s and an overflow) and rows
+// mixing strings and numbers.
 func FuzzAppendParser(f *testing.F) {
 	// The seed corpus mirrors the handwritten 400 table: well-formed
 	// bodies, duplicate and gapped timestamps, mixed arity, unknown and
@@ -103,6 +110,9 @@ func FuzzAppendParser(f *testing.F) {
 				}
 			}
 		}
+		if ndjson {
+			checkNDJSONCells(t, p, body)
+		}
 		if p.rows == 0 {
 			return // the handler 400s row-less bodies before sealing
 		}
@@ -110,7 +120,7 @@ func FuzzAppendParser(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted body failed to build its delta: %v", err)
 		}
-		next := &chainSource{base: sdb, tail: delta}
+		next := chain(sdb, delta)
 		if next.Len() != sdb.Len()+p.rows || next.End() != delta.End() {
 			t.Fatalf("extended to %d samples ending at %d, want %d ending at %d",
 				next.Len(), next.End(), sdb.Len()+p.rows, delta.End())
@@ -119,6 +129,49 @@ func FuzzAppendParser(f *testing.F) {
 			t.Fatal("parsing mutated the base database")
 		}
 	})
+}
+
+// checkNDJSONCells holds the symbols an accepted NDJSON body parsed to
+// against a reference decode of each cell: a value json.Unmarshal reads
+// as a float64 must map to the On/Off symbol of that number, any other
+// value must be a JSON string naming its symbol. So a number the parser
+// reads differently from json.Unmarshal, or accepts where json.Unmarshal
+// fails (an overflow such as 1e309), is caught.
+func checkNDJSONCells(t *testing.T, p *appendParser, body []byte) {
+	t.Helper()
+	onoff := ftpm.OnOff(0.5) // the threshold FuzzAppendParser parses with
+	dec := json.NewDecoder(bytes.NewReader(body))
+	for row := 0; ; row++ {
+		var r struct {
+			Values map[string]json.RawMessage `json:"values"`
+		}
+		if err := dec.Decode(&r); err == io.EOF {
+			if row != p.rows {
+				t.Fatalf("reference decoded %d rows, parser %d", row, p.rows)
+			}
+			return
+		} else if err != nil {
+			t.Fatalf("reference rejects an accepted body at row %d: %v", row+1, err)
+		}
+		for name, raw := range r.Values {
+			col := p.index[name]
+			got := p.alphabets[col][p.cols[col][row]]
+			var num float64
+			if err := json.Unmarshal(raw, &num); err == nil {
+				if want := onoff.Alphabet()[onoff.Symbolize(num)]; got != want {
+					t.Fatalf("row %d: series %q: value %s parsed to %q, reference %g is %q", row+1, name, raw, got, num, want)
+				}
+				continue
+			}
+			var sym string
+			if raw[0] != '"' || json.Unmarshal(raw, &sym) != nil {
+				t.Fatalf("row %d: series %q: accepted %s, which is neither a float64 nor a string", row+1, name, raw)
+			}
+			if got != sym {
+				t.Fatalf("row %d: series %q: value %s parsed to %q", row+1, name, raw, got)
+			}
+		}
+	}
 }
 
 // fuzzRecovery decodes fuzz input into what store.Open hands replay: a

@@ -424,7 +424,7 @@ func TestFingerprintGolden(t *testing.T) {
 	}{
 		{"memory", goldenDB(t, 0, 8)},
 		{"segment", sealed(goldenDB(t, 0, 8))},
-		{"chain", &chainSource{base: sealed(goldenDB(t, 0, 3)), tail: sealed(goldenDB(t, 3, 8))}},
+		{"chain", chain(sealed(goldenDB(t, 0, 3)), sealed(goldenDB(t, 3, 8)))},
 	} {
 		if got := fingerprintSource(c.src); got != goldenFingerprint {
 			t.Errorf("%s: fingerprint = %s, want %s", c.name, got, goldenFingerprint)
@@ -434,12 +434,52 @@ func TestFingerprintGolden(t *testing.T) {
 
 // TestFingerprintBufferBoundaries checks the batched hash against the
 // unbatched encoding on content that crosses the scratch buffer many
-// times, including a series name longer than the buffer itself.
+// times: a series name longer than the buffer itself, constant runs
+// longer than the buffer, and runs ending at every sample offset around
+// the first buffer flush, behind names of every length mod 8 (so the
+// flush falls at every byte alignment).
 func TestFingerprintBufferBoundaries(t *testing.T) {
 	rows := appendRows(44, 5000)
 	sdb := referenceDB(t, appendCSV(rows, 0, len(rows)), 0.5)
 	sdb.Series[1].Name = strings.Repeat("n", 40<<10)
+	cases := []*ftpm.SymbolicDB{sdb}
 
+	// The first flush comes after ~4087 samples of a one-series database
+	// (the buffer holds 4096 words, the header takes the rest).
+	for nameLen := 0; nameLen < 8; nameLen++ {
+		for first := 4087 - 12; first <= 4087+12; first++ {
+			syms := make([]int, 0, first+12000)
+			for len(syms) < first {
+				syms = append(syms, 1)
+			}
+			syms = append(syms, 0, 0, 0)
+			for len(syms) < first+3+9000 {
+				syms = append(syms, 1) // a constant run longer than the buffer
+			}
+			for i := 0; len(syms) < cap(syms); i++ {
+				syms = append(syms, i/(1+i%7)%2)
+			}
+			db, err := ftpm.NewSymbolicDB(&ftpm.SymbolicSeries{
+				Name: strings.Repeat("x", nameLen), Start: 0, Step: 1,
+				Alphabet: []string{"a", "b"}, Symbols: syms,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, db)
+		}
+	}
+
+	for i, db := range cases {
+		if got, want := fingerprintSource(db), unbatchedFingerprint(db); got != want {
+			t.Fatalf("case %d: batched fingerprint = %s, unbatched encoding = %s", i, got, want)
+		}
+	}
+}
+
+// unbatchedFingerprint is the fingerprint encoding written one value at a
+// time, the reference fingerprintSource's batching must not change.
+func unbatchedFingerprint(sdb *ftpm.SymbolicDB) string {
 	h := sha256.New()
 	writeInt := func(v int64) { binary.Write(h, binary.LittleEndian, v) }
 	writeStr := func(s string) { writeInt(int64(len(s))); io.WriteString(h, s) }
@@ -457,7 +497,5 @@ func TestFingerprintBufferBoundaries(t *testing.T) {
 			writeInt(int64(sym))
 		}
 	}
-	if got, want := fingerprintSource(sdb), fmt.Sprintf("%x", h.Sum(nil)); got != want {
-		t.Fatalf("batched fingerprint = %s, unbatched encoding = %s", got, want)
-	}
+	return fmt.Sprintf("%x", h.Sum(nil))
 }

@@ -207,7 +207,10 @@ type jobRecord struct {
 	FinishedAt  *time.Time        `json:"finished_at,omitempty"`
 	Summary     *JobSummary       `json:"summary,omitempty"`
 	Levels      []LevelTimingJSON `json:"levels,omitempty"`
-	Doc         *resultDoc        `json:"doc,omitempty"`
+	// Doc is the result document of a done job. appendJobRecord copies
+	// its compact bytes in as the "doc" field; encoding/json never sees
+	// it.
+	Doc *resultDoc `json:"-"`
 	// EventSeq is the event hub's last assigned id when the record was
 	// persisted. Restore seeds the hub's sequence past the maximum
 	// recorded value, so event ids stay monotone across restarts and a
@@ -216,10 +219,32 @@ type jobRecord struct {
 	EventSeq uint64 `json:"event_seq,omitempty"`
 }
 
+// appendJobRecord appends the encoding of rec to dst: json.Marshal's
+// encoding of the record with its result document's compact bytes,
+// already valid JSON, copied in as the "doc" field where the field order
+// puts it (before event_seq). encoding/json would re-scan and re-compact
+// the document in full had it marshaled it itself, as it does every
+// json.Marshaler's output.
+func appendJobRecord(dst []byte, rec jobRecord) ([]byte, error) {
+	doc, seq := rec.Doc, rec.EventSeq
+	rec.EventSeq = 0 // omitted, and written after the document
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, b[:len(b)-1]...) // an object with an id: never "{}"
+	if doc != nil {
+		dst = append(append(dst, `,"doc":`...), doc.body...)
+	}
+	if seq != 0 {
+		dst = strconv.AppendUint(append(dst, `,"event_seq":`...), seq, 10)
+	}
+	return append(dst, '}'), nil
+}
+
 // storedJob decodes a persisted job record with its result document as
 // the struct it was encoded from, in the one decoding pass that also
 // validates it; record then encodes the document into its retained form.
-// The outer Doc field shadows jobRecord's.
 type storedJob struct {
 	jobRecord
 	Doc *ftpm.ResultJSON `json:"doc,omitempty"`
@@ -260,7 +285,27 @@ type snapshotRecord struct {
 	JobSeq     int             `json:"job_seq"`
 	EventSeq   uint64          `json:"event_seq,omitempty"`
 	Datasets   []datasetRecord `json:"datasets"`
-	Jobs       []jobRecord     `json:"jobs"`
+	Jobs       []jobRecord     `json:"-"` // written by encodeSnapshot
+}
+
+// encodeSnapshot encodes snap with every job record, result document
+// included, appended by appendJobRecord.
+func encodeSnapshot(snap snapshotRecord) ([]byte, error) {
+	jobs := snap.Jobs
+	b, err := json.Marshal(snap)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b[:len(b)-1], `,"jobs":[`...)
+	for i, j := range jobs {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		if b, err = appendJobRecord(b, j); err != nil {
+			return nil, err
+		}
+	}
+	return append(b, "]}"...), nil
 }
 
 // datasetRecordOf builds the persisted form of a dataset's current
@@ -577,7 +622,13 @@ func (p *persister) append(kind store.Kind, v any) {
 	if p == nil {
 		return
 	}
-	data, err := json.Marshal(v)
+	var data []byte
+	var err error
+	if rec, ok := v.(jobRecord); ok {
+		data, err = appendJobRecord(nil, rec)
+	} else {
+		data, err = json.Marshal(v)
+	}
 	if err != nil {
 		p.logf("persist: marshal failed: %v", err)
 		return
@@ -662,7 +713,7 @@ func (p *persister) compact() bool {
 		p.noteSnapshotErr(err)
 		return false
 	}
-	data, err := json.Marshal(p.gather())
+	data, err := encodeSnapshot(p.gather())
 	if err != nil {
 		w.Abort()
 		p.noteSnapshotErr(err)

@@ -13,7 +13,7 @@ import (
 
 // resultDoc is a done job's result document in the only form the server
 // retains it: the compact encoding json.Marshal writes, which is also the
-// form a persistence record embeds. It is built once, when the job
+// form a persistence record embeds (appendJobRecord copies it in). It is built once, when the job
 // completes or its record is replayed (storedJob), and its bytes are never
 // mutated, so jobs, result-cache entries and persistence records share one
 // pointer. Requests are served from these bytes without re-encoding:
@@ -68,10 +68,6 @@ func (r *resultDoc) patterns() []span {
 	})
 	return r.spans
 }
-
-// MarshalJSON embeds the document in a persistence record: the compact
-// bytes are exactly what encoding the ftpm.ResultJSON field wrote.
-func (r *resultDoc) MarshalJSON() ([]byte, error) { return r.body, nil }
 
 // size is the byte footprint the result cache accounts for the document.
 func (r *resultDoc) size() int64 { return int64(len(r.body)) }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -168,8 +169,9 @@ func randomResult(rng *rand.Rand, n int) *ftpm.ResultJSON {
 // populated pattern lists, escaped and non-ASCII names, Mu zero and set,
 // patterns with and without samples — /result, every (offset, limit) JSON
 // page by offset and by page_token (offset == total included) and every
-// NDJSON page equal the struct encodings, and a persistence record
-// embeds the same bytes as the struct-typed field did.
+// NDJSON page equal the struct encodings, and a persistence record — a
+// job record, or a snapshot of all of them — embeds the same bytes as
+// the struct-typed field did.
 func TestServedResultBytesMatchStructEncoding(t *testing.T) {
 	srv, err := New(Options{Workers: 1})
 	if err != nil {
@@ -178,6 +180,8 @@ func TestServedResultBytesMatchStructEncoding(t *testing.T) {
 	defer srv.Close()
 	rng := rand.New(rand.NewSource(14))
 	seq := 0
+	var snap snapshotRecord
+	var stored []storedJob
 	for round := 0; round < 3; round++ {
 		for _, n := range []int{-1, 0, 1, 2, 3, 5, 8} {
 			doc := randomResult(rng, n)
@@ -190,22 +194,43 @@ func TestServedResultBytesMatchStructEncoding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := json.Marshal(struct {
-				Doc *resultDoc `json:"doc"`
-			}{rd})
+			got, err := appendJobRecord(nil, jobRecord{ID: id, Doc: rd})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := json.Marshal(struct {
-				Doc *ftpm.ResultJSON `json:"doc"`
-			}{doc})
+			want, err := json.Marshal(storedJob{jobRecord: jobRecord{ID: id}, Doc: doc})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
 				t.Fatalf("record doc of %d patterns:\n got %s\nwant %s", n, got, want)
 			}
+			snap.Jobs = append(snap.Jobs, jobRecord{ID: id, Doc: rd, EventSeq: uint64(seq)})
+			stored = append(stored, storedJob{jobRecord: jobRecord{ID: id, EventSeq: uint64(seq)}, Doc: doc})
 		}
+	}
+	got, err := encodeSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A struct-typed snapshot writes each job's doc after event_seq;
+	// field order aside, the records must decode to the same values.
+	var gotDecoded, wantDecoded any
+	want, err := json.Marshal(struct {
+		snapshotRecord
+		Jobs []storedJob `json:"jobs"`
+	}{snap, stored})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(got, &gotDecoded); err != nil {
+		t.Fatalf("snapshot encoding is not JSON: %v", err)
+	}
+	if err := json.Unmarshal(want, &wantDecoded); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotDecoded, wantDecoded) {
+		t.Fatalf("snapshot encoding decodes differently:\n got %s\nwant %s", got, want)
 	}
 }
 
@@ -300,7 +325,7 @@ func TestJobRecordGolden(t *testing.T) {
 		Doc:      rd,
 		EventSeq: 9,
 	}
-	got, err := json.Marshal(rec)
+	got, err := appendJobRecord(nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -273,23 +273,20 @@ func (s *Server) restore(st *recoveredState) error {
 // generation's content view. Only footers are read — the column bytes
 // are mapped, not loaded — so this is O(appends), not O(samples).
 func (s *Server) segmentGen(rec datasetRecord) (*dsGen, error) {
-	var src ftpm.SymbolSource
+	if len(rec.Segments) == 0 {
+		return nil, fmt.Errorf("record references no segments")
+	}
+	parts := make([]ftpm.SymbolSource, len(rec.Segments))
 	var segBytes int64
-	for _, name := range rec.Segments {
+	for k, name := range rec.Segments {
 		seg, err := store.OpenSegmentFS(s.fsys, filepath.Join(s.segDir, name))
 		if err != nil {
 			return nil, fmt.Errorf("segment %s: %w", name, err)
 		}
 		segBytes += seg.Size()
-		if src == nil {
-			src = seg
-		} else {
-			src = &chainSource{base: src, tail: seg}
-		}
+		parts[k] = seg
 	}
-	if src == nil {
-		return nil, fmt.Errorf("record references no segments")
-	}
+	src := chainParts(parts)
 	if rec.Samples != 0 && src.Len() != rec.Samples {
 		return nil, fmt.Errorf("segments hold %d samples, record expects %d", src.Len(), rec.Samples)
 	}
