@@ -69,6 +69,13 @@
 // storage fault. Point load-balancer readiness checks at /readyz;
 // -ready-timeout additionally gates startup on the same signal.
 //
+// Profiles on demand: -debug-addr serves net/http/pprof on a listener of
+// its own, off when empty. The API listener never mounts it, so bind it
+// to a loopback or otherwise private address:
+//
+//	ftpm-serve -addr :8080 -debug-addr 127.0.0.1:6060
+//	go tool pprof 'http://127.0.0.1:6060/debug/pprof/profile?seconds=10'
+//
 // See internal/server for the full API.
 package main
 
@@ -78,7 +85,9 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"strconv"
@@ -110,6 +119,29 @@ func parseWeights(s string) (map[string]int, error) {
 	return weights, nil
 }
 
+// debugMux serves net/http/pprof's handlers. It is mounted only on the
+// -debug-addr listener.
+func debugMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
+// serveDebug serves debugMux on l until the returned server is closed.
+func serveDebug(l net.Listener, logger *log.Logger) *http.Server {
+	hs := &http.Server{Handler: debugMux(), ReadHeaderTimeout: 10 * time.Second}
+	go func() {
+		if err := hs.Serve(l); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			logger.Printf("debug listener: %v", err)
+		}
+	}()
+	return hs
+}
+
 func main() {
 	var (
 		addr          = flag.String("addr", ":8080", "listen address")
@@ -125,6 +157,7 @@ func main() {
 		eventRing     = flag.Int("event-ring", 0, "job events retained for stream replay/resume (0 = 1024)")
 		maxStreamSubs = flag.Int("max-stream-subscribers", 0, "concurrent firehose (/v1/events) streams allowed; connections beyond it get 429 (0 = unlimited)")
 		readyTimeout  = flag.Duration("ready-timeout", 0, "max time to wait for the server to report ready before serving; 0 skips the gate (GET /readyz polls the same signal)")
+		debugAddr     = flag.String("debug-addr", "", "listen address for net/http/pprof profiles, separate from -addr; empty disables profiling")
 	)
 	flag.Parse()
 
@@ -174,6 +207,16 @@ func main() {
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
+	}
+
+	if *debugAddr != "" {
+		l, err := net.Listen("tcp", *debugAddr)
+		if err != nil {
+			srv.Close()
+			logger.Fatalf("-debug-addr: %v", err)
+		}
+		defer serveDebug(l, logger).Close()
+		logger.Printf("profiles on http://%s/debug/pprof/", l.Addr())
 	}
 
 	hs := &http.Server{

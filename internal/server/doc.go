@@ -79,8 +79,12 @@
 //     dseq_cache / nmi_cache / result_cache booleans. A done job's
 //     document is encoded once, at completion or replay, into compact
 //     JSON (result.go); jobs, cache entries and log records share those
-//     bytes, and /result and /patterns are served from them — indented
-//     or sliced per request, never re-encoded.
+//     bytes, and /result and /patterns are served from them, never
+//     re-encoded: streamed through an indenter (or sliced, for NDJSON)
+//     into a pooled chunk written out each time it fills, with the
+//     Content-Length taken from lengths memoized on the document — the
+//     whole document's, and a running total over its patterns elements
+//     from which any page's length follows.
 //
 //   - An optional persistence layer (persist.go over internal/server/
 //     store): with Options.DataDir set, dataset ingestions/appends/

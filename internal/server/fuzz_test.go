@@ -6,8 +6,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"net/url"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ftpm"
@@ -230,6 +234,84 @@ func FuzzReplay(f *testing.F) {
 				if rec := serve(srv, target); rec.Code != want {
 					t.Fatalf("GET %s of a %s job: status %d, want %d (%s)", target, info.State, rec.Code, want, rec.Body.Bytes())
 				}
+			}
+		}
+	})
+}
+
+// FuzzIndentStream holds the streamed result bodies to the standard
+// library's indentation of the same bytes. The input picks a result
+// document — event names from the '|'-separated names (quotes,
+// backslashes, U+2028/U+2029, control characters and non-ASCII in the
+// corpus), nil, empty or populated patterns, with and without samples —
+// and a chunk of 1 to 64 bytes, so every body crosses many flushes. The
+// /result body must equal json.Indent of the compact bytes, and every
+// JSON page [a, b) json.Indent of the compact page; every NDJSON page
+// must be the compact elements one per line. Each body's Content-Length
+// and memoized length must equal the bytes written. The checked-in
+// corpus under testdata/fuzz/FuzzIndentStream holds those documents.
+func FuzzIndentStream(f *testing.F) {
+	f.Fuzz(func(t *testing.T, names string, patterns int8, seed int64, chunk uint8) {
+		defer func(size int) { chunkSize = size }(chunkSize)
+		chunkSize = 1 + int(chunk)%64
+		n := int(patterns) % 13 // negative: nil patterns
+		doc := randomNamedResult(rand.New(rand.NewSource(seed)), strings.Split(names, "|"), n)
+		rd, err := encodeResult(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(what string, rec *httptest.ResponseRecorder, want []byte) {
+			t.Helper()
+			if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+				t.Fatalf("%s:\n got %q\nwant %q", what, got, want)
+			}
+			if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(want)) {
+				t.Fatalf("%s: Content-Length %s for a %d-byte body", what, cl, len(want))
+			}
+		}
+		indent := func(compact []byte) []byte {
+			var buf bytes.Buffer
+			if err := json.Indent(&buf, compact, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			return append(buf.Bytes(), '\n')
+		}
+
+		rec := httptest.NewRecorder()
+		rd.writeResult(rec)
+		check("result", rec, indent(rd.body))
+		if rd.resultLen() != rec.Body.Len() {
+			t.Fatalf("memoized length %d for a %d-byte result", rd.resultLen(), rec.Body.Len())
+		}
+
+		total := len(rd.patterns())
+		for a := 0; a <= total; a++ {
+			for b := a; b <= total; b++ {
+				page := patternsPage{JobID: "job-1", Total: total, Offset: a, Limit: max(b-a, 1)}
+				if b < total {
+					page.NextOffset, page.NextPageToken = &b, encodeOffsetToken(b)
+				}
+				want := page
+				want.Patterns = doc.Patterns[a:b]
+				compact, err := json.Marshal(want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rec := httptest.NewRecorder()
+				rd.writePage(rec, page, b)
+				check(fmt.Sprintf("page [%d, %d)", a, b), rec, indent(compact))
+
+				var lines []byte
+				for _, p := range doc.Patterns[a:b] {
+					line, err := json.Marshal(p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					lines = append(append(lines, line...), '\n')
+				}
+				rec = httptest.NewRecorder()
+				rd.writeNDJSON(rec, a, b)
+				check(fmt.Sprintf("NDJSON page [%d, %d)", a, b), rec, lines)
 			}
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -87,19 +88,31 @@ func restoreDone(t testing.TB, s *Server, id string, doc *ftpm.ResultJSON) {
 
 // checkServed requires /result and every JSON and NDJSON page of job id
 // to be byte-identical to the struct encodings of doc, with a matching
-// Content-Length on each body.
+// Content-Length on each body. The requests go over TCP, so net/http
+// holds each body to its declared Content-Length: a longer one is cut
+// short, and a shorter one ends in an unexpected EOF.
 func checkServed(t *testing.T, h http.Handler, id string, doc *ftpm.ResultJSON) {
 	t.Helper()
+	ts := httptest.NewServer(h)
+	defer ts.Close()
 	check := func(url string, want []byte) {
 		t.Helper()
-		rec := serve(h, url)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET %s: status %d (%s)", url, rec.Code, rec.Body.Bytes())
+		resp, err := ts.Client().Get(ts.URL + url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
 		}
-		if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("GET %s: reading the body: %v", url, err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d (%s)", url, resp.StatusCode, got)
+		}
+		if !bytes.Equal(got, want) {
 			t.Fatalf("GET %s:\n got %q\nwant %q", url, got, want)
 		}
-		if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(want)) {
+		if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(want)) {
 			t.Fatalf("GET %s: Content-Length %q for a %d-byte body", url, cl, len(want))
 		}
 	}
@@ -128,7 +141,12 @@ var resultNames = []string{
 // randomResult builds a result document with n patterns (nil patterns
 // for n < 0), drawing names from resultNames.
 func randomResult(rng *rand.Rand, n int) *ftpm.ResultJSON {
-	name := func() string { return resultNames[rng.Intn(len(resultNames))] }
+	return randomNamedResult(rng, resultNames, n)
+}
+
+// randomNamedResult is randomResult drawing names from names.
+func randomNamedResult(rng *rand.Rand, names []string, n int) *ftpm.ResultJSON {
+	name := func() string { return names[rng.Intn(len(names))] }
 	doc := &ftpm.ResultJSON{Sequences: 1 + rng.Intn(500), AbsoluteSupport: rng.Intn(50)}
 	if rng.Intn(2) == 0 {
 		doc.Mu = rng.Float64()
@@ -169,7 +187,8 @@ func randomResult(rng *rand.Rand, n int) *ftpm.ResultJSON {
 // populated pattern lists, escaped and non-ASCII names, Mu zero and set,
 // patterns with and without samples — /result, every (offset, limit) JSON
 // page by offset and by page_token (offset == total included) and every
-// NDJSON page equal the struct encodings, and a persistence record — a
+// NDJSON page equal the struct encodings, also when they are written
+// out in many chunks (checkChunkCrossing), and a persistence record — a
 // job record, or a snapshot of all of them — embeds the same bytes as
 // the struct-typed field did.
 func TestServedResultBytesMatchStructEncoding(t *testing.T) {
@@ -209,6 +228,8 @@ func TestServedResultBytesMatchStructEncoding(t *testing.T) {
 			stored = append(stored, storedJob{jobRecord: jobRecord{ID: id, EventSeq: uint64(seq)}, Doc: doc})
 		}
 	}
+	checkChunkCrossing(t, srv, rng, &seq)
+
 	got, err := encodeSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
@@ -232,6 +253,62 @@ func TestServedResultBytesMatchStructEncoding(t *testing.T) {
 	if !reflect.DeepEqual(gotDecoded, wantDecoded) {
 		t.Fatalf("snapshot encoding decodes differently:\n got %s\nwant %s", got, want)
 	}
+}
+
+// checkChunkCrossing serves documents many chunks long: the chunk is
+// lowered to a few bytes, so every body is written in many pieces, and
+// one event name, longer than a chunk, is a run of escaped quotes and
+// backslashes. Over the chunk sizes swept, a flush must fall between a
+// backslash and the quote it escapes and between two escaped backslashes.
+func checkChunkCrossing(t *testing.T, srv *Server, rng *rand.Rand, seq *int) {
+	t.Helper()
+	defer func(size int) { chunkSize = size }(chunkSize)
+	long := strings.Repeat(`q"\\`, 12)
+	names := append([]string{long}, resultNames...)
+	var splitQuote, splitBackslash bool
+	for size := 16; size < 24; size++ {
+		chunkSize = size
+		doc := randomNamedResult(rng, names, 4)
+		doc.Patterns[0].Events[0] = long
+		*seq++
+		id := fmt.Sprintf("job-%d", *seq)
+		restoreDone(t, srv, id, doc)
+		checkServed(t, srv, id, doc)
+
+		j, _ := srv.jobs.get(id)
+		rd, _ := j.document()
+		w := &splitRecorder{header: http.Header{}}
+		rd.writeResult(w)
+		for k := 1; k < len(w.writes); k++ {
+			prev, next := w.writes[k-1], w.writes[k]
+			if len(next) > size+slack {
+				t.Fatalf("chunk size %d: a %d-byte write", size, len(next))
+			}
+			if bytes.HasSuffix(prev, []byte(`q\`)) && next[0] == '"' {
+				splitQuote = true
+			}
+			if bytes.HasSuffix(prev, []byte(`"\`)) && next[0] == '\\' {
+				splitBackslash = true
+			}
+		}
+	}
+	if !splitQuote || !splitBackslash {
+		t.Fatalf("no flush split an escape (quote %v, backslash %v)", splitQuote, splitBackslash)
+	}
+}
+
+// splitRecorder is a ResponseWriter that keeps each write of the body
+// apart.
+type splitRecorder struct {
+	header http.Header
+	writes [][]byte
+}
+
+func (s *splitRecorder) Header() http.Header { return s.header }
+func (s *splitRecorder) WriteHeader(int)     {}
+func (s *splitRecorder) Write(p []byte) (int, error) {
+	s.writes = append(s.writes, bytes.Clone(p))
+	return len(p), nil
 }
 
 // TestConcurrentFirstPages serves pages of a never-paged document from
@@ -354,9 +431,23 @@ func TestJobRecordGolden(t *testing.T) {
 	}
 }
 
+// discardResponse is a ResponseWriter that keeps its header and drops the
+// body, so a benchmark measures the server rather than a recorder's
+// buffer growth.
+type discardResponse struct {
+	header http.Header
+	code   int
+}
+
+func (d *discardResponse) Header() http.Header         { return d.header }
+func (d *discardResponse) WriteHeader(code int)        { d.code = code }
+func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
+
 // BenchmarkServeResult serves a ~5k-pattern document the way repeat
 // readers fetch it: the whole /result body, then every 1000-pattern JSON
-// page. The job is installed from its decoded terminal record.
+// page. The job is installed from its decoded terminal record, and each
+// request is served once before timing starts, so the loop measures
+// repeat fetches of an already-served document.
 func BenchmarkServeResult(b *testing.B) {
 	const patterns, pageLimit = 5000, 1000
 	data, err := json.Marshal(map[string]any{"id": "job-1", "state": "done", "doc": randomResult(rand.New(rand.NewSource(1)), patterns)})
@@ -377,17 +468,23 @@ func BenchmarkServeResult(b *testing.B) {
 	}
 	defer srv.Close()
 	srv.jobs.restore([]jobRecord{rec}, 0, srv.reg)
-	urls := []string{"/v1/jobs/job-1/result"}
+	reqs := []*http.Request{httptest.NewRequest(http.MethodGet, "/v1/jobs/job-1/result", nil)}
 	for off := 0; off < patterns; off += pageLimit {
-		urls = append(urls, fmt.Sprintf("/v1/jobs/job-1/patterns?limit=%d&offset=%d", pageLimit, off))
+		reqs = append(reqs, httptest.NewRequest(http.MethodGet, fmt.Sprintf("/v1/jobs/job-1/patterns?limit=%d&offset=%d", pageLimit, off), nil))
 	}
+	w := &discardResponse{header: http.Header{}}
+	serveAll := func() {
+		for _, r := range reqs {
+			clear(w.header)
+			if srv.ServeHTTP(w, r); w.code != http.StatusOK {
+				b.Fatalf("GET %s: status %d", r.URL, w.code)
+			}
+		}
+	}
+	serveAll()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, u := range urls {
-			if rec := serve(srv, u); rec.Code != http.StatusOK {
-				b.Fatalf("GET %s: status %d", u, rec.Code)
-			}
-		}
+		serveAll()
 	}
 }
