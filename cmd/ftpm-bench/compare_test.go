@@ -98,6 +98,30 @@ func TestEvalSpeedup(t *testing.T) {
 	if _, err := evalSpeedup(single, "BenchmarkA,BenchmarkB,1.5,sometimes"); err == nil {
 		t.Fatal("unknown trailing token must error")
 	}
+
+	// A minimum below 1 is a ceiling: 0.77 lets the second benchmark take
+	// up to 1.3x the first, so a 1.2x pair passes and a 1.4x pair fails.
+	ceiling, err := parseBenchFile(writeBench(t, "c.txt", `cpu: Test CPU
+BenchmarkNear/depth=1 1 1000 ns/op
+BenchmarkNear/depth=120 1 1200 ns/op
+BenchmarkFar/depth=1 1 1000 ns/op
+BenchmarkFar/depth=120 1 1400 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		pass bool
+	}{{"BenchmarkNear", true}, {"BenchmarkFar", false}} {
+		sp, err := evalSpeedup(ceiling, c.name+"/depth=1,"+c.name+"/depth=120,0.77,always")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sp.Enforced || sp.Pass != c.pass {
+			t.Fatalf("%s: ceiling = %+v, want enforced with pass %v", c.name, sp, c.pass)
+		}
+	}
 }
 
 func TestRunCompareGates(t *testing.T) {

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -105,72 +104,6 @@ func (p *appendParser) checkTime(t int64) error {
 // dataset's On/Off threshold mapper; symbolic cells are interned by name.
 func (p *appendParser) number(col int, v float64) int {
 	return p.intern(col, p.onoffSyms[p.onoff.Symbolize(v)])
-}
-
-// ndjsonRow is one NDJSON append row: a grid timestamp plus one value per
-// series. Values may be numbers (symbolized via the dataset's threshold)
-// or strings (symbol names).
-type ndjsonRow struct {
-	Time   *int64                     `json:"time"`
-	Values map[string]json.RawMessage `json:"values"`
-}
-
-// parseNDJSON consumes a stream of newline-delimited JSON rows. Every row
-// must carry the exact next grid timestamp and exactly the dataset's
-// series set — mixed column arity, unknown series, duplicate or
-// out-of-grid timestamps are 400s, never partial applications.
-func (p *appendParser) parseNDJSON(body io.Reader) error {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	for {
-		var row ndjsonRow
-		if err := dec.Decode(&row); err == io.EOF {
-			return nil
-		} else if err != nil {
-			return fmt.Errorf("row %d: %w", p.rows+1, err)
-		}
-		if row.Time == nil {
-			return fmt.Errorf("row %d: missing time", p.rows+1)
-		}
-		if err := p.checkTime(*row.Time); err != nil {
-			return err
-		}
-		if len(row.Values) != len(p.names) {
-			return fmt.Errorf("row %d: %d values for %d series", p.rows+1, len(row.Values), len(p.names))
-		}
-		for name, raw := range row.Values {
-			col, ok := p.index[name]
-			if !ok {
-				return fmt.Errorf("row %d: unknown series %q", p.rows+1, name)
-			}
-			if string(raw) == "null" {
-				// Unmarshal into a string would silently accept null as a
-				// no-op and read the empty name.
-				return fmt.Errorf("row %d: series %q: value is null", p.rows+1, name)
-			}
-			var id int
-			var err error
-			if c := raw[0]; c == '-' || '0' <= c && c <= '9' {
-				// The decoder has checked raw is a JSON number, and ParseFloat
-				// is what json.Unmarshal into a float64 runs on one: only a
-				// value beyond float64's range fails.
-				var num float64
-				if num, err = strconv.ParseFloat(string(raw), 64); err == nil {
-					id = p.number(col, num)
-				}
-			} else {
-				var sym string
-				if err = json.Unmarshal(raw, &sym); err == nil {
-					id = p.intern(col, sym)
-				}
-			}
-			if err != nil {
-				return fmt.Errorf("row %d: series %q: value %s is neither a number nor a symbol name", p.rows+1, name, raw)
-			}
-			p.cols[col] = append(p.cols[col], id)
-		}
-		p.rows++
-	}
 }
 
 // parseCSV consumes a wide CSV chunk: header "time,<series...>" naming
@@ -316,20 +249,29 @@ func (s *Server) handleAppendDataset(w http.ResponseWriter, r *http.Request, id 
 // sealed into a new segment (named by the generation it produces, so a
 // crashed-and-retried durable append replaces its own leftover file), and
 // the chained view over the previous generation plus the sealed delta
-// becomes the new content source. The fingerprint hashes the full
-// post-append content — computed over the chain before sealing — and is
-// stored in both the segment footer and the WAL record, so restart trusts
-// it without rehashing. A crash between the seal and the WAL append
+// becomes the new content source. The fingerprint of the full
+// post-append content resumes the previous generation's digest over the
+// delta's runs alone — a generation restored from the log holds no digest
+// and builds it from its content first — and is stored in both the
+// segment footer and the WAL record, so restart trusts it without
+// rehashing. A crash between the seal and the WAL append
 // leaves an unreferenced file for startup orphan collection; replaying
 // the WAL without the record simply reproduces the pre-append generation.
 func (s *Server) sealAppend(ds *Dataset, g *dsGen, delta *ftpm.SymbolicDB) (*dsGen, appendRecord, error) {
-	fp := fingerprintSource(chain(g.src, delta))
+	digest := g.digest
+	if digest == nil {
+		digest = digestSource(g.src)
+	}
+	digest = digest.extend(delta)
+	fp := digest.fingerprint(chain(g.src, delta))
 	seg, segName, err := s.seal(ds.id, g.gen+1, delta, fp)
 	if err != nil {
 		return nil, appendRecord{}, err
 	}
 	src := chain(g.src, seg)
-	next := ds.advanceTo(genFromSource(src, fp, withSegment(g.segments, segName), g.sealedBytes+seg.Size()))
+	grown := genFromSource(src, fp, withSegment(g.segments, segName), g.sealedBytes+seg.Size())
+	grown.digest = digest
+	next := ds.advanceTo(grown)
 	rec := appendRecord{
 		ID:          ds.id,
 		Gen:         next.gen,

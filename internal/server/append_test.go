@@ -11,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ftpm"
 )
 
 // appendRows builds n rows of three correlated binary columns (B lags A,
@@ -511,5 +513,108 @@ func BenchmarkAppendChain(b *testing.B) {
 				post("/v1/datasets/ds-1/append", body)
 			}
 		})
+	}
+}
+
+// TestAppendTooLarge holds an oversize append body to a 413 even when its
+// first rows are valid: the body is read whole before any row is
+// checked, and none is applied.
+func TestAppendTooLarge(t *testing.T) {
+	rows := appendRows(35, 100)
+	_, ts := testServer(t, Options{Workers: 1, MaxUploadBytes: 512})
+	ds := uploadCSV(t, ts.URL, "name=big&threshold=0.5", appendCSV(rows, 0, 20))
+	for _, format := range []string{"", "csv"} {
+		body := appendNDJSON(rows, 20, 100)
+		if format == "csv" {
+			body = appendCSV(rows, 20, 100)
+		}
+		if len(body) <= 512 {
+			t.Fatalf("%q body of %d bytes fits the limit", format, len(body))
+		}
+		if code, data := postAppend(t, ts.URL, ds.ID, format, body); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("oversize %q append: status %d (%s), want 413", format, code, data)
+		}
+	}
+	var info DatasetInfo
+	if code := doJSON(t, http.MethodGet, ts.URL+"/datasets/"+ds.ID, nil, &info); code != http.StatusOK || info.Samples != 20 || info.Generation != 0 {
+		t.Fatalf("dataset after oversize appends: status %d, %+v", code, info)
+	}
+}
+
+// TestNDJSONDecoderEdgeCases pins the json.Decoder behaviours the NDJSON
+// scanner reproduces, each on the scanner and on the decoder parser it
+// replaced (referenceParseNDJSON). The schema's next grid point is 0, so
+// "time":-0 is on the grid. want lists each accepted row's symbols, rows
+// separated by ';'; "" means the body is rejected.
+func TestNDJSONDecoderEdgeCases(t *testing.T) {
+	mk := func(name string) *ftpm.SymbolicSeries {
+		return &ftpm.SymbolicSeries{Name: name, Start: -10, Step: 10, Alphabet: []string{"Off", "On"}, Symbols: []int{0}}
+	}
+	sdb, err := ftpm.NewSymbolicDB(mk("A"), mk("B"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct{ name, body, want string }{
+		{"plain", `{"time":0,"values":{"A":1,"B":0}}`, "On Off"},
+		{"fold-cased keys", `{"TIME":0,"Values":{"A":1,"B":0}}`, "On Off"},
+		{"unicode fold", `{"time":0,"valueſ":{"A":1,"B":0}}`, "On Off"},
+		{"escaped keys", `{"\u0074ime":0,"values":{"\u0041":1,"B":"O\u006e"}}`, "On On"},
+		{"series keys are exact", `{"time":0,"values":{"a":1,"B":0}}`, ""},
+		{"last time wins", `{"time":50,"time":0,"values":{"A":1,"B":0}}`, "On Off"},
+		{"time null after time", `{"time":0,"time":null,"values":{"A":1,"B":0}}`, ""},
+		{"negative zero time", `{"time":-0,"values":{"A":1,"B":0}}`, "On Off"},
+		{"fractional time", `{"time":0.0,"values":{"A":1,"B":0}}`, ""},
+		{"exponent time", `{"time":0e0,"values":{"A":1,"B":0}}`, ""},
+		{"string time", `{"time":"0","values":{"A":1,"B":0}}`, ""},
+		{"values merge", `{"time":0,"values":{"A":1},"values":{"B":0}}`, "On Off"},
+		{"duplicate key counts once", `{"time":0,"values":{"A":1,"A":0}}`, ""},
+		{"duplicate key keeps last", `{"time":0,"values":{"A":1,"B":0,"A":0}}`, "Off Off"},
+		{"replaced rejected cell", `{"time":0,"values":{"A":true,"B":0,"A":[1,{"x":null}]},"values":{"A":"x"}}`, "x Off"},
+		{"replaced null cell", `{"time":0,"values":{"A":null,"B":0,"A":1}}`, "On Off"},
+		{"values null", `{"time":0,"values":null}`, ""},
+		{"values null clears", `{"time":0,"values":{"A":1,"Q":1},"values":null,"values":{"A":0,"B":1}}`, "Off On"},
+		{"values not an object", `{"time":0,"values":[1,0]}`, ""},
+		{"unknown top-level key", `{"time":0,"values":{"A":1,"B":0},"x":1}`, ""},
+		{"two rows on one line", `{"time":0,"values":{"A":1,"B":0}}{"time":10,"values":{"A":0,"B":1}} `, "On Off;Off On"},
+		{"row over several lines", "{\n\"time\"\n:\n0\n,\r\n\"values\":\t{\n\"A\" : 1 ,\n\"B\":0}\n}\n", "On Off"},
+		{"invalid UTF-8", "{\"time\":0,\"values\":{\"A\":\"\xff\",\"B\":0}}", "\ufffd Off"},
+		{"invalid UTF-8 key", "{\"time\":0,\"values\":{\"A\xff\":1,\"B\":0}}", ""},
+		{"raw control byte", "{\"time\":0,\"values\":{\"A\":\"a\tb\",\"B\":0}}", ""},
+		{"bad escape", `{"time":0,"values":{"A":"\x","B":0}}`, ""},
+		{"non-object row", `[{"time":0,"values":{"A":1,"B":0}}]`, ""},
+		{"null row", `null`, ""},
+		{"trailing garbage", `{"time":0,"values":{"A":1,"B":0}} x`, ""},
+		{"truncated", `{"time":0,"values":{"A":1,"B":0}`, ""},
+		{"plus sign", `{"time":0,"values":{"A":+1,"B":0}}`, ""},
+		{"leading dot", `{"time":0,"values":{"A":.5,"B":0}}`, ""},
+		{"leading zero", `{"time":0,"values":{"A":01,"B":0}}`, ""},
+		{"hex", `{"time":0,"values":{"A":0x10,"B":0}}`, ""},
+		{"infinity", `{"time":0,"values":{"A":Inf,"B":0}}`, ""},
+		{"underscore", `{"time":0,"values":{"A":1_0,"B":0}}`, ""},
+		{"trailing dot", `{"time":0,"values":{"A":1.,"B":0}}`, ""},
+		{"deep cell", `{"time":0,"values":{"A":` + strings.Repeat("[", 9998) + strings.Repeat("]", 9998) + `,"A":1,"B":0}}`, "On Off"},
+		{"too deep cell", `{"time":0,"values":{"A":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `,"A":1,"B":0}}`, ""},
+	}
+	parsed := func(p *appendParser, err error) string {
+		if err != nil {
+			return ""
+		}
+		var rows []string
+		for r := 0; r < p.rows; r++ {
+			var cells []string
+			for col := range p.cols {
+				cells = append(cells, p.alphabets[col][p.cols[col][r]])
+			}
+			rows = append(rows, strings.Join(cells, " "))
+		}
+		return strings.Join(rows, ";")
+	}
+	for _, c := range cases {
+		scan, ref := newAppendParser(sdb, 0.5), newAppendParser(sdb, 0.5)
+		got := parsed(scan, scan.parseNDJSON(strings.NewReader(c.body)))
+		want := parsed(ref, ref.referenceParseNDJSON(strings.NewReader(c.body)))
+		if got != c.want || want != c.want {
+			t.Errorf("%s: scanner %q, decoder %q, want %q", c.name, got, want, c.want)
+		}
 	}
 }

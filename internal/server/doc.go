@@ -44,7 +44,17 @@
 //     samples touched is re-cut and re-verified at L1), and the NMI
 //     tables start fresh — appended samples change every pairwise score.
 //     The result cache keys on the content fingerprint, so
-//     stale-generation lookups structurally miss. A per-dataset append
+//     stale-generation lookups structurally miss. The fingerprint (v2,
+//     source.go's contentDigest) is a SHA-256 per series over its maximal
+//     runs, the last run carried because an append may extend it; each
+//     generation keeps those hash states, so an append hashes only its
+//     own runs, and the same content digests the same however appends
+//     split it. A generation restored from the log builds the states from
+//     its segments on its first append. v1 fingerprints, which hashed
+//     every sample, stay in old records as opaque keys; content uploaded
+//     before v2 misses the cache once when uploaded again. NDJSON bodies
+//     are scanned byte by byte (ndjson.go), accepting exactly the
+//     language encoding/json decoded them by. A per-dataset append
 //     mutex serializes concurrent appends (each builds on the generation
 //     its predecessor installed); an append racing DELETE loses
 //     deterministically with 409 and nothing swapped or logged.

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -42,11 +44,17 @@ func fuzzBaseSDB(tb testing.TB) *ftpm.SymbolicDB {
 // invariants the rest of the append path builds on — rectangular
 // columns, in-range symbol ids, alphabets only ever extended — and the
 // delta database chained after the base must be its temporal extension.
-// An accepted NDJSON body's cells must also match a reference decode
-// (checkNDJSONCells); the checked-in corpus under
-// testdata/fuzz/FuzzAppendParser holds number spellings (-0, exponents,
-// the threshold itself, the largest float64s and an overflow) and rows
-// mixing strings and numbers.
+// The NDJSON scanner must accept exactly the bodies the json.Decoder
+// parser it replaced accepts (referenceParseNDJSON), parse them to the
+// same columns and alphabets, and reject the others with an error the
+// handler answers with a 400. An accepted NDJSON body's cells must also
+// match a reference decode (checkNDJSONCells). The checked-in corpus
+// under testdata/fuzz/FuzzAppendParser holds number spellings (-0,
+// exponents, the threshold itself, the largest float64s, an overflow and
+// the spellings strconv takes but JSON does not), rows mixing strings
+// and numbers, and the decoder's edge cases: fold-cased, escaped and
+// duplicate keys, repeated and null values objects, rows sharing a line
+// or spread over several, and invalid UTF-8.
 func FuzzAppendParser(f *testing.F) {
 	// The seed corpus mirrors the handwritten 400 table: well-formed
 	// bodies, duplicate and gapped timestamps, mixed arity, unknown and
@@ -91,6 +99,9 @@ func FuzzAppendParser(f *testing.F) {
 		} else {
 			err = p.parseCSV(bytes.NewReader(body))
 		}
+		if ndjson {
+			checkAgainstReference(t, sdb, p, body, err)
+		}
 		if err != nil {
 			return // rejection is fine; panicking is the bug class under test
 		}
@@ -133,6 +144,92 @@ func FuzzAppendParser(f *testing.F) {
 			t.Fatal("parsing mutated the base database")
 		}
 	})
+}
+
+// checkAgainstReference holds the NDJSON scanner's outcome on body — p
+// and err — to referenceParseNDJSON's on the same schema.
+func checkAgainstReference(t *testing.T, sdb *ftpm.SymbolicDB, p *appendParser, body []byte, err error) {
+	t.Helper()
+	ref := newAppendParser(sdb, 0.5)
+	refErr := ref.referenceParseNDJSON(bytes.NewReader(body))
+	switch {
+	case err == nil && refErr != nil:
+		t.Fatalf("scanner accepts a body the decoder rejects (%v):\n%q", refErr, body)
+	case err != nil && refErr == nil:
+		t.Fatalf("scanner rejects a body the decoder accepts (%v):\n%q", err, body)
+	case err != nil:
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			t.Fatalf("rejected body would be a 413, not a 400: %v", err)
+		}
+	case p.rows != ref.rows || !reflect.DeepEqual(p.cols, ref.cols) || !reflect.DeepEqual(p.alphabets, ref.alphabets):
+		t.Fatalf("scanner parsed %d rows to %v over %v, decoder %d rows to %v over %v:\n%q",
+			p.rows, p.cols, p.alphabets, ref.rows, ref.cols, ref.alphabets, body)
+	}
+}
+
+// ndjsonRow is one NDJSON append row: a grid timestamp plus one value per
+// series. Values may be numbers (symbolized via the dataset's threshold)
+// or strings (symbol names).
+type ndjsonRow struct {
+	Time   *int64                     `json:"time"`
+	Values map[string]json.RawMessage `json:"values"`
+}
+
+// referenceParseNDJSON is the NDJSON append parser parseNDJSON replaced:
+// each row is decoded by json.Decoder, unknown fields disallowed, into an
+// ndjsonRow. It defines the language parseNDJSON must accept.
+func (p *appendParser) referenceParseNDJSON(body io.Reader) error {
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	for {
+		var row ndjsonRow
+		if err := dec.Decode(&row); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("row %d: %w", p.rows+1, err)
+		}
+		if row.Time == nil {
+			return fmt.Errorf("row %d: missing time", p.rows+1)
+		}
+		if err := p.checkTime(*row.Time); err != nil {
+			return err
+		}
+		if len(row.Values) != len(p.names) {
+			return fmt.Errorf("row %d: %d values for %d series", p.rows+1, len(row.Values), len(p.names))
+		}
+		for name, raw := range row.Values {
+			col, ok := p.index[name]
+			if !ok {
+				return fmt.Errorf("row %d: unknown series %q", p.rows+1, name)
+			}
+			if string(raw) == "null" {
+				// Unmarshal into a string would silently accept null as a
+				// no-op and read the empty name.
+				return fmt.Errorf("row %d: series %q: value is null", p.rows+1, name)
+			}
+			var id int
+			var err error
+			if c := raw[0]; c == '-' || '0' <= c && c <= '9' {
+				// The decoder has checked raw is a JSON number, and ParseFloat
+				// is what json.Unmarshal into a float64 runs on one: only a
+				// value beyond float64's range fails.
+				var num float64
+				if num, err = strconv.ParseFloat(string(raw), 64); err == nil {
+					id = p.number(col, num)
+				}
+			} else {
+				var sym string
+				if err = json.Unmarshal(raw, &sym); err == nil {
+					id = p.intern(col, sym)
+				}
+			}
+			if err != nil {
+				return fmt.Errorf("row %d: series %q: value %s is neither a number nor a symbol name", p.rows+1, name, raw)
+			}
+			p.cols[col] = append(p.cols[col], id)
+		}
+		p.rows++
+	}
 }
 
 // checkNDJSONCells holds the symbols an accepted NDJSON body parsed to
@@ -248,7 +345,8 @@ func FuzzReplay(f *testing.F) {
 // /result body must equal json.Indent of the compact bytes, and every
 // JSON page [a, b) json.Indent of the compact page; every NDJSON page
 // must be the compact elements one per line. Each body's Content-Length
-// and memoized length must equal the bytes written. The checked-in
+// and memoized length must equal the bytes written, and so must each
+// element's counted length at page depth (indentedLen). The checked-in
 // corpus under testdata/fuzz/FuzzIndentStream holds those documents.
 func FuzzIndentStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, names string, patterns int8, seed int64, chunk uint8) {
@@ -282,6 +380,18 @@ func FuzzIndentStream(f *testing.F) {
 		check("result", rec, indent(rd.body))
 		if rd.resultLen() != rec.Body.Len() {
 			t.Fatalf("memoized length %d for a %d-byte result", rd.resultLen(), rec.Body.Len())
+		}
+
+		// Page lengths are sums of each element's counted length at page
+		// depth, which must be what the indenter writes there.
+		for i, s := range rd.patterns() {
+			var buf bytes.Buffer
+			in := newIndenter(&buf)
+			in.indent(rd.body[s.start:s.end], 2)
+			in.close()
+			if n := indentedLen(rd.body[s.start:s.end], 2); n != buf.Len() {
+				t.Fatalf("element %d: counted %d bytes at depth 2, indenter wrote %d", i, n, buf.Len())
+			}
 		}
 
 		total := len(rd.patterns())

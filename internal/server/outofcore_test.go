@@ -379,6 +379,74 @@ func TestOutOfCoreSoak(t *testing.T) {
 	})
 }
 
+// fingerprintSource is the v1 content fingerprint, the digest servers
+// recorded before v2 (contentDigest): it hashes series names, timing,
+// alphabets, and every sample's symbol id in order. Logs written before
+// v2 carry it in WAL records, segment footers and job records, where it
+// stays an opaque cache key; the tests build such logs with it. A chained
+// view hashes exactly like the same content sealed in one segment. Every
+// string and collection is length-prefixed, so the encoding is
+// unambiguous.
+func fingerprintSource(src ftpm.SymbolSource) string {
+	h := sha256.New()
+	// Writes are batched in buf and reach the hash 32 KiB at a time; a
+	// hash digests the concatenation of its writes, so the batching leaves
+	// the digest unchanged.
+	buf := make([]byte, 0, 32<<10)
+	writeInt := func(v int64) {
+		if len(buf)+8 > cap(buf) {
+			h.Write(buf)
+			buf = buf[:0]
+		}
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+	}
+	writeStr := func(s string) {
+		writeInt(int64(len(s)))
+		buf = append(buf, s...)
+	}
+	// writeRun writes v once per sample of a run: the first 8-byte word,
+	// then doubling copies of what is already written, up to the free
+	// whole words of buf.
+	writeRun := func(v int64, samples int) {
+		for n := 8 * samples; n > 0; {
+			room := (cap(buf) - len(buf)) &^ 7
+			if room == 0 {
+				h.Write(buf)
+				buf = buf[:0]
+				room = cap(buf) &^ 7
+			}
+			k := min(n, room)
+			at := len(buf)
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+			buf = buf[:at+k]
+			for w := at + 8; w < len(buf); {
+				w += copy(buf[w:], buf[at:w])
+			}
+			n -= k
+		}
+	}
+	n := src.NumSeries()
+	writeInt(int64(n))
+	var runs []ftpm.Run
+	for i := 0; i < n; i++ {
+		writeStr(src.SeriesName(i))
+		writeInt(int64(src.Start()))
+		writeInt(int64(src.Step()))
+		alpha := src.SeriesAlphabet(i)
+		writeInt(int64(len(alpha)))
+		for _, a := range alpha {
+			writeStr(a)
+		}
+		writeInt(int64(src.Len()))
+		runs = src.AppendRuns(i, runs[:0])
+		for _, r := range runs {
+			writeRun(int64(r.Symbol), r.Last-r.First+1)
+		}
+	}
+	h.Write(buf)
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
 // goldenFingerprint is the content fingerprint of goldenDB. Fingerprints
 // are recorded in WAL records and segment footers and key the result
 // cache across restarts, so the digest must never change.
@@ -428,6 +496,46 @@ func TestFingerprintGolden(t *testing.T) {
 	} {
 		if got := fingerprintSource(c.src); got != goldenFingerprint {
 			t.Errorf("%s: fingerprint = %s, want %s", c.name, got, goldenFingerprint)
+		}
+	}
+}
+
+// goldenFingerprintV2 is the v2 content fingerprint of goldenDB. Like
+// goldenFingerprint, it keys the result cache across restarts, so the
+// digest must never change.
+const goldenFingerprintV2 = "v2:15d1cfb69ad0de46207c28d4760008ce96965535d4b3d83ad929ec569bb2c"
+
+// TestFingerprintV2Golden pins the v2 fingerprint over the forms of
+// TestFingerprintGolden — the in-memory database, its sealed segment, and
+// a 3+5 chain whose seam series A's run of Ons crosses — each digested
+// from an empty state, and the chain also the way an append digests it:
+// the first part's digest resumed over the second part.
+func TestFingerprintV2Golden(t *testing.T) {
+	sealed := func(sdb *ftpm.SymbolicDB) *store.Segment {
+		img, err := store.EncodeSegment(sdb, "fp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := store.ParseSegment(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return seg
+	}
+	whole, seg := goldenDB(t, 0, 8), sealed(goldenDB(t, 0, 8))
+	head, tail := sealed(goldenDB(t, 0, 3)), sealed(goldenDB(t, 3, 8))
+	chained := chain(head, tail)
+	for _, c := range []struct {
+		name string
+		fp   string
+	}{
+		{"memory", digestSource(whole).fingerprint(whole)},
+		{"segment", digestSource(seg).fingerprint(seg)},
+		{"chain", digestSource(chained).fingerprint(chained)},
+		{"resumed chain", digestSource(head).extend(tail).fingerprint(chained)},
+	} {
+		if c.fp != goldenFingerprintV2 {
+			t.Errorf("%s: fingerprint = %s, want %s", c.name, c.fp, goldenFingerprintV2)
 		}
 	}
 }

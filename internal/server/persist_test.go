@@ -725,6 +725,92 @@ func TestLegacyPayloadLogUpgrade(t *testing.T) {
 	}
 }
 
+// TestV1FingerprintLogRestart opens a server on a log written before v2
+// fingerprints, where the dataset record, its segment footer and the done
+// job's record all carry the content's v1 key. The restored generation
+// keeps that key, so repeating the job still hits the result cache under
+// it; the first append then digests the content from scratch and stores
+// the v2 key a fresh upload of the appended content gets, which survives
+// the next restart.
+func TestV1FingerprintLogRestart(t *testing.T) {
+	rows := appendRows(44, 240)
+	req := appendVariants("ds-1")[0]
+
+	// A log this server writes, with every fingerprint in it then
+	// rewritten to the v1 key of the same content.
+	src := t.TempDir()
+	srv0, ts0 := testServer(t, Options{Workers: 1, DataDir: src, SnapshotEvery: 10_000})
+	ds := uploadCSV(t, ts0.URL, "name=old&threshold=0.5&shards=2", appendCSV(rows, 0, 180))
+	doc := resultBytes(t, ts0.URL, req)
+	v2 := srv0.reg.byID[ds.ID].view().fingerprint
+	waitJobsSettled(t, srv0)
+	crash(srv0)
+	v1 := fingerprintSource(referenceDB(t, appendCSV(rows, 0, 180), 0.5))
+	if !strings.HasPrefix(v2, "v2:") || len(v1) != len(v2) {
+		t.Fatalf("fingerprints v1 %q, v2 %q: want a v2 key as long as the v1 one", v1, v2)
+	}
+	l, rec, err := store.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+	dir := t.TempDir()
+	out, _, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := 0
+	for _, r := range rec.Records {
+		rewritten += bytes.Count(r.Data, []byte(v2))
+		if err := out.Append(r.Kind, bytes.ReplaceAll(r.Data, []byte(v2), []byte(v1))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := out.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rewritten != 2 {
+		t.Fatalf("rewrote %d fingerprints, want the dataset's and the job's", rewritten)
+	}
+	segName := segmentName(ds.ID, 0)
+	seg, err := store.OpenSegment(filepath.Join(src, "segments", segName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "segments"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.WriteSegment(filepath.Join(dir, "segments", segName), seg, v1); err != nil {
+		t.Fatal(err)
+	}
+
+	srv1, ts1 := testServer(t, Options{Workers: 1, DataDir: dir})
+	if fp := srv1.reg.byID[ds.ID].view().fingerprint; fp != v1 {
+		t.Fatalf("restored fingerprint %s, want the recorded v1 key %s", fp, v1)
+	}
+	job := mineDone(t, ts1.URL, req)
+	if !job.Summary.ResultCache {
+		t.Fatal("a job on the restored generation missed the result cache under its v1 key")
+	}
+	if _, got := getRaw(t, ts1.URL+"/jobs/"+job.ID+"/result"); !bytes.Equal(got, doc) {
+		t.Fatal("the cached document differs from the one mined before the restart")
+	}
+
+	mustAppend(t, ts1.URL, ds.ID, "", appendNDJSON(rows, 180, 210))
+	srvRef, tsRef := testServer(t, Options{Workers: 1})
+	ref := uploadCSV(t, tsRef.URL, "name=ref&threshold=0.5&shards=2", appendCSV(rows, 0, 210))
+	want := srvRef.reg.byID[ref.ID].view().fingerprint
+	if fp := srv1.reg.byID[ds.ID].view().fingerprint; fp != want {
+		t.Fatalf("fingerprint after the first append %s, fresh upload %s", fp, want)
+	}
+	crash(srv1)
+	ts1.Close()
+	srv2, _ := testServer(t, Options{Workers: 1, DataDir: dir})
+	if fp := srv2.reg.byID[ds.ID].view().fingerprint; fp != want {
+		t.Fatalf("fingerprint after restart %s, want the appended v2 key %s", fp, want)
+	}
+}
+
 // TestCompactionRerunsWhenTriggerCrossedMidCompaction holds a background
 // compaction open while enough records to reach the trigger again are
 // logged. Those records stay in the WAL past the snapshot and could not

@@ -60,11 +60,17 @@ type dsGen struct {
 	// sealed images, on disk or in the heap.
 	segments    []string
 	sealedBytes int64
-	// fingerprint is a content hash of the generation (fingerprintSource),
-	// recomputed per generation. The completed-job result cache keys on it
-	// (not the dataset id), so stale-generation lookups structurally miss
-	// and re-uploading identical content hits.
+	// fingerprint is the content key of the generation, a v2 digest
+	// (contentDigest.fingerprint) or, for content restored from a log
+	// written before v2, the v1 key recorded with it. The completed-job
+	// result cache keys on it (not the dataset id), so stale-generation
+	// lookups structurally miss and re-uploading identical content hits.
 	fingerprint string
+	// digest is the resumable state behind a v2 fingerprint, kept so an
+	// append hashes only the runs it adds: ~110 bytes per series. A
+	// generation restored from the log has none; its first append builds
+	// it from the content.
+	digest contentDigest
 	// analysis holds the generation's geometry-independent NMI tables;
 	// every Prepared handle of the generation shares it. NMI depends on
 	// every sample, so appends invalidate rather than patch it: a new

@@ -295,21 +295,30 @@ const blanks = "\n                "
 var blankLine = [len(blanks)]byte([]byte(blanks))
 
 // indentedLen returns the length of src indented at depth: what indent
-// writes, counted rather than kept.
+// writes, counted token by token without storing it.
 func indentedLen(src []byte, depth int) int {
-	var n byteCount
-	in := newIndenter(&n)
-	in.indent(src, depth)
-	in.close()
-	return int(n)
-}
-
-// byteCount is a writer that only counts what is written to it.
-type byteCount int
-
-func (c *byteCount) Write(p []byte) (int, error) {
-	*c += byteCount(len(p))
-	return len(p), nil
+	n := len(src)
+	for i := 0; i < len(src); i++ {
+		switch src[i] {
+		case '"':
+			i = quoteEnd(src, i) - 1
+		case '{', '[':
+			if next := src[i+1]; next == '}' || next == ']' {
+				i++ // empty: stays on one line
+				continue
+			}
+			depth++
+			n += 1 + 2*depth
+		case '}', ']':
+			depth--
+			n += 1 + 2*depth
+		case ',':
+			n += 1 + 2*depth
+		case ':':
+			n++
+		}
+	}
+	return n
 }
 
 // quoteEnd returns the index just past the string that opens at src[i]:

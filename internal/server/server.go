@@ -774,15 +774,18 @@ func (s *Server) addDataset(name string, sdb *ftpm.SymbolicDB, shards int, thres
 	return s.reg.addPrepared(newDataset(id, name, time.Now(), g, shards, threshold)), nil
 }
 
-// baseGen fingerprints sdb and seals it as the one segment of dataset
-// id's generation gen.
+// baseGen digests sdb from an empty state and seals it as the one segment
+// of dataset id's generation gen.
 func (s *Server) baseGen(id string, gen int64, sdb *ftpm.SymbolicDB) (*dsGen, error) {
-	fp := fingerprintSource(sdb)
+	digest := digestSource(sdb)
+	fp := digest.fingerprint(sdb)
 	seg, segName, err := s.seal(id, gen, sdb, fp)
 	if err != nil {
 		return nil, err
 	}
-	return genFromSource(seg, fp, withSegment(nil, segName), seg.Size()), nil
+	g := genFromSource(seg, fp, withSegment(nil, segName), seg.Size())
+	g.digest = digest
+	return g, nil
 }
 
 // seal encodes src, the content of dataset id's generation gen, as a

@@ -2,8 +2,10 @@ package server
 
 import (
 	"crypto/sha256"
+	"encoding"
 	"encoding/binary"
-	"fmt"
+	"encoding/hex"
+	"hash"
 	"slices"
 
 	"ftpm"
@@ -98,69 +100,131 @@ func (c *chainSource) AppendRuns(i int, dst []ftpm.Run) []ftpm.Run {
 	return dst
 }
 
-// fingerprintSource hashes a source's full content — series names,
-// timing, alphabets, and every sample's symbol id in order — into the
-// content key the result cache serves documents by. It is recorded in
-// WAL records and segment footers and keys the cache across restarts, so
-// the digest must never change; a chained view hashes exactly like the
-// same content sealed in one segment. Every string and collection is
-// length-prefixed, so the encoding is unambiguous.
-func fingerprintSource(src ftpm.SymbolSource) string {
-	h := sha256.New()
-	// Writes are batched in buf and reach the hash 32 KiB at a time; a
-	// hash digests the concatenation of its writes, so the batching leaves
-	// the digest unchanged.
-	buf := make([]byte, 0, 32<<10)
-	writeInt := func(v int64) {
-		if len(buf)+8 > cap(buf) {
-			h.Write(buf)
-			buf = buf[:0]
-		}
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
-	writeStr := func(s string) {
-		writeInt(int64(len(s)))
-		buf = append(buf, s...)
-	}
-	// writeRun writes v once per sample of a run: the first 8-byte word,
-	// then doubling copies of what is already written, up to the free
-	// whole words of buf.
-	writeRun := func(v int64, samples int) {
-		for n := 8 * samples; n > 0; {
-			room := (cap(buf) - len(buf)) &^ 7
-			if room == 0 {
-				h.Write(buf)
-				buf = buf[:0]
-				room = cap(buf) &^ 7
-			}
-			k := min(n, room)
-			at := len(buf)
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			buf = buf[:at+k]
-			for w := at + 8; w < len(buf); {
-				w += copy(buf[w:], buf[at:w])
-			}
-			n -= k
-		}
-	}
-	n := src.NumSeries()
-	writeInt(int64(n))
+// contentDigest is the resumable state behind a generation's content
+// fingerprint ("v2"): one SHA-256 per series over its maximal runs, each
+// written as (symbol id, length) in two little-endian 64-bit words. A
+// series' last run is held back as its carry, because the next append may
+// extend it; so a database digests the same however appends split it, and
+// an append hashes only its own runs (extend). The fingerprint hashes a
+// final record of the names, grid, alphabets and length with each series'
+// digest, carry folded in. It replaces the v1 digest, which hashed every
+// sample of the whole history and so could not resume: v1 fingerprints
+// still found in WAL records, segment footers and job records stay opaque
+// cache keys, never recomputed, and never equal a v2 one.
+type contentDigest []seriesDigest
+
+// seriesDigest is one series' digest state: the marshaled SHA-256 of its
+// committed runs (nil before any) and the carried run.
+type seriesDigest struct {
+	state []byte
+	sym   int
+	n     int // samples in the carried run; 0 before any
+}
+
+// digestSource digests src from an empty state.
+func digestSource(src ftpm.SymbolSource) contentDigest {
+	return make(contentDigest, src.NumSeries()).extend(src)
+}
+
+// extend returns the digest of d's content followed by delta's samples,
+// leaving d as it was. delta must have d's series in order.
+func (d contentDigest) extend(delta ftpm.SymbolSource) contentDigest {
+	next := slices.Clone(d)
 	var runs []ftpm.Run
-	for i := 0; i < n; i++ {
-		writeStr(src.SeriesName(i))
-		writeInt(int64(src.Start()))
-		writeInt(int64(src.Step()))
-		alpha := src.SeriesAlphabet(i)
-		writeInt(int64(len(alpha)))
-		for _, a := range alpha {
-			writeStr(a)
-		}
-		writeInt(int64(src.Len()))
-		runs = src.AppendRuns(i, runs[:0])
-		for _, r := range runs {
-			writeRun(int64(r.Symbol), r.Last-r.First+1)
-		}
+	var buf []byte
+	for i := range next {
+		runs = delta.AppendRuns(i, runs[:0])
+		buf = next[i].add(runs, buf[:0])
 	}
-	h.Write(buf)
-	return fmt.Sprintf("%x", h.Sum(nil))
+	return next
+}
+
+// add folds runs, the series' next samples, into its digest. The words of
+// the runs it commits are batched in buf, which is returned for reuse.
+func (s *seriesDigest) add(runs []ftpm.Run, buf []byte) []byte {
+	var h hash.Hash
+	flush := func() {
+		if h == nil {
+			h = s.hash()
+		}
+		h.Write(buf)
+		buf = buf[:0]
+	}
+	for _, r := range runs {
+		n := r.Last - r.First + 1
+		if s.n > 0 && r.Symbol == s.sym {
+			s.n += n
+			continue
+		}
+		if s.n > 0 {
+			if buf = appendRun(buf, s.sym, s.n); len(buf) >= 32<<10 {
+				flush()
+			}
+		}
+		s.sym, s.n = r.Symbol, n
+	}
+	if len(buf) > 0 {
+		flush()
+	}
+	if h != nil {
+		s.state, _ = h.(encoding.BinaryMarshaler).MarshalBinary() // cannot fail
+	}
+	return buf
+}
+
+// hash returns a SHA-256 resumed from the series' committed runs.
+func (s seriesDigest) hash() hash.Hash {
+	h := sha256.New()
+	if s.state != nil {
+		h.(encoding.BinaryUnmarshaler).UnmarshalBinary(s.state) // a state MarshalBinary wrote
+	}
+	return h
+}
+
+// sum returns the series' digest with its carried run folded in.
+func (s seriesDigest) sum(dst []byte) []byte {
+	h := s.hash()
+	if s.n > 0 {
+		h.Write(appendRun(nil, s.sym, s.n))
+	}
+	return h.Sum(dst)
+}
+
+// appendRun appends the two words of a run of n samples of symbol sym.
+func appendRun(buf []byte, sym, n int) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(sym))
+	return binary.LittleEndian.AppendUint64(buf, uint64(n))
+}
+
+// fingerprint returns the content key of src, whose samples d digests:
+// "v2:" and the first 61 hex digits of the SHA-256 of a final record —
+// the series count, then per series its name, start, step, alphabet,
+// length and run digest. Every string and collection is length-prefixed,
+// so the record is unambiguous. The key is cut to v1's 64 bytes, so
+// sealed segment footers keep their size; 244 bits of SHA-256 still make
+// a collision out of reach. It is recorded in WAL records and segment
+// footers and keys the result cache across restarts, so the encoding
+// must never change.
+func (d contentDigest) fingerprint(src ftpm.SymbolSource) string {
+	var rec []byte
+	putInt := func(v int64) { rec = binary.LittleEndian.AppendUint64(rec, uint64(v)) }
+	putStr := func(s string) {
+		putInt(int64(len(s)))
+		rec = append(rec, s...)
+	}
+	putInt(int64(len(d)))
+	for i, s := range d {
+		putStr(src.SeriesName(i))
+		putInt(int64(src.Start()))
+		putInt(int64(src.Step()))
+		alpha := src.SeriesAlphabet(i)
+		putInt(int64(len(alpha)))
+		for _, a := range alpha {
+			putStr(a)
+		}
+		putInt(int64(src.Len()))
+		rec = s.sum(rec)
+	}
+	sum := sha256.Sum256(rec)
+	return "v2:" + hex.EncodeToString(sum[:])[:61]
 }

@@ -125,7 +125,8 @@ func randomSplitDB(t *testing.T, rng *rand.Rand) splitDB {
 // one go as segmentGen builds a restored generation — is the unsplit
 // database to every reader: same runs (a run crossing any number of seams
 // merged into one), length, grid, names, alphabets and fingerprint.
-// Chaining onto a chain leaves the chain it extends intact.
+// Chaining onto a chain leaves the chain it extends intact, and a v2
+// digest resumed part by part equals the unsplit database's.
 func TestChainMatchesUnsplit(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
 	var seams3, grown, mixed bool
@@ -151,6 +152,22 @@ func TestChainMatchesUnsplit(t *testing.T) {
 			if p.Len() != d.ends[k] {
 				t.Fatalf("iter %d: prefix %d holds %d samples after later appends, want %d", iter, k, p.Len(), d.ends[k])
 			}
+		}
+		// Folding the parts in one at a time through the saved digests, as
+		// appends do, gives every prefix the digest it gets from an empty
+		// state, and the whole the unsplit database's; extending a digest
+		// leaves it as it was.
+		digests := []contentDigest{digestSource(d.parts[0])}
+		for _, p := range d.parts[1:] {
+			digests = append(digests, digests[len(digests)-1].extend(p))
+		}
+		for k, p := range prefixes {
+			if got, want := digests[k].fingerprint(p), digestSource(p).fingerprint(p); got != want {
+				t.Fatalf("iter %d: prefix %d resumed to %s, from empty %s", iter, k, got, want)
+			}
+		}
+		if got, want := digests[len(digests)-1].fingerprint(folded), digestSource(d.whole).fingerprint(d.whole); got != want {
+			t.Fatalf("iter %d: resumed fingerprint %s, unsplit %s", iter, got, want)
 		}
 	}
 	if !seams3 || !grown || !mixed {
