@@ -8,6 +8,7 @@ import (
 	"ftpm/internal/datagen"
 	"ftpm/internal/events"
 	"ftpm/internal/paperex"
+	"ftpm/internal/temporal"
 )
 
 // levelCounts is one level's pruning counters in LevelStats field order:
@@ -35,6 +36,16 @@ func TestLevelCountersPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The sweep-exact benchmark's input: 36 of NIST's series over 73
+	// one-day windows, mined at its lowest-support, lowest-confidence cell.
+	sweepSrc, err := datagen.NIST().Generate(datagen.Options{SequenceFraction: 0.05, AttributeFraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := events.Convert(sweepSrc, events.SplitOptions{NumWindows: 73})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name string
 		db   *events.DB
@@ -55,6 +66,46 @@ func TestLevelCountersPinned(t *testing.T) {
 					{110064, 0, 6873, 103191, 7513, 7573, 101060, 1547871}, {190370, 0, 2596, 187774, 3612, 3626, 0, 2518074}},
 				PruneNone: {{144, 0, 0, 144, 96, 0, 0, 0}, {4656, 0, 0, 4656, 3402, 3475, 51408, 0},
 					{110064, 0, 0, 110064, 7513, 7573, 101060, 0}, {190370, 0, 0, 190370, 3612, 3626, 0, 0}},
+			},
+		},
+		{
+			// d_o > 2ε+1, so two instances can overlap by too little for
+			// any relation and Classify returns None. NIST's times lie on
+			// an 1800 s grid, so d_o must exceed one step for that to
+			// happen.
+			name: "NIST-do2h",
+			db:   nist,
+			cfg:  Config{MinSupport: 0.6, MinConfidence: 0.6, MaxK: 3, Relations: temporal.Config{Epsilon: 0, MinOverlap: 7200}},
+			want: map[PruningMode][]levelCounts{
+				PruneAll:     {{144, 0, 0, 144, 96, 0, 0, 0}, {4656, 240, 0, 4416, 3402, 3475, 51408, 0}, {110064, 5635, 6873, 97556, 7513, 7573, 0, 1423453}},
+				PruneApriori: {{144, 0, 0, 144, 96, 0, 0, 0}, {4656, 240, 0, 4416, 3402, 3475, 51408, 0}, {110064, 8028, 0, 102036, 7513, 7573, 0, 0}},
+				PruneTrans:   {{144, 0, 0, 144, 96, 0, 0, 0}, {4656, 0, 0, 4656, 3402, 3475, 51408, 0}, {110064, 0, 6873, 103191, 7513, 7573, 0, 1489338}},
+				PruneNone:    {{144, 0, 0, 144, 96, 0, 0, 0}, {4656, 0, 0, 4656, 3402, 3475, 51408, 0}, {110064, 0, 0, 110064, 7513, 7573, 0, 0}},
+			},
+		},
+		{
+			// t_max one step short of NIST's one-day window: the span
+			// check runs before the triple checks of an extension.
+			name: "NIST-tmax",
+			db:   nist,
+			cfg:  Config{MinSupport: 0.6, MinConfidence: 0.6, MaxK: 3, TMax: 47 * 1800},
+			want: map[PruningMode][]levelCounts{
+				PruneAll:     {{144, 0, 0, 144, 96, 0, 0, 0}, {4656, 240, 0, 4416, 24, 33, 436, 0}, {270, 0, 223, 47, 0, 0, 0, 632}},
+				PruneApriori: {{144, 0, 0, 144, 96, 0, 0, 0}, {4656, 240, 0, 4416, 24, 33, 436, 0}, {1076, 122, 0, 954, 0, 0, 0, 0}},
+				PruneTrans:   {{144, 0, 0, 144, 96, 0, 0, 0}, {4656, 0, 0, 4656, 24, 33, 436, 0}, {270, 0, 223, 47, 0, 0, 0, 632}},
+				PruneNone:    {{144, 0, 0, 144, 96, 0, 0, 0}, {4656, 0, 0, 4656, 24, 33, 436, 0}, {1076, 0, 0, 1076, 0, 0, 0, 0}},
+			},
+		},
+		{
+			// BenchmarkMineSweep's lowest cell.
+			name: "sweep",
+			db:   sweep,
+			cfg:  Config{MinSupport: 0.65, MinConfidence: 0.5, MaxK: 3},
+			want: map[PruningMode][]levelCounts{
+				PruneAll:     {{72, 0, 0, 72, 36, 0, 0, 0}, {666, 0, 0, 666, 390, 390, 30427, 0}, {5259, 0, 1088, 4171, 60, 60, 0, 371707}},
+				PruneApriori: {{72, 0, 0, 72, 36, 0, 0, 0}, {666, 0, 0, 666, 390, 390, 30427, 0}, {5259, 0, 0, 5259, 60, 60, 0, 0}},
+				PruneTrans:   {{72, 0, 0, 72, 36, 0, 0, 0}, {666, 0, 0, 666, 390, 390, 30427, 0}, {5259, 0, 1088, 4171, 60, 60, 0, 371707}},
+				PruneNone:    {{72, 0, 0, 72, 36, 0, 0, 0}, {666, 0, 0, 666, 390, 390, 30427, 0}, {5259, 0, 0, 5259, 60, 60, 0, 0}},
 			},
 		},
 		{
@@ -79,7 +130,7 @@ func TestLevelCountersPinned(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, mode := range []PruningMode{PruneAll, PruneApriori, PruneTrans, PruneNone} {
-			if testing.Short() && c.name == "NIST" && mode != PruneAll {
+			if testing.Short() && c.name != "paper" && mode != PruneAll {
 				// The default mode reads both halves of the L2 table; the
 				// other modes' NIST runs take over a minute under -race.
 				continue
