@@ -678,6 +678,26 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 		}
 	}
 
+	// The insert-position cut. The masks allow an instance of e into a
+	// parent pattern's occurrences only at the insert positions
+	// [posLo, posHi] (insertRange); an instance anywhere else fails a
+	// triple check. When that check is the only way try can reject it —
+	// no dedup probe, no t_max check, and Classify never returns None —
+	// the instance is counted as failed here and try is not called, so
+	// every counter stays exact.
+	cut := x.trans && !x.dup && m.cfg.TMax == 0 && m.rel.AlwaysRelates()
+	var posLo, posHi []int32
+	if cut {
+		n := len(parentPatterns)
+		if cap(scr.posRange) < 2*n {
+			scr.posRange = make([]int32, 2*n)
+		}
+		posLo, posHi = scr.posRange[:n], scr.posRange[n:2*n]
+		for pi := range parentPatterns {
+			posLo[pi], posHi[pi] = insertRange(before[pi*(k-1):(pi+1)*(k-1)], after[pi*(k-1):(pi+1)*(k-1)])
+		}
+	}
+
 	scr.idxBuf = child.Bitmap.AppendIndices(scr.idxBuf[:0])
 	for _, s32 := range scr.idxBuf {
 		if m.cancelled() {
@@ -703,6 +723,21 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 				x.before, x.after = before[pi*(k-1):(pi+1)*(k-1)], after[pi*(k-1):(pi+1)*(k-1)]
 			}
 			lo, hi := st.SeekRun(&cursors[pi], s32)
+			if cut {
+				if posLo[pi] > posHi[pi] {
+					ls.TripleChecksFailed += int(hi-lo) * len(eIdxs)
+					continue
+				}
+				for oi := lo; oi < hi; oi++ {
+					occ := st.Occ(oi)
+					in := insertable(eIdxs, occ, posLo[pi], posHi[pi])
+					ls.TripleChecksFailed += len(eIdxs) - len(in)
+					for _, ie := range in {
+						x.try(seq, s32, occ, ie)
+					}
+				}
+				continue
+			}
 			for oi := lo; oi < hi; oi++ {
 				occ := st.Occ(oi)
 				for _, ie := range eIdxs {
@@ -716,6 +751,46 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 	}
 
 	m.flushExt(child, scr, ls)
+}
+
+// insertRange returns the insert positions [lo, hi] that one parent
+// pattern's per-role masks allow (lo > hi when none). Role i precedes the
+// new instance when i < pos, and its triple then needs a relation bit in
+// before[i]; otherwise it needs one in after[i]. So lo is one past the last
+// role with no after relation, and hi is the first role with no before
+// relation (len(before) when every role has one).
+func insertRange(before, after []uint8) (lo, hi int32) {
+	hi = int32(len(before))
+	for i := len(after) - 1; i >= 0; i-- {
+		if after[i]&^l2Green == 0 {
+			lo = int32(i + 1)
+			break
+		}
+	}
+	for i, mask := range before {
+		if mask&^l2Green == 0 {
+			hi = int32(i)
+			break
+		}
+	}
+	return lo, hi
+}
+
+// insertable narrows eIdxs, a sequence's instances of the new event in
+// chronological order, to those that insert into occ at a position in
+// [lo, hi]: the instances after role lo-1 and before role hi. No instance
+// of occ is one of eIdxs (the new event is not in the parent), so each
+// bound is the first index at or past the role's instance.
+func insertable(eIdxs, occ []int32, lo, hi int32) []int32 {
+	if lo > 0 {
+		i, _ := slices.BinarySearch(eIdxs, occ[lo-1])
+		eIdxs = eIdxs[i:]
+	}
+	if int(hi) < len(occ) {
+		j, _ := slices.BinarySearch(eIdxs, occ[hi])
+		eIdxs = eIdxs[:j]
+	}
+	return eIdxs
 }
 
 // flushExt orders the Lk pending table by typed composite key — the single

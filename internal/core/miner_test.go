@@ -394,3 +394,65 @@ func TestStatsPlausibility(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertRange checks insertRange against its definition on every
+// parent of up to three roles, with each role's masks drawn from no bit,
+// the green bit alone, and relation bits with or without it: an insert
+// position is in the range exactly when every role's triple has a relation
+// bit in the mask its side of the new instance reads.
+func TestInsertRange(t *testing.T) {
+	masks := []uint8{0, l2Green, 1 << temporal.Follow, l2Green | 1<<temporal.Contain | 1<<temporal.Overlap}
+	for roles := 1; roles <= 3; roles++ {
+		n := 1
+		for i := 0; i < 2*roles; i++ {
+			n *= len(masks)
+		}
+		for c := 0; c < n; c++ {
+			before, after := make([]uint8, roles), make([]uint8, roles)
+			for i, x := 0, c; i < roles; i++ {
+				before[i], x = masks[x%len(masks)], x/len(masks)
+				after[i], x = masks[x%len(masks)], x/len(masks)
+			}
+			lo, hi := insertRange(before, after)
+			for pos := 0; pos <= roles; pos++ {
+				allowed := true
+				for i := 0; i < roles; i++ {
+					mask := after[i]
+					if i < pos {
+						mask = before[i]
+					}
+					allowed = allowed && mask&^l2Green != 0
+				}
+				if in := int32(pos) >= lo && int32(pos) <= hi; in != allowed {
+					t.Fatalf("before %v after %v: range [%d, %d], position %d allowed %v", before, after, lo, hi, pos, allowed)
+				}
+			}
+		}
+	}
+}
+
+// TestInsertable checks that insertable keeps exactly the instances whose
+// insert position into the occurrence lies in [lo, hi].
+func TestInsertable(t *testing.T) {
+	eIdxs, occ := []int32{1, 4, 6, 9, 10}, []int32{3, 5, 8}
+	for lo := int32(0); lo <= 3; lo++ {
+		for hi := lo; hi <= 3; hi++ {
+			var want []int32
+			for _, ie := range eIdxs {
+				pos := int32(len(occ))
+				for i, idx := range occ {
+					if ie < idx {
+						pos = int32(i)
+						break
+					}
+				}
+				if pos >= lo && pos <= hi {
+					want = append(want, ie)
+				}
+			}
+			if got := insertable(eIdxs, occ, lo, hi); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Errorf("[%d, %d]: got %v, want %v", lo, hi, got, want)
+			}
+		}
+	}
+}

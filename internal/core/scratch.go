@@ -158,11 +158,16 @@ func (k extKey) less(o extKey) bool {
 
 // extPend is the Lk pending table: a typed-key index into a dense,
 // reusable slot arena. Lookups hash a fixed-size struct — no byte
-// appending, no string conversion.
+// appending, no string conversion — unless the key is the one the last
+// lookup returned, as it is for consecutive occurrences that extend the
+// same way.
 type extPend struct {
 	idx  map[extKey]int32
 	keys []extKey // insertion order, re-sorted at flush
 	pats []pendingPattern
+
+	last     extKey
+	lastSlot int32 // 1 + the slot of last; 0 before the first lookup
 }
 
 func (ep *extPend) reset() {
@@ -172,6 +177,7 @@ func (ep *extPend) reset() {
 		clear(ep.idx)
 	}
 	ep.keys = ep.keys[:0]
+	ep.lastSlot = 0
 	for i := range ep.pats {
 		ep.pats[i].reset()
 	}
@@ -182,19 +188,23 @@ func (ep *extPend) reset() {
 // which). Slot pointers are only valid until the next get — the arena may
 // grow.
 func (ep *extPend) get(key extKey) (pp *pendingPattern, created bool) {
-	if i, ok := ep.idx[key]; ok {
-		return &ep.pats[i], false
+	if ep.lastSlot > 0 && key == ep.last {
+		return &ep.pats[ep.lastSlot-1], false
 	}
-	i := int32(len(ep.pats))
-	if cap(ep.pats) > len(ep.pats) {
-		ep.pats = ep.pats[:i+1]
-	} else {
-		ep.pats = append(ep.pats, pendingPattern{})
+	i, ok := ep.idx[key]
+	if !ok {
+		i = int32(len(ep.pats))
+		if cap(ep.pats) > len(ep.pats) {
+			ep.pats = ep.pats[:i+1]
+		} else {
+			ep.pats = append(ep.pats, pendingPattern{})
+		}
+		ep.pats[i].reset()
+		ep.idx[key] = i
+		ep.keys = append(ep.keys, key)
 	}
-	ep.pats[i].reset()
-	ep.idx[key] = i
-	ep.keys = append(ep.keys, key)
-	return &ep.pats[i], true
+	ep.last, ep.lastSlot = key, i+1
+	return &ep.pats[i], !ok
 }
 
 // ordered returns the pending entries sorted by composite key, reusing
@@ -308,6 +318,7 @@ type scratch struct {
 	tupleBuf []int32             // candidate occurrence materialization
 	relsBuf  []temporal.Relation // per-role relations of the inserted event
 	masks    []uint8             // per parent role L2 relation masks
+	posRange []int32             // per parent pattern allowed insert positions
 	cursors  []int               // per parent pattern occurrence-run cursors
 	seen     tupleSet            // per-sequence extension dedup
 	ext      extPend             // Lk pending table

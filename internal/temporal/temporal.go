@@ -179,6 +179,14 @@ func (c Config) Classify(a, b Interval) Relation {
 	}
 }
 
+// AlwaysRelates reports whether Classify returns a relation, never None,
+// for every pair of intervals with integer endpoints: d_o <= 2ε+1. None
+// needs a.Start < b.Start, an overlap a.End - b.Start of at least ε+1 (not
+// Follow) and below d_o - ε (not Overlap), and no integer lies in
+// [ε+1, d_o-ε) once d_o <= 2ε+1. A same-start pair always classifies as
+// Contain, since the canonical order puts the longer interval first.
+func (c Config) AlwaysRelates() bool { return c.MinOverlap <= 2*c.Epsilon+1 }
+
 // ClassifyOrdered classifies the pair after ordering it chronologically.
 // It returns the relation together with the flag swapped=true when b is the
 // chronologically earlier instance (so the relation actually reads

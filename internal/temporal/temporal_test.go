@@ -246,3 +246,31 @@ func TestRelationStrings(t *testing.T) {
 		t.Error("Valid() mismatch")
 	}
 }
+
+// TestAlwaysRelates checks AlwaysRelates exhaustively on small integer
+// intervals: where it holds Classify never returns None, and where it does
+// not some pair of intervals classifies as None.
+func TestAlwaysRelates(t *testing.T) {
+	for eps := int64(0); eps <= 4; eps++ {
+		for do := eps + 1; do <= 12; do++ {
+			cfg := Config{Epsilon: eps, MinOverlap: do}
+			none := false
+			for as := int64(0); as < 12; as++ {
+				for al := int64(0); al < 12; al++ {
+					for bs := as; bs < 12; bs++ {
+						for bl := int64(0); bl < 12; bl++ {
+							a, b := NewInterval(as, as+al), NewInterval(bs, bs+bl)
+							if b.Before(a) {
+								continue
+							}
+							none = none || cfg.Classify(a, b) == None
+						}
+					}
+				}
+			}
+			if none == cfg.AlwaysRelates() {
+				t.Errorf("%+v: AlwaysRelates() = %v, but a pair classifies as None: %v", cfg, cfg.AlwaysRelates(), none)
+			}
+		}
+	}
+}
