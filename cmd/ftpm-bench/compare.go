@@ -16,8 +16,9 @@ package main
 // allocs/op gate stays armed across both CPU models and GOMAXPROCS: the
 // tolerance absorbs the scheduling noise, and a baseline recorded on a
 // single-core builder still guards multi-core CI runs. Speedup
-// assertions compare two benchmarks of the same run — hardware-
-// independent — but by default are only enforced when the run had
+// assertions compare the median ns/op of two benchmarks of the same run —
+// hardware-independent, and not swayed by one fast outlier among the
+// -count runs — but by default are only enforced when the run had
 // GOMAXPROCS > 1, since a parallel variant cannot beat a serial one on a
 // single core; a spec's trailing "always" enforces it on any core count
 // (cache-reuse ratios).
@@ -52,6 +53,9 @@ type benchFile struct {
 	// minimum observed ns/op — the most stable statistic under -count=N
 	// with noisy single iterations.
 	NsPerOp map[string]float64
+	// MedianNsPerOp maps the same names to the median ns/op of their runs,
+	// which the speedup assertions compare.
+	MedianNsPerOp map[string]float64
 	// AllocsPerOp and BytesPerOp carry the -benchmem columns (minimum
 	// observed), absent for benchmarks that did not report them.
 	AllocsPerOp map[string]float64
@@ -64,10 +68,11 @@ func parseBenchFile(path string) (*benchFile, error) {
 		return nil, err
 	}
 	bf := &benchFile{
-		MaxProcs:    1,
-		NsPerOp:     make(map[string]float64),
-		AllocsPerOp: make(map[string]float64),
-		BytesPerOp:  make(map[string]float64),
+		MaxProcs:      1,
+		NsPerOp:       make(map[string]float64),
+		MedianNsPerOp: make(map[string]float64),
+		AllocsPerOp:   make(map[string]float64),
+		BytesPerOp:    make(map[string]float64),
 	}
 	type entry struct {
 		name          string
@@ -125,7 +130,9 @@ func parseBenchFile(path string) (*benchFile, error) {
 			}
 		}
 	}
+	runs := make(map[string][]float64)
 	for _, e := range entries {
+		runs[e.name] = append(runs[e.name], e.ns)
 		if prev, ok := bf.NsPerOp[e.name]; !ok || e.ns < prev {
 			bf.NsPerOp[e.name] = e.ns
 		}
@@ -138,7 +145,21 @@ func parseBenchFile(path string) (*benchFile, error) {
 			}
 		}
 	}
+	for name, ns := range runs {
+		bf.MedianNsPerOp[name] = median(ns)
+	}
 	return bf, nil
+}
+
+// median returns the middle value of xs (the mean of the two middle ones
+// for an even count); it sorts xs.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // comparisonJSON is one benchmark's baseline-vs-current entry.
@@ -331,7 +352,8 @@ func runCompare(baselinePath, currentPath string, tolerance, allocTolerance floa
 }
 
 // evalSpeedup parses "slowName,fastName,minRatio[,always]" and evaluates
-// it against the current run. By default the assertion is only enforced
+// it against the current run: the ratio is of the two benchmarks' median
+// ns/op over their -count runs. By default the assertion is only enforced
 // on multi-core runs — a parallel variant cannot beat a serial one on a
 // single core; the trailing "always" enforces regardless, for ratios
 // that do not depend on parallelism (e.g. warm-vs-cold cache reuse).
@@ -345,11 +367,11 @@ func evalSpeedup(cur *benchFile, spec string) (*speedupJSON, error) {
 	if err != nil {
 		return nil, fmt.Errorf("bad -speedup ratio %q: %v", parts[2], err)
 	}
-	slowNs, ok := cur.NsPerOp[parts[0]]
+	slowNs, ok := cur.MedianNsPerOp[parts[0]]
 	if !ok {
 		return nil, fmt.Errorf("-speedup benchmark %q not in current results", parts[0])
 	}
-	fastNs, ok := cur.NsPerOp[parts[1]]
+	fastNs, ok := cur.MedianNsPerOp[parts[1]]
 	if !ok {
 		return nil, fmt.Errorf("-speedup benchmark %q not in current results", parts[1])
 	}

@@ -33,9 +33,13 @@ func TestParseBenchFile(t *testing.T) {
 	if bf.CPU != "Test CPU" || bf.MaxProcs != 8 {
 		t.Fatalf("parsed cpu %q maxprocs %d", bf.CPU, bf.MaxProcs)
 	}
-	// -count repeats collapse to the minimum ns/op; the -8 suffix strips.
+	// -count repeats collapse to the minimum ns/op and to the median;
+	// the -8 suffix strips.
 	if ns := bf.NsPerOp["BenchmarkFoo"]; ns != 100000 {
 		t.Fatalf("BenchmarkFoo ns/op = %v, want min 100000", ns)
+	}
+	if ns := bf.MedianNsPerOp["BenchmarkFoo"]; ns != 110000 {
+		t.Fatalf("BenchmarkFoo median ns/op = %v, want 110000", ns)
 	}
 	if _, ok := bf.NsPerOp["BenchmarkIngestConvert/sharded"]; !ok {
 		t.Fatalf("sub-benchmark missing: %v", bf.NsPerOp)
@@ -121,6 +125,35 @@ BenchmarkFar/depth=120 1 1400 ns/op
 		if !sp.Enforced || sp.Pass != c.pass {
 			t.Fatalf("%s: ceiling = %+v, want enforced with pass %v", c.name, sp, c.pass)
 		}
+	}
+
+	// The ratio is of medians: one fast outlier among the slow benchmark's
+	// five runs (1000 ns against a typical 2000) would fail a 1.5x gate on
+	// the minimum (1000/1000), but the medians read 2000/1000.
+	outlier, err := parseBenchFile(writeBench(t, "o.txt", `cpu: Test CPU
+BenchmarkSlow-2 1 2100 ns/op
+BenchmarkSlow-2 1 1000 ns/op
+BenchmarkSlow-2 1 2000 ns/op
+BenchmarkSlow-2 1 1900 ns/op
+BenchmarkSlow-2 1 2200 ns/op
+BenchmarkFast-2 1 1000 ns/op
+BenchmarkFast-2 1 1100 ns/op
+BenchmarkFast-2 1 1000 ns/op
+BenchmarkFast-2 1 950 ns/op
+BenchmarkFast-2 1 1050 ns/op
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := outlier.NsPerOp["BenchmarkSlow"] / outlier.NsPerOp["BenchmarkFast"]; r >= 1.5 {
+		t.Fatalf("ratio of minima = %v, want the outlier to pull it under 1.5", r)
+	}
+	sp, err = evalSpeedup(outlier, "BenchmarkSlow,BenchmarkFast,1.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sp.Enforced || !sp.Pass || sp.Ratio != 2 {
+		t.Fatalf("speedup with a fast outlier = %+v, want enforced pass at the median ratio 2", sp)
 	}
 }
 
