@@ -631,7 +631,10 @@ func (m *miner) lemma5Allows(node *hpg.Node, e events.EventID) bool {
 // inserting instances of e into the stored occurrences of the parent's
 // frequent (k-1)-patterns (Lemma 4: the new instance always relates to all
 // existing ones). With transitivity pruning each new triple is verified
-// against L2 (Lemmas 6-7) before the occurrence is accepted.
+// against L2 (Lemmas 6-7) before the occurrence is accepted, and the L2
+// masks bound where an instance may be inserted at all: where the bound
+// is the only check a misplaced instance could fail, only the instances
+// inside it are tried, and the rest are counted as failed triple checks.
 func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, scr *scratch, ls *LevelStats) {
 	scr.ext.reset()
 	k := child.K()
@@ -723,24 +726,18 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 				x.before, x.after = before[pi*(k-1):(pi+1)*(k-1)], after[pi*(k-1):(pi+1)*(k-1)]
 			}
 			lo, hi := st.SeekRun(&cursors[pi], s32)
-			if cut {
-				if posLo[pi] > posHi[pi] {
-					ls.TripleChecksFailed += int(hi-lo) * len(eIdxs)
-					continue
-				}
-				for oi := lo; oi < hi; oi++ {
-					occ := st.Occ(oi)
-					in := insertable(eIdxs, occ, posLo[pi], posHi[pi])
-					ls.TripleChecksFailed += len(eIdxs) - len(in)
-					for _, ie := range in {
-						x.try(seq, s32, occ, ie)
-					}
-				}
+			if cut && posLo[pi] > posHi[pi] {
+				ls.TripleChecksFailed += int(hi-lo) * len(eIdxs)
 				continue
 			}
 			for oi := lo; oi < hi; oi++ {
 				occ := st.Occ(oi)
-				for _, ie := range eIdxs {
+				in := eIdxs
+				if cut {
+					in = insertable(eIdxs, occ, posLo[pi], posHi[pi])
+					ls.TripleChecksFailed += len(eIdxs) - len(in)
+				}
+				for _, ie := range in {
 					if x.dup && hpg.Occurrence(occ).Contains(ie) {
 						continue
 					}
@@ -826,11 +823,12 @@ type extension struct {
 // composite key (parent pattern index, insert position, new event, packed
 // new relations). The checks run in the same order whatever the outcome,
 // so TripleChecksFailed counts exactly the extensions whose first failing
-// check is a triple's. The extended tuple is only materialized once the
-// checks pass, unless the dedup probe needs it first. The child pattern
-// is spliced only when the composite is seen for the first time;
-// composites that canonicalize to the same pattern are merged in
-// flushInto.
+// check is a triple's; extendNode counts each instance its insert-position
+// cut skips the same way, as a call here would have. The extended tuple is
+// only materialized once the checks pass, unless the dedup probe needs it
+// first. The child pattern is spliced only when the composite is seen for
+// the first time; composites that canonicalize to the same pattern are
+// merged in flushInto.
 func (x *extension) try(seq *events.Sequence, seqIdx int32, occ []int32, ie int32) {
 	// Instance order in a sequence equals chronological order, so the
 	// insert position is found by index comparison.

@@ -60,7 +60,11 @@ type LevelStats struct {
 	// Occurrences is the number of occurrence tuples stored.
 	Occurrences int
 	// TripleChecksFailed counts occurrence extensions rejected by the
-	// iterative L2 verification (Lemmas 4, 6, 7).
+	// iterative L2 verification (Lemmas 4, 6, 7): one per parent
+	// occurrence and instance of the new event whose first failing check
+	// is a triple's, whether the triples were classified or the instance
+	// lay outside the insert positions the L2 masks allow and was skipped
+	// untried.
 	TripleChecksFailed int
 	// Workers is the effective worker count the level ran with — the
 	// grant Config.WorkersFunc (or Config.Workers) gave this level. It is

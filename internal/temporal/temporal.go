@@ -180,7 +180,8 @@ func (c Config) Classify(a, b Interval) Relation {
 }
 
 // AlwaysRelates reports whether Classify returns a relation, never None,
-// for every pair of intervals with integer endpoints: d_o <= 2ε+1. None
+// for every canonically ordered pair of intervals with integer endpoints:
+// whether d_o <= 2ε+1. None
 // needs a.Start < b.Start, an overlap a.End - b.Start of at least ε+1 (not
 // Follow) and below d_o - ε (not Overlap), and no integer lies in
 // [ε+1, d_o-ε) once d_o <= 2ε+1. A same-start pair always classifies as
