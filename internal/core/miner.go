@@ -683,23 +683,12 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 
 	// The insert-position cut. The masks allow an instance of e into a
 	// parent pattern's occurrences only at the insert positions
-	// [posLo, posHi] (insertRange); an instance anywhere else fails a
-	// triple check. When that check is the only way try can reject it —
-	// no dedup probe, no t_max check, and Classify never returns None —
-	// the instance is counted as failed here and try is not called, so
-	// every counter stays exact.
+	// insertRange returns; an instance anywhere else fails a triple check.
+	// When that check is the only way try can reject it — no dedup probe,
+	// no t_max check, and Classify never returns None — the instance is
+	// counted as failed here and try is not called, so every counter
+	// stays exact.
 	cut := x.trans && !x.dup && m.cfg.TMax == 0 && m.rel.AlwaysRelates()
-	var posLo, posHi []int32
-	if cut {
-		n := len(parentPatterns)
-		if cap(scr.posRange) < 2*n {
-			scr.posRange = make([]int32, 2*n)
-		}
-		posLo, posHi = scr.posRange[:n], scr.posRange[n:2*n]
-		for pi := range parentPatterns {
-			posLo[pi], posHi[pi] = insertRange(before[pi*(k-1):(pi+1)*(k-1)], after[pi*(k-1):(pi+1)*(k-1)])
-		}
-	}
 
 	scr.idxBuf = child.Bitmap.AppendIndices(scr.idxBuf[:0])
 	for _, s32 := range scr.idxBuf {
@@ -726,15 +715,21 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 				x.before, x.after = before[pi*(k-1):(pi+1)*(k-1)], after[pi*(k-1):(pi+1)*(k-1)]
 			}
 			lo, hi := st.SeekRun(&cursors[pi], s32)
-			if cut && posLo[pi] > posHi[pi] {
-				ls.TripleChecksFailed += int(hi-lo) * len(eIdxs)
+			if lo == hi {
 				continue
+			}
+			var posLo, posHi int32
+			if cut {
+				if posLo, posHi = insertRange(x.before, x.after); posLo > posHi {
+					ls.TripleChecksFailed += int(hi-lo) * len(eIdxs)
+					continue
+				}
 			}
 			for oi := lo; oi < hi; oi++ {
 				occ := st.Occ(oi)
 				in := eIdxs
 				if cut {
-					in = insertable(eIdxs, occ, posLo[pi], posHi[pi])
+					in = insertable(eIdxs, occ, posLo, posHi)
 					ls.TripleChecksFailed += len(eIdxs) - len(in)
 				}
 				for _, ie := range in {

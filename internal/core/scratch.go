@@ -318,7 +318,6 @@ type scratch struct {
 	tupleBuf []int32             // candidate occurrence materialization
 	relsBuf  []temporal.Relation // per-role relations of the inserted event
 	masks    []uint8             // per parent role L2 relation masks
-	posRange []int32             // per parent pattern allowed insert positions
 	cursors  []int               // per parent pattern occurrence-run cursors
 	seen     tupleSet            // per-sequence extension dedup
 	ext      extPend             // Lk pending table
