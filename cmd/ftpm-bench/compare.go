@@ -6,8 +6,10 @@ package main
 // ratio between two benchmarks of the current run (the sharded-ingestion
 // gate). Results are also written as a JSON document for CI artifacts.
 //
-// Cross-hardware ns/op comparison is meaningless, so the time regression
-// gate only applies when the baseline and current runs report the same
+// The time regression gate compares the median ns/op of the baseline's
+// and the current run's -count runs, so one fast outlier on either side
+// neither trips nor hides a regression. Cross-hardware ns/op comparison
+// is meaningless, so the gate only applies when the baseline and current runs report the same
 // `cpu:` line; otherwise the gate is skipped with a warning (refresh the
 // baseline on the new hardware to re-arm it). Allocation counts are a
 // property of the code, not the clock or the core count — the repo's
@@ -49,12 +51,9 @@ var procSuffix = regexp.MustCompile(`-(\d+)$`)
 type benchFile struct {
 	CPU      string
 	MaxProcs int
-	// NsPerOp maps the benchmark name (GOMAXPROCS suffix stripped) to the
-	// minimum observed ns/op — the most stable statistic under -count=N
-	// with noisy single iterations.
-	NsPerOp map[string]float64
-	// MedianNsPerOp maps the same names to the median ns/op of their runs,
-	// which the speedup assertions compare.
+	// MedianNsPerOp maps the benchmark name (GOMAXPROCS suffix stripped)
+	// to the median ns/op of its runs, which the regression gate and the
+	// speedup assertions compare.
 	MedianNsPerOp map[string]float64
 	// AllocsPerOp and BytesPerOp carry the -benchmem columns (minimum
 	// observed), absent for benchmarks that did not report them.
@@ -69,7 +68,6 @@ func parseBenchFile(path string) (*benchFile, error) {
 	}
 	bf := &benchFile{
 		MaxProcs:      1,
-		NsPerOp:       make(map[string]float64),
 		MedianNsPerOp: make(map[string]float64),
 		AllocsPerOp:   make(map[string]float64),
 		BytesPerOp:    make(map[string]float64),
@@ -133,9 +131,6 @@ func parseBenchFile(path string) (*benchFile, error) {
 	runs := make(map[string][]float64)
 	for _, e := range entries {
 		runs[e.name] = append(runs[e.name], e.ns)
-		if prev, ok := bf.NsPerOp[e.name]; !ok || e.ns < prev {
-			bf.NsPerOp[e.name] = e.ns
-		}
 		if e.hasMem {
 			if prev, ok := bf.AllocsPerOp[e.name]; !ok || e.allocs < prev {
 				bf.AllocsPerOp[e.name] = e.allocs
@@ -247,17 +242,17 @@ func runCompare(baselinePath, currentPath string, tolerance, allocTolerance floa
 		AllocTolerance: allocTolerance,
 	}
 
-	names := make([]string, 0, len(cur.NsPerOp))
-	for name := range cur.NsPerOp {
+	names := make([]string, 0, len(cur.MedianNsPerOp))
+	for name := range cur.MedianNsPerOp {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		baseNs, ok := base.NsPerOp[name]
+		baseNs, ok := base.MedianNsPerOp[name]
 		if !ok {
 			continue // new benchmark: nothing to regress against
 		}
-		curNs := cur.NsPerOp[name]
+		curNs := cur.MedianNsPerOp[name]
 		c := comparisonJSON{
 			Name:       name,
 			BaselineNs: baseNs,

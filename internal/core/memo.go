@@ -18,7 +18,8 @@ import (
 //   - L1: per event, the sequences containing it.
 //   - L2: per verified candidate pair and per relation slot, the
 //     sequences supporting that 2-event pattern, plus the slot's sample —
-//     the first occurrence in its first sequence.
+//     the first occurrence in its first sequence — and, when the run that
+//     verified the pair kept them, the slot's occurrences.
 //
 // Both live in one CSR type of vertical bitmaps, vbits, and follow one
 // discipline on a delta view (PrepareShardsDelta): every list is cut below
@@ -30,6 +31,14 @@ import (
 // copy-on-write successor (ShardedView.updateMemo), so concurrent runs on
 // one view read consistent snapshots and mined output never depends on
 // the memo's state — only on the view's sequences.
+//
+// The L2 occurrences are the OccStores a run's L2 flush handed to its
+// pattern graph. No run writes them after that flush (level k reads them
+// through SeekRun cursors, and DropOccurrences only drops the graph's
+// pointer), so the memo shares them without copying, and a publication
+// carries them forward by pointer. A delta view's cut memo holds none: a
+// store holds occurrences in the windows past the stable prefix, which
+// the delta view re-cuts.
 
 // vbits is a family of vertical bitmaps in CSR form: list i is the bitset
 // words[off[i]:off[i+1]] (sequence g is bit g%64 of word g/64), trimmed
@@ -194,6 +203,7 @@ func patchL1(prev *vbits, db *events.DB, stable int) *vbits {
 // t_max. Thresholds are applied to the memo's counts, and neither the
 // occurrence cap nor whether occurrences are kept changes a slot's
 // supporting sequences or its sample, so none of them is part of the key.
+// Occurrence stores record the cap they were kept under (pairStores).
 type memoKey struct {
 	rel  temporal.Config
 	tmax temporal.Duration
@@ -212,7 +222,10 @@ type pairMemo struct {
 	// samples[l] is the first occurrence (instance indexes) of list l's
 	// slot in the list's first sequence; meaningless for an empty list.
 	samples [][2]int32
-	lists   vbits
+	// stores[e] holds the occurrences entry e's verification kept, nil
+	// when it kept none. A cut memo holds none (stores is nil).
+	stores []*pairStores
+	lists  vbits
 	// limit cuts the memo to a delta view's stable prefix: lists read
 	// below it and coverage reads at most it. All other fields may be
 	// shared with the memo it was cut from.
@@ -224,8 +237,54 @@ type pairMemo struct {
 const mapEntryBytes = 24
 
 func (pm *pairMemo) bytes() int64 {
-	return pm.lists.bytes() + int64(len(pm.idx))*mapEntryBytes +
-		8*int64(cap(pm.pair)+cap(pm.samples)) + 4*int64(cap(pm.covered))
+	n := pm.lists.bytes() + int64(len(pm.idx))*mapEntryBytes +
+		8*int64(cap(pm.pair)+cap(pm.samples)+cap(pm.stores)) + 4*int64(cap(pm.covered))
+	for _, ps := range pm.stores {
+		if ps != nil {
+			for _, st := range ps.st {
+				if st != nil {
+					n += st.Bytes()
+				}
+			}
+		}
+	}
+	return n
+}
+
+// pairStores are the L2 occurrences of one memo entry, as the run that
+// verified the pair over every sequence stored them: st[s] holds every
+// occurrence of slot s's pattern, at most occCap per sequence (that run's
+// MaxOccurrencesPerSeq, 0 for no cap), or is nil when the run kept none —
+// the slot failed its thresholds.
+type pairStores struct {
+	occCap int
+	st     [numPairSlots]*hpg.OccStore
+}
+
+// storesOf returns entry e's stores, or nil.
+func (pm *pairMemo) storesOf(e int32) *pairStores {
+	if int(e) >= len(pm.stores) {
+		return nil
+	}
+	return pm.stores[e]
+}
+
+// lacks reports whether entry e lacks a store of ps: it holds none for a
+// slot ps holds one for, or holds its stores under another cap.
+func (pm *pairMemo) lacks(e int32, ps *pairStores) bool {
+	if ps == nil {
+		return false
+	}
+	held := pm.storesOf(e)
+	if held == nil || held.occCap != ps.occCap {
+		return true
+	}
+	for s, st := range ps.st {
+		if st != nil && held.st[s] == nil {
+			return true
+		}
+	}
+	return false
 }
 
 // entry looks a pair up; a nil memo holds nothing.
@@ -247,19 +306,21 @@ func (pm *pairMemo) list(l int) bitsPart { return pm.lists.part(l, pm.limit) }
 // list below stable, every coverage at most stable. The cut shares all
 // storage with pm and costs nothing until a run publishes a successor
 // (merged). Samples carry over: a list's sample is its first sequence's,
-// which a non-empty cut list keeps.
+// which a non-empty cut list keeps. Occurrence stores do not.
 func (pm *pairMemo) truncated(stable int32) *pairMemo {
 	cut := *pm
 	cut.limit = min(pm.limit, stable)
+	cut.stores = nil
 	return &cut
 }
 
 // merged returns the successor of pm (nil for none) holding fresh — the
 // entries a run verified over every one of its n sequences. A fresh entry
-// replaces an entry of pm that covers less; pm's other entries are kept,
-// in order, and new pairs are appended in fresh's order, so an entry
-// keeps its index from memo to memo. Every list is rebuilt into one new
-// family, cut to what it vouches for.
+// replaces an entry of pm that covers less or lacks one of its occurrence
+// stores; pm's other entries are kept, in order, and new pairs are
+// appended in fresh's order, so an entry keeps its index from memo to
+// memo. Every list is rebuilt into one new family, cut to what it vouches
+// for; stores carry over by pointer.
 func (pm *pairMemo) merged(key memoKey, n int32, fresh []*pairEntry) *pairMemo {
 	// order[j] is entry j of the successor: a fresh entry, or else nil for
 	// entry j of pm.
@@ -272,7 +333,7 @@ func (pm *pairMemo) merged(key memoKey, n int32, fresh []*pairEntry) *pairMemo {
 		switch {
 		case !ok:
 			order = append(order, pe)
-		case pm.coverage(e) < n:
+		case pm.coverage(e) < n || pm.lacks(e, pe.stores):
 			order[e] = pe
 		}
 	}
@@ -280,6 +341,7 @@ func (pm *pairMemo) merged(key memoKey, n int32, fresh []*pairEntry) *pairMemo {
 		key:     key,
 		covered: make([]int32, len(order)),
 		samples: make([][2]int32, len(order)*numPairSlots),
+		stores:  make([]*pairStores, len(order)),
 		limit:   math.MaxInt32,
 	}
 	if pm != nil && len(order) == len(pm.pair) {
@@ -301,13 +363,15 @@ func (pm *pairMemo) merged(key memoKey, n int32, fresh []*pairEntry) *pairMemo {
 		if pe == nil {
 			out.covered[j] = pm.coverage(int32(j))
 			copy(out.samples[j*numPairSlots:], pm.samples[j*numPairSlots:(j+1)*numPairSlots])
-			continue
-		}
-		out.covered[j] = n
-		for s := 0; s < numPairSlots; s++ {
-			if pe.support(s) > 0 {
-				_, out.samples[j*numPairSlots+s] = pe.sample(s)
+			out.stores[j] = pm.storesOf(int32(j))
+		} else {
+			out.covered[j] = n
+			for s := 0; s < numPairSlots; s++ {
+				if pe.support(s) > 0 {
+					_, out.samples[j*numPairSlots+s] = pe.sample(s)
+				}
 			}
+			out.stores[j] = pe.stores
 		}
 	}
 	hint := 0
@@ -363,6 +427,9 @@ type pairEntry struct {
 	supp  [numPairSlots]int32
 	first [numPairSlots]int32
 	samp  [numPairSlots][2]int32
+	// stores are the occurrences this run kept for the pair while
+	// verifying it over every sequence; nil when it kept none.
+	stores *pairStores
 }
 
 // head returns slot s's head: its list in the memo entry.
@@ -452,13 +519,48 @@ func (m *miner) survives(pe *pairEntry, maxSupp int) bool {
 	return false
 }
 
+// memoStores returns the occurrences the memo holds for pe when they
+// serve this run, else nil. They serve when pe's entry covers every
+// sequence and holds a store, kept under this run's occurrence cap, for
+// every slot that passes the thresholds.
+func (m *miner) memoStores(pe *pairEntry, maxSupp int) *pairStores {
+	if pe.memo == nil || pe.memo.coverage(pe.ei) < int32(m.n) {
+		return nil
+	}
+	ps := pe.memo.storesOf(pe.ei)
+	if ps == nil || ps.occCap != m.cfg.MaxOccurrencesPerSeq {
+		return nil
+	}
+	for s, st := range ps.st {
+		if _, ok := m.passes(pe.support(s), maxSupp); ok && st == nil {
+			return nil
+		}
+	}
+	return ps
+}
+
+// keepStores records in pe the stores flushPair handed to the graph from
+// acc: those of the slots that pass the thresholds (a slot that passes has
+// support, so acc used it).
+func (m *miner) keepStores(pe *pairEntry, acc *pairAcc, maxSupp int) {
+	for s := range acc.slots {
+		if _, ok := m.passes(pe.support(s), maxSupp); ok {
+			if pe.stores == nil {
+				pe.stores = &pairStores{occCap: m.cfg.MaxOccurrencesPerSeq}
+			}
+			pe.stores.st[s] = acc.slots[s].occs
+		}
+	}
+}
+
 // emitPairs stores the slots of pe that pass the thresholds in node, as
 // flushInto would from the pending table: same pattern, bitmap, support,
-// confidence and sample, and no occurrences. When tail is the pending
-// table this run classified pe's tail into, a slot's bitmap there (the
-// tail's sequences) is completed with the head's and stored, or recycled
-// if the slot fails; otherwise bitmaps are built from the memo.
-func (m *miner) emitPairs(node *hpg.Node, pe *pairEntry, maxSupp int, tail *pairAcc, scr *scratch, ls *LevelStats) {
+// confidence and sample, and the occurrences of stores (none when nil).
+// When tail is the pending table this run classified pe's tail into, a
+// slot's bitmap there (the tail's sequences) is completed with the head's
+// and stored, or recycled if the slot fails; otherwise bitmaps are built
+// from the memo.
+func (m *miner) emitPairs(node *hpg.Node, pe *pairEntry, maxSupp int, tail *pairAcc, stores *pairStores, scr *scratch, ls *LevelStats) {
 	for s := 0; s < numPairSlots; s++ {
 		supp := pe.support(s)
 		conf, ok := m.passes(supp, maxSupp)
@@ -475,14 +577,19 @@ func (m *miner) emitPairs(node *hpg.Node, pe *pairEntry, maxSupp int, tail *pair
 		}
 		pe.head(s).orInto(bm.Words())
 		seq, occ := pe.sample(s)
-		node.AddPattern(&hpg.PatternData{
+		pd := &hpg.PatternData{
 			Pattern:    slotPattern(node.Events[0], node.Events[1], s),
 			Bitmap:     bm,
 			Support:    supp,
 			Confidence: conf,
 			SampleSeq:  int(seq),
 			SampleOcc:  hpg.Occurrence{occ[0], occ[1]},
-		})
+		}
+		if stores != nil {
+			pd.Occs = stores.st[s]
+			ls.Occurrences += pd.Occs.NumOccs()
+		}
+		node.AddPattern(pd)
 		ls.Patterns++
 	}
 }

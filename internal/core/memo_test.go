@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -248,4 +249,190 @@ func TestMemoConcurrentRunsShareView(t *testing.T) {
 		t.Fatal(err)
 	}
 	mineAll(t, "delta", delta, shards)
+}
+
+// sameL2Occs requires the level-2 occurrence stores of two KeepGraph runs
+// to match run by run and tuple by tuple, in store order: level 3 extends
+// them in that order, and the per-sequence cap keeps a run's first tuples.
+func sameL2Occs(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	gn, wn := got.Graph.Level(2).Nodes(), want.Graph.Level(2).Nodes()
+	if len(gn) != len(wn) {
+		t.Fatalf("%s: %d L2 nodes, want %d", label, len(gn), len(wn))
+	}
+	for i := range gn {
+		gp, wp := gn[i].Patterns(), wn[i].Patterns()
+		if len(gp) != len(wp) {
+			t.Fatalf("%s: node %s has %d patterns, want %d", label, gn[i].Key, len(gp), len(wp))
+		}
+		for j := range gp {
+			g, w := gp[j].Occs, wp[j].Occs
+			if g == nil || w == nil {
+				t.Fatalf("%s: pattern %v has no occurrences under KeepGraph", label, gp[j].Pattern)
+			}
+			if g.NumSeqs() != w.NumSeqs() || g.NumOccs() != w.NumOccs() {
+				t.Fatalf("%s: pattern %v holds %d runs, %d tuples; want %d, %d", label, gp[j].Pattern,
+					g.NumSeqs(), g.NumOccs(), w.NumSeqs(), w.NumOccs())
+			}
+			for r := 0; r < g.NumSeqs(); r++ {
+				glo, ghi := g.Run(r)
+				wlo, whi := w.Run(r)
+				if g.SeqAt(r) != w.SeqAt(r) || glo != wlo || ghi != whi {
+					t.Fatalf("%s: pattern %v run %d is seq %d [%d,%d), want seq %d [%d,%d)", label, gp[j].Pattern,
+						r, g.SeqAt(r), glo, ghi, w.SeqAt(r), wlo, whi)
+				}
+				for o := glo; o < ghi; o++ {
+					if !slices.Equal(g.Occ(o), w.Occ(o)) {
+						t.Fatalf("%s: pattern %v tuple %d is %v, want %v", label, gp[j].Pattern, o, g.Occ(o), w.Occ(o))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMemoOccurrencesMatchCold pins the L2 occurrences a warm run takes
+// from the memo: under KeepGraph every level-2 store must equal a cold
+// run's, tuple by tuple, whatever the memo held before — stores of a
+// stricter run (which lack the slots a looser one keeps), of another
+// occurrence cap, of a parent view cut by a delta generation, or
+// published concurrently. A run that follows one at least as loose, with
+// the same cap, must be served from the memo at every verified pair.
+func TestMemoOccurrencesMatchCold(t *testing.T) {
+	full := memoChainSDB(t, 23, 300, 1<<30)
+	base := truncateSDB(t, full, 250)
+	opt := events.SplitOptions{WindowLength: 100, Overlap: 50}
+	ctx := context.Background()
+	cfgOf := func(sigma float64, occCap int) Config {
+		return Config{MinSupport: sigma, MinConfidence: 0.2, MaxK: 3, KeepGraph: true,
+			MaxOccurrencesPerSeq: occCap, Workers: 2}
+	}
+	check := func(t *testing.T, label string, view *ShardedView, shards []*events.DB, cfg Config) *Result {
+		t.Helper()
+		cold, err := PrepareShards(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := MineShardedView(ctx, cold, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MineShardedView(ctx, view, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, label, got, want)
+		sameLevelCounts(t, label, got, want)
+		sameL2Occs(t, label, got, want)
+		return got
+	}
+	baseShards, err := events.ConvertShards(base, opt, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	t.Run("stricter-looser-caps", func(t *testing.T) {
+		view, err := PrepareShards(baseShards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		steps := []struct {
+			sigma  float64
+			occCap int
+			served bool // every verified pair is served from the memo
+		}{
+			{0.5, 0, false}, {0.3, 0, false}, {0.5, 0, true}, {0.3, 0, true},
+			{0.5, 1, false}, {0.3, 1, false}, {0.5, 1, true}, {0.5, 0, false},
+		}
+		for i, st := range steps {
+			res := check(t, fmt.Sprintf("step %d (sigma %v cap %d)", i, st.sigma, st.occCap), view, baseShards, cfgOf(st.sigma, st.occCap))
+			l2 := res.Stats.Levels[1]
+			if l2.Patterns == 0 {
+				t.Fatalf("step %d mines no L2 pattern", i)
+			}
+			if st.served && l2.MemoHits != l2.NodesVerified {
+				t.Fatalf("step %d: %d of %d verified pairs served from the memo", i, l2.MemoHits, l2.NodesVerified)
+			}
+		}
+	})
+
+	t.Run("delta", func(t *testing.T) {
+		view, err := PrepareShards(baseShards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, "parent", view, baseShards, cfgOf(0.3, 0))
+		shards, stable, err := events.ConvertShardsDelta(full, opt, 2, baseShards, base.End())
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, err := PrepareShardsDelta(view, shards, stable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pm := delta.memo.Load().pairs; pm.stores != nil {
+			t.Fatal("a delta view's cut memo holds its parent's occurrences")
+		}
+		check(t, "delta", delta, shards, cfgOf(0.3, 0))
+		if l2 := check(t, "delta again", delta, shards, cfgOf(0.3, 0)).Stats.Levels[1]; l2.MemoHits != l2.NodesVerified {
+			t.Fatalf("delta again: %d of %d verified pairs served from the memo", l2.MemoHits, l2.NodesVerified)
+		}
+		check(t, "parent again", view, baseShards, cfgOf(0.3, 0))
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		view, err := PrepareShards(baseShards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfgs := []Config{cfgOf(0.5, 0), cfgOf(0.3, 0), cfgOf(0.4, 1), cfgOf(0.3, 1)}
+		for round := 0; round < 2; round++ {
+			var wg sync.WaitGroup
+			for i, cfg := range cfgs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					check(t, fmt.Sprintf("round %d run %d", round, i), view, baseShards, cfg)
+				}()
+			}
+			wg.Wait()
+		}
+	})
+}
+
+// TestMemoBytesCountOccurrences checks that the memo's byte report
+// includes the occurrence stores it holds: a run that keeps L2
+// occurrences grows MemoBytes by at least their arena bytes.
+func TestMemoBytesCountOccurrences(t *testing.T) {
+	sdb := memoChainSDB(t, 24, 250, 1<<30)
+	shards, err := events.ConvertShards(sdb, events.SplitOptions{WindowLength: 100, Overlap: 50}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	view, err := PrepareShards(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{MinSupport: 0.3, MinConfidence: 0.2, MaxK: 2}
+	if _, err := MineShardedView(context.Background(), view, cfg); err != nil {
+		t.Fatal(err)
+	}
+	before := view.MemoBytes()
+	cfg.MaxK, cfg.KeepGraph = 3, true
+	res, err := MineShardedView(context.Background(), view, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held int64
+	for _, node := range res.Graph.Level(2).Nodes() {
+		for _, pd := range node.Patterns() {
+			held += pd.Occs.Bytes()
+		}
+	}
+	if held == 0 {
+		t.Fatal("the MaxK 3 run kept no L2 occurrences")
+	}
+	if after := view.MemoBytes(); after-before < held {
+		t.Fatalf("MemoBytes %d -> %d, want growth of at least the %d bytes of L2 occurrences held", before, after, held)
+	}
 }

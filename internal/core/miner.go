@@ -316,10 +316,11 @@ func (m *miner) mineLevel2() {
 // both events occur on a miss, the tail beyond the entry's coverage on a
 // delta view, none on a full hit. The patterns are then emitted from the
 // combined entry, which the outcome carries to the memo when this run
-// verified part of it. Occurrences, which level 3 extends, are not
-// memoized: when they must be kept, a miss stores them while classifying,
-// and a hit re-verifies the pairs that have a pattern passing the
-// thresholds.
+// verified part of it. When occurrences must be kept (level 3 extends
+// them), a miss stores them while classifying, and a full hit takes them
+// from the memo. Any other hit with a pattern passing the thresholds is
+// re-verified over every sequence to store them, and its entry, with the
+// stores, goes to the memo, so the next such run is served from it.
 func (m *miner) verifyPair(node *hpg.Node, scr *scratch, o *pairOutcome) {
 	keepOccs := m.keepOccsAt(2)
 	pe := &o.entry
@@ -339,23 +340,29 @@ func (m *miner) verifyPair(node *hpg.Node, scr *scratch, o *pairOutcome) {
 		tail = &scr.pair
 	}
 	pe.tally()
+	maxSupp := m.maxEventSupport(node.Events)
 	if occs {
 		m.flushPair(node, tail, scr, &o.ls)
+		m.keepStores(pe, tail, maxSupp)
 		return
 	}
-	maxSupp := m.maxEventSupport(node.Events)
+	var stores *pairStores
 	if keepOccs && m.survives(pe, maxSupp) {
-		if tail != nil {
-			tail.release(scr)
+		if stores = m.memoStores(pe, maxSupp); stores == nil {
+			if tail != nil {
+				tail.release(scr)
+			}
+			m.classifyPair(node, scr, 0, true)
+			m.flushPair(node, &scr.pair, scr, &o.ls)
+			m.keepStores(pe, &scr.pair, maxSupp)
+			o.fresh = true
+			return
 		}
-		m.classifyPair(node, scr, 0, true)
-		m.flushPair(node, &scr.pair, scr, &o.ls)
-		return
 	}
 	if hit {
 		o.ls.MemoHits++
 	}
-	m.emitPairs(node, pe, maxSupp, tail, scr, &o.ls)
+	m.emitPairs(node, pe, maxSupp, tail, stores, scr, &o.ls)
 }
 
 // classifyPair fills the worker's L2 pending table from the sequences

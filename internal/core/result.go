@@ -48,9 +48,11 @@ type LevelStats struct {
 	NodesVerified int
 	// MemoHits counts the verified pairs (level 2) answered from the
 	// view's L2 memo: relations classified in no sequence, or on a delta
-	// view only in the sequences past the memo's coverage. Like Workers it
-	// describes how a run went, not what it mined: the other counters read
-	// the same whether the memo was warm or cold.
+	// view only in the sequences past the memo's coverage. When the run
+	// keeps occurrences, a hit also means they came from the memo; a pair
+	// re-verified to store them is no hit. Like Workers it describes how a
+	// run went, not what it mined: the other counters read the same
+	// whether the memo was warm or cold.
 	MemoHits int
 	// GreenNodes is the number of nodes holding at least one frequent
 	// pattern (paper's green vs brown distinction, step 2.2).
@@ -123,7 +125,8 @@ type Result struct {
 	// canonical key — deterministic across runs.
 	Patterns []PatternInfo
 	// Graph is the retained Hierarchical Pattern Graph (nil unless
-	// Config.KeepGraph).
+	// Config.KeepGraph). Its level-2 occurrence stores may be shared with
+	// the mined view's memo, so they must not be modified.
 	Graph *hpg.Graph
 	Stats Stats
 }

@@ -24,7 +24,8 @@ import (
 // set, so one view can back any number of MineShardedView runs over the
 // same data (the prepared-dataset engine caches it per window geometry).
 // The view also carries the memo those runs leave behind (memo.go): the
-// L1 index and the L2 relation supports of the last verification key.
+// L1 index and the L2 relation supports and occurrences of the last
+// verification key.
 type ShardedView struct {
 	// Shards is the validated shard set the view was built from.
 	Shards []*events.DB
@@ -96,8 +97,8 @@ func (v *ShardedView) publishPairs(key memoKey, snap *pairMemo, n int32, fresh [
 }
 
 // MemoBytes reports the heap footprint of the view's memo: the L1 index
-// plus the L2 relation-support memo. Lists a delta view shares with its
-// parent count for both.
+// plus the L2 memo with the occurrence stores it holds. Lists a delta
+// view shares with its parent count for both.
 func (v *ShardedView) MemoBytes() int64 {
 	if p := v.memo.Load(); p != nil {
 		return p.bytes()
@@ -153,7 +154,7 @@ func PrepareShards(shards []*events.DB) (*ShardedView, error) {
 // memo instead of cold, cut to what the shared prefix still vouches for:
 // the L1 lists are truncated below stable and the tail sequences
 // rescanned, and every L2 relation-support list is truncated below stable
-// with its coverage capped there, so the next mine verifies only the
+// with its coverage capped there and its occurrences dropped, so the next mine verifies only the
 // sequences the append touched. prev's memo stays intact for its own
 // runs. Without a memo on prev the view is simply cold and the next mine
 // scans — and memoizes — from scratch. Either way the mined results are
@@ -210,7 +211,8 @@ func MineSharded(ctx context.Context, shards []*events.DB, cfg Config) (*Result,
 // point goes through. It mines v.Merged; the shard set only shapes the
 // Shards/ShardSequences stats. The run reads the view's memo and
 // publishes what it adds copy-on-write — the L1 index once, the L2
-// relation supports of the pairs it verified — and otherwise leaves the
+// relation supports and kept occurrences of the pairs it verified — and
+// otherwise leaves the
 // view alone, so concurrent runs may share one view. Results never depend
 // on the memo's state.
 func MineShardedView(ctx context.Context, v *ShardedView, cfg Config) (*Result, error) {

@@ -43,6 +43,9 @@ func (st *OccStore) NumOccs() int {
 	return len(st.roles) / st.k
 }
 
+// Bytes returns the heap footprint of the store's arrays.
+func (st *OccStore) Bytes() int64 { return 4 * int64(cap(st.roles)+cap(st.seqs)+cap(st.offs)) }
+
 // NumSeqs returns the number of distinct sequences holding occurrences.
 func (st *OccStore) NumSeqs() int { return len(st.seqs) }
 

@@ -26,9 +26,11 @@ func unitInterval(x float64) float64 {
 }
 
 // FuzzHTPGMvsNaive mines a random database (randomDB's draw for seed) with
-// E-HTPGM, cold and then warm on one prepared view, and requires both runs
-// to produce exactly the brute-force oracle's pattern set, supports and
-// confidences. The arguments choose the thresholds (sigma is raised to at
+// E-HTPGM, cold and then warm on one prepared view, and primed on another:
+// after a run at a stricter support (sigma + 0.2, at most 1), whose memo
+// lacks the occurrences of the slots only the fuzzed thresholds keep. All
+// three runs must produce exactly the brute-force oracle's pattern set,
+// supports and confidences. The arguments choose the thresholds (sigma is raised to at
 // least 0.3, which keeps the oracle's enumeration small), the relation
 // tolerance (eps%6 < 5 sets epsilon with d_o = 5; 5 keeps the default
 // relations), t_max (tmax%200, 0 disables it), MaxK (2 + maxK%3), the
@@ -61,8 +63,21 @@ func FuzzHTPGMvsNaive(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, pass := range []string{"cold", "warm"} {
-			got, err := core.MineShardedView(context.Background(), view, cfg)
+		primed, err := core.PrepareShards([]*events.DB{db})
+		if err != nil {
+			t.Fatal(err)
+		}
+		strict := cfg
+		strict.MinSupport = math.Min(cfg.MinSupport+0.2, 1)
+		if _, err := core.MineShardedView(context.Background(), primed, strict); err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"cold", "warm", "primed"} {
+			v := view
+			if pass == "primed" {
+				v = primed
+			}
+			got, err := core.MineShardedView(context.Background(), v, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -48,8 +48,8 @@ type CounterJSON struct {
 
 // CacheMetricsJSON groups the cumulative cache counters and the memo
 // gauge. PreparedMemoBytes is the heap the live Prepared handles' mining
-// memos hold — the L1 index and the L2 relation supports each prepared
-// view keeps for the runs that follow.
+// memos hold — the L1 index and the L2 relation supports and occurrences
+// each prepared view keeps for the runs that follow.
 type CacheMetricsJSON struct {
 	DSEQ              CounterJSON `json:"dseq"`
 	NMI               CounterJSON `json:"nmi"`

@@ -276,8 +276,8 @@ func (p *Prepared) Stats() PreparedStats {
 
 // MemoBytes reports the heap footprint of the mining memo on the handle's
 // converted view (core.ShardedView.MemoBytes): the L1 index and the L2
-// relation supports earlier runs left behind. It is 0 before the first
-// conversion.
+// relation supports and occurrences earlier runs left behind. It is 0
+// before the first conversion.
 func (p *Prepared) MemoBytes() int64 {
 	if v, ok := p.seq.peek(); ok {
 		return v.MemoBytes()
