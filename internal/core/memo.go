@@ -554,14 +554,15 @@ func (m *miner) keepStores(pe *pairEntry, acc *pairAcc, maxSupp int) {
 }
 
 // emitPairs stores the slots of pe that pass the thresholds in node, as
-// flushInto would from the pending table: same pattern, bitmap, support,
-// confidence and sample, and the occurrences of stores (none when nil).
+// flushInto would from the pending table: in key order, with the same
+// pattern, bitmap, support, confidence and sample, and the occurrences of
+// stores (none when nil).
 // When tail is the pending table this run classified pe's tail into, a
 // slot's bitmap there (the tail's sequences) is completed with the head's
 // and stored, or recycled if the slot fails; otherwise bitmaps are built
 // from the memo.
 func (m *miner) emitPairs(node *hpg.Node, pe *pairEntry, maxSupp int, tail *pairAcc, stores *pairStores, scr *scratch, ls *LevelStats) {
-	for s := 0; s < numPairSlots; s++ {
+	for _, s := range pairSlotsInKeyOrder(node.Events[0], node.Events[1]) {
 		supp := pe.support(s)
 		conf, ok := m.passes(supp, maxSupp)
 		var bm *bitmap.Bitmap

@@ -263,7 +263,7 @@ func sameL2Occs(t *testing.T, label string, got, want *Result) {
 	for i := range gn {
 		gp, wp := gn[i].Patterns(), wn[i].Patterns()
 		if len(gp) != len(wp) {
-			t.Fatalf("%s: node %s has %d patterns, want %d", label, gn[i].Key, len(gp), len(wp))
+			t.Fatalf("%s: node %v has %d patterns, want %d", label, gn[i].Events, len(gp), len(wp))
 		}
 		for j := range gp {
 			g, w := gp[j].Occs, wp[j].Occs

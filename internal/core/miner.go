@@ -72,8 +72,9 @@ func (m *miner) mineAll(ctx context.Context) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	m.stats.Duration = time.Since(start)
-	return m.buildResult(), nil
+	res := m.buildResult()
+	res.Stats.Duration = time.Since(start)
+	return res, nil
 }
 
 // miner carries the run state.
@@ -438,10 +439,9 @@ func (m *miner) classifyInto(acc *pairAcc, a, b events.EventID, seq *events.Sequ
 	pp.record(m, seqIdx, scr.tupleBuf)
 }
 
-// flushPair flushes the L2 pending table, filled with stored occurrences,
-// in slot order. At L2 every slot already realizes a distinct canonical
-// pattern, so no merging occurs and the slot order is irrelevant for the
-// (lazily key-sorted) node.
+// flushPair flushes the L2 pending table, filled with stored occurrences.
+// At L2 every slot already realizes a distinct pattern, so flushInto only
+// puts the slots in key order.
 func (m *miner) flushPair(node *hpg.Node, acc *pairAcc, scr *scratch, ls *LevelStats) {
 	buf := scr.flushBuf[:0]
 	for s := range acc.slots {
@@ -456,42 +456,36 @@ func (m *miner) flushPair(node *hpg.Node, acc *pairAcc, scr *scratch, ls *LevelS
 }
 
 // flushInto applies the final sigma/delta thresholds (passes) and stores
-// survivors in the node. pps arrives in composite-key order; entries
-// realizing the same canonical pattern are merged first, in that order —
+// survivors in the node. pps arrives in composite-key order; a stable sort
+// by pattern.Compare brings the entries realizing the same pattern
+// together, still in that order, and each run is merged left to right —
 // which fixes the occurrence merge order under the per-sequence cap and
-// the sample tie-break, exactly as the former sorted-string-key flush
-// did. Canonical output order needs no sort here: the node sorts its
-// patterns lazily on first read (see TestFlushDeterminism).
+// the sample tie-break (see TestFlushDeterminism). The survivors then
+// reach the node in its pattern order.
 func (m *miner) flushInto(node *hpg.Node, pps []*pendingPattern, scr *scratch, ls *LevelStats) {
-	if scr.canon == nil {
-		scr.canon = make(map[string]int)
-	} else {
-		clear(scr.canon)
-	}
+	slices.SortStableFunc(pps, func(a, b *pendingPattern) int { return pattern.Compare(a.pat, b.pat) })
 	n := 0
 	for _, pp := range pps {
-		key := pp.pat.Key()
-		if i, ok := scr.canon[key]; ok {
-			ex := pps[i]
-			ex.bm.InPlaceOr(pp.bm)
-			scr.putBitmap(pp.bm)
-			if ex.occs != nil && pp.occs != nil {
-				dst := scr.getStore(ex.occs.K())
-				hpg.MergeOccsInto(dst, ex.occs, pp.occs, ex.occs.K(), m.cfg.MaxOccurrencesPerSeq)
-				scr.putStore(ex.occs)
-				scr.putStore(pp.occs)
-				ex.occs = dst
-			}
-			ex.nOcc += pp.nOcc
-			if pp.sampleSeq >= 0 && (ex.sampleSeq < 0 || pp.sampleSeq < ex.sampleSeq) {
-				ex.sampleSeq = pp.sampleSeq
-				ex.sampleOcc = pp.sampleOcc
-			}
+		if n == 0 || !pps[n-1].pat.Equal(pp.pat) {
+			pps[n] = pp
+			n++
 			continue
 		}
-		scr.canon[key] = n
-		pps[n] = pp
-		n++
+		ex := pps[n-1]
+		ex.bm.InPlaceOr(pp.bm)
+		scr.putBitmap(pp.bm)
+		if ex.occs != nil && pp.occs != nil {
+			dst := scr.getStore(ex.occs.K())
+			hpg.MergeOccsInto(dst, ex.occs, pp.occs, ex.occs.K(), m.cfg.MaxOccurrencesPerSeq)
+			scr.putStore(ex.occs)
+			scr.putStore(pp.occs)
+			ex.occs = dst
+		}
+		ex.nOcc += pp.nOcc
+		if pp.sampleSeq >= 0 && (ex.sampleSeq < 0 || pp.sampleSeq < ex.sampleSeq) {
+			ex.sampleSeq = pp.sampleSeq
+			ex.sampleOcc = pp.sampleOcc
+		}
 	}
 	maxSupp := m.maxEventSupport(node.Events)
 	for _, pp := range pps[:n] {
@@ -542,10 +536,6 @@ func (m *miner) mineLevelK(k int) int {
 
 	var tasks []extendTask
 	for _, node := range prev.Nodes() {
-		// Establish the node's deterministic pattern order now, single
-		// threaded: workers read Patterns() concurrently and the lazy
-		// sort must not race.
-		node.Patterns()
 		last := node.Events[len(node.Events)-1]
 		for _, e := range src {
 			if e < last {
@@ -971,7 +961,9 @@ func splice(parent pattern.Pattern, pos int, newEvent events.EventID, newRels []
 	return pattern.New(evs, rels)
 }
 
-// buildResult assembles the deterministic result listing.
+// buildResult assembles the deterministic result listing. Level 1 holds
+// its nodes in event-id order; each deeper level's patterns are sorted
+// once, by pointer, and the levels follow each other by size.
 func (m *miner) buildResult() *Result {
 	res := &Result{Stats: m.stats}
 	if l1 := m.graph.Level(1); l1 != nil {
@@ -983,23 +975,26 @@ func (m *miner) buildResult() *Result {
 				Bitmap:     n.Bitmap,
 			})
 		}
-		sort.Slice(res.Singles, func(i, j int) bool { return res.Singles[i].Event < res.Singles[j].Event })
 	}
+	res.Patterns = make([]PatternInfo, 0, m.stats.TotalPatterns())
+	pds := make([]*hpg.PatternData, 0, cap(res.Patterns))
 	for k := 2; k <= m.graph.Height(); k++ {
+		pds = pds[:0]
 		for _, node := range m.graph.Level(k).Nodes() {
-			for _, pd := range node.Patterns() {
-				res.Patterns = append(res.Patterns, PatternInfo{
-					Pattern:    pd.Pattern,
-					Support:    pd.Support,
-					RelSupport: float64(pd.Support) / float64(m.n),
-					Confidence: pd.Confidence,
-					SampleSeq:  pd.SampleSeq,
-					Sample:     pd.SampleOcc,
-				})
-			}
+			pds = append(pds, node.Patterns()...)
+		}
+		slices.SortFunc(pds, func(a, b *hpg.PatternData) int { return pattern.Compare(a.Pattern, b.Pattern) })
+		for _, pd := range pds {
+			res.Patterns = append(res.Patterns, PatternInfo{
+				Pattern:    pd.Pattern,
+				Support:    pd.Support,
+				RelSupport: float64(pd.Support) / float64(m.n),
+				Confidence: pd.Confidence,
+				SampleSeq:  pd.SampleSeq,
+				Sample:     pd.SampleOcc,
+			})
 		}
 	}
-	sortPatterns(res.Patterns)
 	if m.cfg.KeepGraph {
 		res.Graph = m.graph
 	} else if h := m.graph.Height(); h >= 2 {

@@ -101,6 +101,34 @@ func BenchmarkExtendVerification(b *testing.B) {
 	}
 }
 
+// BenchmarkMineOutputHeavy mines a cell whose cost is mostly its output:
+// two NIST sequences at sigma = delta = 0.6, MaxK 3 and PruneAll, which
+// yield about 52 000 patterns from few occurrences each, so building and
+// ordering the result listing is a visible share of the run.
+// assembly_ms/op is the part of Stats.Duration that no level duration
+// covers.
+func BenchmarkMineOutputHeavy(b *testing.B) {
+	db := benchDB(b, "NIST", 0.0016)
+	cfg := Config{MinSupport: 0.6, MinConfidence: 0.6, MaxK: 3, Pruning: PruneAll}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var assembly time.Duration
+	for i := 0; i < b.N; i++ {
+		res, err := Mine(context.Background(), db, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Patterns) < 50000 {
+			b.Fatalf("%d patterns: the cell must be output-heavy", len(res.Patterns))
+		}
+		assembly += res.Stats.Duration
+		for _, ls := range res.Stats.Levels {
+			assembly -= ls.Duration
+		}
+	}
+	b.ReportMetric(float64(assembly.Microseconds())/1e3/float64(b.N), "assembly_ms/op")
+}
+
 // BenchmarkLevelSplit isolates the level costs: MaxK=1 (singles only),
 // MaxK=2 (pairs) and MaxK=3 expose how work distributes over levels.
 func BenchmarkLevelSplit(b *testing.B) {

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"ftpm/internal/bitmap"
@@ -95,7 +95,9 @@ type Stats struct {
 	SeriesFiltered int
 	PairsFiltered  int
 	Levels         []LevelStats
-	Duration       time.Duration
+	// Duration is the run's wall time, result assembly included: the
+	// level durations plus the remainder account for it.
+	Duration time.Duration
 }
 
 // TotalPatterns sums the frequent patterns over all levels (k >= 2), the
@@ -159,38 +161,10 @@ func Accuracy(approx, exact *Result) float64 {
 	return float64(hit) / float64(len(ex))
 }
 
-// sortPatterns orders PatternInfos by (k, key) for deterministic output.
-// Keys are materialized once per pattern up front — computing them inside
-// the comparator would allocate two strings per comparison, which
-// dominated the allocation profile of large result sets.
+// sortPatterns orders PatternInfos by pattern.Compare — size, then key
+// bytes — for deterministic output.
 func sortPatterns(ps []PatternInfo) {
-	sort.Sort(&patternSorter{ps: ps, keys: patternKeys(ps)})
-}
-
-func patternKeys(ps []PatternInfo) []string {
-	keys := make([]string, len(ps))
-	for i := range ps {
-		keys[i] = ps[i].Pattern.Key()
-	}
-	return keys
-}
-
-type patternSorter struct {
-	ps   []PatternInfo
-	keys []string
-}
-
-func (s *patternSorter) Len() int { return len(s.ps) }
-func (s *patternSorter) Less(i, j int) bool {
-	a, b := s.ps[i].Pattern, s.ps[j].Pattern
-	if a.K() != b.K() {
-		return a.K() < b.K()
-	}
-	return s.keys[i] < s.keys[j]
-}
-func (s *patternSorter) Swap(i, j int) {
-	s.ps[i], s.ps[j] = s.ps[j], s.ps[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
+	slices.SortFunc(ps, func(a, b PatternInfo) int { return pattern.Compare(a.Pattern, b.Pattern) })
 }
 
 // Maximal returns the mined patterns that are not sub-patterns of any

@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"ftpm/internal/bitmap"
 	"ftpm/internal/events"
@@ -87,6 +89,17 @@ func slotPattern(a, b events.EventID, s int) pattern.Pattern {
 	return pattern.Pair(a, temporal.Relation(s/2+1), b)
 }
 
+// pairSlotsInKeyOrder lists the slots of the pair node (a, b) in the
+// pattern.Compare order of the patterns they realize: first those led by
+// the event whose bytes sort first, then the others, each by relation.
+func pairSlotsInKeyOrder(a, b events.EventID) [numPairSlots]int {
+	f := 0
+	if pattern.CompareEvents(b, a) < 0 {
+		f = 1
+	}
+	return [numPairSlots]int{f, f + 2, f + 4, 1 - f, 3 - f, 5 - f}
+}
+
 // pairAcc is the integer-indexed L2 pending table: no composite keys at
 // all, just direct slot addressing. Each worker's scratch owns one.
 type pairAcc struct {
@@ -115,13 +128,13 @@ func (pa *pairAcc) reset() {
 }
 
 // extKey is the typed composite key of one Lk extension pending entry:
-// parent pattern (by its index in the parent node's key-sorted pattern
-// snapshot — same order as the former string keys, since all parent keys
-// in a node have equal length), chronological insert position, inserted
-// event, and the new relations packed 2 bits per role (values 1..3; the
-// pos slot is skipped). relsOv carries the overflow encoding for k > 33,
-// which no realistic mining run reaches — the struct stays comparable and
-// exact either way, so distinct composites never collide.
+// parent pattern (by its index in the parent node's pattern list, which is
+// in key order — same order as the former string keys, since all parent
+// keys in a node have equal length), chronological insert position,
+// inserted event, and the new relations packed 2 bits per role (values
+// 1..3; the pos slot is skipped). relsOv carries the overflow encoding for
+// k > 33, which no realistic mining run reaches — the struct stays
+// comparable and exact either way, so distinct composites never collide.
 type extKey struct {
 	parent int32
 	pos    int32
@@ -134,27 +147,30 @@ type extKey struct {
 // each): child patterns up to k = 33 need no overflow string.
 const maxPackedRoles = 32
 
-// less orders extension composites. Only the relative order of composites
-// canonicalizing to the same child pattern is semantically relevant (it
-// fixes the occurrence merge order in flushInto, hence which occurrences
-// survive the per-sequence cap and which sample wins); such composites
-// share (event, rels) by construction, so ordering by (parent, pos) first
-// reproduces the former sorted-string-key order exactly.
-func (k extKey) less(o extKey) bool {
+// compare orders extension composites. Only the relative order of
+// composites canonicalizing to the same child pattern is semantically
+// relevant (it fixes the occurrence merge order in flushInto, hence which
+// occurrences survive the per-sequence cap and which sample wins); such
+// composites share (event, rels) by construction, so ordering by
+// (parent, pos) first reproduces the former sorted-string-key order
+// exactly.
+func (k extKey) compare(o extKey) int {
 	if k.parent != o.parent {
-		return k.parent < o.parent
+		return cmp.Compare(k.parent, o.parent)
 	}
 	if k.pos != o.pos {
-		return k.pos < o.pos
+		return cmp.Compare(k.pos, o.pos)
 	}
 	if k.event != o.event {
-		return k.event < o.event
+		return cmp.Compare(k.event, o.event)
 	}
 	if k.rels != o.rels {
-		return k.rels < o.rels
+		return cmp.Compare(k.rels, o.rels)
 	}
-	return k.relsOv < o.relsOv
+	return strings.Compare(k.relsOv, o.relsOv)
 }
+
+func (k extKey) less(o extKey) bool { return k.compare(o) < 0 }
 
 // extPend is the Lk pending table: a typed-key index into a dense,
 // reusable slot arena. Lookups hash a fixed-size struct — no byte
@@ -208,11 +224,10 @@ func (ep *extPend) get(key extKey) (pp *pendingPattern, created bool) {
 }
 
 // ordered returns the pending entries sorted by composite key, reusing
-// dst. This is the single sort of the flush path (the former code sorted
-// composite strings and then canonical keys; canonical ordering is now the
-// graph's own lazy pattern sort — see TestFlushDeterminism).
+// dst. This order decides how flushInto merges composites of one pattern
+// (see TestFlushDeterminism).
 func (ep *extPend) ordered(dst []*pendingPattern) []*pendingPattern {
-	sort.Slice(ep.keys, func(i, j int) bool { return ep.keys[i].less(ep.keys[j]) })
+	slices.SortFunc(ep.keys, extKey.compare)
 	dst = dst[:0]
 	for _, k := range ep.keys {
 		dst = append(dst, &ep.pats[ep.idx[k]])
@@ -323,7 +338,6 @@ type scratch struct {
 	ext      extPend             // Lk pending table
 	pair     pairAcc             // L2 pending table
 	flushBuf []*pendingPattern   // composite-ordered flush view
-	canon    map[string]int      // canonical pattern -> flushBuf index
 
 	bmFree []*bitmap.Bitmap
 	stFree []*hpg.OccStore

@@ -16,8 +16,9 @@
 // The graph doubles as the miner's working memory: level k-1 occurrence
 // stores are dropped as soon as level k has extended them (unless the
 // caller asked to keep the full graph), which bounds peak memory to two
-// adjacent levels. Nodes expose their patterns in a deterministic order —
-// cached after the first read, so re-reading a parent's patterns per
-// extension candidate stays allocation-free — and parallel mining runs
-// produce byte-identical results.
+// adjacent levels. A node keeps its patterns in one slice, in
+// pattern.Compare order, as the miner's flush appends them; a level keeps
+// its nodes in the order the miner adds them. Neither needs a map or a
+// sort of its own, and parallel mining runs produce byte-identical
+// results.
 package hpg

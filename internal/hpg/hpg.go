@@ -2,7 +2,7 @@ package hpg
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"ftpm/internal/bitmap"
 	"ftpm/internal/events"
@@ -44,18 +44,14 @@ type PatternData struct {
 // joint bitmap and the frequent patterns of the combination.
 type Node struct {
 	Events []events.EventID // sorted ascending (multiset)
-	Key    string
-	Bitmap *bitmap.Bitmap // sequences containing all events
+	Bitmap *bitmap.Bitmap   // sequences containing all events
 	// Support is the combination support supp(E1,...,Ek) (Def 3.13).
 	Support int
 	// GroupConfidence is conf(E1,...,Ek) = Support / max single support
 	// (Def 3.15 generalized); Lemma 3 filters on it.
 	GroupConfidence float64
 
-	patterns map[string]*PatternData
-	order    []string // pattern keys; sorted lazily for deterministic iteration
-	sorted   bool
-	view     []*PatternData // cached sorted snapshot; invalidated by AddPattern
+	patterns []*PatternData // in pattern.Compare order
 }
 
 // NewNode creates a node for the sorted event multiset.
@@ -65,60 +61,29 @@ func NewNode(ms []events.EventID, bm *bitmap.Bitmap, support int, groupConf floa
 			panic(fmt.Sprintf("hpg: node events not sorted: %v", ms))
 		}
 	}
-	return &Node{
-		Events:          ms,
-		Key:             pattern.MultisetKey(ms),
-		Bitmap:          bm,
-		Support:         support,
-		GroupConfidence: groupConf,
-		patterns:        make(map[string]*PatternData),
-	}
+	return &Node{Events: ms, Bitmap: bm, Support: support, GroupConfidence: groupConf}
 }
 
 // K returns the combination size.
 func (n *Node) K() int { return len(n.Events) }
 
-// AddPattern stores a frequent pattern in the node. Adding the same pattern
-// twice panics — the miner aggregates occurrences before insertion.
+// AddPattern appends a frequent pattern to the node. Patterns arrive in
+// pattern.Compare order, each strictly after the last; a duplicate or
+// out-of-order insert panics — the miner merges and sorts before
+// insertion.
 func (n *Node) AddPattern(pd *PatternData) {
-	key := pd.Pattern.Key()
-	if _, dup := n.patterns[key]; dup {
-		panic("hpg: duplicate pattern inserted")
+	if l := len(n.patterns); l > 0 && pattern.Compare(n.patterns[l-1].Pattern, pd.Pattern) >= 0 {
+		panic("hpg: duplicate or out-of-order pattern inserted")
 	}
-	n.patterns[key] = pd
-	n.order = append(n.order, key)
-	n.sorted = false
-	n.view = nil
+	n.patterns = append(n.patterns, pd)
 }
-
-// Pattern returns the stored pattern with the given key, or nil.
-func (n *Node) Pattern(key string) *PatternData { return n.patterns[key] }
 
 // NumPatterns returns the number of stored frequent patterns.
 func (n *Node) NumPatterns() int { return len(n.patterns) }
 
-// Patterns iterates the node's patterns in deterministic (key) order.
-// The order is established lazily on first read after inserts, and the
-// returned slice is cached until the next insert: the miner re-reads a
-// parent node's patterns once per extension candidate, and rebuilding the
-// snapshot each time would allocate in the verification hot path. Callers
-// must not mutate the returned slice. Concurrent readers are safe only
-// once the snapshot exists — the miner establishes it single-threaded
-// before fanning out (see mineLevelK).
-func (n *Node) Patterns() []*PatternData {
-	if !n.sorted {
-		sort.Strings(n.order)
-		n.sorted = true
-		n.view = nil
-	}
-	if n.view == nil {
-		n.view = make([]*PatternData, len(n.order))
-		for i, k := range n.order {
-			n.view[i] = n.patterns[k]
-		}
-	}
-	return n.view
-}
+// Patterns returns the node's patterns in pattern.Compare order. Callers
+// must not modify the slice.
+func (n *Node) Patterns() []*PatternData { return n.patterns }
 
 // DropOccurrences releases the occurrence storage of all patterns — called
 // once a level can no longer be extended, to bound memory.
@@ -128,84 +93,41 @@ func (n *Node) DropOccurrences() {
 	}
 }
 
-// Level is one level of the graph: the frequent k-event combinations.
+// Level is one level of the graph: the frequent k-event combinations, in
+// the order the miner added them. The miner generates each multiset once
+// and adds the nodes in task order, which no worker count changes.
 type Level struct {
-	K      int
-	nodes  map[string]*Node
-	order  []string
-	sorted bool
+	K     int
+	nodes []*Node
 }
 
 // NewLevel creates an empty level for combination size k.
-func NewLevel(k int) *Level {
-	return &Level{K: k, nodes: make(map[string]*Node)}
-}
+func NewLevel(k int) *Level { return &Level{K: k} }
 
-// Add inserts a node; duplicate keys panic.
+// Add appends a node.
 func (l *Level) Add(n *Node) {
 	if n.K() != l.K {
 		panic(fmt.Sprintf("hpg: node of size %d added to level %d", n.K(), l.K))
 	}
-	if _, dup := l.nodes[n.Key]; dup {
-		panic("hpg: duplicate node inserted")
-	}
-	l.nodes[n.Key] = n
-	l.order = append(l.order, n.Key)
-	l.sorted = false
+	l.nodes = append(l.nodes, n)
 }
-
-// Get returns the node for the sorted multiset, or nil.
-func (l *Level) Get(ms []events.EventID) *Node { return l.nodes[pattern.MultisetKey(ms)] }
-
-// GetKey returns the node with the given key, or nil.
-func (l *Level) GetKey(key string) *Node { return l.nodes[key] }
 
 // Size returns the number of nodes.
 func (l *Level) Size() int { return len(l.nodes) }
 
-// Nodes iterates nodes in deterministic (key) order. The order is
-// established lazily on first read after inserts.
-func (l *Level) Nodes() []*Node {
-	if !l.sorted {
-		sort.Strings(l.order)
-		l.sorted = true
-	}
-	out := make([]*Node, len(l.order))
-	for i, k := range l.order {
-		out[i] = l.nodes[k]
-	}
-	return out
-}
-
-// Remove deletes a node (brown-node removal of step 2.2).
-func (l *Level) Remove(key string) {
-	if _, ok := l.nodes[key]; !ok {
-		return
-	}
-	delete(l.nodes, key)
-	for i, k := range l.order {
-		if k == key {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
-}
+// Nodes returns the level's nodes in insertion order. Callers must not
+// modify the slice.
+func (l *Level) Nodes() []*Node { return l.nodes }
 
 // DistinctEvents returns the distinct single events appearing in the
-// level's nodes (the set D_{k-1} of Lemma 5's Filtered1Freq).
+// level's nodes (the set D_{k-1} of Lemma 5's Filtered1Freq), ascending.
 func (l *Level) DistinctEvents() []events.EventID {
-	seen := make(map[events.EventID]bool)
+	var out []events.EventID
 	for _, n := range l.nodes {
-		for _, e := range n.Events {
-			seen[e] = true
-		}
+		out = append(out, n.Events...)
 	}
-	out := make([]events.EventID, 0, len(seen))
-	for e := range seen {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Graph is the Hierarchical Pattern Graph: Levels[0] is L1.

@@ -31,12 +31,6 @@ func TestNodeBasics(t *testing.T) {
 	if n.NumPatterns() != 1 {
 		t.Error("AddPattern failed")
 	}
-	if n.Pattern(pd.Pattern.Key()) != pd {
-		t.Error("Pattern lookup failed")
-	}
-	if n.Pattern("nope") != nil {
-		t.Error("missing pattern must be nil")
-	}
 	ps := n.Patterns()
 	if len(ps) != 1 || ps[0] != pd {
 		t.Error("Patterns iteration wrong")
@@ -70,6 +64,16 @@ func TestNodePanics(t *testing.T) {
 		}()
 		n.AddPattern(&PatternData{Pattern: pattern.Pair(1, temporal.Follow, 2), Bitmap: bitmap.New(4)})
 	}()
+	n = mkNode(t, 1, 2)
+	n.AddPattern(&PatternData{Pattern: pattern.Pair(1, temporal.Contain, 2), Bitmap: bitmap.New(4)})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("out-of-order pattern must panic")
+			}
+		}()
+		n.AddPattern(&PatternData{Pattern: pattern.Pair(1, temporal.Follow, 2), Bitmap: bitmap.New(4)})
+	}()
 }
 
 func TestLevel(t *testing.T) {
@@ -81,12 +85,6 @@ func TestLevel(t *testing.T) {
 	if l.Size() != 2 {
 		t.Error("Size wrong")
 	}
-	if l.Get([]events.EventID{1, 2}) != a || l.GetKey(b.Key) != b {
-		t.Error("lookup failed")
-	}
-	if l.Get([]events.EventID{9, 9}) != nil {
-		t.Error("missing node must be nil")
-	}
 	nodes := l.Nodes()
 	if len(nodes) != 2 {
 		t.Error("Nodes wrong")
@@ -94,14 +92,6 @@ func TestLevel(t *testing.T) {
 	de := l.DistinctEvents()
 	if len(de) != 3 || de[0] != 1 || de[1] != 2 || de[2] != 3 {
 		t.Errorf("DistinctEvents = %v", de)
-	}
-	l.Remove(a.Key)
-	if l.Size() != 1 || l.GetKey(a.Key) != nil {
-		t.Error("Remove failed")
-	}
-	l.Remove("missing") // no-op
-	if l.Size() != 1 {
-		t.Error("Remove of missing key must be a no-op")
 	}
 }
 
@@ -114,15 +104,6 @@ func TestLevelPanics(t *testing.T) {
 			}
 		}()
 		l.Add(NewNode([]events.EventID{1}, bitmap.New(1), 1, 1))
-	}()
-	l.Add(mkNode(t, 1, 2))
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("duplicate node must panic")
-			}
-		}()
-		l.Add(mkNode(t, 1, 2))
 	}()
 }
 

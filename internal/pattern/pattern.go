@@ -1,7 +1,10 @@
 package pattern
 
 import (
+	"cmp"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -89,6 +92,28 @@ func (p Pattern) Key() string {
 		sb.WriteByte(byte(r))
 	}
 	return sb.String()
+}
+
+// Compare is the one total order of patterns: by size, then by the bytes
+// of Key — the events in role order, each by its little-endian bytes, then
+// the relations. For equal sizes it agrees with strings.Compare on the
+// keys, without building them.
+func Compare(a, b Pattern) int {
+	if c := cmp.Compare(len(a.Events), len(b.Events)); c != 0 {
+		return c
+	}
+	for i, e := range a.Events {
+		if c := CompareEvents(e, b.Events[i]); c != 0 {
+			return c
+		}
+	}
+	return slices.Compare(a.Rels, b.Rels)
+}
+
+// CompareEvents orders event ids as Key writes them: by their
+// little-endian bytes, so 256 sorts before 1.
+func CompareEvents(a, b events.EventID) int {
+	return cmp.Compare(bits.ReverseBytes32(uint32(a)), bits.ReverseBytes32(uint32(b)))
 }
 
 // Equal reports structural equality.

@@ -1,6 +1,8 @@
 package pattern
 
 import (
+	"cmp"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -234,4 +236,75 @@ func (r raw6) relations() []temporal.Relation {
 		out[i] = temporal.Relation(v%3) + temporal.Follow
 	}
 	return out
+}
+
+// fuzzPattern decodes a pattern from b: a size byte (mod 6), then four
+// little-endian bytes per event and one byte per relation, zero-padded
+// when b runs short.
+func fuzzPattern(b []byte) Pattern {
+	next := func() byte {
+		if len(b) == 0 {
+			return 0
+		}
+		c := b[0]
+		b = b[1:]
+		return c
+	}
+	k := int(next() % 6)
+	p := Pattern{Events: make([]events.EventID, k), Rels: make([]temporal.Relation, TriLen(k))}
+	for i := range p.Events {
+		p.Events[i] = events.EventID(uint32(next()) | uint32(next())<<8 | uint32(next())<<16 | uint32(next())<<24)
+	}
+	for i := range p.Rels {
+		p.Rels[i] = temporal.Relation(next())
+	}
+	return p
+}
+
+// fuzzSeed encodes a pattern the way fuzzPattern decodes it.
+func fuzzSeed(evs []events.EventID, rels ...temporal.Relation) []byte {
+	b := []byte{byte(len(evs))}
+	for _, e := range evs {
+		b = append(b, byte(e), byte(e>>8), byte(e>>16), byte(e>>24))
+	}
+	for _, r := range rels {
+		b = append(b, byte(r))
+	}
+	return b
+}
+
+// FuzzCompareMatchesKey holds Compare to the order it replaces: size
+// first, then the bytes of Key. Event ids of 256 and more are where the
+// key's little-endian bytes and numeric order part ways.
+func FuzzCompareMatchesKey(f *testing.F) {
+	ev := func(ids ...events.EventID) []events.EventID { return ids }
+	fl, co, ov := temporal.Follow, temporal.Contain, temporal.Overlap
+	f.Add(fuzzSeed(ev(1, 2), fl), fuzzSeed(ev(256, 2), fl))
+	f.Add(fuzzSeed(ev(255, 3), co), fuzzSeed(ev(256, 3), co))
+	f.Add(fuzzSeed(ev(7, 1), ov), fuzzSeed(ev(7, 256), ov))
+	f.Add(fuzzSeed(ev(0, 1, 2), co, fl, fl), fuzzSeed(ev(0, 1, 2), co, fl, ov))
+	f.Add(fuzzSeed(ev(9, 9), fl), fuzzSeed(ev(0, 0, 0), fl, fl, fl))
+	f.Add(fuzzSeed(ev(300, 1, 2), fl, fl, fl), fuzzSeed(ev(44, 1), fl))
+	f.Add(fuzzSeed(ev(65536, 1), fl), fuzzSeed(ev(255, 1), fl))
+	f.Add(fuzzSeed(ev(3, 4), fl), fuzzSeed(ev(3, 4), fl))
+	f.Fuzz(func(t *testing.T, ba, bb []byte) {
+		a, b := fuzzPattern(ba), fuzzPattern(bb)
+		ka, kb := a.Key(), b.Key()
+		want := cmp.Compare(a.K(), b.K())
+		if want == 0 {
+			want = strings.Compare(ka, kb)
+		}
+		if got := Compare(a, b); got != want {
+			t.Fatalf("Compare(%v, %v) = %d, want %d (keys %x, %x)", a, b, got, want, ka, kb)
+		}
+		if got := Compare(b, a); got != -want {
+			t.Fatalf("Compare(%v, %v) = %d, want %d", b, a, got, -want)
+		}
+		if Compare(a, a) != 0 {
+			t.Fatalf("Compare(%v, itself) != 0", a)
+		}
+		if a.K() == b.K() && (ka == kb) != a.Equal(b) {
+			t.Fatalf("equal keys and Equal disagree on %v, %v", a, b)
+		}
+	})
 }
