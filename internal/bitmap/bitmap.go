@@ -238,6 +238,23 @@ func (b *Bitmap) AppendIndices(dst []int32) []int32 {
 	return dst
 }
 
+// AppendAndIndices appends the positions of the bits set in both b and o,
+// in ascending order, to dst and returns the extended slice:
+// And(o).AppendIndices(dst) without the intermediate bitmap.
+func (b *Bitmap) AppendAndIndices(o *Bitmap, dst []int32) []int32 {
+	b.sameLen(o)
+	y := o.words[:len(b.words)]
+	for wi, w := range b.words {
+		w &= y[wi]
+		base := int32(wi * wordBits)
+		for w != 0 {
+			dst = append(dst, base+int32(bits.TrailingZeros64(w)))
+			w &= w - 1
+		}
+	}
+	return dst
+}
+
 // Reset clears every bit, keeping the length — pooled bitmaps are recycled
 // through this instead of reallocating.
 func (b *Bitmap) Reset() {

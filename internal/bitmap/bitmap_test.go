@@ -2,6 +2,7 @@ package bitmap
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -148,7 +149,8 @@ func TestSizeBytes(t *testing.T) {
 	}
 }
 
-// Property: AndCount(a,b) == Count(And(a,b)) and the count never exceeds
+// Property: AndCount(a,b) == Count(And(a,b)), AppendAndIndices lists the
+// bits of And(a,b), and the count never exceeds
 // either operand's count (the Apriori monotonicity the miner relies on).
 func TestAndCountProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -167,6 +169,9 @@ func TestAndCountProperty(t *testing.T) {
 		and := a.And(b)
 		if a.AndCount(b) != and.Count() {
 			t.Fatalf("AndCount mismatch at n=%d", n)
+		}
+		if got, want := a.AppendAndIndices(b, nil), and.AppendIndices(nil); !slices.Equal(got, want) {
+			t.Fatalf("AppendAndIndices at n=%d: %v, want %v", n, got, want)
 		}
 		if and.Count() > a.Count() || and.Count() > b.Count() {
 			t.Fatalf("AND count exceeds operand count")

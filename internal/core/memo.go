@@ -4,10 +4,12 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"ftpm/internal/bitmap"
 	"ftpm/internal/events"
 	"ftpm/internal/hpg"
+	"ftpm/internal/pattern"
 	"ftpm/internal/temporal"
 )
 
@@ -38,7 +40,8 @@ import (
 // pointer), so the memo shares them without copying, and a publication
 // carries them forward by pointer. A delta view's cut memo holds none: a
 // store holds occurrences in the windows past the stable prefix, which
-// the delta view re-cuts.
+// the delta view re-cuts. Level 3 leaves an L_k memo besides (see lkMemo),
+// which a delta view starts without for the same reason.
 
 // vbits is a family of vertical bitmaps in CSR form: list i is the bitset
 // words[off[i]:off[i+1]] (sequence g is bit g%64 of word g/64), trimmed
@@ -396,6 +399,9 @@ type viewMemo struct {
 	// pairs is the L2 memo of the verification key last published; a run
 	// with another key replaces it.
 	pairs *pairMemo
+	// lk is the L_k memo of the key last published, shared by every
+	// successor state until a run with another key replaces it.
+	lk *lkMemo
 }
 
 func (vm *viewMemo) bytes() int64 {
@@ -405,6 +411,9 @@ func (vm *viewMemo) bytes() int64 {
 	}
 	if vm.pairs != nil {
 		n += vm.pairs.bytes()
+	}
+	if vm.lk != nil {
+		n += vm.lk.bytes()
 	}
 	return n
 }
@@ -554,9 +563,9 @@ func (m *miner) keepStores(pe *pairEntry, acc *pairAcc, maxSupp int) {
 }
 
 // emitPairs stores the slots of pe that pass the thresholds in node, as
-// flushInto would from the pending table: in key order, with the same
-// pattern, bitmap, support, confidence and sample, and the occurrences of
-// stores (none when nil).
+// flush and addPatterns would from the pending table: in key order, with
+// the same pattern, bitmap, support, confidence and sample, and the
+// occurrences of stores (none when nil).
 // When tail is the pending table this run classified pe's tail into, a
 // slot's bitmap there (the tail's sequences) is completed with the head's
 // and stored, or recycled if the slot fails; otherwise bitmaps are built
@@ -592,5 +601,158 @@ func (m *miner) emitPairs(node *hpg.Node, pe *pairEntry, maxSupp int, tail *pair
 		}
 		node.AddPattern(pd)
 		ls.Patterns++
+	}
+}
+
+// The L_k memo holds what level-3 extension produced for one level-2
+// parent pattern extended by one event: the pending composites of the
+// sequence sweep, in extKey order, and that pattern's share of
+// TripleChecksFailed. A threshold sweep over one view re-extends the same
+// parent patterns under the same L2 masks cell after cell; an entry lets
+// the later cells skip the sweep. The entry is keyed by everything the
+// sweep reads (lkKey) and the memo by the verification key and the
+// occurrence cap (lkMemoKey), since the parent's occurrences depend on
+// both. It serves only runs that keep no level-3 occurrences, and only
+// nodes whose new event is not in the parent: dedup couples the parent
+// patterns of such a node.
+//
+// Unlike the L1 and L2 memos it grows in place: a run publishes the
+// entries it lacked under the memo's lock, each entry once, and no entry
+// or composite is ever rewritten. Readers take the read lock for a node's
+// lookups only; the composites they then read lie below the arenas'
+// lengths at that moment, which no later append writes.
+
+// lkMemoKey is what the parent patterns' occurrences depend on: the
+// verification key and the per-sequence occurrence cap.
+type lkMemoKey struct {
+	memoKey
+	occCap int
+}
+
+// lkKey identifies one entry: the parent pattern (a, r, b) in role order,
+// the new event e, and in bits the relation r (bits 0-1), the four masks
+// before[0], before[1], after[0] and after[1] the sweep reads, without the
+// green bit it never reads (3 bits each from bit 2), the transitivity
+// flag (bit 14) and the insert-position-cut flag (bit 15).
+type lkKey struct {
+	a, b, e events.EventID
+	bits    uint32
+}
+
+// lkKeyOf is the key of extending parent pattern p by e. before and after
+// are p's masks, nil without transitivity pruning.
+func lkKeyOf(p pattern.Pattern, e events.EventID, before, after []uint8, cut bool) lkKey {
+	bits := uint32(p.Rels[0])
+	if before != nil {
+		for i, mask := range [4]uint8{before[0], before[1], after[0], after[1]} {
+			bits |= uint32(mask>>1) << (2 + 3*i)
+		}
+		bits |= 1 << 14
+	}
+	if cut {
+		bits |= 1 << 15
+	}
+	return lkKey{a: p.Events[0], b: p.Events[1], e: e, bits: bits}
+}
+
+// lkVal is an entry: its composites comps[off:off+n] and its share of
+// TripleChecksFailed.
+type lkVal struct {
+	off, n, failed uint32
+}
+
+// lkComp is one pending composite of an entry as the sweep left it: the
+// insert position and the packed new relations of its extKey, and its
+// sample. Its support bitmap is kept beside it (lkMemo.bits).
+type lkComp struct {
+	seq  int32
+	occ  [3]int32
+	pos  uint8
+	rels uint8
+}
+
+// lkMemo is the view's L_k memo of one lkMemoKey.
+type lkMemo struct {
+	key   lkMemoKey
+	words int // bitmap words per composite: the view's sequence width
+
+	mu    sync.RWMutex
+	idx   map[lkKey]lkVal
+	comps []lkComp
+	bits  []uint64 // composite i's support is bits[i*words:(i+1)*words]
+}
+
+// lkEntryBytes approximates the heap cost of one idx entry: the 28-byte
+// key and value, their control byte, and the map's free slots (the map of
+// BenchmarkMineSweep's input, 4 708 entries, takes 262 KB). lkCompBytes
+// is the size of an lkComp (four int32s and two bytes, padded).
+const (
+	lkEntryBytes = 56
+	lkCompBytes  = 20
+)
+
+func (lm *lkMemo) bytes() int64 {
+	lm.mu.RLock()
+	defer lm.mu.RUnlock()
+	return int64(len(lm.idx))*lkEntryBytes + int64(cap(lm.comps))*lkCompBytes + 8*int64(cap(lm.bits))
+}
+
+// lkHits is what a node's lookup found: the entry of each parent pattern,
+// and the arenas their composites lie in.
+type lkHits struct {
+	vals  []lkVal
+	hit   []bool
+	comps []lkComp
+	bits  []uint64
+}
+
+// lookup finds the entries of keys, reusing h's slices, and reports
+// whether all of them hit. A nil memo holds nothing.
+func (lm *lkMemo) lookup(keys []lkKey, h *lkHits) bool {
+	h.vals, h.hit = slices.Grow(h.vals[:0], len(keys))[:len(keys)], slices.Grow(h.hit[:0], len(keys))[:len(keys)]
+	if lm == nil {
+		clear(h.hit)
+		return false
+	}
+	all := true
+	lm.mu.RLock()
+	for i, k := range keys {
+		h.vals[i], h.hit[i] = lm.idx[k]
+		all = all && h.hit[i]
+	}
+	h.comps, h.bits = lm.comps, lm.bits
+	lm.mu.RUnlock()
+	return all
+}
+
+// lkFresh is what one run adds to the L_k memo: an entry for each
+// parent pattern extension it swept that the memo lacked, with its
+// composites (vals index comps, and bits holds a memo's words per
+// composite).
+type lkFresh struct {
+	keys  []lkKey
+	vals  []lkVal
+	comps []lkComp
+	bits  []uint64
+}
+
+// add publishes the entries of f that the memo lacks.
+func (lm *lkMemo) add(f *lkFresh) {
+	lm.mu.Lock()
+	defer lm.mu.Unlock()
+	if lm.idx == nil {
+		lm.idx = make(map[lkKey]lkVal, len(f.keys))
+	}
+	lm.comps = slices.Grow(lm.comps, len(f.comps))
+	lm.bits = slices.Grow(lm.bits, len(f.bits))
+	for i, k := range f.keys {
+		if _, ok := lm.idx[k]; ok {
+			continue
+		}
+		v := f.vals[i]
+		lo, hi := int(v.off), int(v.off+v.n)
+		lm.idx[k] = lkVal{off: uint32(len(lm.comps)), n: v.n, failed: v.failed}
+		lm.comps = append(lm.comps, f.comps[lo:hi]...)
+		lm.bits = append(lm.bits, f.bits[lo*lm.words:hi*lm.words]...)
 	}
 }

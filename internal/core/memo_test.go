@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"ftpm/internal/datagen"
 	"ftpm/internal/events"
 	"ftpm/internal/temporal"
 	"ftpm/internal/timeseries"
@@ -435,4 +439,239 @@ func TestMemoBytesCountOccurrences(t *testing.T) {
 	if after := view.MemoBytes(); after-before < held {
 		t.Fatalf("MemoBytes %d -> %d, want growth of at least the %d bytes of L2 occurrences held", before, after, held)
 	}
+}
+
+// sweepSDB is the in-process sweep input of BenchmarkMineSweep: a NIST
+// slice of 73 days and 36 series.
+func sweepSDB(t testing.TB) *timeseries.SymbolicDB {
+	t.Helper()
+	sdb, err := datagen.NIST().Generate(datagen.Options{SequenceFraction: 0.05, AttributeFraction: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sdb
+}
+
+// sweepShards cuts the sweep input into 73 one-day windows in two shards.
+func sweepShards(t testing.TB) []*events.DB {
+	t.Helper()
+	shards, err := events.ConvertShards(sweepSDB(t), events.SplitOptions{NumWindows: 73}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return shards
+}
+
+// sweepCells is sweep-exact's grid of base in its order: sigma varies
+// fastest over {0.65 ... 0.80}, delta over {0.5 ... 0.9}.
+func sweepCells(base Config) []Config {
+	var cells []Config
+	for _, delta := range []float64{0.5, 0.6, 0.7, 0.8, 0.9} {
+		for _, sigma := range []float64{0.65, 0.70, 0.75, 0.80} {
+			c := base
+			c.MinSupport, c.MinConfidence = sigma, delta
+			cells = append(cells, c)
+		}
+	}
+	return cells
+}
+
+// l3MemoHits is a run's level-3 MemoHits.
+func l3MemoHits(res *Result) int {
+	for _, l := range res.Stats.Levels {
+		if l.K == 3 {
+			return l.MemoHits
+		}
+	}
+	return 0
+}
+
+// TestLkMemoMatchesCold is the L_k memo's property test. It mines
+// sweep-exact's 20-cell grid in its order on one view — under the default
+// pruning, occurrence cap 1, a t_max (which turns the insert-position cut
+// off), and PruneApriori and PruneNone (which read no L2 masks), at one
+// and two workers — and every cell must equal a run on a fresh view:
+// patterns, supports, confidences, samples, and every counter but
+// MemoHits. The variants share the view, so each meets the memo after a
+// run of another occurrence cap or verification key. Level 3 must be
+// served from the memo in every variant. The sub-tests cover a delta
+// view, concurrent runs on one view, and a cancelled run.
+func TestLkMemoMatchesCold(t *testing.T) {
+	shards := sweepShards(t)
+	ctx := context.Background()
+	variants := []struct {
+		name string
+		cfg  Config
+	}{
+		{"default", Config{MaxK: 3}},
+		{"cap1", Config{MaxK: 3, MaxOccurrencesPerSeq: 1}},
+		// A t_max of one window binds no pattern of this input (its
+		// frequent pairs span whole days), but turns the cut off.
+		{"tmax", Config{MaxK: 3, TMax: 24 * 3600}},
+		{"apriori", Config{MaxK: 3, Pruning: PruneApriori}},
+		{"none", Config{MaxK: 3, Pruning: PruneNone}},
+	}
+	// cold mines cfg on a fresh view of shards.
+	cold := func(t *testing.T, shards []*events.DB, cfg Config) *Result {
+		t.Helper()
+		fresh, err := PrepareShards(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := MineShardedView(ctx, fresh, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// grid is sweep-exact's grid of base; -short keeps its first two
+	// confidence rows, every support level.
+	grid := func(base Config) []Config {
+		if cells := sweepCells(base); testing.Short() {
+			return cells[:8]
+		} else {
+			return cells
+		}
+	}
+	workers := []int{1, 2}
+	if testing.Short() {
+		workers = workers[1:]
+	}
+	// sweep mines base's grid on view and checks each cell against want
+	// (filled cold on first use); it returns the level-3 memo hits.
+	sweep := func(t *testing.T, label string, view *ShardedView, shards []*events.DB, base Config, want []*Result) int {
+		t.Helper()
+		hits := 0
+		for i, cfg := range grid(base) {
+			if want[i] == nil {
+				want[i] = cold(t, shards, cfg)
+			}
+			got, err := MineShardedView(ctx, view, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l := fmt.Sprintf("%s cell %d (sigma %v delta %v)", label, i, cfg.MinSupport, cfg.MinConfidence)
+			sameResults(t, l, got, want[i])
+			sameLevelCounts(t, l, got, want[i])
+			hits += l3MemoHits(got)
+		}
+		return hits
+	}
+
+	t.Run("grid", func(t *testing.T) {
+		view, err := PrepareShards(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([][]*Result, len(variants))
+		for _, workers := range workers {
+			for vi, v := range variants {
+				if want[vi] == nil {
+					want[vi] = make([]*Result, 20)
+				}
+				base := v.cfg
+				base.Workers = workers
+				label := fmt.Sprintf("%s workers %d", v.name, workers)
+				if hits := sweep(t, label, view, shards, base, want[vi]); hits == 0 {
+					t.Fatalf("%s: no level-3 parent pattern was served from the L_k memo", label)
+				}
+			}
+		}
+	})
+
+	t.Run("delta", func(t *testing.T) {
+		p := datagen.NIST()
+		full := sweepSDB(t)
+		base := truncateSDB(t, full, full.Len()-p.SamplesPerSeq)
+		opt := events.SplitOptions{WindowLength: p.Step * temporal.Duration(p.SamplesPerSeq)}
+		prevShards, err := events.ConvertShards(base, opt, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parent, err := PrepareShards(prevShards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{MaxK: 3, Workers: 2}
+		sweep(t, "parent", parent, prevShards, cfg, make([]*Result, 20))
+		if parent.memo.Load().lk == nil {
+			t.Fatal("the parent's sweep left no L_k memo")
+		}
+		shards, stable, err := events.ConvertShardsDelta(full, opt, 2, prevShards, base.End())
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, err := PrepareShardsDelta(parent, shards, stable)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if delta.memo.Load().lk != nil {
+			t.Fatal("a delta view starts with its parent's L_k memo")
+		}
+		want := make([]*Result, 20)
+		sweep(t, "delta", delta, shards, cfg, want)
+		if hits := sweep(t, "delta again", delta, shards, cfg, want); hits == 0 {
+			t.Fatal("delta again: no level-3 parent pattern was served from the L_k memo")
+		}
+	})
+
+	t.Run("concurrent", func(t *testing.T) {
+		view, err := PrepareShards(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := grid(Config{MaxK: 3, Workers: 2})
+		want := make([]*Result, len(cells))
+		for i, cfg := range cells {
+			want[i] = cold(t, shards, cfg)
+		}
+		var hits atomic.Int64
+		for round := 0; round < 2; round++ {
+			var wg sync.WaitGroup
+			for i, cfg := range cells {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got, err := MineShardedView(ctx, view, cfg)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					l := fmt.Sprintf("round %d cell %d", round, i)
+					sameResults(t, l, got, want[i])
+					sameLevelCounts(t, l, got, want[i])
+					hits.Add(int64(l3MemoHits(got)))
+				}()
+			}
+			wg.Wait()
+		}
+		if hits.Load() == 0 {
+			t.Fatal("no level-3 parent pattern was served from the L_k memo")
+		}
+	})
+
+	t.Run("cancelled", func(t *testing.T) {
+		view, err := PrepareShards(shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Cancel a few milliseconds into level 3, so the drain stops
+		// part-way (a node's sweep may stop mid-node).
+		cctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		cfg := Config{MinSupport: 0.65, MinConfidence: 0.5, MaxK: 3, Workers: 2,
+			WorkersFunc: func(k int) int {
+				if k == 3 {
+					time.AfterFunc(2*time.Millisecond, cancel)
+				}
+				return -1
+			}}
+		if _, err := MineShardedView(cctx, view, cfg); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+		}
+		if lk := view.memo.Load().lk; lk != nil {
+			t.Fatalf("a cancelled run published %d L_k memo entries", len(lk.idx))
+		}
+		sweep(t, "after cancel", view, shards, Config{MaxK: 3, Workers: 2}, make([]*Result, 20))
+	})
 }

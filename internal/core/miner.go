@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -18,7 +19,8 @@ import (
 // Mine runs HTPGM over the temporal sequence database. With a nil
 // Config.Filter this is the exact E-HTPGM (Alg 1); with a correlation
 // filter it is A-HTPGM (Alg 2). It is MineShardedView over a one-shard
-// view of db.
+// view of db, except that level 3 records no L_k memo: no later run reads
+// the view.
 //
 // Cancelling ctx aborts the run: workers stop between verification units
 // (candidate nodes and, within a node, sequences), and Mine returns
@@ -34,7 +36,7 @@ func Mine(ctx context.Context, db *events.DB, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return MineShardedView(ctx, v, cfg)
+	return mineView(ctx, v, cfg, false)
 }
 
 // mineAll runs the levelwise mining loop on a fully-constructed miner.
@@ -109,6 +111,14 @@ type miner struct {
 	// pairs is the view's L2 memo for this run's verification key, as
 	// loaded when level 2 starts (nil when the view has none).
 	pairs *pairMemo
+	// lk is the view's L_k memo for this run's key, as loaded when level 3
+	// starts (nil when the view has none); lkFresh collects, under
+	// lkFreshMu, the entries level 3 swept that it lacked, unless recordLk
+	// is false.
+	lk        *lkMemo
+	recordLk  bool
+	lkFreshMu sync.Mutex
+	lkFresh   lkFresh
 
 	// scrPool recycles per-worker scratch state across the run's parallel
 	// drains. Scoped to the miner (not package-global) so pooled bitmaps
@@ -440,7 +450,7 @@ func (m *miner) classifyInto(acc *pairAcc, a, b events.EventID, seq *events.Sequ
 }
 
 // flushPair flushes the L2 pending table, filled with stored occurrences.
-// At L2 every slot already realizes a distinct pattern, so flushInto only
+// At L2 every slot already realizes a distinct pattern, so flush only
 // puts the slots in key order.
 func (m *miner) flushPair(node *hpg.Node, acc *pairAcc, scr *scratch, ls *LevelStats) {
 	buf := scr.flushBuf[:0]
@@ -452,17 +462,19 @@ func (m *miner) flushPair(node *hpg.Node, acc *pairAcc, scr *scratch, ls *LevelS
 		}
 	}
 	scr.flushBuf = buf
-	m.flushInto(node, buf, scr, ls)
+	maxSupp := m.maxEventSupport(node.Events)
+	m.addPatterns(node, m.flush(buf, maxSupp, scr), maxSupp, ls)
 }
 
-// flushInto applies the final sigma/delta thresholds (passes) and stores
-// survivors in the node. pps arrives in composite-key order; a stable sort
-// by pattern.Compare brings the entries realizing the same pattern
-// together, still in that order, and each run is merged left to right —
-// which fixes the occurrence merge order under the per-sequence cap and
-// the sample tie-break (see TestFlushDeterminism). The survivors then
-// reach the node in its pattern order.
-func (m *miner) flushInto(node *hpg.Node, pps []*pendingPattern, scr *scratch, ls *LevelStats) {
+// flush applies the final sigma/delta thresholds (passes) to a pending
+// table and returns its survivors, a prefix of pps in pattern order; the
+// rest are recycled. pps arrives in composite-key order; a stable sort by
+// pattern.Compare brings the entries realizing the same pattern together,
+// still in that order, and each run is merged left to right — which fixes
+// the occurrence merge order under the per-sequence cap and the sample
+// tie-break (see TestFlushDeterminism). maxSupp is the largest support of
+// the node's events.
+func (m *miner) flush(pps []*pendingPattern, maxSupp int, scr *scratch) []*pendingPattern {
 	slices.SortStableFunc(pps, func(a, b *pendingPattern) int { return pattern.Compare(a.pat, b.pat) })
 	n := 0
 	for _, pp := range pps {
@@ -487,15 +499,31 @@ func (m *miner) flushInto(node *hpg.Node, pps []*pendingPattern, scr *scratch, l
 			ex.sampleOcc = pp.sampleOcc
 		}
 	}
-	maxSupp := m.maxEventSupport(node.Events)
+	s := 0
 	for _, pp := range pps[:n] {
-		supp := pp.bm.Count()
-		conf, ok := m.passes(supp, maxSupp)
-		if !ok {
+		if _, ok := m.passes(pp.bm.Count(), maxSupp); !ok {
 			scr.putBitmap(pp.bm)
 			scr.putStore(pp.occs)
 			continue
 		}
+		pps[s] = pp
+		s++
+	}
+	return pps[:s]
+}
+
+// addPatterns stores the survivors of a flush in node, in their order:
+// the node's pattern slice grows once, and their PatternData share one
+// allocation.
+func (m *miner) addPatterns(node *hpg.Node, survivors []*pendingPattern, maxSupp int, ls *LevelStats) {
+	if len(survivors) == 0 {
+		return
+	}
+	node.Grow(len(survivors))
+	pds := make([]hpg.PatternData, len(survivors))
+	for i, pp := range survivors {
+		supp := pp.bm.Count()
+		conf, _ := m.passes(supp, maxSupp)
 		if pp.occs != nil && pp.occs.NumSeqs() > 0 {
 			// The survivor's sample is the store's first occurrence (see
 			// pendingPattern.record) — copied only now, once per stored
@@ -503,7 +531,7 @@ func (m *miner) flushInto(node *hpg.Node, pps []*pendingPattern, scr *scratch, l
 			pp.sampleSeq = int(pp.occs.SeqAt(0))
 			pp.sampleOcc = append(hpg.Occurrence(nil), pp.occs.Occ(0)...)
 		}
-		node.AddPattern(&hpg.PatternData{
+		pds[i] = hpg.PatternData{
 			Pattern:    pp.pat,
 			Bitmap:     pp.bm,
 			Support:    supp,
@@ -511,7 +539,8 @@ func (m *miner) flushInto(node *hpg.Node, pps []*pendingPattern, scr *scratch, l
 			Occs:       pp.occs,
 			SampleSeq:  pp.sampleSeq,
 			SampleOcc:  pp.sampleOcc,
-		})
+		}
+		node.AddPattern(&pds[i])
 		ls.Patterns++
 		ls.Occurrences += pp.nOcc
 	}
@@ -546,9 +575,19 @@ func (m *miner) mineLevelK(k int) int {
 			tasks = append(tasks, extendTask{parent: node, e: e})
 		}
 	}
+	// Level 3 reads the L_k memo, and the entries its nodes swept go to
+	// the memo afterwards, unless the run was cancelled (a node's sweep
+	// may be partial).
+	key := lkMemoKey{memoKey{rel: m.rel, tmax: m.cfg.TMax}, m.cfg.MaxOccurrencesPerSeq}
+	if k == 3 {
+		m.lk = m.view.lkMemo(key)
+	}
 	outcomes := runParallel(m.done, m.workers(), &m.scrPool, tasks, m.extendNodeTask)
 	for i := range outcomes {
 		outcomes[i].mergeInto(level, &ls)
+	}
+	if len(m.lkFresh.keys) > 0 && !m.cancelled() {
+		m.view.publishLk(key, bitmapWords(m.n), &m.lkFresh)
 	}
 
 	// Level k-1 occurrences can be released: only level k extends them.
@@ -632,22 +671,18 @@ func (m *miner) lemma5Allows(node *hpg.Node, e events.EventID) bool {
 // masks bound where an instance may be inserted at all: where the bound
 // is the only check a misplaced instance could fail, only the instances
 // inside it are tried, and the rest are counted as failed triple checks.
-func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, scr *scratch, ls *LevelStats) {
+// At level 3, when the run keeps no level-3 occurrences and e is not in
+// the parent, the L_k memo stands in for the sweep if it holds an entry
+// for every parent pattern; otherwise the sweep records the entries it
+// lacked in m.lkFresh. It returns the flushed survivors (see flush);
+// maxSupp is the largest support of the child's events.
+func (m *miner) extendNode(parent *hpg.Node, e events.EventID, maxSupp int, scr *scratch, ls *LevelStats) []*pendingPattern {
 	scr.ext.reset()
-	k := child.K()
-	x := extension{m: m, scr: scr, ls: ls, dup: slices.Contains(parent.Events, e),
+	k := parent.K() + 1
+	x := extension{m: m, scr: scr, dup: slices.Contains(parent.Events, e),
 		trans: m.cfg.Pruning.trans(), keepOccs: m.keepOccsAt(k)}
 	parentPatterns := parent.Patterns()
 
-	// One monotone run cursor per parent pattern: the sequence sweep below
-	// ascends, so each columnar store is walked front to back exactly once.
-	if cap(scr.cursors) < len(parentPatterns) {
-		scr.cursors = make([]int, len(parentPatterns))
-	}
-	cursors := scr.cursors[:len(parentPatterns)]
-	for i := range cursors {
-		cursors[i] = 0
-	}
 	// The buffers the sweep works in, sized once per node.
 	if cap(scr.tupleBuf) < k {
 		scr.tupleBuf = make([]int32, k)
@@ -656,6 +691,9 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 		scr.relsBuf = make([]temporal.Relation, k)
 	}
 	x.tuple, x.rels = scr.tupleBuf[:k], scr.relsBuf[:k]
+	scr.fails = slices.Grow(scr.fails[:0], len(parentPatterns))[:len(parentPatterns)]
+	clear(scr.fails)
+	x.fails = scr.fails
 
 	// With transitivity pruning, read the L2 relation table once per
 	// parent role: before[pi*(k-1)+i] has bit r set when (role i's event,
@@ -687,7 +725,33 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 	// stays exact.
 	cut := x.trans && !x.dup && m.cfg.TMax == 0 && m.rel.AlwaysRelates()
 
-	scr.idxBuf = child.Bitmap.AppendIndices(scr.idxBuf[:0])
+	memo := m.recordLk && k == 3 && !x.keepOccs && !x.dup
+	if memo {
+		scr.lkKeys = scr.lkKeys[:0]
+		for pi, pd := range parentPatterns {
+			memo = memo && pd.Occs != nil
+			var b, a []uint8
+			if x.trans {
+				b, a = before[2*pi:2*pi+2], after[2*pi:2*pi+2]
+			}
+			scr.lkKeys = append(scr.lkKeys, lkKeyOf(pd.Pattern, e, b, a, cut))
+		}
+		if memo && m.lk.lookup(scr.lkKeys, &scr.lk) {
+			return m.replayExt(parentPatterns, e, maxSupp, scr, ls)
+		}
+	}
+
+	// One monotone run cursor per parent pattern: the sequence sweep below
+	// ascends, so each columnar store is walked front to back exactly once.
+	if cap(scr.cursors) < len(parentPatterns) {
+		scr.cursors = make([]int, len(parentPatterns))
+	}
+	cursors := scr.cursors[:len(parentPatterns)]
+	for i := range cursors {
+		cursors[i] = 0
+	}
+
+	scr.idxBuf = parent.Bitmap.AppendAndIndices(m.eventBm[e], scr.idxBuf[:0])
 	for _, s32 := range scr.idxBuf {
 		if m.cancelled() {
 			break
@@ -718,7 +782,7 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 			var posLo, posHi int32
 			if cut {
 				if posLo, posHi = insertRange(x.before, x.after); posLo > posHi {
-					ls.TripleChecksFailed += int(hi-lo) * len(eIdxs)
+					x.fails[pi] += int(hi-lo) * len(eIdxs)
 					continue
 				}
 			}
@@ -727,7 +791,7 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 				in := eIdxs
 				if cut {
 					in = insertable(eIdxs, occ, posLo, posHi)
-					ls.TripleChecksFailed += len(eIdxs) - len(in)
+					x.fails[pi] += len(eIdxs) - len(in)
 				}
 				for _, ie := range in {
 					if x.dup && hpg.Occurrence(occ).Contains(ie) {
@@ -738,9 +802,97 @@ func (m *miner) extendNode(parent *hpg.Node, e events.EventID, child *hpg.Node, 
 			}
 		}
 	}
+	for _, f := range x.fails {
+		ls.TripleChecksFailed += f
+	}
 
-	m.flushExt(child, scr, ls)
+	// Order the pending table by typed composite key — the single sort of
+	// the flush path — and hand it to the shared threshold flush.
+	scr.flushBuf = scr.ext.ordered(scr.flushBuf)
+	if memo {
+		m.recordExt(scr)
+	}
+	return m.flush(scr.flushBuf, maxSupp, scr)
 }
+
+// replayExt fills the node's pending table from the L_k memo entries
+// found for every parent pattern — the composites the sweep would have
+// left, in extKey order — and flushes it as the sweep's table is flushed,
+// counting each entry's failed triple checks.
+func (m *miner) replayExt(parents []*hpg.PatternData, e events.EventID, maxSupp int, scr *scratch, ls *LevelStats) []*pendingPattern {
+	h := &scr.lk
+	n := 0
+	for _, v := range h.vals {
+		n += int(v.n)
+		ls.TripleChecksFailed += int(v.failed)
+	}
+	ls.MemoHits += len(parents)
+	words := bitmapWords(m.n)
+	ep := &scr.ext
+	ep.pats = slices.Grow(ep.pats[:0], n)[:n]
+	samples := make([]int32, 3*n)
+	rels := scr.relsBuf[:3]
+	i := 0
+	for pi, pd := range parents {
+		v := h.vals[pi]
+		for c := int(v.off); c < int(v.off+v.n); c++ {
+			lc := &h.comps[c]
+			// Unpack the relations by parent role into child roles.
+			for r := 0; r < 2; r++ {
+				j := r
+				if r >= int(lc.pos) {
+					j++
+				}
+				rels[j] = temporal.Relation(lc.rels >> (2 * r) & 3)
+			}
+			bm := scr.getBitmap(m.n)
+			copy(bm.Words(), h.bits[c*words:(c+1)*words])
+			occ := samples[3*i : 3*i+3 : 3*i+3]
+			copy(occ, lc.occ[:])
+			ep.pats[i] = pendingPattern{pat: splice(pd.Pattern, int(lc.pos), e, rels), bm: bm,
+				sampleSeq: int(lc.seq), sampleOcc: occ}
+			i++
+		}
+	}
+	buf := scr.flushBuf[:0]
+	for i := range ep.pats {
+		buf = append(buf, &ep.pats[i])
+	}
+	scr.flushBuf = buf
+	return m.flush(buf, maxSupp, scr)
+}
+
+// recordExt adds to m.lkFresh the L_k memo entries of the parent patterns
+// the lookup missed, read from the swept pending table before the flush
+// merges it: scr.ext.keys in extKey order, parallel to scr.flushBuf. A
+// pattern whose failure count overflows an entry gets none.
+func (m *miner) recordExt(scr *scratch) {
+	h, keys := &scr.lk, scr.ext.keys
+	m.lkFreshMu.Lock()
+	defer m.lkFreshMu.Unlock()
+	f := &m.lkFresh
+	j := 0
+	for pi, hit := range h.hit {
+		rec, off := !hit && scr.fails[pi] <= math.MaxUint32, len(f.comps)
+		for ; j < len(keys) && keys[j].parent == int32(pi); j++ {
+			if !rec {
+				continue
+			}
+			pp := scr.flushBuf[j]
+			c := lkComp{seq: int32(pp.sampleSeq), pos: uint8(keys[j].pos), rels: uint8(keys[j].rels)}
+			copy(c.occ[:], pp.sampleOcc)
+			f.comps = append(f.comps, c)
+			f.bits = append(f.bits, pp.bm.Words()...)
+		}
+		if rec {
+			f.keys = append(f.keys, scr.lkKeys[pi])
+			f.vals = append(f.vals, lkVal{off: uint32(off), n: uint32(len(f.comps) - off), failed: uint32(scr.fails[pi])})
+		}
+	}
+}
+
+// bitmapWords is the number of words of an n-sequence bitmap.
+func bitmapWords(n int) int { return (n + 63) / 64 }
 
 // insertRange returns the insert positions [lo, hi] that one parent
 // pattern's per-role masks allow (lo > hi when none). Role i precedes the
@@ -782,21 +934,14 @@ func insertable(eIdxs, occ []int32, lo, hi int32) []int32 {
 	return eIdxs
 }
 
-// flushExt orders the Lk pending table by typed composite key — the single
-// sort of the flush path — and hands it to the shared threshold flush.
-func (m *miner) flushExt(node *hpg.Node, scr *scratch, ls *LevelStats) {
-	scr.flushBuf = scr.ext.ordered(scr.flushBuf)
-	m.flushInto(node, scr.flushBuf, scr, ls)
-}
-
 // extension is the state of one extendNode sweep. It lives on extendNode's
 // stack, so the per-occurrence work in try stores nothing to the heap.
 type extension struct {
 	m        *miner
 	scr      *scratch
-	ls       *LevelStats
-	dup      bool // the inserted event already occurs in the parent
-	trans    bool // verify the new triples against L2
+	fails    []int // per parent pattern, its failed triple checks
+	dup      bool  // the inserted event already occurs in the parent
+	trans    bool  // verify the new triples against L2
 	keepOccs bool
 
 	tuple []int32             // the extended occurrence tuple (k roles)
@@ -820,7 +965,7 @@ type extension struct {
 // only materialized once the checks pass, unless the dedup probe needs it
 // first. The child pattern is spliced only when the composite is seen for
 // the first time; composites that canonicalize to the same pattern are
-// merged in flushInto.
+// merged in flush.
 func (x *extension) try(seq *events.Sequence, seqIdx int32, occ []int32, ie int32) {
 	// Instance order in a sequence equals chronological order, so the
 	// insert position is found by index comparison.
@@ -882,7 +1027,7 @@ func (x *extension) try(seq *events.Sequence, seqIdx int32, occ []int32, ie int3
 				mask = x.before[i]
 			}
 			if mask&(1<<rel) == 0 {
-				x.ls.TripleChecksFailed++
+				x.fails[x.parentIdx]++
 				return
 			}
 		}

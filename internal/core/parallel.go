@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -133,6 +134,8 @@ func (m *miner) verifyPairTask(scr *scratch, t pairTask) pairOutcome {
 
 // extendNodeTask runs the full L_k treatment of one candidate extension:
 // Lemma 5 and Apriori filtering (when enabled) and occurrence extension.
+// The filters read only counts, and the child node — its events, joint
+// bitmap and patterns — is allocated only when some pattern survives.
 func (m *miner) extendNodeTask(scr *scratch, t extendTask) nodeOutcome {
 	var o nodeOutcome
 	o.ls.Candidates++
@@ -140,19 +143,18 @@ func (m *miner) extendNodeTask(scr *scratch, t extendTask) nodeOutcome {
 		o.ls.PrunedTrans++
 		return o
 	}
-	bm := t.parent.Bitmap.And(m.eventBm[t.e])
-	supp := bm.Count()
-	groupEvents := append(append([]events.EventID(nil), t.parent.Events...), t.e)
-	groupConf := float64(supp) / float64(m.maxEventSupport(groupEvents))
+	supp := t.parent.Bitmap.AndCount(m.eventBm[t.e])
+	maxSupp := max(m.maxEventSupport(t.parent.Events), m.eventSupp[t.e])
+	groupConf := float64(supp) / float64(maxSupp)
 	if m.cfg.Pruning.apriori() && (supp < m.minSupp || groupConf < m.cfg.MinConfidence) {
 		o.ls.PrunedApriori++
 		return o
 	}
 	o.ls.NodesVerified++
-	child := hpg.NewNode(groupEvents, bm, supp, groupConf)
-	m.extendNode(t.parent, t.e, child, scr, &o.ls)
-	if child.NumPatterns() > 0 {
-		o.node = child
+	if survivors := m.extendNode(t.parent, t.e, maxSupp, scr, &o.ls); len(survivors) > 0 {
+		groupEvents := append(slices.Clip(t.parent.Events), t.e)
+		o.node = hpg.NewNode(groupEvents, t.parent.Bitmap.And(m.eventBm[t.e]), supp, groupConf)
+		m.addPatterns(o.node, survivors, maxSupp, &o.ls)
 	}
 	return o
 }

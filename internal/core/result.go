@@ -50,9 +50,12 @@ type LevelStats struct {
 	// view's L2 memo: relations classified in no sequence, or on a delta
 	// view only in the sequences past the memo's coverage. When the run
 	// keeps occurrences, a hit also means they came from the memo; a pair
-	// re-verified to store them is no hit. Like Workers it describes how a
-	// run went, not what it mined: the other counters read the same
-	// whether the memo was warm or cold.
+	// re-verified to store them is no hit. At level 3 it counts the parent
+	// patterns whose extension the view's L_k memo answered: those of every
+	// node whose parent patterns all had an entry, so the node swept no
+	// sequence. Like Workers it describes how a run went, not what it
+	// mined: the other counters read the same whether the memo was warm or
+	// cold.
 	MemoHits int
 	// GreenNodes is the number of nodes holding at least one frequent
 	// pattern (paper's green vs brown distinction, step 2.2).

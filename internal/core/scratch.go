@@ -149,7 +149,7 @@ const maxPackedRoles = 32
 
 // compare orders extension composites. Only the relative order of
 // composites canonicalizing to the same child pattern is semantically
-// relevant (it fixes the occurrence merge order in flushInto, hence which
+// relevant (it fixes the occurrence merge order in flush, hence which
 // occurrences survive the per-sequence cap and which sample wins); such
 // composites share (event, rels) by construction, so ordering by
 // (parent, pos) first reproduces the former sorted-string-key order
@@ -224,7 +224,7 @@ func (ep *extPend) get(key extKey) (pp *pendingPattern, created bool) {
 }
 
 // ordered returns the pending entries sorted by composite key, reusing
-// dst. This order decides how flushInto merges composites of one pattern
+// dst. This order decides how flush merges composites of one pattern
 // (see TestFlushDeterminism).
 func (ep *extPend) ordered(dst []*pendingPattern) []*pendingPattern {
 	slices.SortFunc(ep.keys, extKey.compare)
@@ -338,6 +338,9 @@ type scratch struct {
 	ext      extPend             // Lk pending table
 	pair     pairAcc             // L2 pending table
 	flushBuf []*pendingPattern   // composite-ordered flush view
+	fails    []int               // per parent pattern failed triple checks
+	lkKeys   []lkKey             // per parent pattern L_k memo keys
+	lk       lkHits              // what the L_k memo holds for them
 
 	bmFree []*bitmap.Bitmap
 	stFree []*hpg.OccStore

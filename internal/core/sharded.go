@@ -24,8 +24,9 @@ import (
 // set, so one view can back any number of MineShardedView runs over the
 // same data (the prepared-dataset engine caches it per window geometry).
 // The view also carries the memo those runs leave behind (memo.go): the
-// L1 index and the L2 relation supports and occurrences of the last
-// verification key.
+// L1 index, the L2 relation supports and occurrences of the last
+// verification key, and the L_k memo of the level-3 extensions of the
+// last verification key and occurrence cap.
 type ShardedView struct {
 	// Shards is the validated shard set the view was built from.
 	Shards []*events.DB
@@ -35,8 +36,9 @@ type ShardedView struct {
 
 	// memo is the current immutable memo state. Runs read it lock-free;
 	// writers, serialized by memoMu, publish copy-on-write successors
-	// (updateMemo). Delta views derived from this one start from it
-	// (PrepareShardsDelta).
+	// (updateMemo). The L_k memo it points to is the exception: it only
+	// grows, in place under its own lock. Delta views derived from this
+	// one start from the memo's L1 and L2 parts (PrepareShardsDelta).
 	memoMu sync.Mutex
 	memo   atomic.Pointer[viewMemo]
 }
@@ -96,9 +98,30 @@ func (v *ShardedView) publishPairs(key memoKey, snap *pairMemo, n int32, fresh [
 	})
 }
 
-// MemoBytes reports the heap footprint of the view's memo: the L1 index
-// plus the L2 memo with the occurrence stores it holds. Lists a delta
-// view shares with its parent count for both.
+// lkMemo returns the view's L_k memo for key, or nil.
+func (v *ShardedView) lkMemo(key lkMemoKey) *lkMemo {
+	if p := v.memo.Load(); p != nil && p.lk != nil && p.lk.key == key {
+		return p.lk
+	}
+	return nil
+}
+
+// publishLk adds the fresh entries of one run to the view's L_k memo of
+// key, replacing another key's memo with a new one. words is the view's
+// bitmap width in words.
+func (v *ShardedView) publishLk(key lkMemoKey, words int, fresh *lkFresh) {
+	v.updateMemo(func(cur viewMemo) viewMemo {
+		if cur.lk == nil || cur.lk.key != key {
+			cur.lk = &lkMemo{key: key, words: words}
+		}
+		cur.lk.add(fresh)
+		return cur
+	})
+}
+
+// MemoBytes reports the heap footprint of the view's memo: the L1 index,
+// the L2 memo with the occurrence stores it holds, and the L_k memo.
+// Lists a delta view shares with its parent count for both.
 func (v *ShardedView) MemoBytes() int64 {
 	if p := v.memo.Load(); p != nil {
 		return p.bytes()
@@ -154,10 +177,12 @@ func PrepareShards(shards []*events.DB) (*ShardedView, error) {
 // memo instead of cold, cut to what the shared prefix still vouches for:
 // the L1 lists are truncated below stable and the tail sequences
 // rescanned, and every L2 relation-support list is truncated below stable
-// with its coverage capped there and its occurrences dropped, so the next mine verifies only the
-// sequences the append touched. prev's memo stays intact for its own
-// runs. Without a memo on prev the view is simply cold and the next mine
-// scans — and memoizes — from scratch. Either way the mined results are
+// with its coverage capped there and its occurrences dropped, so the next
+// mine verifies only the sequences the append touched. The L_k memo does
+// not carry over: its entries derive from the dropped occurrences, so the
+// new view starts with none. prev's memo stays intact for its own runs.
+// Without a memo on prev the view is simply cold and the next mine scans
+// — and memoizes — from scratch. Either way the mined results are
 // byte-identical to a full PrepareShards.
 func PrepareShardsDelta(prev *ShardedView, shards []*events.DB, stable int) (*ShardedView, error) {
 	v, err := PrepareShards(shards)
@@ -185,7 +210,8 @@ func PrepareShardsDelta(prev *ShardedView, shards []*events.DB, stable int) (*Sh
 // MineSharded runs HTPGM over a sharded temporal sequence database,
 // returning the result — byte-identical to Mine over the merged database
 // — together with the merged database itself. It prepares the shard view
-// on every call; callers mining the same shard set repeatedly should
+// on every call, and since no later run reads that view, level 3 records
+// no L_k memo; callers mining the same shard set repeatedly should
 // PrepareShards once and use MineShardedView.
 //
 // Cancellation behaves exactly like Mine: workers stop between
@@ -200,7 +226,7 @@ func MineSharded(ctx context.Context, shards []*events.DB, cfg Config) (*Result,
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := MineShardedView(ctx, v, cfg)
+	res, err := mineView(ctx, v, cfg, false)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -210,12 +236,18 @@ func MineSharded(ctx context.Context, shards []*events.DB, cfg Config) (*Result,
 // MineShardedView runs HTPGM over a prepared view: the miner every entry
 // point goes through. It mines v.Merged; the shard set only shapes the
 // Shards/ShardSequences stats. The run reads the view's memo and
-// publishes what it adds copy-on-write — the L1 index once, the L2
-// relation supports and kept occurrences of the pairs it verified — and
-// otherwise leaves the
-// view alone, so concurrent runs may share one view. Results never depend
-// on the memo's state.
+// publishes what it adds — the L1 index once and, unless it was
+// cancelled, the L2 relation supports and kept occurrences of the pairs
+// it verified and the level-3 extensions it swept — and otherwise leaves
+// the view alone, so concurrent runs may share one view. Results never
+// depend on the memo's state.
 func MineShardedView(ctx context.Context, v *ShardedView, cfg Config) (*Result, error) {
+	return mineView(ctx, v, cfg, true)
+}
+
+// mineView is MineShardedView; recordLk is false for a view no later run
+// reads, whose level 3 then records no L_k memo entries.
+func mineView(ctx context.Context, v *ShardedView, cfg Config, recordLk bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -224,14 +256,15 @@ func MineShardedView(ctx context.Context, v *ShardedView, cfg Config) (*Result, 
 	}
 
 	m := &miner{
-		db:      v.Merged,
-		view:    v,
-		cfg:     cfg,
-		rel:     cfg.relations(),
-		n:       v.Merged.Size(),
-		minSupp: cfg.AbsoluteSupport(v.Merged.Size()),
-		graph:   &hpg.Graph{},
-		done:    ctx.Done(),
+		db:       v.Merged,
+		view:     v,
+		cfg:      cfg,
+		rel:      cfg.relations(),
+		n:        v.Merged.Size(),
+		minSupp:  cfg.AbsoluteSupport(v.Merged.Size()),
+		graph:    &hpg.Graph{},
+		done:     ctx.Done(),
+		recordLk: recordLk,
 	}
 	m.stats.Sequences = m.n
 	m.stats.AbsoluteSupport = m.minSupp

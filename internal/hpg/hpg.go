@@ -78,6 +78,10 @@ func (n *Node) AddPattern(pd *PatternData) {
 	n.patterns = append(n.patterns, pd)
 }
 
+// Grow makes room for c more patterns, so the next c AddPattern calls
+// append without reallocating.
+func (n *Node) Grow(c int) { n.patterns = slices.Grow(n.patterns, c) }
+
 // NumPatterns returns the number of stored frequent patterns.
 func (n *Node) NumPatterns() int { return len(n.patterns) }
 

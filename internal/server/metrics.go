@@ -69,8 +69,8 @@ func (c *cacheCounters) snapshot() CacheMetricsJSON {
 // from the miner's Options.Progress callback. Workers is the effective
 // worker grant the level ran with — under fair-share scheduling it can
 // change between levels as other tenants' jobs arrive or finish.
-// MemoHits counts the level-2 pairs answered from the prepared view's
-// memo (core.LevelStats.MemoHits). DurationMicros is the level's time at
+// MemoHits counts the level-2 pairs, and the level-3 parent patterns,
+// answered from the prepared view's memo (core.LevelStats.MemoHits). DurationMicros is the level's time at
 // microsecond resolution: DurationMillis truncates a sub-millisecond
 // level to 0. Records persisted before it existed restore without it.
 type LevelTimingJSON struct {

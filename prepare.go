@@ -275,9 +275,9 @@ func (p *Prepared) Stats() PreparedStats {
 }
 
 // MemoBytes reports the heap footprint of the mining memo on the handle's
-// converted view (core.ShardedView.MemoBytes): the L1 index and the L2
-// relation supports and occurrences earlier runs left behind. It is 0
-// before the first conversion.
+// converted view (core.ShardedView.MemoBytes): the L1 index, the L2
+// relation supports and occurrences, and the level-3 extensions earlier
+// runs left behind. It is 0 before the first conversion.
 func (p *Prepared) MemoBytes() int64 {
 	if v, ok := p.seq.peek(); ok {
 		return v.MemoBytes()
