@@ -126,8 +126,10 @@ func TestColumnarStorePropertySharded(t *testing.T) {
 // iteration order is deliberately randomized by the runtime; the only
 // ordering the flush relies on is the one explicit sort over typed
 // composite keys in extPend.ordered (the seed sorted twice: composite
-// strings, then canonical strings — canonical order is now the graph's
-// own lazy pattern sort). Two properties make results run-invariant:
+// strings, then canonical strings — canonical order now comes from
+// flush's stable sort by pattern.Compare, which keeps each pattern's
+// entries in composite-key order). Two properties make results
+// run-invariant:
 //
 //  1. ordered() depends only on the key set, not on insertion or map
 //     iteration order (checked directly with shuffled insertions);

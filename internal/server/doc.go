@@ -90,14 +90,14 @@
 //     it): a repeat submission returns the cached document without
 //     mining. Job summaries report cache effectiveness as the
 //     dseq_cache / nmi_cache / result_cache booleans. A done job's
-//     document is encoded once, at completion or replay, into compact
-//     JSON (result.go); jobs, cache entries and log records share those
-//     bytes, and /result and /patterns are served from them, never
-//     re-encoded: streamed through an indenter (or sliced, for NDJSON)
-//     into a pooled chunk written out each time it fills, with the
-//     Content-Length taken from lengths memoized on the document — the
-//     whole document's, and a running total over its patterns elements
-//     from which any page's length follows.
+//     document is encoded once, at completion or replay, into its served
+//     form, the indented /result body (result.go); jobs, cache entries
+//     and log records share those bytes. /result writes them whole and a
+//     JSON page writes its header and a slice of them, since a page lays
+//     out its elements as /result does; NDJSON pages and log records
+//     compact the bytes they need. Every Content-Length is a slice
+//     length. The served form is about 1.7 times the compact encoding,
+//     and the result cache's byte budget counts it.
 //
 //   - An optional persistence layer (persist.go over internal/server/
 //     store): with Options.DataDir set, dataset ingestions/appends/

@@ -410,25 +410,26 @@ func FuzzReplay(f *testing.F) {
 	})
 }
 
-// FuzzIndentStream holds the streamed result bodies to the standard
-// library's indentation of the same bytes. The input picks a result
-// document — event names from the '|'-separated names (quotes,
-// backslashes, U+2028/U+2029, control characters and non-ASCII in the
-// corpus), nil, empty or populated patterns, with and without samples —
-// and a chunk of 1 to 64 bytes, so every body crosses many flushes. The
-// /result body must equal json.Indent of the compact bytes, and every
-// JSON page [a, b) json.Indent of the compact page; every NDJSON page
-// must be the compact elements one per line. Each body's Content-Length
-// and memoized length must equal the bytes written, and so must each
-// element's counted length at page depth (indentedLen). The checked-in
-// corpus under testdata/fuzz/FuzzIndentStream holds those documents.
+// FuzzIndentStream holds the served bytes to the standard library's
+// encodings of the same document. The input picks a result document —
+// event names from the '|'-separated names (quotes, backslashes,
+// U+2028/U+2029, control characters and non-ASCII in the corpus), nil,
+// empty or populated patterns, with and without samples. The last
+// argument is unused: it sized the chunk of a streaming writer the
+// server no longer has, and stays so that the checked-in corpus under
+// testdata/fuzz/FuzzIndentStream runs unmodified. The stored /result body
+// must equal json.Indent of json.Marshal(doc) with a trailing newline,
+// and the compact pass over the whole body and over each element span
+// must give back json.Marshal of the document and of each pattern. Every
+// JSON page [a, b) must equal json.Indent of the compact page, with its
+// elements byte-equal to a slice of the body; every NDJSON page must be
+// the compact elements one per line. Each body's Content-Length must
+// equal the bytes written.
 func FuzzIndentStream(f *testing.F) {
-	f.Fuzz(func(t *testing.T, names string, patterns int8, seed int64, chunk uint8) {
-		defer func(size int) { chunkSize = size }(chunkSize)
-		chunkSize = 1 + int(chunk)%64
+	f.Fuzz(func(t *testing.T, names string, patterns int8, seed int64, _ uint8) {
 		n := int(patterns) % 13 // negative: nil patterns
 		doc := randomNamedResult(rand.New(rand.NewSource(seed)), strings.Split(names, "|"), n)
-		rd, err := encodeResult(doc)
+		rd, marshaled, err := marshalResult(doc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -448,27 +449,39 @@ func FuzzIndentStream(f *testing.F) {
 			}
 			return append(buf.Bytes(), '\n')
 		}
-
-		rec := httptest.NewRecorder()
-		rd.writeResult(rec)
-		check("result", rec, indent(rd.body))
-		if rd.resultLen() != rec.Body.Len() {
-			t.Fatalf("memoized length %d for a %d-byte result", rd.resultLen(), rec.Body.Len())
+		marshal := func(v any) []byte {
+			b, err := json.Marshal(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return b
 		}
 
-		// Page lengths are sums of each element's counted length at page
-		// depth, which must be what the indenter writes there.
-		for i, s := range rd.patterns() {
-			var buf bytes.Buffer
-			in := newIndenter(&buf)
-			in.indent(rd.body[s.start:s.end], 2)
-			in.close()
-			if n := indentedLen(rd.body[s.start:s.end], 2); n != buf.Len() {
-				t.Fatalf("element %d: counted %d bytes at depth 2, indenter wrote %d", i, n, buf.Len())
+		compact := marshal(doc)
+		if !bytes.Equal(marshaled, compact) {
+			t.Fatalf("marshalResult's compact bytes:\n got %q\nwant %q", marshaled, compact)
+		}
+		if want := indent(compact); !bytes.Equal(rd.body, want) {
+			t.Fatalf("stored body:\n got %q\nwant %q", rd.body, want)
+		}
+		if got := appendCompact(nil, rd.body); !bytes.Equal(got, compact) {
+			t.Fatalf("compacted body:\n got %q\nwant %q", got, compact)
+		}
+		rec := httptest.NewRecorder()
+		rd.writeResult(rec)
+		check("result", rec, rd.body)
+
+		spans := rd.patterns()
+		if len(spans) != len(doc.Patterns) {
+			t.Fatalf("%d element spans for %d patterns", len(spans), len(doc.Patterns))
+		}
+		for i, s := range spans {
+			if got, want := appendCompact(nil, rd.body[s.start:s.end]), marshal(&doc.Patterns[i]); !bytes.Equal(got, want) {
+				t.Fatalf("compacted element %d:\n got %q\nwant %q", i, got, want)
 			}
 		}
 
-		total := len(rd.patterns())
+		total := len(spans)
 		for a := 0; a <= total; a++ {
 			for b := a; b <= total; b++ {
 				page := patternsPage{JobID: "job-1", Total: total, Offset: a, Limit: max(b-a, 1)}
@@ -477,21 +490,19 @@ func FuzzIndentStream(f *testing.F) {
 				}
 				want := page
 				want.Patterns = doc.Patterns[a:b]
-				compact, err := json.Marshal(want)
-				if err != nil {
-					t.Fatal(err)
-				}
 				rec := httptest.NewRecorder()
 				rd.writePage(rec, page, b)
-				check(fmt.Sprintf("page [%d, %d)", a, b), rec, indent(compact))
+				check(fmt.Sprintf("page [%d, %d)", a, b), rec, indent(marshal(want)))
+				if a < b {
+					elems := bytes.TrimSuffix(rec.Body.Bytes(), pageClose)
+					if !bytes.HasSuffix(elems, rd.body[spans[a].start:spans[b-1].end]) {
+						t.Fatalf("page [%d, %d): its elements are not a slice of the body", a, b)
+					}
+				}
 
 				var lines []byte
 				for _, p := range doc.Patterns[a:b] {
-					line, err := json.Marshal(p)
-					if err != nil {
-						t.Fatal(err)
-					}
-					lines = append(append(lines, line...), '\n')
+					lines = append(append(lines, marshal(p)...), '\n')
 				}
 				rec = httptest.NewRecorder()
 				rd.writeNDJSON(rec, a, b)

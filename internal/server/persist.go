@@ -207,10 +207,14 @@ type jobRecord struct {
 	FinishedAt  *time.Time        `json:"finished_at,omitempty"`
 	Summary     *JobSummary       `json:"summary,omitempty"`
 	Levels      []LevelTimingJSON `json:"levels,omitempty"`
-	// Doc is the result document of a done job. appendJobRecord copies
-	// its compact bytes in as the "doc" field; encoding/json never sees
-	// it.
+	// Doc is the result document of a done job. appendJobRecord writes
+	// its compact form as the "doc" field; encoding/json never sees it.
 	Doc *resultDoc `json:"-"`
+	// compactDoc, when set, is json.Marshal's encoding of Doc, which
+	// appendJobRecord embeds instead of compacting Doc's served bytes. Only
+	// the record a job writes as it completes carries it, and that record
+	// is written at once and dropped.
+	compactDoc []byte
 	// EventSeq is the event hub's last assigned id when the record was
 	// persisted. Restore seeds the hub's sequence past the maximum
 	// recorded value, so event ids stay monotone across restarts and a
@@ -220,11 +224,11 @@ type jobRecord struct {
 }
 
 // appendJobRecord appends the encoding of rec to dst: json.Marshal's
-// encoding of the record with its result document's compact bytes,
-// already valid JSON, copied in as the "doc" field where the field order
-// puts it (before event_seq). encoding/json would re-scan and re-compact
-// the document in full had it marshaled it itself, as it does every
-// json.Marshaler's output.
+// encoding of the record with its result document in compact form —
+// what json.Marshal writes for it — as the "doc" field where the field
+// order puts it (before event_seq). encoding/json would re-scan and
+// re-compact the document in full had it marshaled it itself, as it does
+// every json.Marshaler's output.
 func appendJobRecord(dst []byte, rec jobRecord) ([]byte, error) {
 	doc, seq := rec.Doc, rec.EventSeq
 	rec.EventSeq = 0 // omitted, and written after the document
@@ -233,8 +237,11 @@ func appendJobRecord(dst []byte, rec jobRecord) ([]byte, error) {
 		return dst, err
 	}
 	dst = append(dst, b[:len(b)-1]...) // an object with an id: never "{}"
-	if doc != nil {
-		dst = append(append(dst, `,"doc":`...), doc.body...)
+	switch {
+	case rec.compactDoc != nil:
+		dst = append(append(dst, `,"doc":`...), rec.compactDoc...)
+	case doc != nil:
+		dst = appendCompact(append(dst, `,"doc":`...), doc.body)
 	}
 	if seq != 0 {
 		dst = strconv.AppendUint(append(dst, `,"event_seq":`...), seq, 10)

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -13,87 +13,85 @@ import (
 )
 
 // resultDoc is a done job's result document in the only form the server
-// retains it: the compact encoding json.Marshal writes, which is also the
-// form a persistence record embeds (appendJobRecord copies it in). It is
-// built once, when the job completes or its record is replayed
-// (storedJob), and its bytes are never mutated, so jobs, result-cache
-// entries and persistence records share one pointer. Responses stream
-// from these bytes through a pooled chunk (indenter) — indented for
-// /result and JSON pages, as they are for NDJSON pages — so no request
-// re-encodes the document or allocates its body, and their
-// Content-Lengths come from the lengths memoized below. The compact bytes
-// are kept rather than the indented body because they are smaller than
-// the decoded document, while the indented body is half again larger.
+// retains it: the /result body, the document indented the way
+// json.Encoder with a two-space indent writes it, trailing newline
+// included. It is built once, when the job completes or its record is
+// replayed (storedJob), and its bytes are never mutated, so jobs,
+// result-cache entries and persistence records share one pointer. /result
+// is one write of the body, and a JSON page writes a slice of it: a page
+// lays its elements out at the depth they have in /result. NDJSON pages
+// and persistence records, which want compact JSON, drop the whitespace
+// from the bytes they need (appendCompact). The served form is about 1.7
+// times the compact encoding, and the result cache's budget counts it;
+// in exchange, no fetch indents the document again.
 type resultDoc struct {
 	body []byte
 	// nullPatterns records a nil Patterns slice, which encodes as null
 	// where an empty one encodes as []; pages repeat the distinction.
 	nullPatterns bool
-	// length is the length of the /result body, counted by the first
-	// request for it.
-	sized  sync.Once
-	length int
-	// spans holds the byte range of every patterns element in body, and
-	// before[i] the indented length, at page depth, of elements [0, i).
-	// Most documents are only ever fetched whole, so both are built by
-	// the first page request rather than with the encoding.
-	index  sync.Once
-	spans  []span
-	before []int
+	// spans holds the byte range of every patterns element in body. Most
+	// documents are only ever fetched whole, so it is built by the first
+	// page request rather than with the encoding.
+	index sync.Once
+	spans []span
 }
 
 // span is the half-open byte range of one patterns element in body.
 type span struct{ start, end int }
 
-// patternsKey opens the patterns array of an encoded ftpm.ResultJSON:
-// frequent_events, which is never omitted, precedes it, and no nested
-// object has a patterns key. A quote inside a string is escaped, so the
-// sequence cannot occur within a value either.
-const patternsKey = `,"patterns":[`
+// patternsKey opens the patterns array of an indented ftpm.ResultJSON. A
+// line break occurs in the body only as indentation, and the two blanks
+// after it put the key at the top level: no nested object has a patterns
+// key.
+const patternsKey = "\n  \"patterns\": ["
 
-// A page lays its elements out at depth 2 (page object, patterns array):
-// pageOpen precedes the first, the indenter separates the rest with a
-// comma and the same line break, and pageClose ends the body.
+// A page lays its elements out at depth 2 (page object, patterns array),
+// as /result does (document object, patterns array): pageOpen precedes
+// each element, the elements after the first with a comma before it, and
+// pageClose ends the body.
 var (
 	pageOpen  = []byte("\n    ")
 	pageClose = []byte("\n  ]\n}\n")
 	lineEnd   = []byte("\n")
 )
 
-// encodeResult encodes doc once.
+// encodeResult encodes doc once, into its served form.
 func encodeResult(doc *ftpm.ResultJSON) (*resultDoc, error) {
-	body, err := json.Marshal(doc)
+	rd, _, err := marshalResult(doc)
+	return rd, err
+}
+
+// marshalResult is encodeResult that also returns json.Marshal's
+// encoding of doc, which the caller may embed in a record it writes at
+// once but must not retain.
+func marshalResult(doc *ftpm.ResultJSON) (*resultDoc, []byte, error) {
+	compact, err := json.Marshal(doc)
 	if err != nil {
-		return nil, fmt.Errorf("encode result: %w", err)
+		return nil, nil, fmt.Errorf("encode result: %w", err)
 	}
-	return &resultDoc{body: body, nullPatterns: doc.Patterns == nil}, nil
+	body := make([]byte, indentedLen(compact)+len(lineEnd))
+	body[indent(body, compact)] = '\n'
+	return &resultDoc{body: body, nullPatterns: doc.Patterns == nil}, compact, nil
 }
 
 // patterns returns the byte ranges of the patterns elements, indexing
-// them and counting their indented lengths on the first call.
+// them on the first call.
 func (r *resultDoc) patterns() []span {
 	r.index.Do(func() {
 		at := bytes.Index(r.body, []byte(patternsKey))
 		if at < 0 {
-			return // "patterns":null
+			return // "patterns": null
 		}
-		r.before = []int{0}
-		// Each element ends at a comma or at the array's closing bracket.
-		for at += len(patternsKey); r.body[at] == '{'; at++ {
-			end := valueEnd(r.body, at)
-			r.spans = append(r.spans, span{at, end})
-			r.before = append(r.before, r.before[len(r.spans)-1]+indentedLen(r.body[at:end], 2))
-			at = end
+		// pageOpen precedes every element; after the last one comes the
+		// array's closing line.
+		for at += len(patternsKey); bytes.HasPrefix(r.body[at:], pageOpen); {
+			start := at + len(pageOpen)
+			end := valueEnd(r.body, start)
+			r.spans = append(r.spans, span{start, end})
+			at = end + 1 // past the comma
 		}
 	})
 	return r.spans
-}
-
-// resultLen returns the length of the /result body, counting it on the
-// first call.
-func (r *resultDoc) resultLen() int {
-	r.sized.Do(func() { r.length = indentedLen(r.body, 0) + len(lineEnd) })
-	return r.length
 }
 
 // size is the byte footprint the result cache accounts for the document.
@@ -101,188 +99,119 @@ func (r *resultDoc) size() int64 { return int64(len(r.body)) }
 
 // writeResult writes the whole document as writeJSON would encode it.
 func (r *resultDoc) writeResult(w http.ResponseWriter) {
-	in := startBody(w, "application/json", r.resultLen())
-	in.indent(r.body, 0)
-	in.put(lineEnd)
-	in.close()
+	writeBody(w, "application/json", r.body)
 }
 
 // writePage writes page with elements [page.Offset, end): the page
 // header, encoded with an empty patterns array that is then opened up,
-// followed by the elements indented at the depth they have in a page.
+// followed by the elements as they stand in body.
 func (r *resultDoc) writePage(w http.ResponseWriter, page patternsPage, end int) {
 	if !(r.nullPatterns && page.Offset == end) {
 		page.Patterns = []ftpm.PatternJSON{}
 	}
 	head, _ := json.MarshalIndent(page, "", "  ") // strings and ints: cannot fail
 	if page.Offset == end {
-		in := startBody(w, "application/json", len(head)+len(lineEnd))
-		in.put(head)
-		in.put(lineEnd)
-		in.close()
+		writeBody(w, "application/json", append(head, lineEnd...))
 		return
 	}
-	head = bytes.TrimSuffix(head, []byte("]\n}"))
+	head = append(bytes.TrimSuffix(head, []byte("]\n}")), pageOpen...)
 	spans := r.patterns()
-	separators := (end - page.Offset - 1) * (1 + len(pageOpen))
-	size := len(head) + len(pageOpen) + r.before[end] - r.before[page.Offset] + separators + len(pageClose)
-	in := startBody(w, "application/json", size)
-	in.put(head)
-	in.put(pageOpen)
-	in.indent(r.body[spans[page.Offset].start:spans[end-1].end], 2)
-	in.put(pageClose)
-	in.close()
+	writeBody(w, "application/json", head, r.body[spans[page.Offset].start:spans[end-1].end], pageClose)
 }
 
 // writeNDJSON writes elements [offset, end) one compact document per
-// line — what json.Encoder.Encode writes for each pattern.
+// line — what json.Encoder.Encode writes for each pattern. The page is
+// compacted into one buffer the size of its indented elements.
 func (r *resultDoc) writeNDJSON(w http.ResponseWriter, offset, end int) {
-	spans := r.patterns()[offset:end]
-	size := 0
-	if len(spans) > 0 {
-		// The elements are separated by one comma each in body.
-		size = spans[len(spans)-1].end - spans[0].start + len(lineEnd)
+	var page []byte
+	if spans := r.patterns()[offset:end]; len(spans) > 0 {
+		// Compacted, an element and its line end take no more room than
+		// the element and the separator after it in body.
+		page = make([]byte, 0, spans[len(spans)-1].end-spans[0].start+len(lineEnd))
+		for _, s := range spans {
+			page = append(appendCompact(page, r.body[s.start:s.end]), lineEnd...)
+		}
 	}
-	in := startBody(w, "application/x-ndjson", size)
-	for _, s := range spans {
-		in.put(r.body[s.start:s.end])
-		in.put(lineEnd)
-	}
-	in.close()
+	writeBody(w, "application/x-ndjson", page)
 }
 
-// startBody writes the header of a 200 response whose body is size bytes
-// and returns the indenter to write the body through.
-func startBody(w http.ResponseWriter, contentType string, size int) indenter {
+// writeBody writes a 200 response whose body is parts, in order. A
+// failed write means the client went away, and the parts after it are
+// dropped.
+func writeBody(w http.ResponseWriter, contentType string, parts ...[]byte) {
+	size := 0
+	for _, p := range parts {
+		size += len(p)
+	}
 	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Content-Length", strconv.Itoa(size))
 	w.WriteHeader(http.StatusOK)
-	return newIndenter(w)
-}
-
-// chunkSize is the size of the chunk a response body is assembled in; it
-// goes to the client each time it fills, so serving a document allocates
-// nothing in proportion to it. Tests lower it to make small documents
-// cross chunk boundaries.
-var chunkSize = 64 << 10
-
-// slack is the most one token adds to a chunk: a comma or a bracket, a
-// line break and the indentation of eight levels. A chunk holds chunkSize
-// bytes plus slack, so a token that starts below chunkSize always fits,
-// and so do the fixed-width stores of the indenter (at most 17 bytes).
-const slack = 1 + len(blanks)
-
-// chunks pools the chunks of finished responses.
-var chunks sync.Pool // of *[]byte
-
-// indenter writes to w through a pooled chunk.
-type indenter struct {
-	w     io.Writer
-	chunk *[]byte
-	buf   []byte
-	n     int // bytes pending in buf
-	limit int // the chunk is written out once n reaches it
-	err   error
-}
-
-// newIndenter returns an indenter over a chunk from the pool; close
-// returns the chunk.
-func newIndenter(w io.Writer) indenter {
-	chunk, _ := chunks.Get().(*[]byte)
-	if chunk == nil || cap(*chunk) < chunkSize+slack {
-		buf := make([]byte, chunkSize+slack)
-		chunk = &buf
-	}
-	return indenter{w: w, chunk: chunk, buf: (*chunk)[:chunkSize+slack], limit: chunkSize}
-}
-
-// flush writes the pending bytes to w. It reports false once a write has
-// failed — the client went away — after which nothing more is written.
-func (in *indenter) flush() bool {
-	if in.n > 0 && in.err == nil {
-		_, in.err = in.w.Write(in.buf[:in.n])
-	}
-	in.n = 0
-	return in.err == nil
-}
-
-// close flushes the pending bytes and returns the chunk to the pool.
-func (in *indenter) close() {
-	in.flush()
-	chunks.Put(in.chunk)
-	in.chunk, in.buf = nil, nil
-}
-
-// put writes p as it is.
-func (in *indenter) put(p []byte) {
-	for len(p) > 0 {
-		if in.n >= in.limit && !in.flush() {
+	for _, p := range parts {
+		if _, err := w.Write(p); err != nil {
 			return
 		}
-		c := copy(in.buf[in.n:in.limit], p)
-		in.n += c
-		p = p[c:]
 	}
 }
 
-// indent writes src — compact JSON as json.Marshal writes it — indented
-// the way json.Indent with an empty prefix and a two-space indent would,
-// with src starting at nesting depth depth. At depth > 0, src may be
-// several comma-separated values, such as a run of array elements; they
-// are laid out as elements at that depth.
-func (in *indenter) indent(src []byte, depth int) {
-	buf, n, limit := in.buf, in.n, in.limit
+// indent writes src — compact JSON as json.Marshal writes it — into dst
+// indented the way json.Indent with an empty prefix and a two-space
+// indent would, and returns the length written. dst must hold at least
+// indentedLen(src) bytes.
+func indent(dst, src []byte) int {
+	n, depth := 0, 0
 	for i := 0; i < len(src); i++ {
-		if n >= limit {
-			if in.n = n; !in.flush() {
-				return
-			}
-			n = 0
-		}
 		switch c := src[i]; c {
 		case '"':
 			end := quoteEnd(src, i)
 			if end-i <= 16 && i+16 <= len(src) {
-				// Most strings are keys and event names: one
-				// 16-byte store, of which end-i bytes are kept.
-				*(*[16]byte)(buf[n:]) = *(*[16]byte)(src[i:])
+				// Most strings are keys and event names: one 16-byte
+				// store, of which end-i bytes are kept. dst has as many
+				// bytes left as src, or more.
+				*(*[16]byte)(dst[n:]) = *(*[16]byte)(src[i:])
 				n += end - i
 			} else {
-				in.n = n
-				in.put(src[i:end])
-				n = in.n
+				n += copy(dst[n:], src[i:end])
 			}
 			i = end - 1
 		case '{', '[':
 			if next := src[i+1]; next == '}' || next == ']' {
-				buf[n], buf[n+1] = c, next // empty: stays on one line
+				dst[n], dst[n+1] = c, next // empty: stays on one line
 				n += 2
 				i++
 				continue
 			}
 			depth++
-			buf[n] = c
-			*(*[len(blanks)]byte)(buf[n+1:]) = blankLine
-			n += 2 + 2*depth
+			dst[n] = c
+			n = blank(dst, n+1, depth)
 		case '}', ']':
 			depth--
-			*(*[len(blanks)]byte)(buf[n:]) = blankLine
-			n += 1 + 2*depth
-			buf[n] = c
+			n = blank(dst, n, depth)
+			dst[n] = c
 			n++
 		case ',':
-			buf[n] = c
-			*(*[len(blanks)]byte)(buf[n+1:]) = blankLine
-			n += 2 + 2*depth
+			dst[n] = c
+			n = blank(dst, n+1, depth)
 		case ':':
-			buf[n], buf[n+1] = ':', ' '
+			dst[n], dst[n+1] = ':', ' '
 			n += 2
 		default:
-			buf[n] = c
+			dst[n] = c
 			n++
 		}
 	}
-	in.n = n
+	return n
+}
+
+// blank stores a line break and the indentation of depth at dst[at] and
+// returns the index past them. It stores all of blankLine, which compiles
+// to a few wide moves, unless that would run past the end of dst.
+func blank(dst []byte, at, depth int) int {
+	if len(dst)-at >= len(blanks) {
+		*(*[len(blanks)]byte)(dst[at:]) = blankLine
+	} else {
+		copy(dst[at:], blanks[:1+2*depth])
+	}
+	return at + 1 + 2*depth
 }
 
 // blanks is a newline and the indentation of eight levels. Result
@@ -290,14 +219,13 @@ func (in *indenter) indent(src []byte, depth int) {
 // interval).
 const blanks = "\n                "
 
-// blankLine is blanks as an array: the indenter stores all of it, which
-// compiles to a few wide moves, and keeps as much as the depth needs.
+// blankLine is blanks as an array, for indent's wide stores.
 var blankLine = [len(blanks)]byte([]byte(blanks))
 
-// indentedLen returns the length of src indented at depth: what indent
-// writes, counted token by token without storing it.
-func indentedLen(src []byte, depth int) int {
-	n := len(src)
+// indentedLen returns the length of src indented: what indent writes,
+// counted token by token without storing it.
+func indentedLen(src []byte) int {
+	n, depth := len(src), 0
 	for i := 0; i < len(src); i++ {
 		switch src[i] {
 		case '"':
@@ -319,6 +247,27 @@ func indentedLen(src []byte, depth int) int {
 		}
 	}
 	return n
+}
+
+// appendCompact appends src, JSON as indent writes it, to dst without
+// the whitespace outside its strings: json.Marshal's encoding of the same
+// value.
+func appendCompact(dst, src []byte) []byte {
+	dst = slices.Grow(dst, len(src))
+	kept := 0 // start of the run of src not yet appended
+	for i := 0; i < len(src); i++ {
+		switch src[i] {
+		case '"':
+			i = quoteEnd(src, i) - 1
+		case ' ', '\n':
+			dst = append(dst, src[kept:i]...)
+			for i+1 < len(src) && src[i+1] == ' ' {
+				i++
+			}
+			kept = i + 1
+		}
+	}
+	return append(dst, src[kept:]...)
 }
 
 // quoteEnd returns the index just past the string that opens at src[i]:

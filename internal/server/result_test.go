@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -187,10 +188,10 @@ func randomNamedResult(rng *rand.Rand, names []string, n int) *ftpm.ResultJSON {
 // populated pattern lists, escaped and non-ASCII names, Mu zero and set,
 // patterns with and without samples — /result, every (offset, limit) JSON
 // page by offset and by page_token (offset == total included) and every
-// NDJSON page equal the struct encodings, also when they are written
-// out in many chunks (checkChunkCrossing), and a persistence record — a
-// job record, or a snapshot of all of them — embeds the same bytes as
-// the struct-typed field did.
+// NDJSON page equal the struct encodings, also for names that are long
+// runs of escapes (checkEscapeHeavy), and a persistence record — a job
+// record, or a snapshot of all of them — embeds the same bytes as the
+// struct-typed field did.
 func TestServedResultBytesMatchStructEncoding(t *testing.T) {
 	srv, err := New(Options{Workers: 1})
 	if err != nil {
@@ -228,7 +229,7 @@ func TestServedResultBytesMatchStructEncoding(t *testing.T) {
 			stored = append(stored, storedJob{jobRecord: jobRecord{ID: id, EventSeq: uint64(seq)}, Doc: doc})
 		}
 	}
-	checkChunkCrossing(t, srv, rng, &seq)
+	checkEscapeHeavy(t, srv, rng, &seq)
 
 	got, err := encodeSnapshot(snap)
 	if err != nil {
@@ -255,19 +256,15 @@ func TestServedResultBytesMatchStructEncoding(t *testing.T) {
 	}
 }
 
-// checkChunkCrossing serves documents many chunks long: the chunk is
-// lowered to a few bytes, so every body is written in many pieces, and
-// one event name, longer than a chunk, is a run of escaped quotes and
-// backslashes. Over the chunk sizes swept, a flush must fall between a
-// backslash and the quote it escapes and between two escaped backslashes.
-func checkChunkCrossing(t *testing.T, srv *Server, rng *rand.Rand, seq *int) {
+// checkEscapeHeavy serves documents in which one event name is a long
+// run of escaped quotes and backslashes, and requires the compact pass
+// over each stored body, and over each of its element spans, to give back
+// json.Marshal of the document and of each pattern.
+func checkEscapeHeavy(t *testing.T, srv *Server, rng *rand.Rand, seq *int) {
 	t.Helper()
-	defer func(size int) { chunkSize = size }(chunkSize)
 	long := strings.Repeat(`q"\\`, 12)
 	names := append([]string{long}, resultNames...)
-	var splitQuote, splitBackslash bool
-	for size := 16; size < 24; size++ {
-		chunkSize = size
+	for range 8 {
 		doc := randomNamedResult(rng, names, 4)
 		doc.Patterns[0].Events[0] = long
 		*seq++
@@ -277,38 +274,23 @@ func checkChunkCrossing(t *testing.T, srv *Server, rng *rand.Rand, seq *int) {
 
 		j, _ := srv.jobs.get(id)
 		rd, _ := j.document()
-		w := &splitRecorder{header: http.Header{}}
-		rd.writeResult(w)
-		for k := 1; k < len(w.writes); k++ {
-			prev, next := w.writes[k-1], w.writes[k]
-			if len(next) > size+slack {
-				t.Fatalf("chunk size %d: a %d-byte write", size, len(next))
+		want, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendCompact(nil, rd.body); !bytes.Equal(got, want) {
+			t.Fatalf("compacted body:\n got %s\nwant %s", got, want)
+		}
+		for i, s := range rd.patterns() {
+			want, err := json.Marshal(&doc.Patterns[i])
+			if err != nil {
+				t.Fatal(err)
 			}
-			if bytes.HasSuffix(prev, []byte(`q\`)) && next[0] == '"' {
-				splitQuote = true
-			}
-			if bytes.HasSuffix(prev, []byte(`"\`)) && next[0] == '\\' {
-				splitBackslash = true
+			if got := appendCompact(nil, rd.body[s.start:s.end]); !bytes.Equal(got, want) {
+				t.Fatalf("compacted element %d:\n got %s\nwant %s", i, got, want)
 			}
 		}
 	}
-	if !splitQuote || !splitBackslash {
-		t.Fatalf("no flush split an escape (quote %v, backslash %v)", splitQuote, splitBackslash)
-	}
-}
-
-// splitRecorder is a ResponseWriter that keeps each write of the body
-// apart.
-type splitRecorder struct {
-	header http.Header
-	writes [][]byte
-}
-
-func (s *splitRecorder) Header() http.Header { return s.header }
-func (s *splitRecorder) WriteHeader(int)     {}
-func (s *splitRecorder) Write(p []byte) (int, error) {
-	s.writes = append(s.writes, bytes.Clone(p))
-	return len(p), nil
 }
 
 // TestConcurrentFirstPages serves pages of a never-paged document from
@@ -447,7 +429,9 @@ func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 // readers fetch it: the whole /result body, then every 1000-pattern JSON
 // page. The job is installed from its decoded terminal record, and each
 // request is served once before timing starts, so the loop measures
-// repeat fetches of an already-served document.
+// repeat fetches of an already-served document. The set-up's garbage is
+// collected first, so that a one-iteration run does not time a
+// collection of it.
 func BenchmarkServeResult(b *testing.B) {
 	const patterns, pageLimit = 5000, 1000
 	data, err := json.Marshal(map[string]any{"id": "job-1", "state": "done", "doc": randomResult(rand.New(rand.NewSource(1)), patterns)})
@@ -481,10 +465,30 @@ func BenchmarkServeResult(b *testing.B) {
 			}
 		}
 	}
+	runtime.GC()
 	serveAll()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		serveAll()
+	}
+}
+
+// BenchmarkEncodeResult encodes BenchmarkServeResult's document into its
+// served form: the work a job pays once, as it completes or its record
+// is replayed. One encoding before timing starts grows encoding/json's
+// pooled buffer, as earlier jobs have in a running server, so that the
+// allocation count does not depend on which benchmark ran before.
+func BenchmarkEncodeResult(b *testing.B) {
+	doc := randomResult(rand.New(rand.NewSource(1)), 5000)
+	if _, err := encodeResult(doc); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := encodeResult(doc); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
