@@ -860,7 +860,6 @@ func (m *jobManager) run(j *job) {
 	// other job — keeps going.
 	var res *ftpm.Result
 	var doc *resultDoc
-	var compact []byte // the terminal record's copy of the document
 	var err error
 	func() {
 		defer func() {
@@ -881,7 +880,7 @@ func (m *jobManager) run(j *job) {
 			// The one encoding of the document: every later /result,
 			// pattern page and log record is served from these bytes.
 			d := res.Document()
-			doc, compact, err = marshalResult(&d)
+			doc, err = encodeResult(&d)
 		}
 	}()
 
@@ -920,7 +919,6 @@ func (m *jobManager) run(j *job) {
 		m.results.put(key, &resultEntry{doc: doc, summary: *j.summary, size: doc.size()})
 	}
 	rec := m.finishLocked(j)
-	rec.compactDoc = compact
 	millis := j.finishedAt.Sub(j.startedAt).Milliseconds()
 	j.mu.Unlock()
 	m.persist.jobTerminal(m.stamp(rec))

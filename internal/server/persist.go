@@ -210,11 +210,6 @@ type jobRecord struct {
 	// Doc is the result document of a done job. appendJobRecord writes
 	// its compact form as the "doc" field; encoding/json never sees it.
 	Doc *resultDoc `json:"-"`
-	// compactDoc, when set, is json.Marshal's encoding of Doc, which
-	// appendJobRecord embeds instead of compacting Doc's served bytes. Only
-	// the record a job writes as it completes carries it, and that record
-	// is written at once and dropped.
-	compactDoc []byte
 	// EventSeq is the event hub's last assigned id when the record was
 	// persisted. Restore seeds the hub's sequence past the maximum
 	// recorded value, so event ids stay monotone across restarts and a
@@ -237,10 +232,7 @@ func appendJobRecord(dst []byte, rec jobRecord) ([]byte, error) {
 		return dst, err
 	}
 	dst = append(dst, b[:len(b)-1]...) // an object with an id: never "{}"
-	switch {
-	case rec.compactDoc != nil:
-		dst = append(append(dst, `,"doc":`...), rec.compactDoc...)
-	case doc != nil:
+	if doc != nil {
 		dst = appendCompact(append(dst, `,"doc":`...), doc.body)
 	}
 	if seq != 0 {

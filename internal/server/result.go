@@ -57,21 +57,13 @@ var (
 
 // encodeResult encodes doc once, into its served form.
 func encodeResult(doc *ftpm.ResultJSON) (*resultDoc, error) {
-	rd, _, err := marshalResult(doc)
-	return rd, err
-}
-
-// marshalResult is encodeResult that also returns json.Marshal's
-// encoding of doc, which the caller may embed in a record it writes at
-// once but must not retain.
-func marshalResult(doc *ftpm.ResultJSON) (*resultDoc, []byte, error) {
 	compact, err := json.Marshal(doc)
 	if err != nil {
-		return nil, nil, fmt.Errorf("encode result: %w", err)
+		return nil, fmt.Errorf("encode result: %w", err)
 	}
 	body := make([]byte, indentedLen(compact)+len(lineEnd))
 	body[indent(body, compact)] = '\n'
-	return &resultDoc{body: body, nullPatterns: doc.Patterns == nil}, compact, nil
+	return &resultDoc{body: body, nullPatterns: doc.Patterns == nil}, nil
 }
 
 // patterns returns the byte ranges of the patterns elements, indexing

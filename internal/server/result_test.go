@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -476,17 +477,28 @@ func BenchmarkServeResult(b *testing.B) {
 
 // BenchmarkEncodeResult encodes BenchmarkServeResult's document into its
 // served form: the work a job pays once, as it completes or its record
-// is replayed. One encoding before timing starts grows encoding/json's
-// pooled buffer, as earlier jobs have in a running server, so that the
-// allocation count does not depend on which benchmark ran before.
+// is replayed. ReportAllocs counts the allocations of every goroutine,
+// and each collection wakes the runtime's unique-map cleanup, which
+// allocates on its own goroutine whenever it next gets to run; so
+// collections are held off while timing. Each iteration first collects
+// the previous one's garbage, lets that cleanup run and encodes once, all
+// untimed; the untimed encoding puts encoding/json's buffer, which the
+// collection moved out of its pool, back in. So every timed encoding
+// finds the grown buffer a running server's earlier jobs leave, and the
+// allocation count is the encoding's own.
 func BenchmarkEncodeResult(b *testing.B) {
 	doc := randomResult(rand.New(rand.NewSource(1)), 5000)
-	if _, err := encodeResult(doc); err != nil {
-		b.Fatal(err)
-	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.Gosched()
+		if _, err := encodeResult(doc); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
 		if _, err := encodeResult(doc); err != nil {
 			b.Fatal(err)
 		}
