@@ -350,35 +350,24 @@ func BenchmarkAppendVsReupload(b *testing.B) {
 }
 
 // benchDatasetRecord mirrors the wire shape of the mining service's
-// persisted dataset record — enough of it to plant either storage mode's
-// record in a fresh write-ahead log.
+// persisted dataset record — enough of it to plant a segment-backed
+// dataset's record in a fresh write-ahead log.
 type benchDatasetRecord struct {
-	ID          string            `json:"id"`
-	Name        string            `json:"name"`
-	CreatedAt   time.Time         `json:"created_at"`
-	Shards      int               `json:"shards"`
-	Series      []benchSeriesJSON `json:"series,omitempty"`
-	Segments    []string          `json:"segments,omitempty"`
-	Fingerprint string            `json:"fingerprint,omitempty"`
-	Samples     int               `json:"samples,omitempty"`
-}
-
-// benchSeriesJSON is the legacy full-payload series record.
-type benchSeriesJSON struct {
-	Name     string   `json:"name"`
-	Start    int64    `json:"start"`
-	Step     int64    `json:"step"`
-	Alphabet []string `json:"alphabet"`
-	Symbols  []int    `json:"symbols"`
+	ID          string    `json:"id"`
+	Name        string    `json:"name"`
+	CreatedAt   time.Time `json:"created_at"`
+	Shards      int       `json:"shards"`
+	Segments    []string  `json:"segments,omitempty"`
+	Fingerprint string    `json:"fingerprint,omitempty"`
+	Samples     int       `json:"samples,omitempty"`
 }
 
 // timeRestart measures server.New over a data directory that plant
 // prepares afresh before every iteration — the restart path: WAL/snapshot
-// replay plus dataset restoration. Opening a server rewrites its log (a
-// legacy payload record is upgraded, and Close compacts), so the
-// re-plant keeps every iteration measuring the same open at any
-// -benchtime. Planting, verifying the served dataset and closing the
-// server run off the clock.
+// replay plus dataset restoration. Opening a server rewrites its log
+// (Close compacts), so the re-plant keeps every iteration measuring the
+// same open at any -benchtime. Planting, verifying the served dataset
+// and closing the server run off the clock.
 func timeRestart(b *testing.B, plant func(b *testing.B, dir string), wantSamples int) {
 	dir := b.TempDir()
 	b.ReportAllocs()
@@ -411,16 +400,10 @@ func timeRestart(b *testing.B, plant func(b *testing.B, dir string), wantSamples
 	}
 }
 
-// BenchmarkRestartRecovery measures what out-of-core segment storage
-// saves at restart: "payload" restores a dataset from a legacy
-// full-payload WAL record (JSON symbol arrays decoded, the symbolic
-// database rebuilt, fingerprinted and sealed into a segment file, and a
-// segment record logged — the one-time upgrade of a pre-segment log),
-// "segment" restores the same content from a metadata record plus a
-// sealed columnar segment file, which is an mmap and a footer read. CI
-// asserts segment restart is at least 5x faster than payload restart on
-// any core count (the "always" speedup spec in
-// .github/workflows/ci.yml).
+// BenchmarkRestartRecovery measures a restart that restores a dataset
+// from a metadata WAL record plus a sealed columnar segment file, which
+// is an mmap and a footer read. Its "segment" name is kept so that the
+// committed baseline's lines for it stay comparable.
 func BenchmarkRestartRecovery(b *testing.B) {
 	const (
 		nSeries  = 4
@@ -447,15 +430,6 @@ func BenchmarkRestartRecovery(b *testing.B) {
 		}
 	}
 
-	b.Run("payload", func(b *testing.B) {
-		rec := benchDatasetRecord{ID: "ds-1", Name: "restart", CreatedAt: created, Shards: 1,
-			Series: make([]benchSeriesJSON, nSeries)}
-		for i, s := range sdb.Series {
-			rec.Series[i] = benchSeriesJSON{Name: s.Name, Start: int64(s.Start), Step: int64(s.Step),
-				Alphabet: s.Alphabet, Symbols: s.Symbols}
-		}
-		timeRestart(b, func(b *testing.B, dir string) { plantRecord(b, dir, rec) }, nSamples)
-	})
 	b.Run("segment", func(b *testing.B) {
 		timeRestart(b, func(b *testing.B, dir string) {
 			segDir := filepath.Join(dir, "segments")

@@ -26,7 +26,7 @@ func Example_serve() {
 
 	// 1. Upload a numeric CSV dataset; values >= 0.5 symbolize to "On".
 	csv := "time,X,Y\n0,1.61,0.0\n300,1.21,0.9\n600,0.41,0.9\n900,0.0,0.0\n"
-	resp, err := http.Post(ts.URL+"/datasets?name=demo&threshold=0.5", "text/csv", strings.NewReader(csv))
+	resp, err := http.Post(ts.URL+"/v1/datasets?name=demo&threshold=0.5", "text/csv", strings.NewReader(csv))
 	if err != nil {
 		panic(err)
 	}
@@ -40,7 +40,7 @@ func Example_serve() {
 		DatasetID:  ds.ID,
 		MinSupport: 1, MinConfidence: 0, NumWindows: 1,
 	})
-	resp, err = http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(req))
+	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(req))
 	if err != nil {
 		panic(err)
 	}
@@ -51,7 +51,7 @@ func Example_serve() {
 	// 3. Poll the job until it reaches a final state.
 	for !job.State.Terminal() {
 		time.Sleep(5 * time.Millisecond)
-		resp, err = http.Get(ts.URL + "/jobs/" + job.ID)
+		resp, err = http.Get(ts.URL + "/v1/jobs/" + job.ID)
 		if err != nil {
 			panic(err)
 		}
@@ -61,7 +61,7 @@ func Example_serve() {
 	fmt.Printf("job %s: %s\n", job.ID, job.State)
 
 	// 4. Page through the mined patterns.
-	resp, err = http.Get(ts.URL + "/jobs/" + job.ID + "/patterns?limit=100")
+	resp, err = http.Get(ts.URL + "/v1/jobs/" + job.ID + "/patterns?limit=100")
 	if err != nil {
 		panic(err)
 	}

@@ -103,7 +103,7 @@ func runCrashWorkload(t *testing.T, dir string, fsys store.FS) crashObs {
 	}()
 
 	var info DatasetInfo
-	code := doJSON(t, http.MethodPost, ts.URL+"/datasets?name=ds&threshold=0.5&shards=1",
+	code := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets?name=ds&threshold=0.5&shards=1",
 		strings.NewReader(smallCSV()), &info)
 	if code != http.StatusCreated {
 		return obs
@@ -132,7 +132,7 @@ func runCrashWorkload(t *testing.T, dir string, fsys store.FS) crashObs {
 	body, _ := json.Marshal(MiningRequest{
 		DatasetID: obs.dsID, MinSupport: 0.2, NumWindows: 2, MaxPatternSize: 2,
 	})
-	resp, data := doRaw(t, http.MethodPost, ts.URL+"/jobs", string(body))
+	resp, data := doRaw(t, http.MethodPost, ts.URL+"/v1/jobs", string(body))
 	if resp.StatusCode == http.StatusAccepted {
 		var job JobInfo
 		if err := json.Unmarshal(data, &job); err != nil {
@@ -140,7 +140,7 @@ func runCrashWorkload(t *testing.T, dir string, fsys store.FS) crashObs {
 		}
 		done := waitState(t, ts.URL, job.ID, 30*time.Second, func(j JobInfo) bool { return j.State.Terminal() })
 		if done.State == JobDone {
-			if code, doc := getRaw(t, ts.URL+"/jobs/"+job.ID+"/result"); code == 200 {
+			if code, doc := getRaw(t, ts.URL+"/v1/jobs/"+job.ID+"/result"); code == 200 {
 				obs.jobID = job.ID
 				obs.jobDoc = doc
 			}
@@ -182,7 +182,7 @@ func checkRecovered(t *testing.T, name, dir string, obs crashObs) {
 	var got DatasetInfo
 	dsCode := http.StatusNotFound
 	if obs.dsID != "" {
-		dsCode = doJSON(t, http.MethodGet, ts.URL+"/datasets/"+obs.dsID, nil, &got)
+		dsCode = doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+obs.dsID, nil, &got)
 	}
 	if dsCode == http.StatusOK {
 		// The recovered dataset must be exactly one reported (or the
@@ -214,7 +214,7 @@ func checkRecovered(t *testing.T, name, dir string, obs crashObs) {
 	// A recovered finished job must serve the byte-identical document; a
 	// re-queued one must re-mine to it (mining is deterministic).
 	if obs.jobID != "" {
-		resp, data := doRaw(t, http.MethodGet, ts.URL+"/jobs/"+obs.jobID, "")
+		resp, data := doRaw(t, http.MethodGet, ts.URL+"/v1/jobs/"+obs.jobID, "")
 		if resp.StatusCode == http.StatusOK && dsCode == http.StatusOK {
 			var ji JobInfo
 			if err := json.Unmarshal(data, &ji); err != nil {
@@ -224,7 +224,7 @@ func checkRecovered(t *testing.T, name, dir string, obs crashObs) {
 				ji = waitState(t, ts.URL, obs.jobID, 30*time.Second, func(j JobInfo) bool { return j.State.Terminal() })
 			}
 			if ji.State == JobDone {
-				if code, doc := getRaw(t, ts.URL+"/jobs/"+obs.jobID+"/result"); code == 200 && !bytes.Equal(doc, obs.jobDoc) {
+				if code, doc := getRaw(t, ts.URL+"/v1/jobs/"+obs.jobID+"/result"); code == 200 && !bytes.Equal(doc, obs.jobDoc) {
 					t.Fatalf("%s: finished-job document diverged after restart:\n got %s\nwant %s", name, doc, obs.jobDoc)
 				}
 			}
@@ -295,7 +295,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	job := mineDone(t, ts.URL, MiningRequest{
 		DatasetID: ds.ID, MinSupport: 0.2, NumWindows: 2, MaxPatternSize: 2,
 	})
-	if resp, _ := doRaw(t, http.MethodGet, ts.URL+"/readyz", ""); resp.StatusCode != http.StatusOK {
+	if resp, _ := doRaw(t, http.MethodGet, ts.URL+"/v1/readyz", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz before fault: status %d", resp.StatusCode)
 	}
 	if !srv.Ready() {
@@ -304,7 +304,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 
 	// Yank the disk: the next upload's seal fails fatally.
 	efs.SetFailAt(efs.Ops()+1, syscall.ENOSPC)
-	resp, body := doRaw(t, http.MethodPost, ts.URL+"/datasets?name=more&threshold=0.5", smallCSV())
+	resp, body := doRaw(t, http.MethodPost, ts.URL+"/v1/datasets?name=more&threshold=0.5", smallCSV())
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("upload during fault: status %d (body %s)", resp.StatusCode, body)
 	}
@@ -317,10 +317,10 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 
 	// Sticky: every write path now refuses without touching storage.
 	writes := []struct{ method, url, body string }{
-		{http.MethodPost, ts.URL + "/datasets?name=x", smallCSV()},
-		{http.MethodPost, ts.URL + "/datasets/" + ds.ID + "/append", appendBody(24, 1)},
-		{http.MethodDelete, ts.URL + "/datasets/" + ds.ID, ""},
-		{http.MethodPost, ts.URL + "/jobs", `{"dataset_id":"` + ds.ID + `","min_support":0.2,"num_windows":2}`},
+		{http.MethodPost, ts.URL + "/v1/datasets?name=x", smallCSV()},
+		{http.MethodPost, ts.URL + "/v1/datasets/" + ds.ID + "/append", appendBody(24, 1)},
+		{http.MethodDelete, ts.URL + "/v1/datasets/" + ds.ID, ""},
+		{http.MethodPost, ts.URL + "/v1/jobs", `{"dataset_id":"` + ds.ID + `","min_support":0.2,"num_windows":2}`},
 	}
 	for _, w := range writes {
 		resp, body := doRaw(t, w.method, w.url, w.body)
@@ -336,13 +336,13 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 	}
 
 	// Reads keep answering from memory.
-	if code := doJSON(t, http.MethodGet, ts.URL+"/datasets/"+ds.ID, nil, nil); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+ds.ID, nil, nil); code != http.StatusOK {
 		t.Fatalf("dataset read while degraded: status %d", code)
 	}
-	if code, _ := getRaw(t, ts.URL+"/jobs/"+job.ID+"/result"); code != http.StatusOK {
+	if code, _ := getRaw(t, ts.URL+"/v1/jobs/"+job.ID+"/result"); code != http.StatusOK {
 		t.Fatalf("result read while degraded: status %d", code)
 	}
-	if resp, _ := doRaw(t, http.MethodGet, ts.URL+"/healthz", ""); resp.StatusCode != http.StatusOK {
+	if resp, _ := doRaw(t, http.MethodGet, ts.URL+"/v1/healthz", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz while degraded: status %d", resp.StatusCode)
 	}
 
@@ -363,7 +363,7 @@ func TestDegradedModeEndToEnd(t *testing.T) {
 
 	// Metrics expose the state machine-readably.
 	var m MetricsJSON
-	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &m); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, &m); code != http.StatusOK {
 		t.Fatalf("metrics while degraded: status %d", code)
 	}
 	if !m.Health.Degraded || m.Health.Reason == "" {
@@ -387,7 +387,7 @@ func TestWALAppendTransientRetry(t *testing.T) {
 	// once, the rollback and the retry then succeed.
 	efs.SetFailCount(1)
 	efs.SetFailAt(efs.Ops()+1, syscall.EINTR)
-	resp, body := doRaw(t, http.MethodDelete, ts.URL+"/datasets/"+ds.ID, "")
+	resp, body := doRaw(t, http.MethodDelete, ts.URL+"/v1/datasets/"+ds.ID, "")
 	if resp.StatusCode != http.StatusNoContent {
 		t.Fatalf("delete with transient fault: status %d (body %s)", resp.StatusCode, body)
 	}
@@ -397,11 +397,11 @@ func TestWALAppendTransientRetry(t *testing.T) {
 	if deg, reason := srv.degradedState(); deg {
 		t.Fatalf("server degraded after a recovered transient fault: %s", reason)
 	}
-	if resp, _ := doRaw(t, http.MethodGet, ts.URL+"/readyz", ""); resp.StatusCode != http.StatusOK {
+	if resp, _ := doRaw(t, http.MethodGet, ts.URL+"/v1/readyz", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("readyz after transient fault: status %d", resp.StatusCode)
 	}
 	// The delete was durable despite the hiccup.
-	if code := doJSON(t, http.MethodGet, ts.URL+"/datasets/"+ds.ID, nil, nil); code != http.StatusNotFound {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+ds.ID, nil, nil); code != http.StatusNotFound {
 		t.Fatalf("deleted dataset still answers: status %d", code)
 	}
 }
@@ -450,7 +450,7 @@ func TestHandlerPanicRecovery(t *testing.T) {
 	}
 	defer func() { testRouteHook = nil }()
 
-	req, err := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
+	req, err := http.NewRequest(http.MethodGet, ts.URL+"/v1/metrics", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,28 +472,26 @@ func TestHandlerPanicRecovery(t *testing.T) {
 	}
 
 	// The next request is unaffected.
-	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, nil); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, nil); code != http.StatusOK {
 		t.Fatalf("request after panic: status %d", code)
 	}
 }
 
-// TestReadyzBasics: readiness answers ready on a healthy server, on both
-// the versioned and unversioned path, and only for GET.
+// TestReadyzBasics: readiness answers ready on a healthy server, and only
+// for GET.
 func TestReadyzBasics(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1})
-	for _, url := range []string{ts.URL + "/readyz", ts.URL + "/v1/readyz"} {
-		resp, body := doRaw(t, http.MethodGet, url, "")
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: status %d", url, resp.StatusCode)
-		}
-		var doc struct {
-			Status string `json:"status"`
-		}
-		if err := json.Unmarshal(body, &doc); err != nil || doc.Status != "ready" {
-			t.Fatalf("GET %s: body %s", url, body)
-		}
+	resp, body := doRaw(t, http.MethodGet, ts.URL+"/v1/readyz", "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/readyz: status %d", resp.StatusCode)
 	}
-	if resp, _ := doRaw(t, http.MethodPost, ts.URL+"/readyz", ""); resp.StatusCode != http.StatusMethodNotAllowed {
+	var doc struct {
+		Status string `json:"status"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil || doc.Status != "ready" {
+		t.Fatalf("GET /v1/readyz: body %s", body)
+	}
+	if resp, _ := doRaw(t, http.MethodPost, ts.URL+"/v1/readyz", ""); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /readyz: status %d", resp.StatusCode)
 	}
 }
@@ -512,7 +510,7 @@ func TestStreamDegradedFrame(t *testing.T) {
 		DatasetID: ds.ID, MinSupport: 0.05, NumWindows: 8, MaxPatternSize: 3,
 	})
 	var job JobInfo
-	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
 
@@ -533,7 +531,7 @@ func TestStreamDegradedFrame(t *testing.T) {
 	// upload: the server degrades mid-stream.
 	time.Sleep(100 * time.Millisecond)
 	efs.SetFailAt(efs.Ops()+1, syscall.ENOSPC)
-	resp, _ := doRaw(t, http.MethodPost, ts.URL+"/datasets?name=boom&threshold=0.5", smallCSV())
+	resp, _ := doRaw(t, http.MethodPost, ts.URL+"/v1/datasets?name=boom&threshold=0.5", smallCSV())
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("fault upload: status %d", resp.StatusCode)
 	}

@@ -127,11 +127,11 @@ func TestSegmentMiningByteIdentical(t *testing.T) {
 			if jobSeg.ID != jobMem.ID {
 				t.Fatalf("job ids diverged: %s vs %s", jobSeg.ID, jobMem.ID)
 			}
-			code, docSeg := getRaw(t, tsSeg.URL+"/jobs/"+jobSeg.ID+"/result")
+			code, docSeg := getRaw(t, tsSeg.URL+"/v1/jobs/"+jobSeg.ID+"/result")
 			if code != 200 {
 				t.Fatalf("segment result: status %d", code)
 			}
-			code, docMem := getRaw(t, tsMem.URL+"/jobs/"+jobMem.ID+"/result")
+			code, docMem := getRaw(t, tsMem.URL+"/v1/jobs/"+jobMem.ID+"/result")
 			if code != 200 {
 				t.Fatalf("memory result: status %d", code)
 			}
@@ -153,7 +153,8 @@ func TestSegmentMiningByteIdentical(t *testing.T) {
 
 // TestFreshUploadWALIsMetadataOnly checks the record-size claim: a
 // durable upload's whole WAL must be an order of magnitude smaller than
-// the legacy full-payload dataset record for the same content.
+// the full-payload dataset record a log written before datasets lived in
+// segments held for the same content.
 func TestFreshUploadWALIsMetadataOnly(t *testing.T) {
 	csv := periodicCSV(4, 20000, 100)
 	_, tsSeg := testServer(t, Options{Workers: 1, DataDir: t.TempDir()})
@@ -161,7 +162,7 @@ func TestFreshUploadWALIsMetadataOnly(t *testing.T) {
 	ds := uploadCSV(t, tsSeg.URL, "name=wal&threshold=0.5&shards=1", csv)
 
 	var m MetricsJSON
-	if code := doJSON(t, http.MethodGet, tsSeg.URL+"/metrics", nil, &m); code != 200 {
+	if code := doJSON(t, http.MethodGet, tsSeg.URL+"/v1/metrics", nil, &m); code != 200 {
 		t.Fatalf("metrics: status %d", code)
 	}
 	if m.Persistence == nil || m.Persistence.WALBytes <= 0 {
@@ -171,26 +172,49 @@ func TestFreshUploadWALIsMetadataOnly(t *testing.T) {
 		t.Fatalf("storage metrics = %+v, want one segment and no resident payload", m.Storage)
 	}
 
-	legacy, err := json.Marshal(legacyRecord(ds, referenceDB(t, csv, 0.5)))
+	payload, err := json.Marshal(payloadRecord(ds, referenceDB(t, csv, 0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(len(legacy)) < 10*m.Persistence.WALBytes {
-		t.Fatalf("WAL after fresh upload = %d bytes, legacy payload record = %d bytes; want >= 10x shrink",
-			m.Persistence.WALBytes, len(legacy))
+	if int64(len(payload)) < 10*m.Persistence.WALBytes {
+		t.Fatalf("WAL after fresh upload = %d bytes, full-payload record = %d bytes; want >= 10x shrink",
+			m.Persistence.WALBytes, len(payload))
 	}
 }
 
-// legacyRecord is the full-payload dataset record a log written before
-// datasets lived in segments holds for sdb.
-func legacyRecord(ds DatasetInfo, sdb *ftpm.SymbolicDB) datasetRecord {
-	rec := datasetRecord{ID: ds.ID, Name: ds.Name, CreatedAt: ds.CreatedAt, Shards: ds.Shards,
-		Series: make([]seriesRecord, len(sdb.Series))}
-	for i, s := range sdb.Series {
-		rec.Series[i] = seriesRecord{Name: s.Name, Start: int64(s.Start), Step: int64(s.Step),
-			Alphabet: s.Alphabet, Symbols: s.Symbols}
+// payloadSeries is one series of the full-payload dataset and append
+// records of a log written before datasets lived in segments.
+type payloadSeries struct {
+	Name     string   `json:"name"`
+	Start    int64    `json:"start"`
+	Step     int64    `json:"step"`
+	Alphabet []string `json:"alphabet"`
+	Symbols  []int    `json:"symbols"`
+}
+
+// payloadDataset is the full-payload dataset record of such a log: the
+// metadata of a dataset record with the symbols of every sample inline.
+type payloadDataset struct {
+	datasetRecord
+	Series []payloadSeries `json:"series"`
+}
+
+// payloadRecord is the full-payload dataset record of such a log for sdb.
+func payloadRecord(ds DatasetInfo, sdb *ftpm.SymbolicDB) payloadDataset {
+	return payloadDataset{
+		datasetRecord: datasetRecord{ID: ds.ID, Name: ds.Name, CreatedAt: ds.CreatedAt, Shards: ds.Shards},
+		Series:        payloadSeriesOf(sdb, 0),
 	}
-	return rec
+}
+
+// payloadSeriesOf is the payload of sdb's series from sample from on.
+func payloadSeriesOf(sdb *ftpm.SymbolicDB, from int) []payloadSeries {
+	out := make([]payloadSeries, len(sdb.Series))
+	for i, s := range sdb.Series {
+		out[i] = payloadSeries{Name: s.Name, Start: int64(s.Start), Step: int64(s.Step),
+			Alphabet: s.Alphabet, Symbols: s.Symbols[from:]}
+	}
+	return out
 }
 
 // TestOrphanSegmentCleanupAndAppendRetry exercises the crash window
@@ -226,7 +250,7 @@ func TestOrphanSegmentCleanupAndAppendRetry(t *testing.T) {
 
 	_, ts2 := testServer(t, Options{Workers: 1, DataDir: dir})
 	var got DatasetInfo
-	if code := doJSON(t, http.MethodGet, ts2.URL+"/datasets/"+ds.ID, nil, &got); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/datasets/"+ds.ID, nil, &got); code != 200 {
 		t.Fatalf("dataset after restart: status %d", code)
 	}
 	if got.Samples != ds.Samples || got.Generation != 0 {
@@ -332,7 +356,7 @@ func TestFirehoseSubscriberQuota(t *testing.T) {
 	}
 
 	var m MetricsJSON
-	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &m); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, &m); code != 200 {
 		t.Fatalf("metrics: status %d", code)
 	}
 	if m.Events.RejectedStreams < 1 || m.Events.FirehoseStreams != 1 {

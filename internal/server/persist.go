@@ -1,10 +1,10 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -34,9 +34,7 @@ import (
 //     the records, not recomputed); the Analysis (NMI tables) and the
 //     Prepared cache are re-derived, not persisted — they are
 //     recomputable, and lazily so. A log written before datasets lived in
-//     segments has payload records, which replay folds into one payload
-//     per dataset; restore seals it into a segment file once and logs a
-//     segment record that supersedes the payload ones.
+//     segments, and never upgraded since, does not open (ErrPayloadLog).
 //   - Terminal jobs come back with their summaries and result documents
 //     byte-identical; done jobs re-seed the result cache, so a repeat
 //     submission after a restart is still a cache hit.
@@ -67,9 +65,8 @@ const (
 const defaultSnapshotEvery = 256
 
 // maxWALBytes is the byte-based compaction trigger. Dataset records are
-// O(1), but terminal job records still carry result documents (and a
-// legacy log can hold payload records), so a byte bound
-// keeps startup's whole-WAL read bounded regardless of record mix.
+// O(1), but terminal job records still carry result documents, so a byte
+// bound keeps startup's whole-WAL read bounded regardless of record mix.
 const maxWALBytes = 128 << 20
 
 // Transient WAL-append faults (interrupted syscalls, briefly-busy
@@ -86,62 +83,35 @@ const (
 // mining failures.
 const lostToRestart = "lost to restart: the server restarted while the job was queued or running"
 
-// seriesRecord is one series of a legacy full-payload dataset record.
-type seriesRecord struct {
-	Name     string     `json:"name"`
-	Start    int64      `json:"start"`
-	Step     int64      `json:"step"`
-	Alphabet []string   `json:"alphabet"`
-	Symbols  symbolList `json:"symbols"`
-}
-
-// symbolList is a legacy payload's per-sample symbol array. An array
-// decodes into one allocation sized by its element count, not through the
-// reflective decoder, which grows the slice a quarter at a time.
-type symbolList []int
-
-func (l *symbolList) UnmarshalJSON(data []byte) error {
-	body, ok := bytes.CutPrefix(data, []byte("["))
-	if !ok {
-		return json.Unmarshal(data, (*[]int)(l)) // null, or the type error
-	}
-	body = bytes.TrimSpace(bytes.TrimSuffix(body, []byte("]")))
-	syms := make([]int, 0, bytes.Count(body, []byte(","))+1)
-	for len(body) > 0 {
-		var tok []byte
-		tok, body, _ = bytes.Cut(body, []byte(","))
-		v, err := strconv.Atoi(string(bytes.TrimSpace(tok)))
-		if err != nil {
-			return fmt.Errorf("symbols: %w", err)
-		}
-		syms = append(syms, v)
-	}
-	*l = syms
-	return nil
-}
+// ErrPayloadLog is the error New returns for a data directory whose
+// replayed state holds a dataset with no segment files: a log written
+// before datasets lived in segments, whose full-payload records no open
+// has upgraded yet. Revision fd6e4e6167820a60ff0fa5d624fa08598aa70599 is
+// the last that upgrades such a log; opening the directory once with it
+// rewrites the payload records as segment records, which this revision
+// opens. A log that an earlier open already upgraded opens as is: its
+// payload records are superseded by the segment records logged after them.
+var ErrPayloadLog = errors.New("server: the log holds a pre-segment payload dataset record; open the data directory once with revision fd6e4e6167820a60ff0fa5d624fa08598aa70599, the last that upgrades such logs")
 
 // datasetRecord is the persisted form of one dataset: identity plus
 // references — the segment file names holding the columnar payload, the
 // content fingerprint sealed into them, and the sample count. That is
 // O(1) bytes regardless of dataset size, which is what lifts the WAL off
 // the record-size cap and makes restart a footer read instead of a
-// payload replay. Records written before datasets lived in segments
-// carry the full symbolic payload in Series instead; restore upgrades
-// them once (Server.restore). Analysis and the Prepared cache are always
-// re-derived on restore. Generation and Threshold are omitempty so
-// records written by earlier versions replay unchanged (generation 0,
-// server-default threshold).
+// payload replay. Analysis and the Prepared cache are always re-derived
+// on restore. Generation and Threshold are omitempty so records written
+// by earlier versions replay unchanged (generation 0, server-default
+// threshold).
 type datasetRecord struct {
-	ID          string         `json:"id"`
-	Name        string         `json:"name"`
-	CreatedAt   time.Time      `json:"created_at"`
-	Shards      int            `json:"shards"`
-	Generation  int64          `json:"generation,omitempty"`
-	Threshold   *float64       `json:"threshold,omitempty"`
-	Series      []seriesRecord `json:"series,omitempty"` // legacy payload only
-	Segments    []string       `json:"segments,omitempty"`
-	Fingerprint string         `json:"fingerprint,omitempty"`
-	Samples     int            `json:"samples,omitempty"`
+	ID          string    `json:"id"`
+	Name        string    `json:"name"`
+	CreatedAt   time.Time `json:"created_at"`
+	Shards      int       `json:"shards"`
+	Generation  int64     `json:"generation,omitempty"`
+	Threshold   *float64  `json:"threshold,omitempty"`
+	Segments    []string  `json:"segments,omitempty"`
+	Fingerprint string    `json:"fingerprint,omitempty"`
+	Samples     int       `json:"samples,omitempty"`
 }
 
 // removeRecord is the payload of a dataset removal event.
@@ -149,28 +119,17 @@ type removeRecord struct {
 	ID string `json:"id"`
 }
 
-// appendSeriesRecord is one series' slice of a legacy payload append
-// event: the appended symbols only, plus the full post-append alphabet
-// (appends may extend alphabets, never renumber them, so replaying the
-// whole alphabet is idempotent by construction).
-type appendSeriesRecord struct {
-	Name     string     `json:"name"`
-	Alphabet []string   `json:"alphabet"`
-	Symbols  symbolList `json:"symbols"`
-}
-
 // appendRecord is the payload of a dataset append event. PrevSamples is
 // the per-series sample count the append applied to: replay appends the
-// symbols only when the replayed dataset still has exactly that many
+// segment only when the replayed dataset still has exactly that many
 // samples, so a record re-applied over a snapshot that already contains
 // it (crash between snapshot replacement and WAL truncation) is a no-op
 // rather than a duplication. Gen still folds in monotonically either way,
 // so generations never regress across restarts.
 type appendRecord struct {
-	ID          string               `json:"id"`
-	Gen         int64                `json:"generation"`
-	PrevSamples int                  `json:"prev_samples"`
-	Series      []appendSeriesRecord `json:"series,omitempty"` // legacy payload only
+	ID          string `json:"id"`
+	Gen         int64  `json:"generation"`
+	PrevSamples int    `json:"prev_samples"`
 	// The delta segment sealed by this append, the post-append total
 	// sample count and content fingerprint. The delta payload lives in the
 	// segment file, and replay only folds the reference in.
@@ -324,21 +283,6 @@ func datasetRecordOf(d *Dataset) datasetRecord {
 		Fingerprint: g.fingerprint,
 		Samples:     g.src.Len(),
 	}
-}
-
-// symbolicDB rebuilds the symbolic database of a legacy payload record.
-func (rec datasetRecord) symbolicDB() (*ftpm.SymbolicDB, error) {
-	series := make([]*ftpm.SymbolicSeries, len(rec.Series))
-	for i, s := range rec.Series {
-		series[i] = &ftpm.SymbolicSeries{
-			Name:     s.Name,
-			Start:    ftpm.Time(s.Start),
-			Step:     ftpm.Duration(s.Step),
-			Alphabet: s.Alphabet,
-			Symbols:  s.Symbols,
-		}
-	}
-	return ftpm.NewSymbolicDB(series...)
 }
 
 // persister serializes all durable writes of one server: WAL appends,
@@ -553,18 +497,26 @@ func replay(rec store.Recovery) (*recoveredState, error) {
 			// reading a newer log should serve what it understands.
 		}
 	}
+	for _, d := range st.datasets {
+		if len(d.Segments) == 0 {
+			return nil, fmt.Errorf("%w (dataset %s)", ErrPayloadLog, d.ID)
+		}
+	}
 	return st, nil
 }
 
-// applyAppend folds one append record into the replayed state. The
-// symbols apply only when the dataset exists, matches the record's series
-// set, and still has exactly PrevSamples samples — a record whose data a
-// later snapshot already contains is thereby a no-op, so crash-replay
-// applies each append exactly once. The generation folds in monotonically
-// regardless, so a skipped (already-applied) record still keeps the
-// generation from regressing. Appends to datasets replay has already
-// dropped (append record racing ahead of a removal's, or a removal
-// earlier in the log) are skipped entirely.
+// applyAppend folds one append record's delta segment into the replayed
+// state. The segment applies only when the dataset exists, does not
+// already reference the segment, and still has exactly PrevSamples
+// samples — a record whose data a later snapshot already contains is
+// thereby a no-op, so crash-replay applies each append exactly once. The
+// generation folds in monotonically regardless, so a skipped
+// (already-applied) record still keeps the generation from regressing.
+// Appends to datasets replay has already dropped (append record racing
+// ahead of a removal's, or a removal earlier in the log) are skipped
+// entirely, and so are records without a segment: the payload appends of
+// a log that an earlier open upgraded, which the segment record logged
+// after them supersedes.
 func applyAppend(st *recoveredState, dsIndex map[string]int, ar appendRecord) {
 	i, ok := dsIndex[ar.ID]
 	if !ok {
@@ -574,39 +526,13 @@ func applyAppend(st *recoveredState, dsIndex map[string]int, ar appendRecord) {
 	if ar.Gen > d.Generation {
 		d.Generation = ar.Gen
 	}
-	if ar.Segment != "" {
-		// Fold the delta segment reference in. The record applies only
-		// when the replayed dataset does not already reference the segment
-		// and still has the pre-append sample count — the same idempotence
-		// contract as the legacy payload shape below.
-		for _, seg := range d.Segments {
-			if seg == ar.Segment {
-				return
-			}
-		}
-		if len(d.Segments) == 0 || d.Samples != ar.PrevSamples {
-			return
-		}
-		d.Segments = append(d.Segments, ar.Segment)
-		d.Samples = ar.Samples
-		if ar.Fingerprint != "" {
-			d.Fingerprint = ar.Fingerprint
-		}
+	if ar.Segment == "" || len(d.Segments) == 0 || d.Samples != ar.PrevSamples || slices.Contains(d.Segments, ar.Segment) {
 		return
 	}
-	if len(d.Series) != len(ar.Series) || len(d.Series) == 0 {
-		return
-	}
-	for si := range d.Series {
-		if d.Series[si].Name != ar.Series[si].Name || len(d.Series[si].Symbols) != ar.PrevSamples {
-			return
-		}
-	}
-	for si := range d.Series {
-		s := &d.Series[si]
-		n := len(s.Symbols)
-		s.Symbols = append(s.Symbols[:n:n], ar.Series[si].Symbols...)
-		s.Alphabet = ar.Series[si].Alphabet
+	d.Segments = append(d.Segments, ar.Segment)
+	d.Samples = ar.Samples
+	if ar.Fingerprint != "" {
+		d.Fingerprint = ar.Fingerprint
 	}
 }
 

@@ -3,11 +3,12 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -43,7 +44,7 @@ func submitJob(t *testing.T, base string, req MiningRequest) JobInfo {
 	t.Helper()
 	body, _ := json.Marshal(req)
 	var job JobInfo
-	if code := doJSON(t, http.MethodPost, base+"/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
+	if code := doJSON(t, http.MethodPost, base+"/v1/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
 	return job
@@ -94,7 +95,7 @@ func waitCompacted(t *testing.T, base string, limit int) MetricsJSON {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var m MetricsJSON
-		if code := doJSON(t, http.MethodGet, base+"/metrics", nil, &m); code != 200 {
+		if code := doJSON(t, http.MethodGet, base+"/v1/metrics", nil, &m); code != 200 {
 			t.Fatalf("metrics: status %d", code)
 		}
 		if m.Persistence != nil && m.Persistence.WALRecords < limit {
@@ -125,11 +126,11 @@ func TestRestartRecoveryE2E(t *testing.T) {
 	exactJob := mineDone(t, ts1.URL, exactReq)
 	approxJob := mineDone(t, ts1.URL, approxReq)
 
-	code, exactDoc1 := getRaw(t, ts1.URL+"/jobs/"+exactJob.ID+"/result")
+	code, exactDoc1 := getRaw(t, ts1.URL+"/v1/jobs/"+exactJob.ID+"/result")
 	if code != 200 {
 		t.Fatalf("result: status %d", code)
 	}
-	_, approxDoc1 := getRaw(t, ts1.URL+"/jobs/"+approxJob.ID+"/result")
+	_, approxDoc1 := getRaw(t, ts1.URL+"/v1/jobs/"+approxJob.ID+"/result")
 	fp1 := map[string]string{}
 	for id, d := range srv1.reg.byID {
 		fp1[id] = d.view().fingerprint
@@ -143,7 +144,7 @@ func TestRestartRecoveryE2E(t *testing.T) {
 	// Datasets come back under their ids, with identical content.
 	for _, want := range []DatasetInfo{plain, sharded} {
 		var got DatasetInfo
-		if code := doJSON(t, http.MethodGet, ts2.URL+"/datasets/"+want.ID, nil, &got); code != 200 {
+		if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/datasets/"+want.ID, nil, &got); code != 200 {
 			t.Fatalf("dataset %s after restart: status %d", want.ID, code)
 		}
 		if got.Name != want.Name || got.Shards != want.Shards || got.Samples != want.Samples ||
@@ -166,7 +167,7 @@ func TestRestartRecoveryE2E(t *testing.T) {
 	// Done jobs come back with byte-identical result documents.
 	for jobID, want := range map[string][]byte{exactJob.ID: exactDoc1, approxJob.ID: approxDoc1} {
 		var info JobInfo
-		if code := doJSON(t, http.MethodGet, ts2.URL+"/jobs/"+jobID, nil, &info); code != 200 {
+		if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/"+jobID, nil, &info); code != 200 {
 			t.Fatalf("job %s after restart: status %d", jobID, code)
 		}
 		if info.State != JobDone || info.Summary == nil {
@@ -175,7 +176,7 @@ func TestRestartRecoveryE2E(t *testing.T) {
 		if info.Progress.Patterns != info.Summary.Patterns || info.Progress.Level < 2 {
 			t.Fatalf("job %s progress not rebuilt from persisted levels: %+v vs %+v", jobID, info.Progress, info.Summary)
 		}
-		code, doc := getRaw(t, ts2.URL+"/jobs/"+jobID+"/result")
+		code, doc := getRaw(t, ts2.URL+"/v1/jobs/"+jobID+"/result")
 		if code != 200 {
 			t.Fatalf("result of %s after restart: status %d", jobID, code)
 		}
@@ -239,7 +240,7 @@ func TestRestartRequeuesLiveJobs(t *testing.T) {
 		DatasetID: gone.ID, MinSupport: 0.2, MinConfidence: 0,
 		NumWindows: 2, MaxPatternSize: 2,
 	})
-	if code := doJSON(t, http.MethodDelete, ts1.URL+"/datasets/"+gone.ID, nil, nil); code != http.StatusNoContent {
+	if code := doJSON(t, http.MethodDelete, ts1.URL+"/v1/datasets/"+gone.ID, nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete doomed dataset: status %d", code)
 	}
 
@@ -262,7 +263,7 @@ func TestRestartRequeuesLiveJobs(t *testing.T) {
 	}
 	// The orphan comes back failed with a distinguishable error.
 	var got JobInfo
-	if code := doJSON(t, http.MethodGet, ts2.URL+"/jobs/"+orphan.ID, nil, &got); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/jobs/"+orphan.ID, nil, &got); code != 200 {
 		t.Fatalf("orphan job after crash: status %d", code)
 	}
 	if got.State != JobFailed || !strings.Contains(got.Error, "lost to restart") {
@@ -270,7 +271,7 @@ func TestRestartRequeuesLiveJobs(t *testing.T) {
 	}
 
 	var m MetricsJSON
-	if code := doJSON(t, http.MethodGet, ts2.URL+"/metrics", nil, &m); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/metrics", nil, &m); code != 200 {
 		t.Fatal("metrics after crash")
 	}
 	if m.QueueDepth != 0 {
@@ -351,7 +352,7 @@ func TestTornWALTailRecoveryEndToEnd(t *testing.T) {
 	// event — so the job replays as live; its dataset survived the tear,
 	// so it re-queues and re-runs to done rather than coming back lost.
 	var ds DatasetInfo
-	if code := doJSON(t, http.MethodGet, ts2.URL+"/datasets/"+info.ID, nil, &ds); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/datasets/"+info.ID, nil, &ds); code != 200 {
 		t.Fatalf("dataset after torn-tail recovery: status %d", code)
 	}
 	if ds.Name != "energy" || ds.Samples != info.Samples {
@@ -383,8 +384,8 @@ func TestTornWALTailRecoveryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts4 := testServer(t, Options{Workers: 1, DataDir: dir2})
-	code4, doc4 := getRaw(t, ts4.URL+"/jobs/"+done3.ID+"/result")
-	_, doc3 := getRaw(t, ts3.URL+"/jobs/"+done3.ID+"/result")
+	code4, doc4 := getRaw(t, ts4.URL+"/v1/jobs/"+done3.ID+"/result")
+	_, doc3 := getRaw(t, ts3.URL+"/v1/jobs/"+done3.ID+"/result")
 	if code4 != 200 || !bytes.Equal(doc3, doc4) {
 		t.Fatalf("done job's document diverged across torn-garbage recovery (%d):\n%s\nvs\n%s", code4, doc4, doc3)
 	}
@@ -395,7 +396,7 @@ func TestSnapshotCompactionAndGauges(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1, DataDir: dir, SnapshotEvery: 4})
 
 	var m MetricsJSON
-	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &m); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, &m); code != 200 {
 		t.Fatal("metrics")
 	}
 	if m.Persistence == nil {
@@ -413,7 +414,7 @@ func TestSnapshotCompactionAndGauges(t *testing.T) {
 		ids = append(ids, info.ID)
 	}
 	for _, id := range ids[:2] {
-		if code := doJSON(t, http.MethodDelete, ts.URL+"/datasets/"+id, nil, nil); code != http.StatusNoContent {
+		if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/datasets/"+id, nil, nil); code != http.StatusNoContent {
 			t.Fatalf("delete %s: status %d", id, code)
 		}
 	}
@@ -426,7 +427,7 @@ func TestSnapshotCompactionAndGauges(t *testing.T) {
 	// removed ids never reissued.
 	_, ts2 := testServer(t, Options{Workers: 1, DataDir: dir, SnapshotEvery: 4})
 	var list datasetsPage
-	if code := doJSON(t, http.MethodGet, ts2.URL+"/datasets", nil, &list); code != 200 || len(list.Datasets) != 4 {
+	if code := doJSON(t, http.MethodGet, ts2.URL+"/v1/datasets", nil, &list); code != 200 || len(list.Datasets) != 4 {
 		t.Fatalf("datasets after compacted restart = %d (%d)", len(list.Datasets), code)
 	}
 	fresh := uploadCSV(t, ts2.URL, "name=later&threshold=0.5", smallCSV())
@@ -452,7 +453,7 @@ func TestRemovedIDsNotReissuedAcrossCompaction(t *testing.T) {
 	}
 	// The removal is the third record: compaction fires and the snapshot
 	// holds only ds-1 — no surviving record mentions seq 2.
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/datasets/"+gone.ID, nil, nil); code != http.StatusNoContent {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/datasets/"+gone.ID, nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: status %d", code)
 	}
 	waitCompacted(t, ts.URL, 1)
@@ -469,7 +470,7 @@ func TestRemovedIDsNotReissuedAcrossCompaction(t *testing.T) {
 	dir2 := t.TempDir()
 	srv3, ts3 := testServer(t, Options{Workers: 1, DataDir: dir2})
 	only := uploadCSV(t, ts3.URL, "name=only&threshold=0.5", smallCSV())
-	if code := doJSON(t, http.MethodDelete, ts3.URL+"/datasets/"+only.ID, nil, nil); code != http.StatusNoContent {
+	if code := doJSON(t, http.MethodDelete, ts3.URL+"/v1/datasets/"+only.ID, nil, nil); code != http.StatusNoContent {
 		t.Fatalf("delete: status %d", code)
 	}
 	ts3.Close()
@@ -490,19 +491,19 @@ func TestClosedServerRejectsMutations(t *testing.T) {
 	info := uploadCSV(t, ts.URL, "name=a&threshold=0.5", smallCSV())
 	srv.Close()
 
-	if code := doJSON(t, http.MethodPost, ts.URL+"/datasets?threshold=0.5", strings.NewReader(smallCSV()), nil); code != http.StatusServiceUnavailable {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets?threshold=0.5", strings.NewReader(smallCSV()), nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("upload after Close: status %d, want 503", code)
 	}
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/datasets/"+info.ID, nil, nil); code != http.StatusServiceUnavailable {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/datasets/"+info.ID, nil, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("dataset delete after Close: status %d, want 503", code)
 	}
 	var req bytes.Buffer
 	req.WriteString(`{"dataset_id":"` + info.ID + `","min_support":0.5,"num_windows":2}`)
-	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", &req, nil); code != http.StatusServiceUnavailable {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", &req, nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("job submit after Close: status %d, want 503", code)
 	}
 	// Reads stay up.
-	if code := doJSON(t, http.MethodGet, ts.URL+"/datasets/"+info.ID, nil, nil); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+info.ID, nil, nil); code != 200 {
 		t.Fatalf("read after Close: status %d, want 200", code)
 	}
 }
@@ -515,7 +516,7 @@ func TestInMemoryServerHasNoPersistence(t *testing.T) {
 		t.Fatal("in-memory server must not build a persister")
 	}
 	var m MetricsJSON
-	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &m); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, &m); code != 200 {
 		t.Fatal("metrics")
 	}
 	if m.Persistence != nil {
@@ -556,7 +557,7 @@ func TestAppendRestartRecovery(t *testing.T) {
 	verify := func(label string, srv *Server, base string) {
 		t.Helper()
 		var got DatasetInfo
-		if code := doJSON(t, http.MethodGet, base+"/datasets/"+ds.ID, nil, &got); code != 200 {
+		if code := doJSON(t, http.MethodGet, base+"/v1/datasets/"+ds.ID, nil, &got); code != 200 {
 			t.Fatalf("%s: dataset: status %d", label, code)
 		}
 		if got.Samples != 240 || got.Generation != 2 {
@@ -566,7 +567,7 @@ func TestAppendRestartRecovery(t *testing.T) {
 			t.Fatalf("%s: fingerprint diverged after replay", label)
 		}
 		var m MetricsJSON
-		doJSON(t, http.MethodGet, base+"/metrics", nil, &m)
+		doJSON(t, http.MethodGet, base+"/v1/metrics", nil, &m)
 		if g := m.Appends.DatasetGenerations[ds.ID]; g != 2 {
 			t.Fatalf("%s: generation gauge = %d, want 2", label, g)
 		}
@@ -594,44 +595,29 @@ func TestAppendRestartRecovery(t *testing.T) {
 }
 
 // TestApplyAppendIdempotent unit-tests the replay guard: an append
-// record applied to a dataset that already contains its samples (the
+// record applied to a dataset that already references its segment (the
 // snapshot-compacted-after-append case) must not double-apply, while the
 // generation still maxes in.
 func TestApplyAppendIdempotent(t *testing.T) {
 	st := &recoveredState{datasets: []datasetRecord{{
-		ID: "ds-1", Shards: 1,
-		Series: []seriesRecord{
-			{Name: "A", Alphabet: []string{"Off", "On"}, Symbols: []int{0, 1, 0}},
-			{Name: "B", Alphabet: []string{"Off", "On"}, Symbols: []int{1, 0, 1}},
-		},
+		ID: "ds-1", Shards: 1, Segments: []string{"ds-1-g0.seg"}, Fingerprint: "fp0", Samples: 3,
 	}}}
 	idx := map[string]int{"ds-1": 0}
-	rec := appendRecord{ID: "ds-1", Gen: 1, PrevSamples: 3, Series: []appendSeriesRecord{
-		{Name: "A", Alphabet: []string{"Off", "On", "Hi"}, Symbols: []int{2, 0}},
-		{Name: "B", Alphabet: []string{"Off", "On"}, Symbols: []int{1, 1}},
-	}}
+	rec := appendRecord{ID: "ds-1", Gen: 1, PrevSamples: 3, Segment: "ds-1-g1.seg", Samples: 5, Fingerprint: "fp1"}
+	want := datasetRecord{ID: "ds-1", Shards: 1, Generation: 1,
+		Segments: []string{"ds-1-g0.seg", "ds-1-g1.seg"}, Fingerprint: "fp1", Samples: 5}
 
 	applyAppend(st, idx, rec)
-	wantA := []int{0, 1, 0, 2, 0}
-	if got := st.datasets[0].Series[0].Symbols; fmt.Sprint(got) != fmt.Sprint(wantA) {
-		t.Fatalf("first apply: A symbols = %v, want %v", got, wantA)
-	}
-	if a := st.datasets[0].Series[0].Alphabet; len(a) != 3 || a[2] != "Hi" {
-		t.Fatalf("first apply: A alphabet = %v", a)
-	}
-	if st.datasets[0].Generation != 1 {
-		t.Fatalf("first apply: generation = %d", st.datasets[0].Generation)
+	if got := st.datasets[0]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("first apply: %+v, want %+v", got, want)
 	}
 
-	// Replaying the same record (sample counts no longer match
-	// PrevSamples) must be a no-op for the payload and keep the max
-	// generation.
+	// Replaying the same record (the segment is referenced and the sample
+	// count no longer matches PrevSamples) must be a no-op for the content
+	// and keep the max generation.
 	applyAppend(st, idx, rec)
-	if got := st.datasets[0].Series[0].Symbols; fmt.Sprint(got) != fmt.Sprint(wantA) {
-		t.Fatalf("second apply mutated symbols: %v", got)
-	}
-	if st.datasets[0].Generation != 1 {
-		t.Fatalf("second apply: generation = %d", st.datasets[0].Generation)
+	if got := st.datasets[0]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("second apply: %+v, want %+v", got, want)
 	}
 
 	// Records for unknown datasets (removed before the record) are
@@ -654,74 +640,113 @@ func TestClosedServerRejectsAppends(t *testing.T) {
 	}
 }
 
-// TestLegacyPayloadLogUpgrade opens a server on a log written before
-// datasets lived in segments — a full-payload dataset record plus a
-// payload append record — and checks the one-time upgrade: the dataset
-// comes back sealed into the segment of its replayed generation, with
-// the fingerprint and result document a fresh upload of the same content
-// gets, and an append after the upgrade survives the next restart.
-func TestLegacyPayloadLogUpgrade(t *testing.T) {
-	dir := t.TempDir()
-	rows := appendRows(43, 240)
-	full := referenceDB(t, appendCSV(rows, 0, 210), 0.5)
-	base := referenceDB(t, appendCSV(rows, 0, 180), 0.5)
-	dsRec := legacyRecord(DatasetInfo{ID: "ds-1", Name: "legacy", Shards: 2}, base)
-	appRec := appendRecord{ID: "ds-1", Gen: 1, PrevSamples: 180, Series: make([]appendSeriesRecord, len(full.Series))}
-	for i, s := range full.Series {
-		appRec.Series[i] = appendSeriesRecord{Name: s.Name, Alphabet: s.Alphabet, Symbols: s.Symbols[180:]}
-	}
+// payloadAppend is the full-payload append record of a log written
+// before datasets lived in segments: the appended symbols of every series.
+type payloadAppend struct {
+	appendRecord
+	Series []payloadSeries `json:"series"`
+}
+
+// writeLog appends records, each a kind and its JSON value, to the log in
+// dir.
+func writeLog(t *testing.T, dir string, records ...store.Record) {
+	t.Helper()
 	l, _, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range []struct {
-		kind store.Kind
-		v    any
-	}{{kindDatasetAdded, dsRec}, {kindDatasetAppended, appRec}} {
-		data, err := json.Marshal(r.v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Append(r.kind, data); err != nil {
+	for _, r := range records {
+		if err := l.Append(r.Kind, r.Data); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	srv1, ts1 := testServer(t, Options{Workers: 2, DataDir: dir, SnapshotEvery: 10_000})
+// payloadLog returns the records of a log written before datasets lived in
+// segments: dataset ds-1 holding rows [0, 180) in a full-payload record,
+// then a payload append of rows [180, 210).
+func payloadLog(t *testing.T, rows [][]int) []store.Record {
+	t.Helper()
+	full := referenceDB(t, appendCSV(rows, 0, 210), 0.5)
+	base := referenceDB(t, appendCSV(rows, 0, 180), 0.5)
+	app := payloadAppend{
+		appendRecord: appendRecord{ID: "ds-1", Gen: 1, PrevSamples: 180},
+		Series:       payloadSeriesOf(full, 180),
+	}
+	var out []store.Record
+	for _, r := range []struct {
+		kind store.Kind
+		v    any
+	}{{kindDatasetAdded, payloadRecord(DatasetInfo{ID: "ds-1", Name: "payload", Shards: 2}, base)}, {kindDatasetAppended, app}} {
+		data, err := json.Marshal(r.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, store.Record{Kind: r.kind, Data: data})
+	}
+	return out
+}
+
+// TestPayloadLogFailsOpen opens a server on a log written before datasets
+// lived in segments and never upgraded: the open fails with the stable
+// ErrPayloadLog rather than serving a dataset it cannot read.
+func TestPayloadLogFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	writeLog(t, dir, payloadLog(t, appendRows(43, 210))...)
+	srv, err := New(Options{Workers: 1, DataDir: dir})
+	if err == nil {
+		srv.Close()
+		t.Fatal("a payload-only log opened")
+	}
+	if !errors.Is(err, ErrPayloadLog) {
+		t.Fatalf("open of a payload-only log: %v, want ErrPayloadLog", err)
+	}
+}
+
+// TestUpgradedPayloadLogOpens opens a log that an earlier open upgraded
+// but never compacted: its payload records are still there, followed by
+// the segment record that supersedes them and a later segment append.
+// The dataset serves the appended content and mines as a fresh upload of
+// it does.
+func TestUpgradedPayloadLogOpens(t *testing.T) {
+	rows := appendRows(43, 240)
+	// The segment records and files of the upgraded dataset: rows
+	// [0, 210) in one segment, as the upgrade sealed them, then an append
+	// of rows [210, 240).
+	src := t.TempDir()
+	srv0, ts0 := testServer(t, Options{Workers: 1, DataDir: src, SnapshotEvery: 10_000})
+	uploadCSV(t, ts0.URL, "name=payload&threshold=0.5&shards=2", appendCSV(rows, 0, 210))
+	mustAppend(t, ts0.URL, "ds-1", "csv", appendCSV(rows, 210, 240))
+	crash(srv0)
+	ts0.Close()
+	l, rec, err := store.Open(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Close()
+
+	dir := t.TempDir()
+	writeLog(t, dir, append(payloadLog(t, rows), rec.Records...)...)
+	if err := os.Rename(filepath.Join(src, "segments"), filepath.Join(dir, "segments")); err != nil {
+		t.Fatal(err)
+	}
+
+	_, ts1 := testServer(t, Options{Workers: 2, DataDir: dir})
 	var got DatasetInfo
-	if code := doJSON(t, http.MethodGet, ts1.URL+"/datasets/ds-1", nil, &got); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts1.URL+"/v1/datasets/ds-1", nil, &got); code != 200 {
 		t.Fatalf("upgraded dataset: status %d", code)
 	}
-	if got.Storage != "segment" || got.Segments != 1 || got.Samples != 210 || got.Generation != 1 {
-		t.Fatalf("upgraded dataset = %+v, want one segment holding 210 samples at generation 1", got)
+	if got.Storage != "segment" || got.Segments != 2 || got.Samples != 240 || got.Generation != 1 {
+		t.Fatalf("upgraded dataset = %+v, want 2 segments holding 240 samples at generation 1", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "segments", segmentName("ds-1", 1))); err != nil {
-		t.Fatalf("upgrade sealed no segment file: %v", err)
-	}
-
-	srvRef, tsRef := testServer(t, Options{Workers: 2})
-	ref := uploadCSV(t, tsRef.URL, "name=ref&threshold=0.5&shards=2", appendCSV(rows, 0, 210))
-	if fp, want := srv1.reg.byID["ds-1"].view().fingerprint, srvRef.reg.byID[ref.ID].view().fingerprint; fp != want {
-		t.Fatalf("upgraded fingerprint %s, fresh upload %s", fp, want)
-	}
+	_, tsRef := testServer(t, Options{Workers: 2})
+	ref := uploadCSV(t, tsRef.URL, "name=ref&threshold=0.5&shards=2", appendCSV(rows, 0, 240))
 	doc := resultBytes(t, ts1.URL, appendVariants("ds-1")[0])
 	if want := resultBytes(t, tsRef.URL, appendVariants(ref.ID)[0]); !bytes.Equal(doc, want) {
 		t.Fatalf("upgraded dataset mines differently from a fresh upload:\n%s\nvs\n%s", doc, want)
-	}
-
-	mustAppend(t, ts1.URL, "ds-1", "csv", appendCSV(rows, 210, 240))
-	crash(srv1)
-	ts1.Close()
-
-	_, ts2 := testServer(t, Options{Workers: 2, DataDir: dir})
-	if code := doJSON(t, http.MethodGet, ts2.URL+"/datasets/ds-1", nil, &got); code != 200 {
-		t.Fatalf("dataset after restart: status %d", code)
-	}
-	if got.Samples != 240 || got.Generation != 2 || got.Segments != 2 {
-		t.Fatalf("dataset after restart = %+v, want the append kept: 240 samples at generation 2 in 2 segments", got)
 	}
 }
 
@@ -792,7 +817,7 @@ func TestV1FingerprintLogRestart(t *testing.T) {
 	if !job.Summary.ResultCache {
 		t.Fatal("a job on the restored generation missed the result cache under its v1 key")
 	}
-	if _, got := getRaw(t, ts1.URL+"/jobs/"+job.ID+"/result"); !bytes.Equal(got, doc) {
+	if _, got := getRaw(t, ts1.URL+"/v1/jobs/"+job.ID+"/result"); !bytes.Equal(got, doc) {
 		t.Fatal("the cached document differs from the one mined before the restart")
 	}
 

@@ -203,9 +203,8 @@ func New(opts Options) (*Server, error) {
 
 // restore loads the replayed datasets and jobs. Datasets mmap their
 // sealed segment files and trust the recorded fingerprint — no payload
-// re-read, no rehash — which is what makes restart near-instant. A legacy
-// payload record is upgraded once. Jobs that were live at crash time
-// surface as failed ("lost to restart").
+// re-read, no rehash — which is what makes restart near-instant. Jobs
+// that were live at crash time surface as failed ("lost to restart").
 func (s *Server) restore(st *recoveredState) error {
 	if st.snapshotDamaged {
 		s.logf("persist: snapshot failed verification and was ignored")
@@ -214,23 +213,7 @@ func (s *Server) restore(st *recoveredState) error {
 		s.logf("persist: truncated %d bytes of torn WAL tail", st.truncatedBytes)
 	}
 	restored := 0
-	var upgraded []*Dataset
 	for _, rec := range st.datasets {
-		if len(rec.Segments) == 0 {
-			// A legacy payload record, written before datasets lived in
-			// segments: seal it into the segment of its generation.
-			sdb, err := rec.symbolicDB()
-			var g *dsGen
-			if err == nil {
-				g, err = s.baseGen(rec.ID, rec.Generation, sdb)
-			}
-			if err != nil {
-				return fmt.Errorf("server: dataset %s does not replay: %w", rec.ID, err)
-			}
-			upgraded = append(upgraded, s.reg.restore(rec, g, *s.opts.DefaultThreshold))
-			restored++
-			continue
-		}
 		g, err := s.segmentGen(rec)
 		if err != nil {
 			// A lost or corrupt segment loses this dataset (its live jobs
@@ -241,12 +224,6 @@ func (s *Server) restore(st *recoveredState) error {
 		}
 		s.reg.restore(rec, g, *s.opts.DefaultThreshold)
 		restored++
-	}
-	// A segment record per upgraded dataset, logged past every payload
-	// record it supersedes: without it the next replay would rebuild the
-	// payload shape and skip later appends' segment references.
-	for _, d := range upgraded {
-		s.persist.datasetAdded(d)
 	}
 	// Seq counters apply even when nothing survived replay (the highest
 	// id's dataset or job may have been removed or evicted).
@@ -273,9 +250,6 @@ func (s *Server) restore(st *recoveredState) error {
 // generation's content view. Only footers are read — the column bytes
 // are mapped, not loaded — so this is O(appends), not O(samples).
 func (s *Server) segmentGen(rec datasetRecord) (*dsGen, error) {
-	if len(rec.Segments) == 0 {
-		return nil, fmt.Errorf("record references no segments")
-	}
 	parts := make([]ftpm.SymbolSource, len(rec.Segments))
 	var segBytes int64
 	for k, name := range rec.Segments {
@@ -541,20 +515,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // route dispatches requests by hand on net/http only, so the server works
-// identically across toolchain versions. The canonical surface lives
-// under /v1; the original unversioned paths answer identically but carry
-// Deprecation and successor-version Link headers. The event streams are
-// v1-only — they postdate the unversioned surface, so aliasing them would
-// grow the deprecated API.
+// identically across toolchain versions. The whole surface lives under
+// /v1; every other path answers the not_found envelope.
 func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	seg := strings.Split(strings.Trim(r.URL.Path, "/"), "/")
-	v1 := len(seg) > 0 && seg[0] == "v1"
-	if v1 {
-		seg = seg[1:]
-	} else if len(seg) > 0 && seg[0] != "" {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "</v1"+r.URL.Path+">; rel=\"successor-version\"")
+	if seg[0] != "v1" {
+		writeError(w, http.StatusNotFound, codeNotFound, "no such route: %s %s", r.Method, r.URL.Path)
+		return
 	}
+	seg = seg[1:]
 	switch {
 	case len(seg) == 1 && seg[0] == "healthz":
 		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
@@ -566,7 +535,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeJSON(w, http.StatusOK, s.metricsDoc())
-	case v1 && len(seg) == 1 && seg[0] == "events":
+	case len(seg) == 1 && seg[0] == "events":
 		if r.Method != http.MethodGet {
 			writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "method %s not allowed", r.Method)
 			return
@@ -575,7 +544,7 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	case len(seg) >= 1 && seg[0] == "datasets" && len(seg) <= 3:
 		s.routeDatasets(w, r, seg[1:])
 	case len(seg) >= 1 && seg[0] == "jobs" && len(seg) <= 3:
-		s.routeJobs(w, r, seg[1:], v1)
+		s.routeJobs(w, r, seg[1:])
 	default:
 		writeError(w, http.StatusNotFound, codeNotFound, "no such route: %s %s", r.Method, r.URL.Path)
 	}
@@ -834,7 +803,7 @@ func (s *Server) removeSegments(g *dsGen) {
 	}
 }
 
-func (s *Server) routeJobs(w http.ResponseWriter, r *http.Request, rest []string, v1 bool) {
+func (s *Server) routeJobs(w http.ResponseWriter, r *http.Request, rest []string) {
 	switch {
 	case len(rest) == 0 && r.Method == http.MethodPost:
 		s.handleSubmitJob(w, r)
@@ -877,11 +846,6 @@ func (s *Server) routeJobs(w http.ResponseWriter, r *http.Request, rest []string
 		s.logf("job %s cancellation requested", rest[0])
 		writeJSON(w, http.StatusAccepted, s.jobs.info(j))
 	case len(rest) == 2 && rest[1] == "events" && r.Method == http.MethodGet:
-		if !v1 {
-			// The streams postdate the unversioned surface; no legacy alias.
-			writeError(w, http.StatusNotFound, codeNotFound, "no such route: %s %s (events are served under /v1)", r.Method, r.URL.Path)
-			return
-		}
 		s.handleEvents(w, r, rest[0])
 	case len(rest) == 2 && rest[1] == "patterns" && r.Method == http.MethodGet:
 		s.handlePatterns(w, r, rest[0])

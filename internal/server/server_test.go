@@ -107,7 +107,7 @@ func doJSON(t *testing.T, method, url string, body io.Reader, out any) int {
 func uploadCSV(t *testing.T, base, query, csv string) DatasetInfo {
 	t.Helper()
 	var info DatasetInfo
-	code := doJSON(t, http.MethodPost, base+"/datasets?"+query, strings.NewReader(csv), &info)
+	code := doJSON(t, http.MethodPost, base+"/v1/datasets?"+query, strings.NewReader(csv), &info)
 	if code != http.StatusCreated {
 		t.Fatalf("upload: status %d", code)
 	}
@@ -121,7 +121,7 @@ func waitState(t *testing.T, base, id string, deadline time.Duration, ok func(Jo
 	stop := time.Now().Add(deadline)
 	for {
 		var info JobInfo
-		if code := doJSON(t, http.MethodGet, base+"/jobs/"+id, nil, &info); code != http.StatusOK {
+		if code := doJSON(t, http.MethodGet, base+"/v1/jobs/"+id, nil, &info); code != http.StatusOK {
 			t.Fatalf("poll %s: status %d", id, code)
 		}
 		if ok(info) {
@@ -144,7 +144,7 @@ func TestEndToEndMineAndPage(t *testing.T) {
 	}
 
 	var list datasetsPage
-	if code := doJSON(t, http.MethodGet, ts.URL+"/datasets", nil, &list); code != 200 || len(list.Datasets) != 1 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil, &list); code != 200 || len(list.Datasets) != 1 {
 		t.Fatalf("dataset list = %v (%d)", list, code)
 	}
 
@@ -154,7 +154,7 @@ func TestEndToEndMineAndPage(t *testing.T) {
 		NumWindows: 2, MaxPatternSize: 3,
 	})
 	var job JobInfo
-	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
 	done := waitState(t, ts.URL, job.ID, 30*time.Second, func(j JobInfo) bool { return j.State.Terminal() })
@@ -174,7 +174,7 @@ func TestEndToEndMineAndPage(t *testing.T) {
 	offset := 0
 	for {
 		var page patternsPage
-		url := fmt.Sprintf("%s/jobs/%s/patterns?offset=%d&limit=2", ts.URL, job.ID, offset)
+		url := fmt.Sprintf("%s/v1/jobs/%s/patterns?offset=%d&limit=2", ts.URL, job.ID, offset)
 		if code := doJSON(t, http.MethodGet, url, nil, &page); code != 200 {
 			t.Fatalf("patterns page: status %d", code)
 		}
@@ -198,7 +198,7 @@ func TestEndToEndMineAndPage(t *testing.T) {
 	}
 
 	// NDJSON streaming returns the same patterns, one document per line.
-	resp, err := http.Get(fmt.Sprintf("%s/jobs/%s/patterns?limit=10000&format=ndjson", ts.URL, job.ID))
+	resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/patterns?limit=10000&format=ndjson", ts.URL, job.ID))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestEndToEndMineAndPage(t *testing.T) {
 
 	// Full result document matches the CLI's -json shape.
 	var doc ftpm.ResultJSON
-	if code := doJSON(t, http.MethodGet, ts.URL+"/jobs/"+job.ID+"/result", nil, &doc); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+job.ID+"/result", nil, &doc); code != 200 {
 		t.Fatalf("result: status %d", code)
 	}
 	if doc.Sequences == 0 || len(doc.Patterns) != total {
@@ -244,14 +244,14 @@ func TestLevelDurationMicros(t *testing.T) {
 		NumWindows: 2, MaxPatternSize: 3,
 	})
 	var job JobInfo
-	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
 	if done := waitState(t, ts.URL, job.ID, 30*time.Second, func(j JobInfo) bool { return j.State.Terminal() }); done.State != JobDone {
 		t.Fatalf("job finished as %s (%s)", done.State, done.Error)
 	}
 	var m MetricsJSON
-	if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &m); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, &m); code != 200 {
 		t.Fatalf("metrics: status %d", code)
 	}
 	var levels []LevelTimingJSON
@@ -284,19 +284,19 @@ func TestCancelRunningJob(t *testing.T) {
 		NumWindows: 6, MaxPatternSize: 2, Workers: 1,
 	})
 	var job JobInfo
-	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
 
 	// Patterns are unavailable while the job is not done.
-	if code := doJSON(t, http.MethodGet, ts.URL+"/jobs/"+job.ID+"/patterns", nil, nil); code != http.StatusConflict {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+job.ID+"/patterns", nil, nil); code != http.StatusConflict {
 		t.Fatalf("patterns of unfinished job: status %d, want 409", code)
 	}
 
 	// Wait until the miner is actually running, then cancel mid-mine.
 	waitState(t, ts.URL, job.ID, 10*time.Second, func(j JobInfo) bool { return j.State == JobRunning })
 	var onCancel JobInfo
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+job.ID, nil, &onCancel); code != http.StatusAccepted {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+job.ID, nil, &onCancel); code != http.StatusAccepted {
 		t.Fatalf("cancel: status %d", code)
 	}
 
@@ -328,7 +328,7 @@ func TestCancelQueuedJob(t *testing.T) {
 			NumWindows: 6, MaxPatternSize: 2, Workers: 1,
 		})
 		var job JobInfo
-		if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
 			t.Fatalf("submit: status %d", code)
 		}
 		return job
@@ -339,7 +339,7 @@ func TestCancelQueuedJob(t *testing.T) {
 	// The single worker is occupied, so the second job is still queued and
 	// cancels without ever starting.
 	var onCancel JobInfo
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+queued.ID, nil, &onCancel); code != http.StatusAccepted {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+queued.ID, nil, &onCancel); code != http.StatusAccepted {
 		t.Fatalf("cancel queued: status %d", code)
 	}
 	if onCancel.State != JobCancelled {
@@ -349,11 +349,11 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatal("cancelled queued job must never have started")
 	}
 
-	doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+blocker.ID, nil, nil)
+	doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+blocker.ID, nil, nil)
 	waitState(t, ts.URL, blocker.ID, 20*time.Second, func(j JobInfo) bool { return j.State.Terminal() })
 
 	var jobs jobsPage
-	if code := doJSON(t, http.MethodGet, ts.URL+"/jobs", nil, &jobs); code != 200 || len(jobs.Jobs) != 2 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs", nil, &jobs); code != 200 || len(jobs.Jobs) != 2 {
 		t.Fatalf("job list = %v (%d)", jobs, code)
 	}
 }
@@ -364,7 +364,7 @@ func TestRequestValidation(t *testing.T) {
 
 	post := func(req MiningRequest) int {
 		body, _ := json.Marshal(req)
-		return doJSON(t, http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body), nil)
+		return doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body), nil)
 	}
 	cases := []struct {
 		name string
@@ -393,16 +393,16 @@ func TestRequestValidation(t *testing.T) {
 	}
 
 	// Upload validation.
-	if code := doJSON(t, http.MethodPost, ts.URL+"/datasets?format=wat", strings.NewReader("x"), nil); code != 400 {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets?format=wat", strings.NewReader("x"), nil); code != 400 {
 		t.Errorf("unknown format: status %d", code)
 	}
-	if code := doJSON(t, http.MethodPost, ts.URL+"/datasets", strings.NewReader("not,a\nvalid csv"), nil); code != 400 {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets", strings.NewReader("not,a\nvalid csv"), nil); code != 400 {
 		t.Errorf("bad csv: status %d", code)
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/jobs/nope", nil, nil); code != 404 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/nope", nil, nil); code != 404 {
 		t.Errorf("unknown job: status %d", code)
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/datasets/nope", nil, nil); code != 404 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/nope", nil, nil); code != 404 {
 		t.Errorf("unknown dataset: status %d", code)
 	}
 	if code := doJSON(t, http.MethodGet, ts.URL+"/nope", nil, nil); code != 404 {
@@ -417,13 +417,13 @@ func TestRequestValidation(t *testing.T) {
 func TestUploadNonFiniteThreshold(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1})
 	for _, v := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "Infinity"} {
-		code := doJSON(t, http.MethodPost, ts.URL+"/datasets?threshold="+v, strings.NewReader(smallCSV()), nil)
+		code := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets?threshold="+v, strings.NewReader(smallCSV()), nil)
 		if code != http.StatusBadRequest {
 			t.Errorf("threshold=%s: status %d, want 400", v, code)
 		}
 	}
 	var list datasetsPage
-	if code := doJSON(t, http.MethodGet, ts.URL+"/datasets", nil, &list); code != 200 || len(list.Datasets) != 0 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets", nil, &list); code != 200 || len(list.Datasets) != 0 {
 		t.Fatalf("rejected uploads must register nothing: %v (%d)", list, code)
 	}
 	// Finite thresholds keep working.
@@ -435,7 +435,7 @@ func TestUploadNonFiniteThreshold(t *testing.T) {
 	// applies to the effective threshold, not just the query parameter.
 	nan := math.NaN()
 	_, ts2 := testServer(t, Options{Workers: 1, DefaultThreshold: &nan})
-	if code := doJSON(t, http.MethodPost, ts2.URL+"/datasets", strings.NewReader(smallCSV()), nil); code != http.StatusBadRequest {
+	if code := doJSON(t, http.MethodPost, ts2.URL+"/v1/datasets", strings.NewReader(smallCSV()), nil); code != http.StatusBadRequest {
 		t.Errorf("upload under NaN default threshold: status %d, want 400", code)
 	}
 }
@@ -451,7 +451,7 @@ func TestCancelTerminalJobConflict(t *testing.T) {
 		NumWindows: 2, MaxPatternSize: 2,
 	})
 	var job JobInfo
-	if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
 		t.Fatalf("submit: status %d", code)
 	}
 	done := waitState(t, ts.URL, job.ID, 30*time.Second, func(j JobInfo) bool { return j.State.Terminal() })
@@ -460,7 +460,7 @@ func TestCancelTerminalJobConflict(t *testing.T) {
 	}
 
 	var apiErr apiError
-	if code := doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+job.ID, nil, &apiErr); code != http.StatusConflict {
+	if code := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+job.ID, nil, &apiErr); code != http.StatusConflict {
 		t.Fatalf("DELETE on done job: status %d, want 409", code)
 	}
 	if apiErr.Error.Code != codeConflict {
@@ -471,10 +471,10 @@ func TestCancelTerminalJobConflict(t *testing.T) {
 	}
 	// The job is untouched: still done, result still served.
 	var after JobInfo
-	if code := doJSON(t, http.MethodGet, ts.URL+"/jobs/"+job.ID, nil, &after); code != 200 || after.State != JobDone {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+job.ID, nil, &after); code != 200 || after.State != JobDone {
 		t.Fatalf("job after rejected cancel = %s (%d)", after.State, code)
 	}
-	if code := doJSON(t, http.MethodGet, ts.URL+"/jobs/"+job.ID+"/result", nil, nil); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+job.ID+"/result", nil, nil); code != 200 {
 		t.Fatalf("result after rejected cancel: status %d", code)
 	}
 
@@ -535,7 +535,7 @@ func TestQueueDepthExcludesCancelled(t *testing.T) {
 
 func TestUploadTooLarge(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1, MaxUploadBytes: 64})
-	code := doJSON(t, http.MethodPost, ts.URL+"/datasets?threshold=0.5", strings.NewReader(smallCSV()), nil)
+	code := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets?threshold=0.5", strings.NewReader(smallCSV()), nil)
 	if code != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized upload: status %d, want 413", code)
 	}
@@ -687,7 +687,7 @@ func TestQueueFullRejection(t *testing.T) {
 			DatasetID: info.ID, MinSupport: 0.1, MinConfidence: 0,
 			NumWindows: 6, MaxPatternSize: 2, Workers: 1,
 		})
-		resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -721,14 +721,14 @@ func TestQueueFullRejection(t *testing.T) {
 
 	// Rejected submits must not corrupt the job listing.
 	var jobs jobsPage
-	if code := doJSON(t, http.MethodGet, ts.URL+"/jobs", nil, &jobs); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs", nil, &jobs); code != 200 {
 		t.Fatalf("job list after rejects: status %d", code)
 	}
 	if len(jobs.Jobs) != len(accepted) {
 		t.Fatalf("job list has %d entries, want %d accepted", len(jobs.Jobs), len(accepted))
 	}
 	for _, j := range accepted {
-		doJSON(t, http.MethodDelete, ts.URL+"/jobs/"+j.ID, nil, nil)
+		doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+j.ID, nil, nil)
 	}
 	for _, j := range accepted {
 		waitState(t, ts.URL, j.ID, 20*time.Second, func(i JobInfo) bool { return i.State.Terminal() })
@@ -830,7 +830,7 @@ func TestShardedDatasetMatchesUnsharded(t *testing.T) {
 			NumWindows: 6, MaxPatternSize: 3, Workers: 2,
 		})
 		var job JobInfo
-		if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
 			t.Fatalf("submit on %s: status %d", dsID, code)
 		}
 		done := waitState(t, ts.URL, job.ID, 30*time.Second, func(j JobInfo) bool { return j.State.Terminal() })
@@ -838,7 +838,7 @@ func TestShardedDatasetMatchesUnsharded(t *testing.T) {
 			t.Fatalf("job on %s finished as %s (%s)", dsID, done.State, done.Error)
 		}
 		var doc ftpm.ResultJSON
-		if code := doJSON(t, http.MethodGet, ts.URL+"/jobs/"+job.ID+"/result", nil, &doc); code != 200 {
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+job.ID+"/result", nil, &doc); code != 200 {
 			t.Fatalf("result: status %d", code)
 		}
 		return done, doc
@@ -869,7 +869,7 @@ func TestShardedDatasetMatchesUnsharded(t *testing.T) {
 
 	// After a conversion, the dataset view exposes the shard balance.
 	var after DatasetInfo
-	if code := doJSON(t, http.MethodGet, ts.URL+"/datasets/"+sharded.ID, nil, &after); code != 200 {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+sharded.ID, nil, &after); code != 200 {
 		t.Fatalf("dataset detail: status %d", code)
 	}
 	if len(after.ShardSeqs) != 4 {
@@ -880,7 +880,7 @@ func TestShardedDatasetMatchesUnsharded(t *testing.T) {
 func TestUploadShardsValidation(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1})
 	for _, q := range []string{"shards=0", "shards=-2", "shards=65", "shards=wat"} {
-		code := doJSON(t, http.MethodPost, ts.URL+"/datasets?threshold=0.5&"+q, strings.NewReader(smallCSV()), nil)
+		code := doJSON(t, http.MethodPost, ts.URL+"/v1/datasets?threshold=0.5&"+q, strings.NewReader(smallCSV()), nil)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", q, code)
 		}
@@ -902,7 +902,7 @@ func TestResultCacheAndMetrics(t *testing.T) {
 		req.DatasetID = info.ID
 		body, _ := json.Marshal(req)
 		var job JobInfo
-		if code := doJSON(t, http.MethodPost, ts.URL+"/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
+		if code := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", bytes.NewReader(body), &job); code != http.StatusAccepted {
 			t.Fatalf("submit: status %d", code)
 		}
 		done := waitState(t, ts.URL, job.ID, 30*time.Second, func(j JobInfo) bool { return j.State.Terminal() })
@@ -910,7 +910,7 @@ func TestResultCacheAndMetrics(t *testing.T) {
 			t.Fatalf("job finished as %s (%s)", done.State, done.Error)
 		}
 		var doc ftpm.ResultJSON
-		if code := doJSON(t, http.MethodGet, ts.URL+"/jobs/"+done.ID+"/result", nil, &doc); code != 200 {
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+done.ID+"/result", nil, &doc); code != 200 {
 			t.Fatalf("result: status %d", code)
 		}
 		return done, doc
@@ -918,7 +918,7 @@ func TestResultCacheAndMetrics(t *testing.T) {
 	metrics := func() MetricsJSON {
 		t.Helper()
 		var m MetricsJSON
-		if code := doJSON(t, http.MethodGet, ts.URL+"/metrics", nil, &m); code != 200 {
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1/metrics", nil, &m); code != 200 {
 			t.Fatalf("metrics: status %d", code)
 		}
 		return m
@@ -944,7 +944,7 @@ func TestResultCacheAndMetrics(t *testing.T) {
 	}
 	// The dataset's resident_bytes counts its memo on top of its images.
 	var mined DatasetInfo
-	if code := doJSON(t, http.MethodGet, ts.URL+"/datasets/"+info.ID, nil, &mined); code != http.StatusOK {
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+info.ID, nil, &mined); code != http.StatusOK {
 		t.Fatalf("dataset: status %d", code)
 	}
 	if got, want := mined.ResidentBytes, info.ResidentBytes+m.Cache.PreparedMemoBytes; got != want {
@@ -1076,7 +1076,7 @@ func TestResultCacheAndMetrics(t *testing.T) {
 	}
 
 	// Only GET is allowed.
-	if code := doJSON(t, http.MethodPost, ts.URL+"/metrics", nil, nil); code != http.StatusMethodNotAllowed {
+	if code := doJSON(t, http.MethodPost, ts.URL+"/v1/metrics", nil, nil); code != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /metrics: status %d, want 405", code)
 	}
 }

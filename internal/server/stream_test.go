@@ -460,47 +460,49 @@ func TestStreamResumeGapReportsDropped(t *testing.T) {
 	}
 }
 
+// TestEventsRoutesV1Only: an event stream of an unknown job answers the
+// not_found envelope.
 func TestEventsRoutesV1Only(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1})
-	for _, path := range []string{"/jobs/job-1/events", "/events"} {
-		var apiErr apiError
-		if code := doJSON(t, http.MethodGet, ts.URL+path, nil, &apiErr); code != http.StatusNotFound {
-			t.Fatalf("legacy %s: status %d, want 404", path, code)
-		}
-		if apiErr.Error.Code != codeNotFound {
-			t.Fatalf("legacy %s: code %q, want %q", path, apiErr.Error.Code, codeNotFound)
-		}
-	}
 	var apiErr apiError
 	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/nope/events", nil, &apiErr); code != http.StatusNotFound {
 		t.Fatalf("unknown job events: status %d, want 404", code)
 	}
 }
 
-// TestLegacyRoutesCarryDeprecation pins the aliasing contract: the
-// unversioned paths answer identically to /v1 but advertise their
-// successor.
-func TestLegacyRoutesCarryDeprecation(t *testing.T) {
+// TestUnversionedRoutesNotFound: the API is /v1 only. Every path that once
+// answered without the /v1 prefix, the event streams included, answers
+// the not_found envelope, with no Deprecation or Link header pointing
+// anywhere, even when the dataset or job it names exists.
+func TestUnversionedRoutesNotFound(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1})
-	resp, err := http.Get(ts.URL + "/datasets")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Fatal("legacy route missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/v1/datasets") || !strings.Contains(link, "successor-version") {
-		t.Fatalf("legacy route Link = %q", link)
-	}
-	resp, err = http.Get(ts.URL + "/v1/datasets")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Fatal("v1 route must not carry a Deprecation header")
+	ds := uploadCSV(t, ts.URL, "name=energy&threshold=0.5", smallCSV())
+	job := mineDone(t, ts.URL, MiningRequest{DatasetID: ds.ID, MinSupport: 0.5, NumWindows: 2, MaxPatternSize: 2})
+	for _, c := range []struct{ name, path string }{
+		{"datasets", "/datasets"},
+		{"dataset", "/datasets/" + ds.ID},
+		{"jobs", "/jobs"},
+		{"job", "/jobs/" + job.ID},
+		{"result", "/jobs/" + job.ID + "/result"},
+		{"patterns", "/jobs/" + job.ID + "/patterns"},
+		{"job events", "/jobs/" + job.ID + "/events"},
+		{"events", "/events"},
+		{"healthz", "/healthz"},
+		{"readyz", "/readyz"},
+		{"metrics", "/metrics"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			resp, err := http.Get(ts.URL + c.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			assertEnvelope(t, resp, http.StatusNotFound, codeNotFound, "no such route")
+			for _, h := range []string{"Deprecation", "Link"} {
+				if v := resp.Header.Get(h); v != "" {
+					t.Fatalf("GET %s: %s header %q", c.path, h, v)
+				}
+			}
+		})
 	}
 }
