@@ -236,21 +236,6 @@ func BuildSequences(db SymbolSource, opt SplitOptions) (*SequenceDB, error) {
 	return events.Convert(db, opt)
 }
 
-// BuildShardedSequences converts a symbolic database into K round-robin
-// shards of DSEQ: window i of the split goes to shard i%K, and the
-// expensive window cutting runs concurrently per shard. The shards share
-// one vocabulary and feed MineSharded; merging them (MergeShards)
-// reconstructs BuildSequences' output exactly.
-func BuildShardedSequences(db SymbolSource, opt SplitOptions, shards int) ([]*SequenceDB, error) {
-	return events.ConvertShards(db, opt, shards)
-}
-
-// MergeShards reassembles round-robin shards into one sequence database,
-// returning it together with each shard's local→global index map.
-func MergeShards(shards []*SequenceDB) (*SequenceDB, [][]int, error) {
-	return events.MergeShards(shards)
-}
-
 // NMI returns the normalized mutual information of two aligned symbolic
 // series (Def 5.3).
 func NMI(x, y *SymbolicSeries) (float64, error) { return mi.NMI(x, y) }

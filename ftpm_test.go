@@ -392,24 +392,19 @@ func TestShardedOptionsAPI(t *testing.T) {
 		}
 	}
 
-	// The explicit prebuilt-shard entry points round-trip the same way.
-	shards, err := ftpm.BuildShardedSequences(db, ftpm.SplitOptions{NumWindows: 4}, 3)
+	// A Prepared handle of the same width mines the same way, and its
+	// database holds the unsharded run's sequences.
+	p, err := ftpm.Prepare(db, ftpm.SplitOptions{NumWindows: 4}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, _, err := ftpm.MergeShards(shards)
+	res, err := p.Mine(context.Background(), ftpm.Options{MinSupport: 0.5, MinConfidence: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if merged.Size() != want.DB.Size() {
-		t.Fatalf("merged %d sequences, want %d", merged.Size(), want.DB.Size())
-	}
-	res, err := ftpm.MineSharded(context.Background(), shards, ftpm.Options{MinSupport: 0.5, MinConfidence: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Patterns) != len(want.Patterns) {
-		t.Fatalf("MineSharded: %d patterns, want %d", len(res.Patterns), len(want.Patterns))
+	if res.DB.Size() != want.DB.Size() || len(res.Patterns) != len(want.Patterns) || res.Stats.Shards != 3 {
+		t.Fatalf("Prepare(3): %d sequences, %d patterns over %d shards; want %d sequences, %d patterns over 3",
+			res.DB.Size(), len(res.Patterns), res.Stats.Shards, want.DB.Size(), len(want.Patterns))
 	}
 
 	// A-HTPGM composes with sharding: the correlation filter gates
@@ -423,13 +418,6 @@ func TestShardedOptionsAPI(t *testing.T) {
 	}
 	if approx.Graph == nil || approx.Stats.Shards != 2 {
 		t.Fatalf("sharded approx run missing graph or shard stats: %+v", approx.Stats)
-	}
-
-	// MineSharded is exact-only.
-	if _, err := ftpm.MineSharded(context.Background(), shards, ftpm.Options{
-		MinSupport: 0.5, Approx: &ftpm.ApproxOptions{Mu: 0.5},
-	}); err == nil {
-		t.Fatal("MineSharded must reject Approx")
 	}
 }
 

@@ -207,32 +207,6 @@ func PrepareShardsDelta(prev *ShardedView, shards []*events.DB, stable int) (*Sh
 	return v, nil
 }
 
-// MineSharded runs HTPGM over a sharded temporal sequence database,
-// returning the result — byte-identical to Mine over the merged database
-// — together with the merged database itself. It prepares the shard view
-// on every call, and since no later run reads that view, level 3 records
-// no L_k memo; callers mining the same shard set repeatedly should
-// PrepareShards once and use MineShardedView.
-//
-// Cancellation behaves exactly like Mine: workers stop between
-// verification units and MineSharded returns ctx.Err().
-func MineSharded(ctx context.Context, shards []*events.DB, cfg Config) (*Result, *events.DB, error) {
-	// Validate before preparing: the merge walks every sequence, which a
-	// bad config should not pay for.
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	v, err := PrepareShards(shards)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := mineView(ctx, v, cfg, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, v.Merged, nil
-}
-
 // MineShardedView runs HTPGM over a prepared view: the miner every entry
 // point goes through. It mines v.Merged; the shard set only shapes the
 // Shards/ShardSequences stats. The run reads the view's memo and
@@ -246,7 +220,7 @@ func MineShardedView(ctx context.Context, v *ShardedView, cfg Config) (*Result, 
 }
 
 // mineView is MineShardedView; recordLk is false for a view no later run
-// reads, whose level 3 then records no L_k memo entries.
+// reads (Mine's), whose level 3 then records no L_k memo entries.
 func mineView(ctx context.Context, v *ShardedView, cfg Config, recordLk bool) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

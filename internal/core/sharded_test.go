@@ -53,6 +53,20 @@ func sameResults(t *testing.T, label string, got, want *Result) {
 	}
 }
 
+// mineShards prepares the view of a shard set and mines it once,
+// returning the result together with the merged database.
+func mineShards(ctx context.Context, shards []*events.DB, cfg Config) (*Result, *events.DB, error) {
+	v, err := PrepareShards(shards)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := MineShardedView(ctx, v, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return res, v.Merged, nil
+}
+
 // TestMineShardedMatchesUnsharded is the shard-merge property test: for
 // K in {1, 2, 7}, mining the round-robin sharded database yields exactly
 // the same pattern set, supports, confidences, and samples as the
@@ -101,7 +115,7 @@ func TestMineShardedMatchesUnsharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, merged, err := MineSharded(context.Background(), shards, tc.cfg)
+			got, merged, err := mineShards(context.Background(), shards, tc.cfg)
 			if err != nil {
 				t.Fatalf("%s k=%d: %v", tc.name, k, err)
 			}
@@ -142,7 +156,7 @@ func TestMineShardedEmptyShardEdge(t *testing.T) {
 	if empty == 0 {
 		t.Fatal("expected empty shards in this fixture")
 	}
-	got, _, err := MineSharded(context.Background(), shards, cfg)
+	got, _, err := mineShards(context.Background(), shards, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,19 +166,19 @@ func TestMineShardedEmptyShardEdge(t *testing.T) {
 // TestMineShardedValidation covers the error paths.
 func TestMineShardedValidation(t *testing.T) {
 	cfg := Config{MinSupport: 0.5}
-	if _, _, err := MineSharded(context.Background(), nil, cfg); err == nil {
+	if _, _, err := mineShards(context.Background(), nil, cfg); err == nil {
 		t.Error("no shards must be rejected")
 	}
-	if _, _, err := MineSharded(context.Background(), []*events.DB{nil}, cfg); err == nil {
+	if _, _, err := mineShards(context.Background(), []*events.DB{nil}, cfg); err == nil {
 		t.Error("nil shard must be rejected")
 	}
 	empty := &events.DB{Vocab: events.NewVocab()}
-	if _, _, err := MineSharded(context.Background(), []*events.DB{empty}, cfg); err == nil {
+	if _, _, err := mineShards(context.Background(), []*events.DB{empty}, cfg); err == nil {
 		t.Error("all-empty shards must be rejected")
 	}
 	db := paperex.SequenceDB()
 	shards, _ := db.ShardRoundRobin(2)
-	if _, _, err := MineSharded(context.Background(), shards, Config{MinSupport: -1}); err == nil {
+	if _, _, err := mineShards(context.Background(), shards, Config{MinSupport: -1}); err == nil {
 		t.Error("invalid config must be rejected")
 	}
 }
@@ -176,7 +190,7 @@ func TestMineShardedCancellation(t *testing.T) {
 	shards, _ := db.ShardRoundRobin(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := MineSharded(ctx, shards, Config{MinSupport: 0.5}); err != context.Canceled {
+	if _, _, err := mineShards(ctx, shards, Config{MinSupport: 0.5}); err != context.Canceled {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 }

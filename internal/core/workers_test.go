@@ -103,7 +103,7 @@ func TestWorkersFuncSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, _, err := MineSharded(context.Background(), shards, c)
+	sharded, _, err := mineShards(context.Background(), shards, c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func TestColumnarStorePropertySharded(t *testing.T) {
 				}
 				c := cfg
 				c.Workers = workers
-				got, _, err := MineSharded(context.Background(), shards, c)
+				got, _, err := mineShards(context.Background(), shards, c)
 				if err != nil {
 					t.Fatalf("trial %d k=%d w=%d: %v", trial, k, workers, err)
 				}

@@ -57,9 +57,9 @@ type Options struct {
 	// Shards partitions the DSYB→DSEQ conversion round-robin into this
 	// many shards (0 or 1 = one shard): window cutting runs concurrently,
 	// one goroutine per shard, and the miner then runs once over the
-	// merged view, so results are byte-identical for every width. Only
-	// honoured by MineSymbolic (Mine takes a prebuilt SequenceDB; use
-	// MineSharded for prebuilt shards).
+	// merged view, so results are byte-identical for every width. Honoured
+	// by MineSymbolic and MineSource; Mine takes a prebuilt SequenceDB,
+	// and Prepared.Mine accepts only the width it was prepared with.
 	Shards int
 
 	// Pruning selects the E-HTPGM pruning ablation; the zero value
@@ -152,24 +152,6 @@ func Mine(ctx context.Context, db *SequenceDB, opt Options) (*Result, error) {
 		return nil, err
 	}
 	return &Result{Singles: res.Singles, Patterns: res.Patterns, Stats: res.Stats, DB: db}, nil
-}
-
-// MineSharded runs E-HTPGM (exact) over an already-sharded sequence
-// database — shards as produced by BuildShardedSequences or
-// SequenceDB.ShardRoundRobin, sharing one vocabulary. The shards merge
-// back into global order and are mined once, so the patterns and
-// supports are byte-identical to Mine over the merged database.
-// Options.Approx is rejected here for the same reason as in Mine; use
-// MineSymbolic with Options.Shards for sharded A-HTPGM.
-func MineSharded(ctx context.Context, shards []*SequenceDB, opt Options) (*Result, error) {
-	if opt.Approx != nil {
-		return nil, fmt.Errorf("ftpm: MineSharded is exact-only; use MineSymbolic with Options.Shards for A-HTPGM")
-	}
-	res, merged, err := core.MineSharded(ctx, shards, opt.coreConfig())
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Singles: res.Singles, Patterns: res.Patterns, Stats: res.Stats, DB: merged}, nil
 }
 
 // MineSymbolic runs the full FTPMfTS process on a symbolic database:
