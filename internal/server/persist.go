@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ftpm"
 	"ftpm/internal/server/store"
 )
 
@@ -201,18 +200,18 @@ func appendJobRecord(dst []byte, rec jobRecord) ([]byte, error) {
 }
 
 // storedJob decodes a persisted job record with its result document as
-// the struct it was encoded from, in the one decoding pass that also
-// validates it; record then encodes the document into its retained form.
+// the compact bytes the record holds; record then builds the retained
+// form from them.
 type storedJob struct {
 	jobRecord
-	Doc *ftpm.ResultJSON `json:"doc,omitempty"`
+	Doc json.RawMessage `json:"doc,omitempty"`
 }
 
-// record returns the job record with its document encoded.
+// record returns the job record with its document decoded.
 func (s storedJob) record() (jobRecord, error) {
 	rec := s.jobRecord
-	if s.Doc != nil {
-		doc, err := encodeResult(s.Doc)
+	if len(s.Doc) > 0 && string(s.Doc) != "null" {
+		doc, err := decodeResult(s.Doc)
 		if err != nil {
 			return rec, err
 		}

@@ -864,3 +864,43 @@ func TestCompactionRerunsWhenTriggerCrossedMidCompaction(t *testing.T) {
 	close(release)
 	waitCompacted(t, ts.URL, 4)
 }
+
+// TestReplayServesStoredBytes mines a dataset whose series name holds an
+// invalid UTF-8 byte and requires its done job to serve the same /result,
+// JSON page and NDJSON page bytes after a restart as before it. The
+// encoder writes the byte as the escape \ufffd, which decodes to U+FFFD
+// and encodes again as its UTF-8 bytes, so only the logged bytes
+// themselves give the first body back.
+func TestReplayServesStoredBytes(t *testing.T) {
+	dir := t.TempDir()
+	srv1, ts1 := testServer(t, Options{Workers: 1, DataDir: dir, SnapshotEvery: 10_000})
+	ds := uploadCSV(t, ts1.URL, "name=utf8&threshold=0.5", strings.Replace(smallCSV(), "time,A,", "time,x\xffy,", 1))
+	job := mineDone(t, ts1.URL, MiningRequest{DatasetID: ds.ID, MinSupport: 0.2, NumWindows: 2, MaxPatternSize: 2})
+	paths := []string{"/result", "/patterns?limit=3&offset=1", "/patterns?limit=3&offset=1&format=ndjson"}
+	fetch := func(base string) [][]byte {
+		t.Helper()
+		var out [][]byte
+		for _, p := range paths {
+			code, body := getRaw(t, base+"/v1/jobs/"+job.ID+p)
+			if code != http.StatusOK {
+				t.Fatalf("GET %s: status %d", p, code)
+			}
+			out = append(out, body)
+		}
+		return out
+	}
+	before := fetch(ts1.URL)
+	if !bytes.Contains(before[0], []byte(`x\ufffdy=On`)) {
+		t.Fatalf("result does not name the event x\\ufffdy=On:\n%s", before[0])
+	}
+	waitJobsSettled(t, srv1)
+	crash(srv1)
+	ts1.Close()
+
+	_, ts2 := testServer(t, Options{Workers: 1, DataDir: dir})
+	for i, body := range fetch(ts2.URL) {
+		if !bytes.Equal(body, before[i]) {
+			t.Fatalf("GET %s after a restart:\n got %q\nwant %q", paths[i], body, before[i])
+		}
+	}
+}

@@ -61,9 +61,37 @@ func encodeResult(doc *ftpm.ResultJSON) (*resultDoc, error) {
 	if err != nil {
 		return nil, fmt.Errorf("encode result: %w", err)
 	}
+	return indentResult(compact, doc.Patterns == nil), nil
+}
+
+// decodeResult builds the served form of a document from its compact
+// encoding in a log record. The decode into ftpm.ResultJSON validates
+// data; the body is then indented from data itself, not from an encoding
+// of the decoded document, which can differ from the first encoding: an
+// invalid UTF-8 byte in a name encodes as the escape \ufffd, which decodes
+// to U+FFFD and encodes again as its UTF-8 bytes. So a replayed document
+// serves the bytes it served before the restart.
+func decodeResult(data []byte) (*resultDoc, error) {
+	var doc ftpm.ResultJSON
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return nil, err
+	}
+	// A record the server wrote is compact already; Compact only drops the
+	// whitespace a record from elsewhere may hold, which indent expects
+	// none of.
+	compact := bytes.NewBuffer(make([]byte, 0, len(data)))
+	if err := json.Compact(compact, data); err != nil {
+		return nil, err
+	}
+	return indentResult(compact.Bytes(), doc.Patterns == nil), nil
+}
+
+// indentResult builds the served form of a document from its compact
+// encoding.
+func indentResult(compact []byte, nullPatterns bool) *resultDoc {
 	body := make([]byte, indentedLen(compact)+len(lineEnd))
 	body[indent(body, compact)] = '\n'
-	return &resultDoc{body: body, nullPatterns: doc.Patterns == nil}, nil
+	return &resultDoc{body: body, nullPatterns: nullPatterns}
 }
 
 // patterns returns the byte ranges of the patterns elements, indexing
@@ -196,19 +224,24 @@ func indent(dst, src []byte) int {
 
 // blank stores a line break and the indentation of depth at dst[at] and
 // returns the index past them. It stores all of blankLine, which compiles
-// to a few wide moves, unless that would run past the end of dst.
+// to a few wide moves, unless that would run past the end of dst or the
+// indentation is deeper than blankLine's.
 func blank(dst []byte, at, depth int) int {
-	if len(dst)-at >= len(blanks) {
+	end := at + 1 + 2*depth
+	if end-at <= len(blanks) && len(dst)-at >= len(blanks) {
 		*(*[len(blanks)]byte)(dst[at:]) = blankLine
-	} else {
-		copy(dst[at:], blanks[:1+2*depth])
+		return end
 	}
-	return at + 1 + 2*depth
+	dst[at] = '\n'
+	for i := at + 1; i < end; i++ {
+		dst[i] = ' '
+	}
+	return end
 }
 
 // blanks is a newline and the indentation of eight levels. Result
 // documents nest five deep (document, patterns, pattern, sample,
-// interval).
+// interval); only a document read back from a log record may nest deeper.
 const blanks = "\n                "
 
 // blankLine is blanks as an array, for indent's wide stores.
@@ -274,8 +307,9 @@ func quoteEnd(src []byte, i int) int {
 	return i + 1
 }
 
-// valueEnd returns the index just past the object or array that opens at
-// src[i].
+// valueEnd returns the end of the array element that starts at src[i]:
+// the index just past an object or array, or that of the comma or line
+// break after any other value.
 func valueEnd(src []byte, i int) int {
 	depth := 0
 	for ; ; i++ {
@@ -287,6 +321,10 @@ func valueEnd(src []byte, i int) int {
 		case '}', ']':
 			if depth--; depth == 0 {
 				return i + 1
+			}
+		case ',', '\n':
+			if depth == 0 {
+				return i
 			}
 		}
 	}

@@ -194,6 +194,11 @@ func randomNamedResult(rng *rand.Rand, names []string, n int) *ftpm.ResultJSON {
 // record, or a snapshot of all of them — embeds the same bytes as the
 // struct-typed field did.
 func TestServedResultBytesMatchStructEncoding(t *testing.T) {
+	// structJob is a job record whose document field is struct-typed.
+	type structJob struct {
+		jobRecord
+		Doc *ftpm.ResultJSON `json:"doc,omitempty"`
+	}
 	srv, err := New(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +207,7 @@ func TestServedResultBytesMatchStructEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	seq := 0
 	var snap snapshotRecord
-	var stored []storedJob
+	var stored []structJob
 	for round := 0; round < 3; round++ {
 		for _, n := range []int{-1, 0, 1, 2, 3, 5, 8} {
 			doc := randomResult(rng, n)
@@ -219,7 +224,7 @@ func TestServedResultBytesMatchStructEncoding(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := json.Marshal(storedJob{jobRecord: jobRecord{ID: id}, Doc: doc})
+			want, err := json.Marshal(structJob{jobRecord: jobRecord{ID: id}, Doc: doc})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +232,7 @@ func TestServedResultBytesMatchStructEncoding(t *testing.T) {
 				t.Fatalf("record doc of %d patterns:\n got %s\nwant %s", n, got, want)
 			}
 			snap.Jobs = append(snap.Jobs, jobRecord{ID: id, Doc: rd, EventSeq: uint64(seq)})
-			stored = append(stored, storedJob{jobRecord: jobRecord{ID: id, EventSeq: uint64(seq)}, Doc: doc})
+			stored = append(stored, structJob{jobRecord: jobRecord{ID: id, EventSeq: uint64(seq)}, Doc: doc})
 		}
 	}
 	checkEscapeHeavy(t, srv, rng, &seq)
@@ -241,7 +246,7 @@ func TestServedResultBytesMatchStructEncoding(t *testing.T) {
 	var gotDecoded, wantDecoded any
 	want, err := json.Marshal(struct {
 		snapshotRecord
-		Jobs []storedJob `json:"jobs"`
+		Jobs []structJob `json:"jobs"`
 	}{snap, stored})
 	if err != nil {
 		t.Fatal(err)
@@ -411,6 +416,42 @@ func TestJobRecordGolden(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "corrupt job record") {
 			t.Fatalf("doc %s: open failed with %v, want a corrupt job record", doc, err)
 		}
+	}
+}
+
+// TestReplayServesOddDocuments restores done records whose document
+// decodes as a result document but is not laid out as the encoder writes
+// one: whitespace, null pattern elements, unknown fields nested deeper
+// than any result document, a repeated key. Each serves its /result as
+// json.Indent of the logged bytes, and its JSON and NDJSON pages with
+// status 200.
+func TestReplayServesOddDocuments(t *testing.T) {
+	for _, doc := range []string{
+		`{ "patterns" : [ {"k": 2} ] }`,
+		`{"patterns":[null]}`,
+		`{"patterns":[null,{}]}`,
+		`{"x":[[[[[[[[[[1]]]]]]]]]]}`,
+		`{"patterns":[{}],"patterns":null}`,
+	} {
+		dir := t.TempDir()
+		plantJobRecords(t, dir, `{"id":"job-1","state":"done","created_at":"2021-08-16T09:30:00Z","doc":`+doc+`}`)
+		srv, err := New(Options{Workers: 1, DataDir: dir})
+		if err != nil {
+			t.Fatalf("doc %s: %v", doc, err)
+		}
+		var want bytes.Buffer
+		if err := json.Indent(&want, []byte(doc), "", "  "); err != nil {
+			t.Fatal(err)
+		}
+		if rec := serve(srv, "/v1/jobs/job-1/result"); rec.Code != http.StatusOK || rec.Body.String() != want.String()+"\n" {
+			t.Fatalf("doc %s: /result %d %q, want %q", doc, rec.Code, rec.Body, want.String()+"\n")
+		}
+		for _, q := range []string{"?limit=1&offset=1", "?limit=100&format=ndjson"} {
+			if rec := serve(srv, "/v1/jobs/job-1/patterns"+q); rec.Code != http.StatusOK {
+				t.Fatalf("doc %s: patterns%s: status %d (%s)", doc, q, rec.Code, rec.Body)
+			}
+		}
+		srv.Close()
 	}
 }
 
