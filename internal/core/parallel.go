@@ -7,6 +7,7 @@ import (
 
 	"ftpm/internal/events"
 	"ftpm/internal/hpg"
+	"ftpm/internal/par"
 )
 
 // nodeOutcome is the result of verifying one candidate event combination:
@@ -21,7 +22,8 @@ type nodeOutcome struct {
 // nodes by the verification routines), and returns the outcomes in task
 // order — parallel runs therefore produce byte-identical results to serial
 // runs. Pooling the scratches across drains means the per-level ramp-up
-// allocates nothing once the pool is warm.
+// allocates nothing once the pool is warm. Each of par.For's indexes is
+// one worker, which pulls tasks from a shared counter.
 //
 // done is the cancellation channel of the run's context: when it fires,
 // workers stop picking up tasks and return early. The caller (Mine)
@@ -29,49 +31,24 @@ type nodeOutcome struct {
 // never observed by users.
 func runParallel[T, R any](done <-chan struct{}, workers int, pool *sync.Pool, tasks []T, fn func(*scratch, T) R) []R {
 	out := make([]R, len(tasks))
-	cancelled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
+	workers = min(max(workers, 1), len(tasks))
+	var next atomic.Int64
+	par.For(workers, workers, func(int) {
 		scr := pool.Get().(*scratch)
 		defer pool.Put(scr)
-		for i, t := range tasks {
-			if cancelled() {
-				break
+		for {
+			select {
+			case <-done:
+				return
+			default:
 			}
-			out[i] = fn(scr, t)
+			i := int(next.Add(1)) - 1
+			if i >= len(tasks) {
+				return
+			}
+			out[i] = fn(scr, tasks[i])
 		}
-		return out
-	}
-	var next int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			scr := pool.Get().(*scratch)
-			defer pool.Put(scr)
-			for {
-				if cancelled() {
-					return
-				}
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= len(tasks) {
-					return
-				}
-				out[i] = fn(scr, tasks[i])
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	return out
 }
 

@@ -1,9 +1,9 @@
 // Package par provides the small data-parallel loop shared by the
-// ingestion paths (row-block CSV parsing, concurrent symbolization) and
-// the pairwise NMI table. The
-// miner keeps its own runParallel, which additionally threads per-worker
-// scratch and cancellation; this helper is for simple index-parallel work
-// with no failure mode beyond what fn records itself.
+// ingestion paths (row-block CSV parsing, concurrent symbolization), the
+// pairwise NMI table and the miner's level drains. The miner's
+// runParallel calls For with one index per worker, and each worker holds
+// its own scratch and checks for cancellation between the tasks it pulls.
+// fn has no failure mode beyond what it records itself.
 package par
 
 import (
