@@ -33,7 +33,7 @@
 //     non-durable server keeps the encoded image in the heap.
 //
 //     Dataset content lives in immutable generations (append.go):
-//     POST /datasets/{id}/append extends a dataset with NDJSON rows or a
+//     POST /v1/datasets/{id}/append extends a dataset with NDJSON rows or a
 //     CSV chunk without re-uploading it. Rows must continue the sampling
 //     grid exactly (gaps, duplicates, ragged rows, unknown series all
 //     400 with the dataset untouched — appends are all-or-nothing);
@@ -111,7 +111,7 @@
 //     background goroutine — the triggering request doesn't pay for it,
 //     though durable writes landing during the compaction window wait
 //     behind it. The wal_records/wal_bytes/snapshot_age_seconds and
-//     snapshot_failures gauges on /metrics make WAL growth and a
+//     snapshot_failures gauges on /v1/metrics make WAL growth and a
 //     persistently-failing compaction operator-visible. On open
 //     the snapshot and WAL replay into the registry and job log:
 //     datasets return under their original ids with fingerprint,
@@ -127,15 +127,16 @@
 //     because mining is deterministic; only a live job whose dataset did
 //     not survive the crash comes back failed with a distinguishable
 //     "lost to restart" error. A torn WAL tail is truncated, not fatal;
-//     a damaged snapshot is ignored with a loud log line. DataDir ""
+//     a damaged snapshot is ignored with a loud log line. A log written
+//     before datasets lived in segments, and never upgraded since, fails
+//     the open with ErrPayloadLog. DataDir ""
 //     keeps the service purely in-memory with zero new I/O. One server
 //     process owns a data directory at a time (there is no inter-process
 //     locking).
 //
 //   - A versioned JSON/NDJSON HTTP API (server.go) built on net/http
-//     only. Routes live under /v1; the original unversioned paths keep
-//     answering identically but carry a Deprecation header and a Link to
-//     their /v1 successor (the event streams are /v1-only):
+//     only. Every route lives under /v1; any other path answers 404 with
+//     code not_found:
 //
 //     POST   /v1/datasets                upload a CSV dataset (?name=, ?format=numeric|symbolic, ?threshold=, ?shards=)
 //     GET    /v1/datasets                list datasets (?limit=, ?page_token=)
@@ -150,7 +151,9 @@
 //     GET    /v1/jobs/{id}/events        stream the job's state/progress events (SSE; NDJSON via Accept)
 //     GET    /v1/events                  firehose event stream across all jobs
 //     GET    /v1/metrics                 queue depth, job states, per-tenant scheduler state, event-hub gauges, cache hit/miss counters, append counters + per-dataset generation gauge, persistence gauges
+//     GET    /v1/jobs/{id}/result        the done job's result document
 //     GET    /v1/healthz                 liveness probe
+//     GET    /v1/readyz                  readiness probe
 //
 // Errors are returned uniformly as
 // {"error":{"code":"...","message":"..."}} with a matching status code;
@@ -198,7 +201,7 @@
 // the per-shard sequence counts of the most recently mined geometry, job
 // summaries report the shard split (absent for one-shard datasets),
 // granted workers and cache hits, and every job response carries the
-// current queue depth; GET /metrics adds
+// current queue depth; GET /v1/metrics adds
 // the service-wide view — queue depth, job-state counts, per-job level
 // timings sourced from the miner's Progress callback, the cumulative
 // dseq/nmi/result cache counters, the appends_total/append_rows_total

@@ -400,7 +400,7 @@ func (s *Server) degradedState() (bool, string) {
 }
 
 // Ready reports whether the server accepts work: not shut down and not
-// degraded. The /readyz endpoint and ftpm-serve's -ready-timeout gate
+// degraded. The /v1/readyz endpoint and ftpm-serve's -ready-timeout gate
 // poll it.
 func (s *Server) Ready() bool {
 	return !s.closed.Load() && !s.degraded.Load()
@@ -551,8 +551,8 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleReadyz is the readiness probe, the liveness/readiness split's
-// second half: /healthz answers 200 as long as the process serves HTTP,
-// /readyz answers 200 only while the server can accept work — not
+// second half: /v1/healthz answers 200 as long as the process serves HTTP,
+// /v1/readyz answers 200 only while the server can accept work — not
 // shutting down and not degraded. Load balancers drain on readyz while
 // clients with running jobs keep reading results through the same
 // process.
