@@ -82,14 +82,15 @@ const (
 // mining failures.
 const lostToRestart = "lost to restart: the server restarted while the job was queued or running"
 
-// ErrPayloadLog is the error New returns for a data directory whose
-// replayed state holds a dataset with no segment files: a log written
-// before datasets lived in segments, whose full-payload records no open
-// has upgraded yet. Revision fd6e4e6167820a60ff0fa5d624fa08598aa70599 is
-// the last that upgrades such a log; opening the directory once with it
-// rewrites the payload records as segment records, which this revision
-// opens. A log that an earlier open already upgraded opens as is: its
-// payload records are superseded by the segment records logged after them.
+// ErrPayloadLog is wrapped by the error New returns for a data directory
+// whose replayed state holds a dataset with no segment files: a log
+// written before datasets lived in segments, whose full-payload records
+// no open has upgraded yet. Revision
+// fd6e4e6167820a60ff0fa5d624fa08598aa70599 is the last that upgrades such
+// a log; opening the directory once with it rewrites the payload records
+// as segment records, which this revision opens. A log that an earlier
+// open already upgraded opens as is: the segment records logged after its
+// payload records supersede them.
 var ErrPayloadLog = errors.New("server: the log holds a pre-segment payload dataset record; open the data directory once with revision fd6e4e6167820a60ff0fa5d624fa08598aa70599, the last that upgrades such logs")
 
 // datasetRecord is the persisted form of one dataset: identity plus

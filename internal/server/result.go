@@ -76,14 +76,16 @@ func decodeResult(data []byte) (*resultDoc, error) {
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, err
 	}
-	// A record the server wrote is compact already; Compact only drops the
-	// whitespace a record from elsewhere may hold, which indent expects
-	// none of.
-	compact := bytes.NewBuffer(make([]byte, 0, len(data)))
-	if err := json.Compact(compact, data); err != nil {
-		return nil, err
+	// A record the server wrote is compact; a record from elsewhere may
+	// hold whitespace, which indent expects none of.
+	if bytes.ContainsAny(data, " \t\r\n") {
+		compact := bytes.NewBuffer(make([]byte, 0, len(data)))
+		if err := json.Compact(compact, data); err != nil {
+			return nil, err
+		}
+		data = compact.Bytes()
 	}
-	return indentResult(compact.Bytes(), doc.Patterns == nil), nil
+	return indentResult(data, doc.Patterns == nil), nil
 }
 
 // indentResult builds the served form of a document from its compact
