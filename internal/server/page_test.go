@@ -108,6 +108,33 @@ func TestJobsPagination(t *testing.T) {
 	}
 }
 
+// TestUnversionedListsNotFound: the paged lists are served under /v1
+// only. The same list request, paging parameters included, answers a
+// page under /v1 and the not_found envelope without the prefix.
+func TestUnversionedListsNotFound(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1})
+	ds := uploadCSV(t, ts.URL, "name=energy&threshold=0.5", smallCSV())
+	mineDone(t, ts.URL, MiningRequest{DatasetID: ds.ID, MinSupport: 0.5, NumWindows: 2, MaxPatternSize: 2})
+	for _, path := range []string{"/datasets?limit=1", "/jobs?limit=1"} {
+		var page struct {
+			Datasets []DatasetInfo `json:"datasets"`
+			Jobs     []JobInfo     `json:"jobs"`
+		}
+		if code := doJSON(t, http.MethodGet, ts.URL+"/v1"+path, nil, &page); code != http.StatusOK {
+			t.Fatalf("GET /v1%s: status %d", path, code)
+		}
+		if len(page.Datasets)+len(page.Jobs) != 1 {
+			t.Fatalf("GET /v1%s = %+v, want one entry", path, page)
+		}
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertEnvelope(t, resp, http.StatusNotFound, codeNotFound, "no such route")
+		resp.Body.Close()
+	}
+}
+
 func TestBadPageParams(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1})
 	info := uploadCSV(t, ts.URL, "name=energy&threshold=0.5", smallCSV())

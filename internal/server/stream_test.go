@@ -473,15 +473,14 @@ func TestEventsRoutesV1Only(t *testing.T) {
 // TestUnversionedRoutesNotFound: the API is /v1 only. Every path that once
 // answered without the /v1 prefix, the event streams included, answers
 // the not_found envelope, with no Deprecation or Link header pointing
-// anywhere, even when the dataset or job it names exists.
+// anywhere, even when the dataset or job it names exists. The paged lists
+// are covered by TestUnversionedListsNotFound.
 func TestUnversionedRoutesNotFound(t *testing.T) {
 	_, ts := testServer(t, Options{Workers: 1})
 	ds := uploadCSV(t, ts.URL, "name=energy&threshold=0.5", smallCSV())
 	job := mineDone(t, ts.URL, MiningRequest{DatasetID: ds.ID, MinSupport: 0.5, NumWindows: 2, MaxPatternSize: 2})
 	for _, c := range []struct{ name, path string }{
-		{"datasets", "/datasets"},
 		{"dataset", "/datasets/" + ds.ID},
-		{"jobs", "/jobs"},
 		{"job", "/jobs/" + job.ID},
 		{"result", "/jobs/" + job.ID + "/result"},
 		{"patterns", "/jobs/" + job.ID + "/patterns"},
