@@ -46,7 +46,7 @@
 //     Prepared handle incrementally (only the window suffix the new
 //     samples touched is re-cut and re-verified at L1), and the NMI
 //     tables start fresh — appended samples change every pairwise score.
-//     The result cache keys on the content fingerprint, so
+//     Result reuse keys on the content fingerprint, so
 //     stale-generation lookups structurally miss. The fingerprint (v2,
 //     source.go's contentDigest) is a SHA-256 per series over its maximal
 //     runs, the last run carried because an append may extend it; each
@@ -84,20 +84,22 @@
 //     (events/hub.go) feeding the event-stream endpoints: per-client
 //     bounded buffers never block the miner, and a stalled consumer is
 //     told how many events it missed via a "dropped" event instead of
-//     silently losing them. Completed jobs are additionally memoized in a
-//     bounded LRU result cache keyed by (dataset fingerprint, canonical
-//     options — worker count excluded, results are byte-identical across
-//     it): a repeat submission returns the cached document without
-//     mining. Job summaries report cache effectiveness as the
-//     dseq_cache / nmi_cache / result_cache booleans. A done job's
-//     document is encoded once, at completion or replay, into its served
-//     form, the indented /result body (result.go); jobs, cache entries
-//     and log records share those bytes. /result writes them whole and a
-//     JSON page writes its header and a slice of them, since a page lays
-//     out its elements as /result does; NDJSON pages and log records
-//     compact the bytes they need. Every Content-Length is a slice
-//     length. The served form is about 1.7 times the compact encoding,
-//     and the result cache's byte budget counts it.
+//     silently losing them. The job manager indexes its retained done
+//     jobs by result key (dataset fingerprint, canonical options — worker
+//     count excluded, results are byte-identical across it), one entry
+//     per key pointing at the newest such job: a repeat submission reuses
+//     that job's document without mining, for as long as the job is
+//     retained (the newest 1 000 jobs). The index holds no document of
+//     its own, so it bounds nothing and needs no budget. Job summaries
+//     report cache effectiveness as the dseq_cache / nmi_cache /
+//     result_cache booleans. A done job's document is encoded once, at
+//     completion or replay, into its served form, the indented /result
+//     body (result.go); jobs that reuse it and log records share those
+//     bytes. /result writes them whole and a JSON page writes its header
+//     and a slice of them, since a page lays out its elements as /result
+//     does; NDJSON pages and log records compact the bytes they need.
+//     Every Content-Length is a slice length. The served form is about
+//     1.7 times the compact encoding.
 //
 //   - An optional persistence layer (persist.go over internal/server/
 //     store): with Options.DataDir set, dataset ingestions/appends/
@@ -121,7 +123,7 @@
 //     pre-append sample count, so a crash between an append's WAL write
 //     and the next snapshot replays it exactly once and generations
 //     never regress — terminal jobs return with byte-identical result
-//     documents (done jobs re-seed the result cache), and jobs that were
+//     documents (done jobs are indexed for reuse again), and jobs that were
 //     queued or running at crash time re-queue against their tenant —
 //     counting against its quota — and re-run from scratch, which is safe
 //     because mining is deterministic; only a live job whose dataset did

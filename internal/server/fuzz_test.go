@@ -392,7 +392,11 @@ func FuzzReplay(f *testing.F) {
 		// No dataset is registered, so live jobs come back failed instead
 		// of re-queueing: nothing mines.
 		srv.jobs.restore(st.jobs, st.maxJobSeq, srv.reg)
-		for _, info := range srv.jobs.list() {
+		// Cursor -1 lists every retained job, ids that are not "job-N"
+		// included (page skips ids whose sequence is at or below the
+		// cursor, and those parse as 0).
+		infos, _ := srv.jobs.page(-1, maxRetainedJobs)
+		for _, info := range infos {
 			if info.ID == "" || url.PathEscape(info.ID) != info.ID {
 				continue // not addressable as one path segment
 			}

@@ -159,9 +159,9 @@ type Progress struct {
 // DSEQCache and NMICache report whether the run reused the dataset's
 // cached DSEQ conversion / pairwise NMI table (NMICache is always false
 // for exact jobs, which never consult NMI); ResultCache is true when the
-// whole job was served from the completed-job cache — nothing was mined,
-// DSEQCache/NMICache then read true since nothing was recomputed, and
-// Workers is 0.
+// job reused the document of a retained done job with its result key —
+// nothing was mined, DSEQCache/NMICache then read true since nothing was
+// recomputed, and Workers is 0.
 type JobSummary struct {
 	Sequences      int     `json:"sequences"`
 	FrequentEvents int     `json:"frequent_events"`
@@ -208,9 +208,13 @@ type job struct {
 	ds    *Dataset
 	state JobState
 	// fp is the content fingerprint of the dataset generation the run
-	// captured — the result cache key component and the provenance stamp
+	// captured — the result key component and the provenance stamp
 	// persisted with the terminal record.
-	fp         string
+	fp string
+	// key is the job's resultKey, set when the run captures its
+	// generation (or on restore); eviction uses it to drop the job's
+	// entry from the manager's byKey index.
+	key        string
 	errMsg     string
 	createdAt  time.Time
 	startedAt  time.Time
@@ -297,7 +301,6 @@ type jobManager struct {
 	baseCtx  context.Context
 	stop     context.CancelFunc
 	wg       sync.WaitGroup
-	results  *resultCache
 	counters *cacheCounters
 	persist  *persister  // nil when DataDir is unset
 	hub      *events.Hub // never nil
@@ -333,6 +336,10 @@ type jobManager struct {
 	byID         map[string]*job
 	ids          []string // insertion order
 	seq          int
+	// byKey maps a resultKey to the newest retained done job with that
+	// key: the one place a repeat job looks for a result to reuse. Every
+	// job it reaches is in byID, so it holds no document of its own.
+	byKey map[string]*job
 }
 
 func newJobManager(base context.Context, workers, queueDepth int, persist *persister, hub *events.Hub, qos qosOptions, logf func(string, ...any)) *jobManager {
@@ -352,7 +359,6 @@ func newJobManager(base context.Context, workers, queueDepth int, persist *persi
 	m := &jobManager{
 		baseCtx:     ctx,
 		stop:        cancel,
-		results:     newResultCache(maxResultCache, maxResultCacheBytes),
 		counters:    &cacheCounters{},
 		persist:     persist,
 		hub:         hub,
@@ -363,6 +369,7 @@ func newJobManager(base context.Context, workers, queueDepth int, persist *persi
 		tenants:     make(map[string]*tenantState),
 		queueCap:    queueDepth,
 		byID:        make(map[string]*job),
+		byKey:       make(map[string]*job),
 	}
 	m.cond = sync.NewCond(&m.mu)
 	for i := 0; i < workers; i++ {
@@ -425,9 +432,9 @@ func (m *jobManager) publishProgress(id, tenant string, lv LevelTimingJSON) {
 // control survives restarts — and re-run from scratch; mining is pure, so
 // the re-run is safe and byte-identical. Only live jobs whose dataset did
 // not survive replay come back failed with the distinguishable
-// lost-to-restart error. Done jobs whose dataset still exists re-seed the
-// completed-job result cache, so repeat submissions after a restart hit
-// without mining.
+// lost-to-restart error. Done jobs whose dataset still exists are indexed
+// by their result key, so repeat submissions after a restart hit without
+// mining.
 func (m *jobManager) restore(records []jobRecord, maxSeq int, reg *registry) {
 	now := time.Now()
 	m.mu.Lock()
@@ -503,7 +510,8 @@ func (m *jobManager) restore(records []jobRecord, maxSeq int, reg *registry) {
 				if fp == "" {
 					fp = ds.view().fingerprint
 				}
-				m.results.put(resultKey(fp, ds.shards, rec.Request), &resultEntry{doc: j.doc, summary: *j.summary, size: j.doc.size()})
+				j.key = resultKey(fp, ds.shards, rec.Request)
+				m.byKey[j.key] = j
 			}
 		}
 		m.byID[j.id] = j
@@ -580,7 +588,8 @@ func (m *jobManager) stamp(rec jobRecord) jobRecord {
 }
 
 // evictLocked drops the oldest terminal jobs while the retained set
-// exceeds maxRetainedJobs. Caller holds m.mu.
+// exceeds maxRetainedJobs, and the byKey entries that point at them.
+// Caller holds m.mu.
 func (m *jobManager) evictLocked() {
 	if len(m.ids) <= maxRetainedJobs {
 		return
@@ -590,10 +599,13 @@ func (m *jobManager) evictLocked() {
 	for _, id := range m.ids {
 		j := m.byID[id]
 		j.mu.Lock()
-		terminal := j.state.Terminal()
+		terminal, key := j.state.Terminal(), j.key
 		j.mu.Unlock()
 		if excess > 0 && terminal {
 			delete(m.byID, id)
+			if m.byKey[key] == j {
+				delete(m.byKey, key)
+			}
 			excess--
 			continue
 		}
@@ -607,23 +619,6 @@ func (m *jobManager) get(id string) (*job, bool) {
 	defer m.mu.Unlock()
 	j, ok := m.byID[id]
 	return j, ok
-}
-
-func (m *jobManager) list() []JobInfo {
-	m.mu.Lock()
-	ids := append([]string(nil), m.ids...)
-	byID := make([]*job, len(ids))
-	for i, id := range ids {
-		byID[i] = m.byID[id]
-	}
-	m.mu.Unlock()
-	depth := m.queueDepth()
-	out := make([]JobInfo, len(byID))
-	for i, j := range byID {
-		out[i] = j.snapshot()
-		out[i].QueueDepth = depth
-	}
-	return out
 }
 
 // cancelJob cancels a queued or running job and reports the state the
@@ -742,13 +737,13 @@ func (m *jobManager) releaseRun(j *job, minedMillis int64, finished bool) {
 	m.mu.Unlock()
 }
 
-// resultKey is the completed-job cache key: the content fingerprint of
-// the dataset generation the job runs against and the shard width, plus
-// every result-affecting option. Appending to a dataset changes its
-// fingerprint, so a lookup after an append structurally misses — the
-// result cache's generation invalidation is this key, not an eviction
-// sweep — while re-uploading (or rolling forward to) identical content
-// still hits. Workers is deliberately excluded — mined results are
+// resultKey is the key under which a done job's result is reused: the
+// content fingerprint of the dataset generation the job runs against and
+// the shard width, plus every result-affecting option. Appending to a
+// dataset changes its fingerprint, so a lookup after an append
+// structurally misses — generation invalidation is this key, not an
+// eviction sweep — while re-uploading (or rolling forward to) identical
+// content still hits. Workers is deliberately excluded — mined results are
 // byte-identical across worker counts — so jobs differing only in
 // parallelism share an entry.
 func resultKey(fingerprint string, shards int, req MiningRequest) string {
@@ -787,14 +782,16 @@ func (m *jobManager) run(j *job) {
 	j.startedAt = time.Now()
 	j.cancel = cancel
 	j.fp = g.fingerprint
+	j.key = resultKey(g.fingerprint, ds.shards, j.req)
 	j.mu.Unlock()
 	defer cancel()
 	m.publishState(j.id, j.tenant, JobRunning, "")
 
-	// Completed-job cache: an identical (dataset content, options) job
-	// returns the memoized document without preparing or mining anything.
-	key := resultKey(g.fingerprint, ds.shards, j.req)
-	if ent, ok := m.results.get(key); ok {
+	// Result reuse: a retained done job with the same key (dataset
+	// content and options) answers this one without preparing or mining
+	// anything. Its document and summary are immutable once done.
+	m.mu.Lock()
+	if src, ok := m.byKey[j.key]; ok {
 		j.mu.Lock()
 		j.finishedAt = time.Now()
 		if ctx.Err() != nil { // cancelled while the job was being admitted
@@ -803,8 +800,8 @@ func (m *jobManager) run(j *job) {
 		} else {
 			m.counters.resultHits.Add(1)
 			j.state = JobDone
-			j.doc = ent.doc
-			sum := ent.summary
+			j.doc = src.doc
+			sum := *src.summary
 			sum.ResultCache = true
 			sum.DSEQCache = true
 			sum.NMICache = j.req.Approx != nil
@@ -812,13 +809,10 @@ func (m *jobManager) run(j *job) {
 			sum.DurationMillis = j.finishedAt.Sub(j.startedAt).Milliseconds()
 			j.summary = &sum
 		}
-		rec := m.finishLocked(j)
-		millis := j.finishedAt.Sub(j.startedAt).Milliseconds()
-		j.mu.Unlock()
-		m.persist.jobTerminal(m.stamp(rec))
-		m.releaseRun(j, millis, true)
+		m.endRun(j)
 		return
 	}
+	m.mu.Unlock()
 
 	opt := j.req.options()
 	// The fair-share budget grants the job its tenant's share of
@@ -884,6 +878,7 @@ func (m *jobManager) run(j *job) {
 		}
 	}()
 
+	m.mu.Lock()
 	j.mu.Lock()
 	j.finishedAt = time.Now()
 	switch {
@@ -895,8 +890,8 @@ func (m *jobManager) run(j *job) {
 		j.errMsg = err.Error()
 	default:
 		// Counters move only for jobs that actually completed: hits count
-		// documents served from cache, misses jobs that mined to done, so
-		// hits + misses always equals the done-job count.
+		// documents reused from a retained job, misses jobs that mined to
+		// done, so hits + misses always equals the done-job count.
 		m.counters.resultMisses.Add(1)
 		m.counters.note(res.Cache, j.req.Approx != nil)
 		ds.noteSeqCounts(res.Stats.ShardSequences)
@@ -916,11 +911,24 @@ func (m *jobManager) run(j *job) {
 			j.summary.Shards = res.Stats.Shards
 			j.summary.ShardSeqs = res.Stats.ShardSequences
 		}
-		m.results.put(key, &resultEntry{doc: doc, summary: *j.summary, size: doc.size()})
+	}
+	m.endRun(j)
+}
+
+// endRun completes a run whose terminal state the caller has just set
+// under m.mu and j.mu. A done job becomes the byKey entry for its key in
+// the same critical section, so a client that sees it done and repeats it
+// hits; a running job is never evicted, so the entry always points at a
+// retained job. endRun then releases both locks, logs the terminal record
+// and frees the worker slot.
+func (m *jobManager) endRun(j *job) {
+	if j.state == JobDone {
+		m.byKey[j.key] = j
 	}
 	rec := m.finishLocked(j)
 	millis := j.finishedAt.Sub(j.startedAt).Milliseconds()
 	j.mu.Unlock()
+	m.mu.Unlock()
 	m.persist.jobTerminal(m.stamp(rec))
 	m.releaseRun(j, millis, true)
 }

@@ -1,23 +1,21 @@
 package server
 
 import (
-	"sync"
 	"sync/atomic"
 
 	"ftpm"
 )
 
-// Service-level observability: cumulative cache hit/miss counters, the
-// bounded completed-job result cache, and the JSON document of the
-// GET /metrics endpoint.
+// Service-level observability: cumulative cache hit/miss counters and
+// the JSON document of the GET /metrics endpoint.
 
 // cacheCounters are the service-lifetime cache effectiveness counters.
 // dseq/nmi count per-job artifact reuse inside the Prepared handles (an
 // exact job never touches NMI, so it moves neither NMI counter); result
-// counts whole-job memoization. Counters only move for jobs that reach
-// the done state — result hits + misses equals the number of jobs ever
-// completed (cumulative; the job_states gauge is not, since old terminal
-// jobs are evicted past maxRetainedJobs).
+// counts whole-job reuse of a retained done job's document. Counters only
+// move for jobs that reach the done state — result hits + misses equals
+// the number of jobs ever completed (cumulative; the job_states gauge is
+// not, since old terminal jobs are evicted past maxRetainedJobs).
 type cacheCounters struct {
 	dseqHits, dseqMisses     atomic.Int64
 	nmiHits, nmiMisses       atomic.Int64
@@ -110,8 +108,8 @@ type EventsMetricsJSON struct {
 }
 
 // JobMetricsJSON is the per-job slice of the metrics document: the level
-// timings of one (running or finished) job. Result-cache hits mined
-// nothing and therefore carry no levels.
+// timings of one (running or finished) job. Jobs that reused a result
+// mined nothing and therefore carry no levels.
 type JobMetricsJSON struct {
 	ID     string            `json:"id"`
 	State  JobState          `json:"state"`
@@ -187,10 +185,11 @@ type MetricsJSON struct {
 	// Storage gauges dataset payload placement: heap-resident bytes vs
 	// sealed on-disk segment bytes.
 	Storage StorageMetricsJSON `json:"storage"`
-	// ResultCacheEntries and ResultCacheBytes gauge the completed-job
-	// result cache: live entry count and the cumulative size of the
-	// retained documents' encoded bytes — compact JSON, the form the cache
-	// holds them in (the byte-budget eviction currency).
+	// ResultCacheEntries and ResultCacheBytes gauge result reuse: how
+	// many result keys a repeat job can hit (one per key, the newest
+	// retained done job with it) and the summed size of those jobs'
+	// documents in their served form, the indented /result body. Retained
+	// jobs hold these documents anyway; reuse adds no copy.
 	ResultCacheEntries int   `json:"result_cache_entries"`
 	ResultCacheBytes   int64 `json:"result_cache_bytes"`
 	// Persistence gauges the WAL and snapshot of a durable server; absent
@@ -213,16 +212,22 @@ func (m *jobManager) metrics() MetricsJSON {
 	for i, id := range ids {
 		jobs[i] = m.byID[id]
 	}
+	var docBytes int64
+	for _, j := range m.byKey {
+		docBytes += j.doc.size()
+	}
+	keys := len(m.byKey)
 	m.mu.Unlock()
 
 	doc := MetricsJSON{
-		QueueDepth: m.queueDepth(),
-		JobStates:  make(map[string]int),
-		Cache:      m.counters.snapshot(),
-		Tenants:    m.tenantMetrics(),
+		ResultCacheEntries: keys,
+		ResultCacheBytes:   docBytes,
+		QueueDepth:         m.queueDepth(),
+		JobStates:          make(map[string]int),
+		Cache:              m.counters.snapshot(),
+		Tenants:            m.tenantMetrics(),
 	}
 	doc.Events.Published, doc.Events.Subscribers, doc.Events.EverSubscribers, doc.Events.Dropped = m.hub.Stats()
-	doc.ResultCacheEntries, doc.ResultCacheBytes = m.results.stats()
 	windowStart := len(jobs) - metricsJobWindow
 	for i, j := range jobs {
 		j.mu.Lock()
@@ -267,97 +272,4 @@ func (s *Server) metricsDoc() MetricsJSON {
 	doc.Events.RejectedStreams = s.streamRejected.Load()
 	doc.Events.FirehoseStreams = s.streamSubs.Load()
 	return doc
-}
-
-// resultEntry is one memoized completed job: its encoded export
-// document, the summary of the run that produced it, and the size of the
-// encoded bytes it holds — the currency of the cache's byte budget.
-type resultEntry struct {
-	doc     *resultDoc
-	summary JobSummary
-	size    int64
-}
-
-// resultCache memoizes completed jobs by (dataset fingerprint, canonical
-// options), bounded by an LRU that is both entry- and size-aware: an
-// entry count cap keeps lookup structures small, and a byte budget over
-// the stored documents' encoded bytes keeps a handful of huge pattern
-// sets from pinning unbounded memory (low thresholds can make a single
-// document orders of magnitude larger than the median). Keys are
-// content-addressed, so dataset deletion needs no invalidation and
-// re-uploads of identical data still hit.
-type resultCache struct {
-	mu       sync.Mutex
-	cap      int
-	maxBytes int64
-	bytes    int64
-	entries  map[string]*resultEntry
-	order    []string // LRU order, least recently used first
-}
-
-// maxResultCache bounds the number of memoized job results and
-// maxResultCacheBytes the cumulative size of their encoded bytes. 64 hot
-// parameterizations within 64 MiB is plenty for repeat-query traffic
-// without letting memory grow with either request variety or result
-// volume. A single document larger than the whole byte budget is not
-// cached at all — evicting every other entry to hold one outlier would
-// gut the cache for no repeat-traffic benefit.
-const (
-	maxResultCache      = 64
-	maxResultCacheBytes = 64 << 20
-)
-
-func newResultCache(capacity int, maxBytes int64) *resultCache {
-	return &resultCache{cap: capacity, maxBytes: maxBytes, entries: make(map[string]*resultEntry)}
-}
-
-// touch moves key to the most-recently-used end. Caller holds c.mu.
-func (c *resultCache) touch(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(append(c.order[:i:i], c.order[i+1:]...), key)
-			return
-		}
-	}
-	c.order = append(c.order, key)
-}
-
-func (c *resultCache) get(key string) (*resultEntry, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if ok {
-		c.touch(key)
-	}
-	return e, ok
-}
-
-func (c *resultCache) put(key string, e *resultEntry) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e.size > c.maxBytes {
-		return // oversized: caching it would evict everything else
-	}
-	if old, ok := c.entries[key]; ok {
-		c.bytes -= old.size
-	}
-	c.entries[key] = e
-	c.bytes += e.size
-	c.touch(key)
-	// Evict least-recently-used entries until both budgets hold; the entry
-	// just inserted is newest and fits the byte budget, so the loop always
-	// terminates with it retained.
-	for (len(c.order) > c.cap || c.bytes > c.maxBytes) && len(c.order) > 1 {
-		oldest := c.order[0]
-		c.order = c.order[1:]
-		c.bytes -= c.entries[oldest].size
-		delete(c.entries, oldest)
-	}
-}
-
-// stats returns the current entry count and byte footprint.
-func (c *resultCache) stats() (entries int, bytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries), c.bytes
 }

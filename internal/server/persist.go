@@ -35,8 +35,8 @@ import (
 //     recomputable, and lazily so. A log written before datasets lived in
 //     segments, and never upgraded since, does not open (ErrPayloadLog).
 //   - Terminal jobs come back with their summaries and result documents
-//     byte-identical; done jobs re-seed the result cache, so a repeat
-//     submission after a restart is still a cache hit.
+//     byte-identical; done jobs are indexed by result key again, so a
+//     repeat submission after a restart still reuses their documents.
 //   - Jobs that were queued or running when the process died re-queue
 //     against their tenant (mining is pure, so the re-run is safe and
 //     byte-identical, and the re-queued jobs count against the tenant's
@@ -152,8 +152,8 @@ type jobRecord struct {
 	Tenant string `json:"tenant,omitempty"`
 	// Fingerprint is the content fingerprint of the dataset generation the
 	// job ran against. Appends change a dataset's fingerprint, so restore
-	// must key the re-seeded result cache by the generation the document
-	// was actually mined from — keying by the restored dataset's current
+	// must index the job's result key by the generation the document was
+	// actually mined from — keying by the restored dataset's current
 	// fingerprint would serve a pre-append document for post-append
 	// content. Empty on records from before appends existed; those are
 	// keyed by the dataset's fingerprint, which is correct for a log that
@@ -237,7 +237,7 @@ func decodeJob(data []byte) (jobRecord, error) {
 // explicitly: the highest-numbered dataset or job may have been removed
 // or evicted, so the surviving records alone cannot recover the
 // high-water mark, and re-issuing an id would let stale job records
-// (and the result cache they seed) cross-talk with new content.
+// (and the result reuse they restore) cross-talk with new content.
 type snapshotRecord struct {
 	DatasetSeq int             `json:"dataset_seq"`
 	JobSeq     int             `json:"job_seq"`

@@ -62,9 +62,9 @@ type dsGen struct {
 	sealedBytes int64
 	// fingerprint is the content key of the generation, a v2 digest
 	// (contentDigest.fingerprint) or, for content restored from a log
-	// written before v2, the v1 key recorded with it. The completed-job
-	// result cache keys on it (not the dataset id), so stale-generation
-	// lookups structurally miss and re-uploading identical content hits.
+	// written before v2, the v1 key recorded with it. Result reuse keys
+	// on it (not the dataset id), so stale-generation lookups structurally
+	// miss and re-uploading identical content hits.
 	fingerprint string
 	// digest is the resumable state behind a v2 fingerprint, kept so an
 	// append hashes only the runs it adds: ~110 bytes per series. A
@@ -500,16 +500,6 @@ func (r *registry) generations() map[string]int64 {
 	out := make(map[string]int64, len(r.ids))
 	for _, id := range r.ids {
 		out[id] = r.byID[id].view().gen
-	}
-	return out
-}
-
-func (r *registry) list() []DatasetInfo {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]DatasetInfo, 0, len(r.ids))
-	for _, id := range r.ids {
-		out = append(out, r.byID[id].info())
 	}
 	return out
 }

@@ -16,14 +16,14 @@ import (
 // retains it: the /result body, the document indented the way
 // json.Encoder with a two-space indent writes it, trailing newline
 // included. It is built once, when the job completes or its record is
-// replayed (storedJob), and its bytes are never mutated, so jobs,
-// result-cache entries and persistence records share one pointer. /result
-// is one write of the body, and a JSON page writes a slice of it: a page
-// lays its elements out at the depth they have in /result. NDJSON pages
-// and persistence records, which want compact JSON, drop the whitespace
-// from the bytes they need (appendCompact). The served form is about 1.7
-// times the compact encoding, and the result cache's budget counts it;
-// in exchange, no fetch indents the document again.
+// replayed (storedJob), and its bytes are never mutated, so the job, the
+// jobs that reuse its result and its persistence records share one
+// pointer. /result is one write of the body, and a JSON page writes a
+// slice of it: a page lays its elements out at the depth they have in
+// /result. NDJSON pages and persistence records, which want compact
+// JSON, drop the whitespace from the bytes they need (appendCompact). The
+// served form is about 1.7 times the compact encoding; in exchange, no
+// fetch indents the document again.
 type resultDoc struct {
 	body []byte
 	// nullPatterns records a nil Patterns slice, which encodes as null
@@ -116,7 +116,8 @@ func (r *resultDoc) patterns() []span {
 	return r.spans
 }
 
-// size is the byte footprint the result cache accounts for the document.
+// size is the byte footprint of the document, which result_cache_bytes
+// sums over the documents a repeat job can reuse.
 func (r *resultDoc) size() int64 { return int64(len(r.body)) }
 
 // writeResult writes the whole document as writeJSON would encode it.

@@ -764,6 +764,88 @@ func TestTerminalJobEviction(t *testing.T) {
 	if _, ok := m.get("job-1"); ok {
 		t.Fatal("oldest terminal job must be evicted")
 	}
+
+	// Result reuse goes through the retained jobs: a done job's key hits
+	// while the job is retained, a newer done job with the same key keeps
+	// the key alive, and the key stops hitting once eviction drops the
+	// last done job that carries it.
+	m2 := newJobManager(context.Background(), 0, maxRetainedJobs+200, nil, nil, qosOptions{}, nil)
+	defer m2.close()
+	ds2 := &Dataset{id: "d", shards: 1, cur: &dsGen{fingerprint: "fp", prep: map[string]*ftpm.Prepared{}}}
+	reg := newRegistry(nil)
+	reg.byID["d"], reg.ids = ds2, []string{"d"}
+	doc, err := encodeResult(&ftpm.ResultJSON{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqA, reqB := req, req
+	reqB.MinSupport = 0.25
+	keyA, keyB := resultKey("fp", 1, reqA), resultKey("fp", 1, reqB)
+	done := func(id string, r MiningRequest) jobRecord {
+		return jobRecord{ID: id, Request: r, Fingerprint: "fp", State: JobDone, Doc: doc, Summary: &JobSummary{Patterns: 7}}
+	}
+	m2.restore([]jobRecord{done("job-1", reqA), done("job-2", reqB)}, 2, reg)
+	indexed := func(key string) string {
+		m2.mu.Lock()
+		defer m2.mu.Unlock()
+		if j := m2.byKey[key]; j != nil {
+			return j.id
+		}
+		return ""
+	}
+	if indexed(keyA) != "job-1" || indexed(keyB) != "job-2" {
+		t.Fatalf("restored done jobs indexed as %q/%q, want job-1/job-2", indexed(keyA), indexed(keyB))
+	}
+	// A repeat of job-1 hits while job-1 is retained, and becomes the
+	// newest done job with its key.
+	if _, err := m2.submit(ds2, reqA, DefaultTenant); err != nil {
+		t.Fatal(err)
+	}
+	repeat := m2.nextJob()
+	m2.run(repeat)
+	if info := m2.info(repeat); info.State != JobDone || info.Summary == nil || !info.Summary.ResultCache || info.Summary.Patterns != 7 {
+		t.Fatalf("repeat of a retained done job = %+v, want a result hit", info)
+	}
+	if indexed(keyA) != repeat.id {
+		t.Fatalf("key indexed as %q after the repeat, want %s", indexed(keyA), repeat.id)
+	}
+	// Fill the retained set with cancelled jobs of another key, then push
+	// the three done jobs out one at a time, oldest first.
+	other := req
+	other.MinSupport = 0.75
+	cancelNew := func() {
+		j, err := m2.submit(ds2, other, DefaultTenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, ok := m2.cancelJob(j.id); !ok {
+			t.Fatal("cancel failed")
+		}
+	}
+	for i := 3; i < maxRetainedJobs; i++ {
+		cancelNew()
+	}
+	if indexed(keyA) != repeat.id || indexed(keyB) != "job-2" {
+		t.Fatal("no done job evicted yet, both keys must still hit")
+	}
+	cancelNew() // evicts job-1
+	if _, ok := m2.get("job-1"); ok {
+		t.Fatal("job-1 must be evicted")
+	}
+	if indexed(keyA) != repeat.id {
+		t.Fatalf("newer done job must keep the key alive, indexed %q", indexed(keyA))
+	}
+	cancelNew() // evicts job-2
+	if indexed(keyB) != "" {
+		t.Fatalf("key of an evicted job still hits (%q)", indexed(keyB))
+	}
+	cancelNew() // evicts the repeat
+	if indexed(keyA) != "" {
+		t.Fatalf("key of an evicted job still hits (%q)", indexed(keyA))
+	}
+	if m := m2.metrics(); m.ResultCacheEntries != 0 || m.ResultCacheBytes != 0 {
+		t.Fatalf("result gauges after eviction = %d entries, %d bytes; want 0, 0", m.ResultCacheEntries, m.ResultCacheBytes)
+	}
 }
 
 // TestFinishedJobReleasesDataset: a retained finished job must not keep
@@ -1081,65 +1163,6 @@ func TestResultCacheAndMetrics(t *testing.T) {
 	}
 }
 
-// TestResultCacheSizeAwareEviction pins the byte-budget LRU policy: the
-// cache evicts least-recently-used entries once the cumulative document
-// size exceeds the budget (even while the entry cap is far away), updates
-// accounting on overwrite, and refuses documents larger than the whole
-// budget rather than evicting everything else to hold one outlier.
-func TestResultCacheSizeAwareEviction(t *testing.T) {
-	entry := func(size int64) *resultEntry {
-		return &resultEntry{doc: &resultDoc{}, size: size}
-	}
-	c := newResultCache(100, 1000)
-
-	c.put("a", entry(400))
-	c.put("b", entry(400))
-	if n, b := c.stats(); n != 2 || b != 800 {
-		t.Fatalf("stats = (%d, %d), want (2, 800)", n, b)
-	}
-	// Touch "a" so "b" is the LRU victim when the budget overflows.
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a must be resident")
-	}
-	c.put("c", entry(400))
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b must have been evicted by the byte budget")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("recently-used a must survive")
-	}
-	if n, b := c.stats(); n != 2 || b != 800 {
-		t.Fatalf("stats after eviction = (%d, %d), want (2, 800)", n, b)
-	}
-
-	// Overwriting a key replaces its accounted size instead of leaking it.
-	c.put("a", entry(100))
-	if n, b := c.stats(); n != 2 || b != 500 {
-		t.Fatalf("stats after overwrite = (%d, %d), want (2, 500)", n, b)
-	}
-
-	// An entry above the whole budget is not cached and evicts nothing.
-	c.put("huge", entry(5000))
-	if _, ok := c.get("huge"); ok {
-		t.Fatal("oversized entry must not be cached")
-	}
-	if n, b := c.stats(); n != 2 || b != 500 {
-		t.Fatalf("stats after oversized put = (%d, %d), want (2, 500)", n, b)
-	}
-
-	// The entry cap still applies independently of bytes.
-	small := newResultCache(2, 1<<30)
-	small.put("x", entry(1))
-	small.put("y", entry(1))
-	small.put("z", entry(1))
-	if _, ok := small.get("x"); ok {
-		t.Fatal("entry cap must evict the oldest")
-	}
-	if n, _ := small.stats(); n != 2 {
-		t.Fatalf("entry-capped cache holds %d entries, want 2", n)
-	}
-}
-
 func TestQueueDepthExposed(t *testing.T) {
 	// No workers: everything submitted stays queued.
 	m := newJobManager(context.Background(), 0, 8, nil, nil, qosOptions{}, nil)
@@ -1157,7 +1180,7 @@ func TestQueueDepthExposed(t *testing.T) {
 	if info := m.info(last); info.QueueDepth != 3 {
 		t.Fatalf("queue_depth = %d, want 3", info.QueueDepth)
 	}
-	list := m.list()
+	list, _ := m.page(0, maxRetainedJobs)
 	if len(list) != 3 || list[0].QueueDepth != 3 {
 		t.Fatalf("list queue_depth = %+v", list)
 	}

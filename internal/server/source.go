@@ -203,7 +203,7 @@ func appendRun(buf []byte, sym, n int) []byte {
 // so the record is unambiguous. The key is cut to v1's 64 bytes, so
 // sealed segment footers keep their size; 244 bits of SHA-256 still make
 // a collision out of reach. It is recorded in WAL records and segment
-// footers and keys the result cache across restarts, so the encoding
+// footers and keys result reuse across restarts, so the encoding
 // must never change.
 func (d contentDigest) fingerprint(src ftpm.SymbolSource) string {
 	var rec []byte

@@ -21,6 +21,18 @@ func reopen(t *testing.T, l *Log) (*Log, Recovery) {
 	return nl, rec
 }
 
+// writeSnapshot installs data as a one-chunk streaming snapshot.
+func writeSnapshot(l *Log, data []byte) error {
+	w, err := l.BeginSnapshot()
+	if err != nil {
+		return err
+	}
+	if err := w.WriteChunk(data); err != nil {
+		return err // the failed chunk already discarded the writer
+	}
+	return w.Commit()
+}
+
 func TestAppendReplayRoundTrip(t *testing.T) {
 	l, rec, err := Open(t.TempDir())
 	if err != nil {
@@ -67,7 +79,7 @@ func TestSnapshotResetsWAL(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.WriteSnapshot([]byte("state@3")); err != nil {
+	if err := writeSnapshot(l, []byte("state@3")); err != nil {
 		t.Fatal(err)
 	}
 	if l.WALRecords() != 0 {
@@ -109,7 +121,7 @@ func TestSnapshotLSNSkip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot([]byte("covers-2")); err != nil {
+	if err := writeSnapshot(l, []byte("covers-2")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -264,7 +276,7 @@ func TestDamagedSnapshotIgnored(t *testing.T) {
 	if err := l.Append(1, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.WriteSnapshot([]byte("snap")); err != nil {
+	if err := writeSnapshot(l, []byte("snap")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Append(1, []byte("y")); err != nil {
@@ -312,7 +324,7 @@ func TestClosedLog(t *testing.T) {
 	if err := l.Append(1, nil); err != ErrClosed {
 		t.Fatalf("append on closed log = %v, want ErrClosed", err)
 	}
-	if err := l.WriteSnapshot(nil); err != ErrClosed {
+	if err := writeSnapshot(l, nil); err != ErrClosed {
 		t.Fatalf("snapshot on closed log = %v, want ErrClosed", err)
 	}
 }
