@@ -9,10 +9,14 @@ package main
 // The time regression gate compares the median ns/op of the baseline's
 // and the current run's -count runs, so one fast outlier on either side
 // neither trips nor hides a regression. Cross-hardware ns/op comparison
-// is meaningless, so the gate only applies when the baseline and current runs report the same
-// `cpu:` line; otherwise the gate is skipped with a warning (refresh the
-// baseline on the new hardware to re-arm it). Allocation counts are a
-// property of the code, not the clock or the core count — the repo's
+// is meaningless, so the gate applies to a benchmark only when the
+// baseline and the current run report the same `cpu:` line for it and
+// the same GOMAXPROCS; otherwise that benchmark's gate is skipped with a
+// warning (refresh its baseline lines on the new hardware to re-arm it).
+// A file may hold several `go test` outputs, one per package and not
+// necessarily from one host, so each benchmark takes the `cpu:` line of
+// its own block. Allocation counts are a property of the code, not the
+// clock or the core count — the repo's
 // benchmarks fix their worker counts explicitly, so GOMAXPROCS only
 // perturbs pool scheduling by a handful of allocations — which is why the
 // allocs/op gate stays armed across both CPU models and GOMAXPROCS: the
@@ -49,7 +53,10 @@ var procSuffix = regexp.MustCompile(`-(\d+)$`)
 
 // benchFile is one parsed benchmark output.
 type benchFile struct {
-	CPU      string
+	// CPU maps the benchmark name to the `cpu:` line of the block its
+	// runs were recorded in, "" when there was none or its runs come from
+	// blocks that name different CPUs.
+	CPU      map[string]string
 	MaxProcs int
 	// MedianNsPerOp maps the benchmark name (GOMAXPROCS suffix stripped)
 	// to the median ns/op of its runs, which the regression gate and the
@@ -67,6 +74,7 @@ func parseBenchFile(path string) (*benchFile, error) {
 		return nil, err
 	}
 	bf := &benchFile{
+		CPU:           make(map[string]string),
 		MaxProcs:      1,
 		MedianNsPerOp: make(map[string]float64),
 		AllocsPerOp:   make(map[string]float64),
@@ -74,15 +82,21 @@ func parseBenchFile(path string) (*benchFile, error) {
 	}
 	type entry struct {
 		name          string
+		cpu           string
 		ns            float64
 		bytes, allocs float64
 		hasMem        bool
 	}
 	var entries []entry
+	cpu := "" // the cpu: line of the block being read
 	for _, line := range strings.Split(string(data), "\n") {
 		line = strings.TrimSpace(line)
-		if cpu, ok := strings.CutPrefix(line, "cpu: "); ok {
-			bf.CPU = cpu
+		if strings.HasPrefix(line, "goos: ") {
+			cpu = "" // a new block: its cpu: line follows
+			continue
+		}
+		if c, ok := strings.CutPrefix(line, "cpu: "); ok {
+			cpu = c
 			continue
 		}
 		m := benchLine.FindStringSubmatch(line)
@@ -93,7 +107,7 @@ func parseBenchFile(path string) (*benchFile, error) {
 		if err != nil {
 			continue
 		}
-		e := entry{name: m[1], ns: ns}
+		e := entry{name: m[1], cpu: cpu, ns: ns}
 		if m[4] != "" && m[5] != "" {
 			b, errB := strconv.ParseFloat(m[4], 64)
 			a, errA := strconv.ParseFloat(m[5], 64)
@@ -130,6 +144,10 @@ func parseBenchFile(path string) (*benchFile, error) {
 	}
 	runs := make(map[string][]float64)
 	for _, e := range entries {
+		if prev, ok := bf.CPU[e.name]; ok && prev != e.cpu {
+			e.cpu = "" // runs from two hosts: no one host to compare with
+		}
+		bf.CPU[e.name] = e.cpu
 		runs[e.name] = append(runs[e.name], e.ns)
 		if e.hasMem {
 			if prev, ok := bf.AllocsPerOp[e.name]; !ok || e.allocs < prev {
@@ -159,11 +177,16 @@ func median(xs []float64) float64 {
 
 // comparisonJSON is one benchmark's baseline-vs-current entry.
 type comparisonJSON struct {
-	Name       string  `json:"name"`
-	BaselineNs float64 `json:"baseline_ns_op"`
-	CurrentNs  float64 `json:"current_ns_op"`
-	Ratio      float64 `json:"ratio"`
-	Regressed  bool    `json:"regressed"`
+	Name        string `json:"name"`
+	BaselineCPU string `json:"baseline_cpu"`
+	CurrentCPU  string `json:"current_cpu"`
+	// HardwareMatch reports whether the ns/op gate applied: both runs
+	// name the same CPU for this benchmark, at the same GOMAXPROCS.
+	HardwareMatch bool    `json:"hardware_match"`
+	BaselineNs    float64 `json:"baseline_ns_op"`
+	CurrentNs     float64 `json:"current_ns_op"`
+	Ratio         float64 `json:"ratio"`
+	Regressed     bool    `json:"regressed"`
 	// Allocation columns, present when both runs reported -benchmem data.
 	BaselineAllocs float64 `json:"baseline_allocs_op,omitempty"`
 	CurrentAllocs  float64 `json:"current_allocs_op,omitempty"`
@@ -186,11 +209,8 @@ type speedupJSON struct {
 
 // compareJSON is the artifact document of one compare run.
 type compareJSON struct {
-	BaselineCPU   string  `json:"baseline_cpu"`
-	CurrentCPU    string  `json:"current_cpu"`
-	MaxProcs      int     `json:"maxprocs"`
-	HardwareMatch bool    `json:"hardware_match"`
-	Tolerance     float64 `json:"tolerance"`
+	MaxProcs  int     `json:"maxprocs"`
+	Tolerance float64 `json:"tolerance"`
 	// AllocGateArmed reports whether the allocs/op gate applied: whenever
 	// both runs carry -benchmem data — allocation counts do not require
 	// matching hardware (see the package comment).
@@ -225,14 +245,8 @@ func runCompare(baselinePath, currentPath string, tolerance, allocTolerance floa
 	}
 
 	doc := compareJSON{
-		BaselineCPU: base.CPU,
-		CurrentCPU:  cur.CPU,
-		MaxProcs:    cur.MaxProcs,
-		// Parallel benchmarks scale with the core count, so a baseline
-		// recorded at a different GOMAXPROCS is as incomparable as one
-		// from a different CPU.
-		HardwareMatch: base.CPU != "" && base.CPU == cur.CPU && base.MaxProcs == cur.MaxProcs,
-		Tolerance:     tolerance,
+		MaxProcs:  cur.MaxProcs,
+		Tolerance: tolerance,
 		// Allocation counts do not depend on clock speed and only
 		// negligibly on scheduling (the benchmarks fix their worker counts
 		// explicitly), so the alloc gate stays armed across hardware — the
@@ -254,12 +268,18 @@ func runCompare(baselinePath, currentPath string, tolerance, allocTolerance floa
 		}
 		curNs := cur.MedianNsPerOp[name]
 		c := comparisonJSON{
-			Name:       name,
-			BaselineNs: baseNs,
-			CurrentNs:  curNs,
-			Ratio:      curNs / baseNs,
+			Name:        name,
+			BaselineCPU: base.CPU[name],
+			CurrentCPU:  cur.CPU[name],
+			// Parallel benchmarks scale with the core count, so a baseline
+			// recorded at a different GOMAXPROCS is as incomparable as one
+			// from a different CPU.
+			HardwareMatch: base.CPU[name] != "" && base.CPU[name] == cur.CPU[name] && base.MaxProcs == cur.MaxProcs,
+			BaselineNs:    baseNs,
+			CurrentNs:     curNs,
+			Ratio:         curNs / baseNs,
 		}
-		c.Regressed = doc.HardwareMatch && c.Ratio > 1+tolerance
+		c.Regressed = c.HardwareMatch && c.Ratio > 1+tolerance
 		if c.Regressed {
 			doc.Regressions = append(doc.Regressions, name)
 		}
@@ -289,9 +309,22 @@ func runCompare(baselinePath, currentPath string, tolerance, allocTolerance floa
 	}
 
 	fail := false
-	if !doc.HardwareMatch {
-		msg := fmt.Sprintf("baseline hardware (cpu %q, GOMAXPROCS %d) != current (cpu %q, GOMAXPROCS %d); ns/op regression gate skipped (refresh the baseline on this hardware to re-arm it)",
-			base.CPU, base.MaxProcs, cur.CPU, cur.MaxProcs)
+	// One warning per pair of hardware the gate could not compare.
+	type hardware struct{ base, cur string }
+	var pairs []hardware
+	skipped := make(map[hardware][]string)
+	for _, c := range doc.Benchmarks {
+		if !c.HardwareMatch {
+			h := hardware{c.BaselineCPU, c.CurrentCPU}
+			if skipped[h] == nil {
+				pairs = append(pairs, h)
+			}
+			skipped[h] = append(skipped[h], c.Name)
+		}
+	}
+	for _, h := range pairs {
+		msg := fmt.Sprintf("baseline hardware (cpu %q, GOMAXPROCS %d) != current (cpu %q, GOMAXPROCS %d); ns/op regression gate skipped for %s (refresh their baseline lines on this hardware to re-arm it)",
+			h.base, base.MaxProcs, h.cur, cur.MaxProcs, strings.Join(skipped[h], ", "))
 		fmt.Fprintf(os.Stderr, "ftpm-bench: %s\n", msg)
 		if os.Getenv("GITHUB_ACTIONS") == "true" {
 			// Surface the disarmed gate as a workflow annotation so it is
@@ -301,9 +334,12 @@ func runCompare(baselinePath, currentPath string, tolerance, allocTolerance floa
 	}
 	for _, c := range doc.Benchmarks {
 		status := "ok"
-		if c.Regressed {
+		switch {
+		case c.Regressed:
 			status = "REGRESSED"
 			fail = true
+		case !c.HardwareMatch:
+			status = "unchecked (other hardware)"
 		}
 		fmt.Printf("%-60s %14.0f -> %14.0f ns/op  %.2fx  %s\n", c.Name, c.BaselineNs, c.CurrentNs, c.Ratio, status)
 		if c.hasAllocs {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -30,8 +31,8 @@ func TestParseBenchFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bf.CPU != "Test CPU" || bf.MaxProcs != 8 {
-		t.Fatalf("parsed cpu %q maxprocs %d", bf.CPU, bf.MaxProcs)
+	if cpu := bf.CPU["BenchmarkFoo"]; cpu != "Test CPU" || bf.MaxProcs != 8 {
+		t.Fatalf("parsed cpu %q maxprocs %d", cpu, bf.MaxProcs)
 	}
 	// -count repeats collapse to the median; the -8 suffix strips.
 	if ns := bf.MedianNsPerOp["BenchmarkFoo"]; ns != 110000 {
@@ -51,6 +52,70 @@ func TestParseBenchFile(t *testing.T) {
 	}
 	if _, err := parseBenchFile(writeBench(t, "empty.txt", "PASS\n")); err == nil {
 		t.Fatal("file without results must error")
+	}
+}
+
+// twoHosts is a baseline of two go test outputs recorded on different
+// hosts, as bench/BASELINE.txt concatenates one per package.
+const twoHosts = `goos: linux
+goarch: amd64
+pkg: ftpm/internal/core
+cpu: Host A
+BenchmarkOnA 1 1000 ns/op 64 B/op 2 allocs/op
+BenchmarkOnA 1 1000 ns/op 64 B/op 2 allocs/op
+PASS
+ok  	ftpm/internal/core	1.000s
+goos: linux
+goarch: amd64
+pkg: ftpm/internal/server
+cpu: Host B
+BenchmarkOnB 1 1000 ns/op 64 B/op 2 allocs/op
+BenchmarkOnB 1 1000 ns/op 64 B/op 2 allocs/op
+PASS
+ok  	ftpm/internal/server	1.000s
+`
+
+// TestParseBenchFileTwoHosts keys each benchmark to the cpu: line of its
+// own block: a run on one host gates that host's lines of a two-host
+// baseline, and skips the other host's, whichever block comes last.
+func TestParseBenchFileTwoHosts(t *testing.T) {
+	base := writeBench(t, "base.txt", twoHosts)
+	bf, err := parseBenchFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := bf.CPU["BenchmarkOnA"], bf.CPU["BenchmarkOnB"]; a != "Host A" || b != "Host B" {
+		t.Fatalf("cpu of BenchmarkOnA %q, of BenchmarkOnB %q; want Host A and Host B", a, b)
+	}
+	for _, c := range []struct {
+		host, slow string
+		code       int
+	}{
+		{"Host A", "BenchmarkOnA", 1}, // the block before the last: armed
+		{"Host A", "BenchmarkOnB", 0},
+		{"Host B", "BenchmarkOnB", 1},
+		{"Host B", "BenchmarkOnA", 0},
+	} {
+		cur := "cpu: " + c.host + "\n"
+		for _, name := range []string{"BenchmarkOnA", "BenchmarkOnB"} {
+			ns := 1000
+			if name == c.slow {
+				ns = 2000
+			}
+			cur += fmt.Sprintf("%s 1 %d ns/op 64 B/op 2 allocs/op\n", name, ns)
+		}
+		if code := runCompare(base, writeBench(t, "cur.txt", cur), 0.20, 0.20, nil, ""); code != c.code {
+			t.Errorf("run on %s with %s 2x slower returned %d, want %d", c.host, c.slow, code, c.code)
+		}
+	}
+
+	// Runs of one benchmark on two hosts have no one host to compare with.
+	mixed, err := parseBenchFile(writeBench(t, "mixed.txt", "cpu: Host A\nBenchmarkX 1 10 ns/op\ngoos: linux\ncpu: Host B\nBenchmarkX 1 10 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cpu := mixed.CPU["BenchmarkX"]; cpu != "" {
+		t.Fatalf("runs on two hosts keyed to %q, want none", cpu)
 	}
 }
 

@@ -63,7 +63,12 @@ func relationName(r Relation) string {
 	return "none"
 }
 
-// Document builds the exportable representation of the result.
+// Document builds the exportable representation of the result. Each
+// event's name is resolved once, however many patterns name it, and the
+// patterns' events, triples and samples are cut from one backing array
+// each; every cut is capped at its length, so appending to one pattern's
+// slice copies it rather than writing into the next pattern's elements.
+// A slice with no elements stays nil.
 func (r *Result) Document() ResultJSON {
 	doc := ResultJSON{
 		Sequences:       r.Stats.Sequences,
@@ -71,44 +76,84 @@ func (r *Result) Document() ResultJSON {
 		Mu:              r.Mu,
 	}
 	vocab := r.DB.Vocab
-	for _, s := range r.Singles {
-		doc.Singles = append(doc.Singles, SingleJSON{
-			Event:      vocab.Name(s.Event),
-			Support:    s.Support,
-			RelSupport: s.RelSupport,
-		})
+	names := make([]string, vocab.Size()) // "" until resolved: a name is never empty
+	name := func(e EventID) string {
+		if names[e] == "" {
+			names[e] = vocab.Name(e)
+		}
+		return names[e]
 	}
-	for _, p := range r.Patterns {
-		pj := PatternJSON{
-			K:          p.Pattern.K(),
+	if len(r.Singles) > 0 {
+		doc.Singles = make([]SingleJSON, len(r.Singles))
+	}
+	for i, s := range r.Singles {
+		doc.Singles[i] = SingleJSON{Event: name(s.Event), Support: s.Support, RelSupport: s.RelSupport}
+	}
+
+	var nEvents, nTriples, nSample int
+	for i := range r.Patterns {
+		k := r.Patterns[i].Pattern.K()
+		nEvents += k
+		nTriples += k * (k - 1) / 2
+		if r.hasSample(&r.Patterns[i]) {
+			nSample += k
+		}
+	}
+	events := make([]string, nEvents)
+	triples := make([]TripleJSON, nTriples)
+	sample := make([]IntervalJSON, nSample)
+	if len(r.Patterns) > 0 {
+		doc.Patterns = make([]PatternJSON, len(r.Patterns))
+	}
+	for i := range r.Patterns {
+		p := &r.Patterns[i]
+		k := p.Pattern.K()
+		pj := &doc.Patterns[i]
+		*pj = PatternJSON{
+			K:          k,
+			Events:     cut(&events, k),
+			Triples:    cut(&triples, k*(k-1)/2),
 			Support:    p.Support,
 			RelSupport: p.RelSupport,
 			Confidence: p.Confidence,
 		}
-		for _, e := range p.Pattern.Events {
-			pj.Events = append(pj.Events, vocab.Name(e))
+		for j, e := range p.Pattern.Events {
+			pj.Events[j] = name(e)
 		}
-		for _, t := range p.Pattern.Triples() {
-			pj.Triples = append(pj.Triples, TripleJSON{
-				A:        vocab.Name(t.A),
-				Relation: relationName(t.Rel),
-				B:        vocab.Name(t.B),
-			})
-		}
-		if p.SampleSeq >= 0 && p.SampleSeq < len(r.DB.Sequences) && len(p.Sample) == p.Pattern.K() {
-			seq := r.DB.Sequences[p.SampleSeq]
-			for i, idx := range p.Sample {
-				ins := seq.Instances[idx]
-				pj.Sample = append(pj.Sample, IntervalJSON{
-					Event: vocab.Name(p.Pattern.Events[i]),
-					Start: ins.Start,
-					End:   ins.End,
-				})
+		t := 0
+		for a := 0; a < k; a++ {
+			for b := a + 1; b < k; b++ {
+				pj.Triples[t] = TripleJSON{A: pj.Events[a], Relation: relationName(p.Pattern.Relation(a, b)), B: pj.Events[b]}
+				t++
 			}
 		}
-		doc.Patterns = append(doc.Patterns, pj)
+		if r.hasSample(p) {
+			pj.Sample = cut(&sample, k)
+			seq := r.DB.Sequences[p.SampleSeq]
+			for j, idx := range p.Sample {
+				ins := seq.Instances[idx]
+				pj.Sample[j] = IntervalJSON{Event: pj.Events[j], Start: ins.Start, End: ins.End}
+			}
+		}
 	}
 	return doc
+}
+
+// hasSample reports whether p's sample occurrence can be exported: it
+// names a sequence of the database and one instance per role.
+func (r *Result) hasSample(p *PatternInfo) bool {
+	return p.SampleSeq >= 0 && p.SampleSeq < len(r.DB.Sequences) && len(p.Sample) == p.Pattern.K()
+}
+
+// cut returns the first n elements of *all, capped at n, and moves *all
+// past them; nil when n is 0.
+func cut[T any](all *[]T, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	s := (*all)[:n:n]
+	*all = (*all)[n:]
+	return s
 }
 
 // ExportJSON writes the result as an indented JSON document.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"unicode/utf8"
 
 	"ftpm"
 )
@@ -109,7 +110,7 @@ func (p *appendParser) number(col int, v float64) int {
 // parseCSV consumes a wide CSV chunk: header "time,<series...>" naming
 // every series in the dataset's exact order, then one row per grid
 // point. Cells parse as numbers first (threshold-symbolized) and as
-// symbol names otherwise.
+// symbol names otherwise, which must be valid UTF-8.
 func (p *appendParser) parseCSV(body io.Reader) error {
 	r := csv.NewReader(body)
 	r.FieldsPerRecord = len(p.names) + 1 // uniform arity, header included
@@ -148,6 +149,9 @@ func (p *appendParser) parseCSV(body io.Reader) error {
 			if num, err := strconv.ParseFloat(cell, 64); err == nil {
 				p.cols[col] = append(p.cols[col], p.number(col, num))
 				continue
+			}
+			if !utf8.ValidString(cell) {
+				return fmt.Errorf("row %d: series %q: symbol %q is not valid UTF-8", p.rows+1, p.names[col], cell)
 			}
 			p.cols[col] = append(p.cols[col], p.intern(col, cell))
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -453,6 +454,57 @@ func TestIngestRejectsWrappingGrid(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsInvalidUTF8 pins that a series name or symbol holding
+// invalid UTF-8 is a 400 invalid_argument naming the column, on upload
+// (CSV header and symbolic cell) and on append (NDJSON key and value, CSV
+// cell), with the dataset left as it was. Accepted, "x\xffy" and
+// "x\xfey" would both export as the event name x\ufffdy.
+func TestIngestRejectsInvalidUTF8(t *testing.T) {
+	_, ts := testServer(t, Options{Workers: 1})
+	check := func(what string, code int, body []byte, want ...string) {
+		t.Helper()
+		var env apiError
+		if err := json.Unmarshal(body, &env); err != nil || code != http.StatusBadRequest || env.Error.Code != codeInvalidArgument {
+			t.Fatalf("%s: status %d (%s), want 400 %s", what, code, body, codeInvalidArgument)
+		}
+		for _, w := range want {
+			if !strings.Contains(env.Error.Message, w) {
+				t.Errorf("%s: message %q does not name %s", what, env.Error.Message, w)
+			}
+		}
+	}
+	upload := func(query, csv string) (int, []byte) {
+		resp, err := http.Post(ts.URL+"/v1/datasets?"+query, "text/csv", strings.NewReader(csv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, body
+	}
+	code, body := upload("format=numeric", "time,A,x\xffy\n0,1,0\n10,0,1\n")
+	check("numeric header", code, body, "column 2", `"x\xffy"`)
+	code, body = upload("format=symbolic", "time,A,B\n0,On,Off\n10,On,\"x\xfey\"\n")
+	check("symbolic cell", code, body, "column 2", `"B"`, `"x\xfey"`)
+
+	ds := uploadCSV(t, ts.URL, "format=symbolic", "time,A,B\n0,On,Off\n10,Off,On\n")
+	for _, c := range []struct{ what, format, body, col string }{
+		{"NDJSON value", "", "{\"time\":20,\"values\":{\"A\":\"x\xffy\",\"B\":\"On\"}}", `"A"`},
+		{"NDJSON key", "", "{\"time\":20,\"values\":{\"A\":\"On\",\"B\xfe\":\"On\"}}", `"B\xfe"`},
+		{"CSV cell", "csv", "time,A,B\n20,On,x\xffy\n", `"B"`},
+	} {
+		code, body := postAppend(t, ts.URL, ds.ID, c.format, c.body)
+		check(c.what+" append", code, body, c.col, "not valid UTF-8")
+	}
+	var info DatasetInfo
+	if code := doJSON(t, http.MethodGet, ts.URL+"/v1/datasets/"+ds.ID, nil, &info); code != http.StatusOK || info.Generation != 0 {
+		t.Fatalf("dataset after rejected appends: status %d, %+v", code, info)
+	}
+}
+
 // BenchmarkAppendChain times one append of a NIST-sized day — 48 rows of
 // 72 series, as NDJSON — through ServeHTTP on an in-memory server, where
 // the timed append is the dataset's depth-th (so it chains a delta onto
@@ -577,8 +629,12 @@ func TestNDJSONDecoderEdgeCases(t *testing.T) {
 		{"unknown top-level key", `{"time":0,"values":{"A":1,"B":0},"x":1}`, ""},
 		{"two rows on one line", `{"time":0,"values":{"A":1,"B":0}}{"time":10,"values":{"A":0,"B":1}} `, "On Off;Off On"},
 		{"row over several lines", "{\n\"time\"\n:\n0\n,\r\n\"values\":\t{\n\"A\" : 1 ,\n\"B\":0}\n}\n", "On Off"},
-		{"invalid UTF-8", "{\"time\":0,\"values\":{\"A\":\"\xff\",\"B\":0}}", "\ufffd Off"},
+		{"invalid UTF-8", "{\"time\":0,\"values\":{\"A\":\"\xff\",\"B\":0}}", ""},
 		{"invalid UTF-8 key", "{\"time\":0,\"values\":{\"A\xff\":1,\"B\":0}}", ""},
+		{"invalid UTF-8 in a replaced cell", "{\"time\":0,\"values\":{\"A\":[\"\xfe\"],\"A\":1,\"B\":0}}", ""},
+		{"invalid UTF-8 in a cleared values", "{\"time\":0,\"values\":{\"Q\xfe\":1},\"values\":null,\"values\":{\"A\":1,\"B\":0}}", ""},
+		{"escaped U+FFFD", `{"time":0,"values":{"A":"\ufffd","B":0}}`, "\ufffd Off"},
+		{"escaped lone surrogate", `{"time":0,"values":{"A":"\udc00","B":0}}`, "\ufffd Off"},
 		{"raw control byte", "{\"time\":0,\"values\":{\"A\":\"a\tb\",\"B\":0}}", ""},
 		{"bad escape", `{"time":0,"values":{"A":"\x","B":0}}`, ""},
 		{"non-object row", `[{"time":0,"values":{"A":1,"B":0}}]`, ""},

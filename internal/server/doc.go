@@ -57,7 +57,9 @@
 //     every sample, stay in old records as opaque keys; content uploaded
 //     before v2 misses the cache once when uploaded again. NDJSON bodies
 //     are scanned byte by byte (ndjson.go), accepting exactly the
-//     language encoding/json decoded them by. A per-dataset append
+//     language encoding/json decoded them by, less bodies holding invalid
+//     UTF-8: series names and symbols must be valid UTF-8 on upload
+//     (checkUTF8) and append alike. A per-dataset append
 //     mutex serializes concurrent appends (each builds on the generation
 //     its predecessor installed); an append racing DELETE loses
 //     deterministically with 409 and nothing swapped or logged.
@@ -94,12 +96,14 @@
 //     report cache effectiveness as the dseq_cache / nmi_cache /
 //     result_cache booleans. A done job's document is encoded once, at
 //     completion or replay, into its served form, the indented /result
-//     body (result.go); jobs that reuse it and log records share those
-//     bytes. /result writes them whole and a JSON page writes its header
-//     and a slice of them, since a page lays out its elements as /result
-//     does; NDJSON pages and log records compact the bytes they need.
-//     Every Content-Length is a slice length. The served form is about
-//     1.7 times the compact encoding.
+//     body (result.go): at completion in one reflection-free pass from
+//     the document's fields, at replay by indenting the logged bytes, so
+//     a restart serves the bytes served before it. Jobs that reuse it and
+//     log records share those bytes. /result writes them whole and a JSON
+//     page writes its header and a slice of them, since a page lays out
+//     its elements as /result does; NDJSON pages and log records compact
+//     the bytes they need. Every Content-Length is a slice length. The
+//     served form is about 1.7 times the compact encoding.
 //
 //   - An optional persistence layer (persist.go over internal/server/
 //     store): with Options.DataDir set, dataset ingestions/appends/

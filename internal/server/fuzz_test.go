@@ -15,6 +15,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"ftpm"
 	"ftpm/internal/csvio"
@@ -52,8 +53,9 @@ func fuzzBaseSDB(tb testing.TB) *ftpm.SymbolicDB {
 // and blank lines, number spellings (16 digits and more, +1, .5, -0, 1e3,
 // NaN, Inf), a row with both a bad field count and a bad timestamp, bad
 // values in two columns on either side of a block boundary, runs crossing
-// block boundaries, a single row, empty and duplicate series names, and a
-// grid whose end overflows.
+// block boundaries, a single row, empty and duplicate series names, a
+// grid whose end overflows, and invalid UTF-8 in a series name and in a
+// symbol, which the upload handler then rejects (checkUTF8).
 func FuzzUploadReader(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, threshold float64) {
 		for _, chunks := range []int{1, 3} {
@@ -62,12 +64,29 @@ func FuzzUploadReader(f *testing.F) {
 			want, wantErr := refOnOffUpload(body, threshold, chunks)
 			checkUpload(t, what, got, err, want, wantErr)
 
+			checkUploadUTF8(t, what, got, err, body)
+
 			what = fmt.Sprintf("symbolic chunks=%d", chunks)
 			got, err = csvio.ReadSymbolicRuns(bytes.NewReader(body), int64(len(body)), chunks)
 			want, wantErr = refReadSymbolicChunked(bytes.NewReader(body), chunks)
 			checkUpload(t, what, got, err, want, wantErr)
+			checkUploadUTF8(t, what, got, err, body)
 		}
 	})
+}
+
+// checkUploadUTF8 requires the upload handler's UTF-8 check to reject a
+// body the reader accepted exactly when the body holds invalid UTF-8: a
+// body's time column and numbers are ASCII, so an invalid byte in an
+// accepted body is in a series name or a symbol.
+func checkUploadUTF8(t *testing.T, what string, got *timeseries.RunDB, err error, body []byte) {
+	t.Helper()
+	if err != nil {
+		return
+	}
+	if utf8Err := checkUTF8(got); (utf8Err == nil) != utf8.Valid(body) {
+		t.Fatalf("%s: UTF-8 check %v on a body whose validity is %v", what, utf8Err, utf8.Valid(body))
+	}
 }
 
 // refOnOffUpload is the numeric upload as it was ingested before its
@@ -128,7 +147,8 @@ func checkUpload(t *testing.T, what string, got *timeseries.RunDB, err error, wa
 // the spellings strconv takes but JSON does not), rows mixing strings
 // and numbers, and the decoder's edge cases: fold-cased, escaped and
 // duplicate keys, repeated and null values objects, rows sharing a line
-// or spread over several, and invalid UTF-8.
+// or spread over several, and invalid UTF-8, which both parsers must
+// reject.
 func FuzzAppendParser(f *testing.F) {
 	// The seed corpus mirrors the handwritten 400 table: well-formed
 	// bodies, duplicate and gapped timestamps, mixed arity, unknown and
@@ -159,6 +179,10 @@ func FuzzAppendParser(f *testing.F) {
 		{false, "time,A,B,C\n40,\"quoted,cell\",0,1\n"},
 		{false, "time,A,B,C\n"},
 		{false, ""},
+		{true, "{\"time\":40,\"values\":{\"A\":\"x\xffy\",\"B\":0,\"C\":1}}"},
+		{true, "{\"time\":40,\"values\":{\"A\":1,\"B\xfe\":0,\"C\":1}}"},
+		{false, "time,A,B,C\n40,x\xffy,0,1\n"},
+		{false, "time,A,B,C\n40,\"x\xfey\",0,1\n"},
 	}
 	for _, s := range seeds {
 		f.Add(s.ndjson, []byte(s.body))
@@ -178,6 +202,11 @@ func FuzzAppendParser(f *testing.F) {
 		}
 		if err != nil {
 			return // rejection is fine; panicking is the bug class under test
+		}
+		// The schema's names are valid UTF-8, so a body that holds an
+		// invalid byte holds it in a symbol or a series name.
+		if !utf8.Valid(body) {
+			t.Fatalf("accepted a body holding invalid UTF-8: %q", body)
 		}
 		for col, syms := range p.cols {
 			if len(syms) != p.rows {
@@ -251,9 +280,19 @@ type ndjsonRow struct {
 
 // referenceParseNDJSON is the NDJSON append parser parseNDJSON replaced:
 // each row is decoded by json.Decoder, unknown fields disallowed, into an
-// ndjsonRow. It defines the language parseNDJSON must accept.
+// ndjsonRow. It defines the language parseNDJSON must accept, with the
+// one rule added since: a body holding invalid UTF-8 is rejected whole.
+// JSON allows non-ASCII bytes only inside strings, so that rejects
+// exactly the bodies that would reach a key or value with one.
 func (p *appendParser) referenceParseNDJSON(body io.Reader) error {
-	dec := json.NewDecoder(body)
+	data, err := io.ReadAll(body)
+	if err != nil {
+		return err
+	}
+	if !utf8.Valid(data) {
+		return errors.New("body is not valid UTF-8")
+	}
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	for {
 		var row ndjsonRow

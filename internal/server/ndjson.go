@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"unicode/utf8"
 )
 
 // parseNDJSON consumes an append body of JSON row objects, each
@@ -29,10 +30,14 @@ import (
 //   - only the value a series ends up with must be a number or a string,
 //     so a rejected cell a later duplicate key replaces is not an error.
 //
-// A key or string containing an escape or a byte ≥ 0x80 is decoded by
-// json.Unmarshal, which rewrites invalid UTF-8 to U+FFFD as json.Decoder
-// does. The whole body is read before any row is checked, so an oversize
-// body is always the reader's *http.MaxBytesError (a 413).
+// One rule is added to that language: a series key or value holding
+// invalid UTF-8 is an error, where json.Decoder would read each invalid
+// byte as U+FFFD and so give distinct names one spelling. Outside strings
+// the grammar allows only ASCII, so the body is accepted only if it is
+// valid UTF-8 throughout. A key or string containing an escape or a byte
+// ≥ 0x80 is decoded by json.Unmarshal. The whole body is read before any
+// row is checked, so an oversize body is always the reader's
+// *http.MaxBytesError (a 413).
 func (p *appendParser) parseNDJSON(body io.Reader) error {
 	data, err := io.ReadAll(body)
 	if err != nil {
@@ -263,8 +268,12 @@ func (sc *rowScanner) values() error {
 		if err != nil {
 			return err
 		}
+		key := sc.b[lo:hi]
+		if !plain && !utf8.Valid(key) {
+			return sc.errorf("series name %q is not valid UTF-8", key)
+		}
 		col, known := -1, false
-		if key := sc.b[lo:hi]; !plain {
+		if !plain {
 			name := decode(sc.b[lo-1 : hi+1])
 			col, known = p.index[name]
 			if !known {
@@ -284,6 +293,9 @@ func (sc *rowScanner) values() error {
 			return err
 		}
 		c.hi = sc.i
+		if !c.plain && !utf8.Valid(sc.b[c.lo:c.hi]) {
+			return sc.errorf("series %q: value %q is not valid UTF-8", key, sc.b[c.lo:c.hi])
+		}
 		if known {
 			if sc.cells[col].stamp != sc.stamp {
 				sc.set++

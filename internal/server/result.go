@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"slices"
 	"strconv"
 	"sync"
+	"unicode/utf8"
 
 	"ftpm"
 )
@@ -15,15 +17,16 @@ import (
 // resultDoc is a done job's result document in the only form the server
 // retains it: the /result body, the document indented the way
 // json.Encoder with a two-space indent writes it, trailing newline
-// included. It is built once, when the job completes or its record is
-// replayed (storedJob), and its bytes are never mutated, so the job, the
-// jobs that reuse its result and its persistence records share one
-// pointer. /result is one write of the body, and a JSON page writes a
-// slice of it: a page lays its elements out at the depth they have in
-// /result. NDJSON pages and persistence records, which want compact
-// JSON, drop the whitespace from the bytes they need (appendCompact). The
-// served form is about 1.7 times the compact encoding; in exchange, no
-// fetch indents the document again.
+// included. It is built once, when the job completes (encodeResult, one
+// pass from the document's fields) or its record is replayed
+// (decodeResult, which indents the logged bytes), and its bytes are never
+// mutated, so the job, the jobs that reuse its result and its persistence
+// records share one pointer. /result is one write of the body, and a JSON
+// page writes a slice of it: a page lays its elements out at the depth
+// they have in /result. NDJSON pages and persistence records, which want
+// compact JSON, drop the whitespace from the bytes they need
+// (appendCompact). The served form is about 1.7 times the compact
+// encoding; in exchange, no fetch indents the document again.
 type resultDoc struct {
 	body []byte
 	// nullPatterns records a nil Patterns slice, which encodes as null
@@ -55,14 +58,240 @@ var (
 	lineEnd   = []byte("\n")
 )
 
-// encodeResult encodes doc once, into its served form.
+// encodeResult encodes doc once, into its served form. The body is
+// written straight from the document's fields into a pooled scratch
+// buffer (appendResult) and copied out at its exact size, so a retained
+// document holds no slack.
 func encodeResult(doc *ftpm.ResultJSON) (*resultDoc, error) {
-	compact, err := json.Marshal(doc)
+	scratch := resultScratch.Get().(*[]byte)
+	defer resultScratch.Put(scratch)
+	b, err := appendResult((*scratch)[:0], doc)
+	*scratch = b
 	if err != nil {
 		return nil, fmt.Errorf("encode result: %w", err)
 	}
-	return indentResult(compact, doc.Patterns == nil), nil
+	body := make([]byte, len(b))
+	copy(body, b)
+	return &resultDoc{body: body, nullPatterns: doc.Patterns == nil}, nil
 }
+
+// resultScratch holds the buffers encodeResult writes bodies into before
+// copying them out. A buffer keeps the capacity of the largest body it
+// took until two collections clear the pool; a sizing pass that needs no
+// buffer made the encoding twice as slow.
+var resultScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendResult appends doc's served form to b: what json.Encoder with
+// escaped HTML and a two-space indent writes for it, member for member,
+// with no reflection and no compact encoding in between. A nil slice
+// writes null and an empty one [], and mu and sample are left out when
+// empty, as their omitempty tags say. A NaN or infinite float is an
+// error, as json.Marshal reports it.
+func appendResult(b []byte, doc *ftpm.ResultJSON) ([]byte, error) {
+	w := resultWriter{b: b}
+	w.raw("{\n  \"sequences\": ")
+	w.int(int64(doc.Sequences))
+	w.raw(",\n  \"absolute_support\": ")
+	w.int(int64(doc.AbsoluteSupport))
+	if doc.Mu != 0 {
+		w.raw(",\n  \"mu\": ")
+		w.float(doc.Mu)
+	}
+	w.raw(",\n  \"frequent_events\": ")
+	if w.open(len(doc.Singles), doc.Singles == nil) {
+		for i := range doc.Singles {
+			s := &doc.Singles[i]
+			w.elem(i, "\n    {\n      \"event\": ")
+			w.str(s.Event)
+			w.raw(",\n      \"support\": ")
+			w.int(int64(s.Support))
+			w.raw(",\n      \"rel_support\": ")
+			w.float(s.RelSupport)
+			w.raw("\n    }")
+		}
+		w.raw("\n  ]")
+	}
+	w.raw(",\n  \"patterns\": ")
+	if w.open(len(doc.Patterns), doc.Patterns == nil) {
+		for i := range doc.Patterns {
+			w.pattern(i, &doc.Patterns[i])
+		}
+		w.raw("\n  ]")
+	}
+	w.raw("\n}\n")
+	return w.b, w.err
+}
+
+// resultWriter appends a result document's served form. Its members are
+// written with their line breaks and indentation spelled out: depth 1
+// holds the document's members, 2 the elements of its arrays, 3 a
+// pattern's members, 4 the elements of a pattern's arrays and 5 their
+// members.
+type resultWriter struct {
+	b   []byte
+	err error // the first unsupported value
+}
+
+// pattern writes element i of the patterns array.
+func (w *resultWriter) pattern(i int, p *ftpm.PatternJSON) {
+	w.elem(i, "\n    {\n      \"k\": ")
+	w.int(int64(p.K))
+	w.raw(",\n      \"events\": ")
+	if w.open(len(p.Events), p.Events == nil) {
+		for j, e := range p.Events {
+			w.elem(j, "\n        ")
+			w.str(e)
+		}
+		w.raw("\n      ]")
+	}
+	w.raw(",\n      \"triples\": ")
+	if w.open(len(p.Triples), p.Triples == nil) {
+		for j := range p.Triples {
+			t := &p.Triples[j]
+			w.elem(j, "\n        {\n          \"a\": ")
+			w.str(t.A)
+			w.raw(",\n          \"relation\": ")
+			w.str(t.Relation)
+			w.raw(",\n          \"b\": ")
+			w.str(t.B)
+			w.raw("\n        }")
+		}
+		w.raw("\n      ]")
+	}
+	w.raw(",\n      \"support\": ")
+	w.int(int64(p.Support))
+	w.raw(",\n      \"rel_support\": ")
+	w.float(p.RelSupport)
+	w.raw(",\n      \"confidence\": ")
+	w.float(p.Confidence)
+	if len(p.Sample) > 0 {
+		w.raw(",\n      \"sample\": [")
+		for j := range p.Sample {
+			s := &p.Sample[j]
+			w.elem(j, "\n        {\n          \"event\": ")
+			w.str(s.Event)
+			w.raw(",\n          \"start\": ")
+			w.int(s.Start)
+			w.raw(",\n          \"end\": ")
+			w.int(s.End)
+			w.raw("\n        }")
+		}
+		w.raw("\n      ]")
+	}
+	w.raw("\n    }")
+}
+
+// open writes the opening of an array of n elements, null when the slice
+// is nil and [] when it is empty, and reports whether elements follow.
+func (w *resultWriter) open(n int, null bool) bool {
+	switch {
+	case null:
+		w.raw("null")
+	case n == 0:
+		w.raw("[]")
+	default:
+		w.b = append(w.b, '[')
+		return true
+	}
+	return false
+}
+
+// elem starts element i of an array: a comma after the first element,
+// then head, the element's line break, indentation and opening.
+func (w *resultWriter) elem(i int, head string) {
+	if i > 0 {
+		w.b = append(w.b, ',')
+	}
+	w.raw(head)
+}
+
+func (w *resultWriter) raw(s string) { w.b = append(w.b, s...) }
+
+func (w *resultWriter) int(n int64) { w.b = strconv.AppendInt(w.b, n, 10) }
+
+// float writes f as encoding/json's float encoder does: by the ES6
+// number-to-string rules, shortest round-trip digits, with an exponent
+// below 1e-6 and from 1e21 up, written without a leading zero.
+func (w *resultWriter) float(f float64) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		if w.err == nil {
+			w.err = fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+		}
+		return
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	w.b = strconv.AppendFloat(w.b, f, format, -1, 64)
+	if n := len(w.b); format == 'e' && w.b[n-4] == 'e' && w.b[n-3] == '-' && w.b[n-2] == '0' {
+		w.b[n-2] = w.b[n-1] // e-07 becomes e-7
+		w.b = w.b[:n-1]
+	}
+}
+
+// str writes s as a JSON string, as encoding/json does with HTML
+// escaping: quotes, backslashes and control characters escaped, <, > and
+// & as \u003c, \u003e and \u0026, U+2028 and U+2029 as \u2028 and \u2029,
+// and each byte of invalid UTF-8 as \ufffd.
+func (w *resultWriter) str(s string) {
+	b := append(w.b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		if c := s[i]; c < utf8.RuneSelf {
+			if htmlSafe[c] {
+				i++
+				continue
+			}
+			b = append(b, s[start:i]...)
+			switch c {
+			case '\\', '"':
+				b = append(b, '\\', c)
+			case '\b':
+				b = append(b, '\\', 'b')
+			case '\f':
+				b = append(b, '\\', 'f')
+			case '\n':
+				b = append(b, '\\', 'n')
+			case '\r':
+				b = append(b, '\\', 'r')
+			case '\t':
+				b = append(b, '\\', 't')
+			default:
+				// The other control characters, and <, > and &.
+				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			b = append(append(b, s[start:i]...), `\ufffd`...)
+		case r == '\u2028' || r == '\u2029':
+			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	w.b = append(append(b, s[start:]...), '"')
+}
+
+const hexDigits = "0123456789abcdef"
+
+// htmlSafe reports the ASCII bytes a JSON string holds as they are: all
+// but the control characters, the quote, the backslash and HTML's <, >
+// and &.
+var htmlSafe = func() (safe [utf8.RuneSelf]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		safe[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return safe
+}()
 
 // decodeResult builds the served form of a document from its compact
 // encoding in a log record. The decode into ftpm.ResultJSON validates
@@ -89,7 +318,9 @@ func decodeResult(data []byte) (*resultDoc, error) {
 }
 
 // indentResult builds the served form of a document from its compact
-// encoding.
+// encoding. Only replay needs it: a replayed document serves the bytes
+// its record holds, which a new encoding of the decoded document need
+// not reproduce.
 func indentResult(compact []byte, nullPatterns bool) *resultDoc {
 	body := make([]byte, indentedLen(compact)+len(lineEnd))
 	body[indent(body, compact)] = '\n'

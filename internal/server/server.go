@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"ftpm"
 	"ftpm/internal/csvio"
@@ -703,6 +704,9 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, codeInvalidArgument, "unknown format %q (want numeric or symbolic)", format)
 		return
 	}
+	if err == nil {
+		err = checkUTF8(db)
+	}
 	if err != nil {
 		status, code := http.StatusBadRequest, codeInvalidArgument
 		var tooLarge *http.MaxBytesError
@@ -720,6 +724,25 @@ func (s *Server) handleUploadDataset(w http.ResponseWriter, r *http.Request) {
 	}
 	s.logf("dataset %s ingested: %q, %d series, %d samples, %d shards", ds.id, name, db.NumSeries(), db.Len(), shards)
 	writeJSON(w, http.StatusCreated, ds.info())
+}
+
+// checkUTF8 rejects an upload whose series names or symbols are not
+// valid UTF-8, naming the CSV column (the time column is 0). A result
+// document writes each invalid byte as \ufffd, so two such names that
+// differ would export as one event name.
+func checkUTF8(src ftpm.SymbolSource) error {
+	for i := 0; i < src.NumSeries(); i++ {
+		name := src.SeriesName(i)
+		if !utf8.ValidString(name) {
+			return fmt.Errorf("column %d: series name %q is not valid UTF-8", i+1, name)
+		}
+		for _, sym := range src.SeriesAlphabet(i) {
+			if !utf8.ValidString(sym) {
+				return fmt.Errorf("column %d (series %q): symbol %q is not valid UTF-8", i+1, name, sym)
+			}
+		}
+	}
+	return nil
 }
 
 // addDataset seals the upload's symbol runs into the base segment of a new
