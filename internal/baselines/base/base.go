@@ -17,8 +17,8 @@ import (
 )
 
 // Params is the normalized subset of core.Config the baselines honour.
-// Pruning modes, correlation filters and occurrence caps are HTPGM
-// features and are ignored by the baselines.
+// Pruning modes and correlation filters are HTPGM features and are
+// ignored by the baselines.
 type Params struct {
 	MinSupport    float64
 	MinConfidence float64

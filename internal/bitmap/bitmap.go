@@ -146,35 +146,6 @@ func (b *Bitmap) AndCount(o *Bitmap) int {
 	return c0 + c1 + c2 + c3
 }
 
-// Or returns a new bitmap b | o.
-func (b *Bitmap) Or(o *Bitmap) *Bitmap {
-	b.sameLen(o)
-	r := &Bitmap{words: make([]uint64, len(b.words)), n: b.n}
-	for i := range b.words {
-		r.words[i] = b.words[i] | o.words[i]
-	}
-	return r
-}
-
-// AndNot returns a new bitmap b &^ o (bits set in b but not in o).
-func (b *Bitmap) AndNot(o *Bitmap) *Bitmap {
-	b.sameLen(o)
-	r := &Bitmap{words: make([]uint64, len(b.words)), n: b.n}
-	for i := range b.words {
-		r.words[i] = b.words[i] &^ o.words[i]
-	}
-	return r
-}
-
-// InPlaceAnd sets b = b & o and returns b.
-func (b *Bitmap) InPlaceAnd(o *Bitmap) *Bitmap {
-	b.sameLen(o)
-	for i := range b.words {
-		b.words[i] &= o.words[i]
-	}
-	return b
-}
-
 // InPlaceOr sets b = b | o and returns b.
 func (b *Bitmap) InPlaceOr(o *Bitmap) *Bitmap {
 	b.sameLen(o)
@@ -197,17 +168,6 @@ func (b *Bitmap) Equal(o *Bitmap) bool {
 	return true
 }
 
-// IsSubsetOf reports whether every set bit of b is also set in o.
-func (b *Bitmap) IsSubsetOf(o *Bitmap) bool {
-	b.sameLen(o)
-	for i := range b.words {
-		if b.words[i]&^o.words[i] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // ForEach calls fn for every set bit in ascending order. If fn returns
 // false, iteration stops.
 func (b *Bitmap) ForEach(fn func(i int) bool) {
@@ -223,10 +183,9 @@ func (b *Bitmap) ForEach(fn func(i int) bool) {
 }
 
 // AppendIndices appends the positions of all set bits in ascending order
-// to dst and returns the extended slice — the allocation-free variant of
-// Indices for hot loops that reuse one scratch slice across calls (the
-// candidate-verification sweep of the miner drives the columnar occurrence
-// store off this).
+// to dst and returns the extended slice, so hot loops reuse one scratch
+// slice across calls (the candidate-verification sweep of the miner drives
+// the columnar occurrence store off this).
 func (b *Bitmap) AppendIndices(dst []int32) []int32 {
 	for wi, w := range b.words {
 		base := int32(wi * wordBits)
@@ -263,24 +222,10 @@ func (b *Bitmap) Reset() {
 	}
 }
 
-// Indices returns the positions of all set bits in ascending order.
-func (b *Bitmap) Indices() []int {
-	out := make([]int, 0, b.Count())
-	b.ForEach(func(i int) bool {
-		out = append(out, i)
-		return true
-	})
-	return out
-}
-
 // Words returns the backing words: bit i is bit i%64 of word i/64. The
 // slice aliases the bitmap, so word-level unions can be written straight
 // into it; bits at or past Len must stay clear.
 func (b *Bitmap) Words() []uint64 { return b.words }
-
-// SizeBytes returns the heap footprint of the word storage, used by the
-// memory accounting of the experiment harness.
-func (b *Bitmap) SizeBytes() int { return len(b.words) * 8 }
 
 func (b *Bitmap) sameLen(o *Bitmap) {
 	if b.n != o.n {

@@ -62,33 +62,20 @@ func TestFromIndices(t *testing.T) {
 	}
 }
 
-func TestAndOrAndNot(t *testing.T) {
+func TestAnd(t *testing.T) {
 	a := FromIndices(100, 1, 2, 3, 70)
 	b := FromIndices(100, 2, 3, 4, 71)
 	and := a.And(b)
-	if got := and.Indices(); len(got) != 2 || got[0] != 2 || got[1] != 3 {
+	if got := and.AppendIndices(nil); !slices.Equal(got, []int32{2, 3}) {
 		t.Errorf("And indices = %v", got)
 	}
 	if a.AndCount(b) != 2 {
 		t.Errorf("AndCount = %d, want 2", a.AndCount(b))
 	}
-	or := a.Or(b)
-	if or.Count() != 6 {
-		t.Errorf("Or count = %d, want 6", or.Count())
-	}
-	diff := a.AndNot(b)
-	if got := diff.Indices(); len(got) != 2 || got[0] != 1 || got[1] != 70 {
-		t.Errorf("AndNot indices = %v", got)
-	}
 }
 
 func TestInPlaceOps(t *testing.T) {
-	a := FromIndices(64, 0, 1, 2)
-	b := FromIndices(64, 1, 2, 3)
-	a.InPlaceAnd(b)
-	if got := a.Indices(); len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Errorf("InPlaceAnd = %v", got)
-	}
+	a := FromIndices(64, 1, 2)
 	a.InPlaceOr(FromIndices(64, 40))
 	if !a.Get(40) || a.Count() != 3 {
 		t.Error("InPlaceOr failed")
@@ -114,10 +101,10 @@ func TestEqualAndSubset(t *testing.T) {
 	if a.Equal(b) {
 		t.Error("mutated clone must differ")
 	}
-	if !a.IsSubsetOf(b) {
+	if !a.And(b).Equal(a) {
 		t.Error("a should be subset of b")
 	}
-	if b.IsSubsetOf(a) {
+	if b.And(a).Equal(b) {
 		t.Error("b should not be subset of a")
 	}
 	if a.Equal(New(71)) {
@@ -134,18 +121,6 @@ func TestForEachEarlyStop(t *testing.T) {
 	})
 	if len(seen) != 2 || seen[0] != 10 || seen[1] != 20 {
 		t.Errorf("early stop iteration = %v", seen)
-	}
-}
-
-func TestSizeBytes(t *testing.T) {
-	if New(0).SizeBytes() != 0 {
-		t.Error("empty bitmap size")
-	}
-	if New(1).SizeBytes() != 8 {
-		t.Error("one-bit bitmap should take one word")
-	}
-	if New(65).SizeBytes() != 16 {
-		t.Error("65-bit bitmap should take two words")
 	}
 }
 
@@ -176,13 +151,13 @@ func TestAndCountProperty(t *testing.T) {
 		if and.Count() > a.Count() || and.Count() > b.Count() {
 			t.Fatalf("AND count exceeds operand count")
 		}
-		if !and.IsSubsetOf(a) || !and.IsSubsetOf(b) {
+		if !and.And(a).Equal(and) || !and.And(b).Equal(and) {
 			t.Fatalf("AND not a subset of operands")
 		}
 	}
 }
 
-// Property: Indices round-trips through FromIndices.
+// Property: AppendIndices round-trips through FromIndices.
 func TestIndicesRoundTripProperty(t *testing.T) {
 	f := func(raw []uint16) bool {
 		n := 1024
@@ -190,8 +165,11 @@ func TestIndicesRoundTripProperty(t *testing.T) {
 		for _, r := range raw {
 			b.Set(int(r) % n)
 		}
-		c := FromIndices(n, b.Indices()...)
-		return b.Equal(c)
+		var idx []int
+		for _, i := range b.AppendIndices(nil) {
+			idx = append(idx, int(i))
+		}
+		return b.Equal(FromIndices(n, idx...))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -201,14 +179,9 @@ func TestIndicesRoundTripProperty(t *testing.T) {
 func TestAppendIndices(t *testing.T) {
 	b := FromIndices(200, 0, 63, 64, 130, 199)
 	got := b.AppendIndices(nil)
-	want := b.Indices()
-	if len(got) != len(want) {
-		t.Fatalf("AppendIndices returned %d indexes, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if int(got[i]) != want[i] {
-			t.Fatalf("index %d = %d, want %d", i, got[i], want[i])
-		}
+	want := []int32{0, 63, 64, 130, 199}
+	if !slices.Equal(got, want) {
+		t.Fatalf("AppendIndices = %v, want %v", got, want)
 	}
 	// Appends after existing content, preserving the prefix.
 	pre := []int32{-1}

@@ -118,12 +118,6 @@ type Config struct {
 	// KeepGraph retains the full Hierarchical Pattern Graph (including
 	// occurrence lists) in the result for inspection.
 	KeepGraph bool
-	// MaxOccurrencesPerSeq caps how many occurrence tuples of one pattern
-	// are stored per sequence (0 = unlimited). Support counts stay exact
-	// under a cap, but extensions of dropped occurrences are lost, so a
-	// cap trades completeness at k+1 for memory; the evaluation runs use
-	// the default 0.
-	MaxOccurrencesPerSeq int
 	// Workers shards candidate verification over this many goroutines
 	// (0 or 1 = serial); the façade's A-HTPGM runs build their
 	// series-level pairwise NMI table on as many. Results are
@@ -162,9 +156,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxK < 0 {
 		return fmt.Errorf("core: MaxK must be non-negative, got %d", c.MaxK)
-	}
-	if c.MaxOccurrencesPerSeq < 0 {
-		return fmt.Errorf("core: MaxOccurrencesPerSeq must be non-negative, got %d", c.MaxOccurrencesPerSeq)
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: Workers must be non-negative, got %d", c.Workers)

@@ -203,10 +203,9 @@ func patchL1(prev *vbits, db *events.DB, stable int) *vbits {
 }
 
 // memoKey is what changes L2 verification: the relation parameters and
-// t_max. Thresholds are applied to the memo's counts, and neither the
-// occurrence cap nor whether occurrences are kept changes a slot's
-// supporting sequences or its sample, so none of them is part of the key.
-// Occurrence stores record the cap they were kept under (pairStores).
+// t_max. Thresholds are applied to the memo's counts, and whether
+// occurrences are kept changes neither a slot's supporting sequences nor
+// its sample, so neither is part of the key.
 type memoKey struct {
 	rel  temporal.Config
 	tmax temporal.Duration
@@ -244,7 +243,7 @@ func (pm *pairMemo) bytes() int64 {
 		8*int64(cap(pm.pair)+cap(pm.samples)+cap(pm.stores)) + 4*int64(cap(pm.covered))
 	for _, ps := range pm.stores {
 		if ps != nil {
-			for _, st := range ps.st {
+			for _, st := range ps {
 				if st != nil {
 					n += st.Bytes()
 				}
@@ -256,13 +255,9 @@ func (pm *pairMemo) bytes() int64 {
 
 // pairStores are the L2 occurrences of one memo entry, as the run that
 // verified the pair over every sequence stored them: st[s] holds every
-// occurrence of slot s's pattern, at most occCap per sequence (that run's
-// MaxOccurrencesPerSeq, 0 for no cap), or is nil when the run kept none —
-// the slot failed its thresholds.
-type pairStores struct {
-	occCap int
-	st     [numPairSlots]*hpg.OccStore
-}
+// occurrence of slot s's pattern, or is nil when the run kept none — the
+// slot failed its thresholds.
+type pairStores [numPairSlots]*hpg.OccStore
 
 // storesOf returns entry e's stores, or nil.
 func (pm *pairMemo) storesOf(e int32) *pairStores {
@@ -273,17 +268,17 @@ func (pm *pairMemo) storesOf(e int32) *pairStores {
 }
 
 // lacks reports whether entry e lacks a store of ps: it holds none for a
-// slot ps holds one for, or holds its stores under another cap.
+// slot ps holds one for.
 func (pm *pairMemo) lacks(e int32, ps *pairStores) bool {
 	if ps == nil {
 		return false
 	}
 	held := pm.storesOf(e)
-	if held == nil || held.occCap != ps.occCap {
+	if held == nil {
 		return true
 	}
-	for s, st := range ps.st {
-		if st != nil && held.st[s] == nil {
+	for s, st := range ps {
+		if st != nil && held[s] == nil {
 			return true
 		}
 	}
@@ -530,17 +525,16 @@ func (m *miner) survives(pe *pairEntry, maxSupp int) bool {
 
 // memoStores returns the occurrences the memo holds for pe when they
 // serve this run, else nil. They serve when pe's entry covers every
-// sequence and holds a store, kept under this run's occurrence cap, for
-// every slot that passes the thresholds.
+// sequence and holds a store for every slot that passes the thresholds.
 func (m *miner) memoStores(pe *pairEntry, maxSupp int) *pairStores {
 	if pe.memo == nil || pe.memo.coverage(pe.ei) < int32(m.n) {
 		return nil
 	}
 	ps := pe.memo.storesOf(pe.ei)
-	if ps == nil || ps.occCap != m.cfg.MaxOccurrencesPerSeq {
+	if ps == nil {
 		return nil
 	}
-	for s, st := range ps.st {
+	for s, st := range ps {
 		if _, ok := m.passes(pe.support(s), maxSupp); ok && st == nil {
 			return nil
 		}
@@ -555,9 +549,9 @@ func (m *miner) keepStores(pe *pairEntry, acc *pairAcc, maxSupp int) {
 	for s := range acc.slots {
 		if _, ok := m.passes(pe.support(s), maxSupp); ok {
 			if pe.stores == nil {
-				pe.stores = &pairStores{occCap: m.cfg.MaxOccurrencesPerSeq}
+				pe.stores = &pairStores{}
 			}
-			pe.stores.st[s] = acc.slots[s].occs
+			pe.stores[s] = acc.slots[s].occs
 		}
 	}
 }
@@ -596,7 +590,7 @@ func (m *miner) emitPairs(node *hpg.Node, pe *pairEntry, maxSupp int, tail *pair
 			SampleOcc:  hpg.Occurrence{occ[0], occ[1]},
 		}
 		if stores != nil {
-			pd.Occs = stores.st[s]
+			pd.Occs = stores[s]
 			ls.Occurrences += pd.Occs.NumOccs()
 		}
 		node.AddPattern(pd)
@@ -610,24 +604,16 @@ func (m *miner) emitPairs(node *hpg.Node, pe *pairEntry, maxSupp int, tail *pair
 // TripleChecksFailed. A threshold sweep over one view re-extends the same
 // parent patterns under the same L2 masks cell after cell; an entry lets
 // the later cells skip the sweep. The entry is keyed by everything the
-// sweep reads (lkKey) and the memo by the verification key and the
-// occurrence cap (lkMemoKey), since the parent's occurrences depend on
-// both. It serves only runs that keep no level-3 occurrences, and only
-// nodes whose new event is not in the parent: dedup couples the parent
-// patterns of such a node.
+// sweep reads (lkKey) and the memo by the verification key (memoKey),
+// since the parent's occurrences depend on it. It serves only runs that
+// keep no level-3 occurrences, and only nodes whose new event is not in
+// the parent: dedup couples the parent patterns of such a node.
 //
 // Unlike the L1 and L2 memos it grows in place: a run publishes the
 // entries it lacked under the memo's lock, each entry once, and no entry
 // or composite is ever rewritten. Readers take the read lock for a node's
 // lookups only; the composites they then read lie below the arenas'
 // lengths at that moment, which no later append writes.
-
-// lkMemoKey is what the parent patterns' occurrences depend on: the
-// verification key and the per-sequence occurrence cap.
-type lkMemoKey struct {
-	memoKey
-	occCap int
-}
 
 // lkKey identifies one entry: the parent pattern (a, r, b) in role order,
 // the new event e, and in bits the relation r (bits 0-1), the four masks
@@ -671,9 +657,9 @@ type lkComp struct {
 	rels uint8
 }
 
-// lkMemo is the view's L_k memo of one lkMemoKey.
+// lkMemo is the view's L_k memo of one verification key.
 type lkMemo struct {
-	key   lkMemoKey
+	key   memoKey
 	words int // bitmap words per composite: the view's sequence width
 
 	mu    sync.RWMutex

@@ -98,13 +98,11 @@ func TestMemoDeltaChainMatchesFresh(t *testing.T) {
 	for _, mode := range []PruningMode{PruneAll, PruneNone, PruneApriori, PruneTrans} {
 		for _, workers := range []int{0, 3} {
 			for _, maxK := range []int{2, 3} {
-				for _, occCap := range []int{0, 1} {
-					for _, tmax := range []temporal.Duration{0, 60} {
-						cfgs = append(cfgs, Config{
-							MinSupport: 0.3 + 0.1*float64(len(cfgs)%3), MinConfidence: 0.2, Pruning: mode, Workers: workers,
-							MaxK: maxK, MaxOccurrencesPerSeq: occCap, TMax: tmax,
-						})
-					}
+				for _, tmax := range []temporal.Duration{0, 60} {
+					cfgs = append(cfgs, Config{
+						MinSupport: 0.3 + 0.1*float64(len(cfgs)%3), MinConfidence: 0.2, Pruning: mode, Workers: workers,
+						MaxK: maxK, TMax: tmax,
+					})
 				}
 			}
 		}
@@ -257,7 +255,7 @@ func TestMemoConcurrentRunsShareView(t *testing.T) {
 
 // sameL2Occs requires the level-2 occurrence stores of two KeepGraph runs
 // to match run by run and tuple by tuple, in store order: level 3 extends
-// them in that order, and the per-sequence cap keeps a run's first tuples.
+// them in that order.
 func sameL2Occs(t *testing.T, label string, got, want *Result) {
 	t.Helper()
 	gn, wn := got.Graph.Level(2).Nodes(), want.Graph.Level(2).Nodes()
@@ -298,18 +296,17 @@ func sameL2Occs(t *testing.T, label string, got, want *Result) {
 // TestMemoOccurrencesMatchCold pins the L2 occurrences a warm run takes
 // from the memo: under KeepGraph every level-2 store must equal a cold
 // run's, tuple by tuple, whatever the memo held before — stores of a
-// stricter run (which lack the slots a looser one keeps), of another
-// occurrence cap, of a parent view cut by a delta generation, or
-// published concurrently. A run that follows one at least as loose, with
-// the same cap, must be served from the memo at every verified pair.
+// stricter run (which lack the slots a looser one keeps), of a parent
+// view cut by a delta generation, or published concurrently. A run that
+// follows one at least as loose must be served from the memo at every
+// verified pair.
 func TestMemoOccurrencesMatchCold(t *testing.T) {
 	full := memoChainSDB(t, 23, 300, 1<<30)
 	base := truncateSDB(t, full, 250)
 	opt := events.SplitOptions{WindowLength: 100, Overlap: 50}
 	ctx := context.Background()
-	cfgOf := func(sigma float64, occCap int) Config {
-		return Config{MinSupport: sigma, MinConfidence: 0.2, MaxK: 3, KeepGraph: true,
-			MaxOccurrencesPerSeq: occCap, Workers: 2}
+	cfgOf := func(sigma float64) Config {
+		return Config{MinSupport: sigma, MinConfidence: 0.2, MaxK: 3, KeepGraph: true, Workers: 2}
 	}
 	check := func(t *testing.T, label string, view *ShardedView, shards []*events.DB, cfg Config) *Result {
 		t.Helper()
@@ -335,21 +332,19 @@ func TestMemoOccurrencesMatchCold(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	t.Run("stricter-looser-caps", func(t *testing.T) {
+	t.Run("stricter-looser", func(t *testing.T) {
 		view, err := PrepareShards(baseShards)
 		if err != nil {
 			t.Fatal(err)
 		}
 		steps := []struct {
 			sigma  float64
-			occCap int
 			served bool // every verified pair is served from the memo
 		}{
-			{0.5, 0, false}, {0.3, 0, false}, {0.5, 0, true}, {0.3, 0, true},
-			{0.5, 1, false}, {0.3, 1, false}, {0.5, 1, true}, {0.5, 0, false},
+			{0.5, false}, {0.3, false}, {0.5, true}, {0.3, true}, {0.5, false},
 		}
 		for i, st := range steps {
-			res := check(t, fmt.Sprintf("step %d (sigma %v cap %d)", i, st.sigma, st.occCap), view, baseShards, cfgOf(st.sigma, st.occCap))
+			res := check(t, fmt.Sprintf("step %d (sigma %v)", i, st.sigma), view, baseShards, cfgOf(st.sigma))
 			l2 := res.Stats.Levels[1]
 			if l2.Patterns == 0 {
 				t.Fatalf("step %d mines no L2 pattern", i)
@@ -365,7 +360,7 @@ func TestMemoOccurrencesMatchCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		check(t, "parent", view, baseShards, cfgOf(0.3, 0))
+		check(t, "parent", view, baseShards, cfgOf(0.3))
 		shards, stable, err := events.ConvertShardsDelta(full, opt, 2, baseShards, base.End())
 		if err != nil {
 			t.Fatal(err)
@@ -377,11 +372,11 @@ func TestMemoOccurrencesMatchCold(t *testing.T) {
 		if pm := delta.memo.Load().pairs; pm.stores != nil {
 			t.Fatal("a delta view's cut memo holds its parent's occurrences")
 		}
-		check(t, "delta", delta, shards, cfgOf(0.3, 0))
-		if l2 := check(t, "delta again", delta, shards, cfgOf(0.3, 0)).Stats.Levels[1]; l2.MemoHits != l2.NodesVerified {
+		check(t, "delta", delta, shards, cfgOf(0.3))
+		if l2 := check(t, "delta again", delta, shards, cfgOf(0.3)).Stats.Levels[1]; l2.MemoHits != l2.NodesVerified {
 			t.Fatalf("delta again: %d of %d verified pairs served from the memo", l2.MemoHits, l2.NodesVerified)
 		}
-		check(t, "parent again", view, baseShards, cfgOf(0.3, 0))
+		check(t, "parent again", view, baseShards, cfgOf(0.3))
 	})
 
 	t.Run("concurrent", func(t *testing.T) {
@@ -389,7 +384,7 @@ func TestMemoOccurrencesMatchCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfgs := []Config{cfgOf(0.5, 0), cfgOf(0.3, 0), cfgOf(0.4, 1), cfgOf(0.3, 1)}
+		cfgs := []Config{cfgOf(0.5), cfgOf(0.3), cfgOf(0.4), cfgOf(0.3)}
 		for round := 0; round < 2; round++ {
 			var wg sync.WaitGroup
 			for i, cfg := range cfgs {
@@ -488,14 +483,14 @@ func l3MemoHits(res *Result) int {
 
 // TestLkMemoMatchesCold is the L_k memo's property test. It mines
 // sweep-exact's 20-cell grid in its order on one view — under the default
-// pruning, occurrence cap 1, a t_max (which turns the insert-position cut
-// off), and PruneApriori and PruneNone (which read no L2 masks), at one
-// and two workers — and every cell must equal a run on a fresh view:
-// patterns, supports, confidences, samples, and every counter but
-// MemoHits. The variants share the view, so each meets the memo after a
-// run of another occurrence cap or verification key. Level 3 must be
-// served from the memo in every variant. The sub-tests cover a delta
-// view, concurrent runs on one view, and a cancelled run.
+// pruning, a t_max (which turns the insert-position cut off), and
+// PruneApriori and PruneNone (which read no L2 masks), at one and two
+// workers — and every cell must equal a run on a fresh view: patterns,
+// supports, confidences, samples, and every counter but MemoHits. The
+// variants share the view, so each meets the memo after a run of another
+// verification key. Level 3 must be served from the memo in every
+// variant. The sub-tests cover a delta view, concurrent runs on one view,
+// and a cancelled run.
 func TestLkMemoMatchesCold(t *testing.T) {
 	shards := sweepShards(t)
 	ctx := context.Background()
@@ -504,7 +499,6 @@ func TestLkMemoMatchesCold(t *testing.T) {
 		cfg  Config
 	}{
 		{"default", Config{MaxK: 3}},
-		{"cap1", Config{MaxK: 3, MaxOccurrencesPerSeq: 1}},
 		// A t_max of one window binds no pattern of this input (its
 		// frequent pairs span whole days), but turns the cut off.
 		{"tmax", Config{MaxK: 3, TMax: 24 * 3600}},

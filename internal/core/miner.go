@@ -446,7 +446,7 @@ func (m *miner) classifyInto(acc *pairAcc, a, b events.EventID, seq *events.Sequ
 		}
 	}
 	scr.tupleBuf = append(scr.tupleBuf[:0], lo, hi)
-	pp.record(m, seqIdx, scr.tupleBuf)
+	pp.record(seqIdx, scr.tupleBuf)
 }
 
 // flushPair flushes the L2 pending table, filled with stored occurrences.
@@ -471,9 +471,9 @@ func (m *miner) flushPair(node *hpg.Node, acc *pairAcc, scr *scratch, ls *LevelS
 // rest are recycled. pps arrives in composite-key order; a stable sort by
 // pattern.Compare brings the entries realizing the same pattern together,
 // still in that order, and each run is merged left to right — which fixes
-// the occurrence merge order under the per-sequence cap and the sample
-// tie-break (see TestFlushDeterminism). maxSupp is the largest support of
-// the node's events.
+// the occurrence order within a sequence and the sample tie-break (see
+// TestFlushDeterminism). maxSupp is the largest support of the node's
+// events.
 func (m *miner) flush(pps []*pendingPattern, maxSupp int, scr *scratch) []*pendingPattern {
 	slices.SortStableFunc(pps, func(a, b *pendingPattern) int { return pattern.Compare(a.pat, b.pat) })
 	n := 0
@@ -488,7 +488,7 @@ func (m *miner) flush(pps []*pendingPattern, maxSupp int, scr *scratch) []*pendi
 		scr.putBitmap(pp.bm)
 		if ex.occs != nil && pp.occs != nil {
 			dst := scr.getStore(ex.occs.K())
-			hpg.MergeOccsInto(dst, ex.occs, pp.occs, ex.occs.K(), m.cfg.MaxOccurrencesPerSeq)
+			hpg.MergeOccsInto(dst, ex.occs, pp.occs, ex.occs.K())
 			scr.putStore(ex.occs)
 			scr.putStore(pp.occs)
 			ex.occs = dst
@@ -578,7 +578,7 @@ func (m *miner) mineLevelK(k int) int {
 	// Level 3 reads the L_k memo, and the entries its nodes swept go to
 	// the memo afterwards, unless the run was cancelled (a node's sweep
 	// may be partial).
-	key := lkMemoKey{memoKey{rel: m.rel, tmax: m.cfg.TMax}, m.cfg.MaxOccurrencesPerSeq}
+	key := memoKey{rel: m.rel, tmax: m.cfg.TMax}
 	if k == 3 {
 		m.lk = m.view.lkMemo(key)
 	}
@@ -1055,7 +1055,7 @@ func (x *extension) try(seq *events.Sequence, seqIdx int32, occ []int32, ie int3
 			pp.occs = scr.getStore(len(tb))
 		}
 	}
-	pp.record(x.m, int(seqIdx), tb)
+	pp.record(int(seqIdx), tb)
 }
 
 // buildTuple writes the extended tuple — occ with ie inserted at role

@@ -26,7 +26,6 @@ func TestConfigValidate(t *testing.T) {
 		{MinSupport: 0.5, MinConfidence: 1.1},
 		{MinSupport: 0.5, TMax: -1},
 		{MinSupport: 0.5, MaxK: -2},
-		{MinSupport: 0.5, MaxOccurrencesPerSeq: -1},
 		{MinSupport: 0.5, Pruning: PruningMode(9)},
 		{MinSupport: 0.5, Relations: temporal.Config{Epsilon: 5, MinOverlap: 2}},
 	}

@@ -35,11 +35,10 @@ type pendingPattern struct {
 // view — it is copied where retained. When occurrences are stored, the
 // sample is NOT copied here: the store's first occurrence of its first
 // run is the sample by construction (minimal sequence, first recorded —
-// the cap never drops a run's first tuple, and merges keep the earlier
-// composite's occurrences first), so flush derives it without a
-// per-composite copy. Only the deepest level (occs == nil) snapshots the
-// sample eagerly.
-func (pp *pendingPattern) record(m *miner, seqIdx int, occ []int32) {
+// merges keep the earlier composite's occurrences first), so flush
+// derives it without a per-composite copy. Only the deepest level
+// (occs == nil) snapshots the sample eagerly.
+func (pp *pendingPattern) record(seqIdx int, occ []int32) {
 	pp.bm.Set(seqIdx)
 	if pp.sampleSeq == -1 || seqIdx < pp.sampleSeq {
 		pp.sampleSeq = seqIdx
@@ -48,9 +47,6 @@ func (pp *pendingPattern) record(m *miner, seqIdx int, occ []int32) {
 		}
 	}
 	if pp.occs == nil {
-		return
-	}
-	if cap := m.cfg.MaxOccurrencesPerSeq; cap > 0 && pp.occs.TailRunLen(int32(seqIdx)) >= cap {
 		return
 	}
 	pp.occs.Append(int32(seqIdx), occ)
@@ -149,8 +145,8 @@ const maxPackedRoles = 32
 
 // compare orders extension composites. Only the relative order of
 // composites canonicalizing to the same child pattern is semantically
-// relevant (it fixes the occurrence merge order in flush, hence which
-// occurrences survive the per-sequence cap and which sample wins); such
+// relevant (it fixes the occurrence merge order in flush, hence the
+// occurrence order within a sequence and which sample wins); such
 // composites share (event, rels) by construction, so ordering by
 // (parent, pos) first reproduces the former sorted-string-key order
 // exactly.

@@ -24,9 +24,8 @@ import (
 // set, so one view can back any number of MineShardedView runs over the
 // same data (the prepared-dataset engine caches it per window geometry).
 // The view also carries the memo those runs leave behind (memo.go): the
-// L1 index, the L2 relation supports and occurrences of the last
-// verification key, and the L_k memo of the level-3 extensions of the
-// last verification key and occurrence cap.
+// L1 index, and the L2 relation supports and occurrences and the L_k memo
+// of the level-3 extensions of the last verification key.
 type ShardedView struct {
 	// Shards is the validated shard set the view was built from.
 	Shards []*events.DB
@@ -99,7 +98,7 @@ func (v *ShardedView) publishPairs(key memoKey, snap *pairMemo, n int32, fresh [
 }
 
 // lkMemo returns the view's L_k memo for key, or nil.
-func (v *ShardedView) lkMemo(key lkMemoKey) *lkMemo {
+func (v *ShardedView) lkMemo(key memoKey) *lkMemo {
 	if p := v.memo.Load(); p != nil && p.lk != nil && p.lk.key == key {
 		return p.lk
 	}
@@ -109,7 +108,7 @@ func (v *ShardedView) lkMemo(key lkMemoKey) *lkMemo {
 // publishLk adds the fresh entries of one run to the view's L_k memo of
 // key, replacing another key's memo with a new one. words is the view's
 // bitmap width in words.
-func (v *ShardedView) publishLk(key lkMemoKey, words int, fresh *lkFresh) {
+func (v *ShardedView) publishLk(key memoKey, words int, fresh *lkFresh) {
 	v.updateMemo(func(cur viewMemo) viewMemo {
 		if cur.lk == nil || cur.lk.key != key {
 			cur.lk = &lkMemo{key: key, words: words}

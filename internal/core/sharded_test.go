@@ -102,7 +102,7 @@ func TestMineShardedMatchesUnsharded(t *testing.T) {
 		}{
 			{"nist", build("NIST", 0.01), Config{MinSupport: 0.5, MinConfidence: 0.5, MaxK: 3, Workers: 2}},
 			{"nist-noprune", build("NIST", 0.01), Config{MinSupport: 0.6, MinConfidence: 0.4, MaxK: 2, Pruning: PruneNone}},
-			{"dataport-capped", build("DataPort", 0.01), Config{MinSupport: 0.4, MinConfidence: 0.2, MaxK: 3, MaxOccurrencesPerSeq: 4}},
+			{"dataport", build("DataPort", 0.01), Config{MinSupport: 0.4, MinConfidence: 0.2, MaxK: 3}},
 		}...)
 	}
 	for _, tc := range cases {

@@ -14,8 +14,7 @@ import (
 // occurrence store, the typed-key pending tables, and the pooled
 // per-worker scratch must be observationally identical to the seed's
 // map-and-string-key implementation — same patterns, supports,
-// confidences, samples, and (under KeepGraph) the same occurrence sets
-// with the same per-sequence capping.
+// confidences, samples, and (under KeepGraph) the same occurrence sets.
 
 // graphOccs flattens every stored occurrence of a kept graph into
 // "k|patternKey|seq|tuple" lines for cross-run comparison.
@@ -44,28 +43,10 @@ func graphOccs(t *testing.T, res *Result) map[string]int {
 	return out
 }
 
-// occCapRespected asserts no stored run exceeds the per-sequence cap.
-func occCapRespected(t *testing.T, res *Result, cap int) {
-	t.Helper()
-	for k := 2; k <= res.Graph.Height(); k++ {
-		for _, node := range res.Graph.Level(k).Nodes() {
-			for _, pd := range node.Patterns() {
-				for run := 0; run < pd.Occs.NumSeqs(); run++ {
-					lo, hi := pd.Occs.Run(run)
-					if int(hi-lo) > cap {
-						t.Fatalf("level %d seq %d stores %d occurrences, cap %d", k, pd.Occs.SeqAt(run), hi-lo, cap)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestColumnarStorePropertySharded is the end-to-end property test of the
 // columnar occurrence store: over random DSEQs, mining the database
 // sharded K ∈ {1, 2, 7} ways — serial and parallel — must reproduce the
-// unsharded serial run exactly, including every stored occurrence tuple
-// and the MaxOccurrencesPerSeq capping of the seed semantics.
+// unsharded serial run exactly, including every stored occurrence tuple.
 func TestColumnarStorePropertySharded(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	trials := 12
@@ -80,19 +61,11 @@ func TestColumnarStorePropertySharded(t *testing.T) {
 			MaxK:          4,
 			KeepGraph:     true,
 		}
-		capPerSeq := 0
-		if trial%2 == 0 {
-			capPerSeq = 1 + rng.Intn(3)
-			cfg.MaxOccurrencesPerSeq = capPerSeq
-		}
 		want, err := Mine(context.Background(), db, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantOccs := graphOccs(t, want)
-		if capPerSeq > 0 {
-			occCapRespected(t, want, capPerSeq)
-		}
 		for _, k := range []int{1, 2, 7} {
 			for _, workers := range []int{1, 4} {
 				shards, err := db.ShardRoundRobin(k)
@@ -135,8 +108,8 @@ func TestColumnarStorePropertySharded(t *testing.T) {
 //     iteration order (checked directly with shuffled insertions);
 //  2. repeated mines — where the runtime's map seeds differ — produce
 //     identical results, samples and stored occurrences even when several
-//     composites canonicalize to the same pattern under a tight
-//     occurrence cap (the order-sensitive case).
+//     composites canonicalize to the same pattern (the order-sensitive
+//     case).
 func TestFlushDeterminism(t *testing.T) {
 	// Property 1: shuffled insertion orders yield one flush order.
 	rng := rand.New(rand.NewSource(5))
@@ -175,12 +148,12 @@ func TestFlushDeterminism(t *testing.T) {
 	}
 
 	// Property 2: repeat mines are identical under merge pressure. The
-	// paper example with a low threshold and cap 1 exercises composite
-	// merging (duplicate events reach one child pattern from several
-	// parent composites) where a wrong merge order would change which
-	// occurrence survives the cap.
+	// paper example with a low threshold exercises composite merging
+	// (duplicate events reach one child pattern from several parent
+	// composites) where a wrong merge order would change which sample
+	// wins.
 	db := paperex.SequenceDB()
-	cfg := Config{MinSupport: 0.3, MinConfidence: 0, MaxK: 4, KeepGraph: true, MaxOccurrencesPerSeq: 1}
+	cfg := Config{MinSupport: 0.3, MinConfidence: 0, MaxK: 4, KeepGraph: true}
 	base, err := Mine(context.Background(), db, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -205,14 +178,14 @@ func TestFlushDeterminism(t *testing.T) {
 }
 
 // TestPooledScratchParallel drives the pooled per-worker scratch hard:
-// many nodes, duplicate events, merging, capping, and worker counts above
+// many nodes, duplicate events, merging, and worker counts above
 // the candidate count, repeated so scratches are recycled across drains.
 // Run under -race (the CI short suite does) this doubles as the data-race
 // check of the scratch pool.
 func TestPooledScratchParallel(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	db := randomDB(rng)
-	cfg := Config{MinSupport: 0.25, MinConfidence: 0.1, MaxK: 4, KeepGraph: true, MaxOccurrencesPerSeq: 2}
+	cfg := Config{MinSupport: 0.25, MinConfidence: 0.1, MaxK: 4, KeepGraph: true}
 	want, err := Mine(context.Background(), db, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -52,13 +52,15 @@ func vocabExtends(prev, next *Vocab) bool {
 	return true
 }
 
-// convertDelta is the shared delta-conversion core: it cuts db into k
-// round-robin shards, reusing the sequence of window i from prevSeq(i)
+// convertDelta is the one sharded cut loop, behind both ConvertShards
+// and ConvertShardsDelta: it cuts db into k round-robin shards, one
+// goroutine per shard, reusing the sequence of window i from prevSeq(i)
 // for every window in the stable prefix. prevCount is the number of
-// windows the previous conversion produced and prevEnd its observation
-// end; prevVocab guards id stability. It returns the shards and the
-// stable-prefix length in windows (== global sequences, since the
-// round-robin merge order equals window order).
+// windows the previous conversion produced (0 for none, when prevSeq is
+// never called) and prevEnd its observation end; prevVocab guards id
+// stability. It returns the shards and the stable-prefix length in
+// windows (== global sequences, since the round-robin merge order equals
+// window order).
 func convertDelta(src timeseries.SymbolSource, opt SplitOptions, k int,
 	prevSeq func(int) *Sequence, prevCount int, prevVocab *Vocab, prevEnd temporal.Time) ([]*DB, int, error) {
 	if k <= 0 {

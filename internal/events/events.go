@@ -67,18 +67,6 @@ func (v *Vocab) Name(id EventID) string { return v.defs[id].Name() }
 // Size returns the number of defined events.
 func (v *Vocab) Size() int { return len(v.defs) }
 
-// EventsOfSeries returns the ids of all events belonging to the named
-// series, in id order.
-func (v *Vocab) EventsOfSeries(series string) []EventID {
-	var out []EventID
-	for id, d := range v.defs {
-		if d.Series == series {
-			out = append(out, EventID(id))
-		}
-	}
-	return out
-}
-
 // Instance is a single occurrence of a temporal event during an interval
 // (Def 3.5).
 type Instance struct {
@@ -394,30 +382,4 @@ func Convert(src timeseries.SymbolSource, opt SplitOptions) (*DB, error) {
 		out.Sequences = append(out.Sequences, cutWindow(i, window, all))
 	}
 	return out, nil
-}
-
-// SliceSequences returns a database containing only sequences [0, n),
-// re-using the vocabulary — the %-of-sequences scalability sweeps.
-func (db *DB) SliceSequences(n int) (*DB, error) {
-	if n <= 0 || n > db.Size() {
-		return nil, fmt.Errorf("events: invalid sequence count %d of %d", n, db.Size())
-	}
-	return &DB{Vocab: db.Vocab, Sequences: db.Sequences[:n]}, nil
-}
-
-// RestrictEvents returns a database whose sequences only retain instances
-// of the given events. The vocabulary is shared; sequence IDs and windows
-// are preserved. A-HTPGM and the attribute-scalability sweeps use this.
-func (db *DB) RestrictEvents(keep map[EventID]bool) *DB {
-	out := &DB{Vocab: db.Vocab, Sequences: make([]*Sequence, len(db.Sequences))}
-	for i, s := range db.Sequences {
-		var ins []Instance
-		for _, in := range s.Instances {
-			if keep[in.Event] {
-				ins = append(ins, in)
-			}
-		}
-		out.Sequences[i] = NewSequence(s.ID, s.Window, ins)
-	}
-	return out
 }

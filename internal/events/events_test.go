@@ -34,10 +34,6 @@ func TestVocabInterning(t *testing.T) {
 	if d := v.Def(k2); d.Series != "K" || d.Symbol != "Off" {
 		t.Fatalf("Def = %+v", d)
 	}
-	v.Define("T", "On")
-	if got := v.EventsOfSeries("K"); len(got) != 2 || got[0] != k1 || got[1] != k2 {
-		t.Fatalf("EventsOfSeries = %v", got)
-	}
 }
 
 func TestInstanceOrdering(t *testing.T) {
@@ -301,40 +297,5 @@ func TestStats(t *testing.T) {
 	}
 	if st.MaxInstancesPerEvent == 0 {
 		t.Error("max instances per event must be positive")
-	}
-}
-
-func TestSliceSequences(t *testing.T) {
-	db := tinyDB(t)
-	seq, _ := Convert(db, SplitOptions{NumWindows: 2})
-	one, err := seq.SliceSequences(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.Size() != 1 || one.Vocab != seq.Vocab {
-		t.Error("slice must keep vocab and cut sequences")
-	}
-	if _, err := seq.SliceSequences(0); err == nil {
-		t.Error("zero must error")
-	}
-	if _, err := seq.SliceSequences(3); err == nil {
-		t.Error("too many must error")
-	}
-}
-
-func TestRestrictEvents(t *testing.T) {
-	db := tinyDB(t)
-	seq, _ := Convert(db, SplitOptions{NumWindows: 2})
-	aOn, _ := seq.Vocab.Lookup("A", "On")
-	r := seq.RestrictEvents(map[EventID]bool{aOn: true})
-	for _, s := range r.Sequences {
-		for _, in := range s.Instances {
-			if in.Event != aOn {
-				t.Fatalf("unexpected event %d survived restriction", in.Event)
-			}
-		}
-	}
-	if r.Sequences[0].Len() != 1 {
-		t.Errorf("window 1 should keep exactly one A=On instance, got %d", r.Sequences[0].Len())
 	}
 }

@@ -2,7 +2,6 @@ package events
 
 import (
 	"fmt"
-	"sync"
 
 	"ftpm/internal/timeseries"
 )
@@ -98,32 +97,9 @@ func MergeShards(shards []*DB) (*DB, [][]int, error) {
 // and sorting the resulting instances — runs concurrently, one goroutine
 // per shard. ConvertShards(db, opt, 1) is equivalent to Convert(db, opt),
 // and MergeShards applied to the result reconstructs Convert's sequence
-// order exactly.
+// order exactly. It is the delta conversion (convertDelta) with no
+// previous conversion to reuse.
 func ConvertShards(src timeseries.SymbolSource, opt SplitOptions, k int) ([]*DB, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("events: shard count must be positive, got %d", k)
-	}
-	w, err := opt.resolve(src)
-	if err != nil {
-		return nil, err
-	}
-
-	vocab, all := buildRuns(src)
-	windows := windowsOf(src, w, opt.Overlap)
-
-	shards := make([]*DB, k)
-	var wg sync.WaitGroup
-	for s := 0; s < k; s++ {
-		sh := &DB{Vocab: vocab}
-		shards[s] = sh
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			for i := s; i < len(windows); i += k {
-				sh.Sequences = append(sh.Sequences, cutWindow(len(sh.Sequences), windows[i], all))
-			}
-		}(s)
-	}
-	wg.Wait()
-	return shards, nil
+	shards, _, err := convertDelta(src, opt, k, nil, 0, nil, 0)
+	return shards, err
 }

@@ -9,9 +9,8 @@
 // per pattern with CSR-style per-sequence runs, appended in ascending
 // sequence order and walked by monotone cursors during extension — no
 // per-sequence map entries, no per-occurrence slice headers. MergeOccsInto
-// combines stores with the exact append-then-cap semantics the miner's
-// flush relies on, for both composite canonicalization and disjoint
-// per-shard partials.
+// combines stores with the exact append semantics the miner's flush relies
+// on, for both composite canonicalization and disjoint per-shard partials.
 //
 // The graph doubles as the miner's working memory: level k-1 occurrence
 // stores are dropped as soon as level k has extended them (unless the

@@ -84,17 +84,6 @@ func (st *OccStore) Append(seq int32, occ []int32) {
 	st.offs[len(st.offs)-1]++
 }
 
-// TailRunLen returns the number of occurrences already stored for seq if
-// seq is the store's last (current) run, else 0 — the per-sequence cap
-// check of the ascending build path.
-func (st *OccStore) TailRunLen(seq int32) int {
-	n := len(st.seqs)
-	if n == 0 || st.seqs[n-1] != seq {
-		return 0
-	}
-	return int(st.offs[n] - st.offs[n-1])
-}
-
 // SeekRun advances *run to the run of seq and returns its occurrence index
 // range, or an empty range when seq holds no occurrences. Successive calls
 // must pass non-decreasing seq values: the cursor moves only forward, so a
@@ -114,12 +103,11 @@ func (st *OccStore) SeekRun(run *int, seq int32) (lo, hi int32) {
 
 // MergeOccsInto merges a and b (same k, possibly nil or empty) into dst,
 // which is Reset first: runs union by sequence, a's occurrences before b's
-// within a shared sequence, and each merged run truncated to capPerSeq
-// when positive. This reproduces exactly the former map-based merge —
-// append b's per-sequence list after a's, then cut at the cap — used when
-// distinct extension composites canonicalize to the same pattern and when
-// disjoint per-shard partials combine.
-func MergeOccsInto(dst, a, b *OccStore, k, capPerSeq int) {
+// within a shared sequence. This reproduces exactly the former map-based
+// merge — append b's per-sequence list after a's — used when distinct
+// extension composites canonicalize to the same pattern and when disjoint
+// per-shard partials combine.
+func MergeOccsInto(dst, a, b *OccStore, k int) {
 	dst.Reset(k)
 	if a == nil {
 		a = &OccStore{k: k}
@@ -128,17 +116,10 @@ func MergeOccsInto(dst, a, b *OccStore, k, capPerSeq int) {
 		b = &OccStore{k: k}
 	}
 	ra, rb := 0, 0
-	appendRun := func(src *OccStore, r int, room int) int {
+	appendRun := func(src *OccStore, r int) {
 		lo, hi := src.Run(r)
-		n := int(hi - lo)
-		if capPerSeq > 0 && n > room {
-			n = room
-		}
-		if n > 0 {
-			dst.roles = append(dst.roles, src.roles[lo*int32(src.k):(lo+int32(n))*int32(src.k)]...)
-			dst.offs[len(dst.offs)-1] += int32(n)
-		}
-		return n
+		dst.roles = append(dst.roles, src.roles[lo*int32(src.k):hi*int32(src.k)]...)
+		dst.offs[len(dst.offs)-1] += hi - lo
 	}
 	for ra < len(a.seqs) || rb < len(b.seqs) {
 		var seq int32
@@ -161,16 +142,12 @@ func MergeOccsInto(dst, a, b *OccStore, k, capPerSeq int) {
 			dst.offs = append(dst.offs, dst.offs[len(dst.offs)-1])
 		}
 		dst.seqs = append(dst.seqs, seq)
-		room := capPerSeq
-		if capPerSeq <= 0 {
-			room = int(^uint(0) >> 1)
-		}
 		if takeA {
-			room -= appendRun(a, ra, room)
+			appendRun(a, ra)
 			ra++
 		}
 		if takeB {
-			appendRun(b, rb, room)
+			appendRun(b, rb)
 			rb++
 		}
 	}

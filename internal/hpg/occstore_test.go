@@ -9,9 +9,8 @@ import (
 
 // refStore is a reference implementation of the occurrence storage with
 // the exact semantics of the seed's map-based store
-// (map[int][]Occurrence): appends honour the per-sequence cap by skipping,
-// and merges append b's per-sequence list after a's before cutting at the
-// cap. The columnar OccStore must be observationally identical to it.
+// (map[int][]Occurrence): merges append b's per-sequence list after a's.
+// The columnar OccStore must be observationally identical to it.
 type refStore struct {
 	k    int
 	occs map[int][]Occurrence
@@ -19,23 +18,17 @@ type refStore struct {
 
 func newRefStore(k int) *refStore { return &refStore{k: k, occs: make(map[int][]Occurrence)} }
 
-func (r *refStore) append(seq int, occ []int32, capPerSeq int) {
-	if capPerSeq > 0 && len(r.occs[seq]) >= capPerSeq {
-		return
-	}
+func (r *refStore) append(seq int, occ []int32) {
 	r.occs[seq] = append(r.occs[seq], append(Occurrence(nil), occ...))
 }
 
-func mergeRef(a, b *refStore, capPerSeq int) *refStore {
+func mergeRef(a, b *refStore) *refStore {
 	out := newRefStore(a.k)
 	for seq, occs := range a.occs {
 		out.occs[seq] = append(out.occs[seq], occs...)
 	}
 	for seq, occs := range b.occs {
 		out.occs[seq] = append(out.occs[seq], occs...)
-		if capPerSeq > 0 && len(out.occs[seq]) > capPerSeq {
-			out.occs[seq] = out.occs[seq][:capPerSeq]
-		}
 	}
 	return out
 }
@@ -66,7 +59,7 @@ func randTuple(rng *rand.Rand, k int) []int32 {
 
 // buildRandom drives an OccStore and the reference with one random
 // ascending append stream.
-func buildRandom(rng *rand.Rand, k, capPerSeq int) (*OccStore, *refStore) {
+func buildRandom(rng *rand.Rand, k int) (*OccStore, *refStore) {
 	st := &OccStore{}
 	st.Reset(k)
 	ref := newRefStore(k)
@@ -76,30 +69,23 @@ func buildRandom(rng *rand.Rand, k, capPerSeq int) (*OccStore, *refStore) {
 			seq += int32(1 + rng.Intn(5)) // move to a later sequence
 		}
 		occ := randTuple(rng, k)
-		if capPerSeq <= 0 || st.TailRunLen(seq) < capPerSeq {
-			st.Append(seq, occ)
-		}
-		ref.append(int(seq), occ, capPerSeq)
+		st.Append(seq, occ)
+		ref.append(int(seq), occ)
 	}
 	return st, ref
 }
 
 // TestOccStoreMatchesReference is the store-level property test: random
-// ascending append streams with and without the per-sequence cap must
-// leave the columnar store observationally identical to the seed's
-// map-based semantics.
+// ascending append streams must leave the columnar store observationally
+// identical to the seed's map-based semantics.
 func TestOccStoreMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 200; trial++ {
 		k := 2 + rng.Intn(4)
-		capPerSeq := 0
-		if rng.Intn(2) == 0 {
-			capPerSeq = 1 + rng.Intn(3)
-		}
-		st, ref := buildRandom(rng, k, capPerSeq)
+		st, ref := buildRandom(rng, k)
 		got, want := flattenOccStore(st), ref.flatten()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (k=%d cap=%d): store %v != reference %v", trial, k, capPerSeq, got, want)
+			t.Fatalf("trial %d (k=%d): store %v != reference %v", trial, k, got, want)
 		}
 		nOcc := 0
 		for _, occs := range want {
@@ -112,33 +98,29 @@ func TestOccStoreMatchesReference(t *testing.T) {
 }
 
 // TestMergeOccsMatchesReference checks the merge against the reference
-// append-then-cut semantics, including disjoint (sharded) and heavily
+// append semantics, including disjoint (sharded) and heavily
 // overlapping inputs.
 func TestMergeOccsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		k := 2 + rng.Intn(3)
-		capPerSeq := 0
-		if rng.Intn(2) == 0 {
-			capPerSeq = 1 + rng.Intn(3)
-		}
-		a, refA := buildRandom(rng, k, capPerSeq)
-		b, refB := buildRandom(rng, k, capPerSeq)
+		a, refA := buildRandom(rng, k)
+		b, refB := buildRandom(rng, k)
 		dst := &OccStore{}
-		MergeOccsInto(dst, a, b, k, capPerSeq)
-		got, want := flattenOccStore(dst), mergeRef(refA, refB, capPerSeq).flatten()
+		MergeOccsInto(dst, a, b, k)
+		got, want := flattenOccStore(dst), mergeRef(refA, refB).flatten()
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d (k=%d cap=%d): merged %v != reference %v", trial, k, capPerSeq, got, want)
+			t.Fatalf("trial %d (k=%d): merged %v != reference %v", trial, k, got, want)
 		}
 	}
 	// Nil operands behave as empty stores.
-	st, _ := buildRandom(rng, 2, 0)
+	st, _ := buildRandom(rng, 2)
 	dst := &OccStore{}
-	MergeOccsInto(dst, nil, st, 2, 0)
+	MergeOccsInto(dst, nil, st, 2)
 	if !reflect.DeepEqual(flattenOccStore(dst), flattenOccStore(st)) {
 		t.Fatal("merge with nil a must equal b")
 	}
-	MergeOccsInto(dst, st, nil, 2, 0)
+	MergeOccsInto(dst, st, nil, 2)
 	if !reflect.DeepEqual(flattenOccStore(dst), flattenOccStore(st)) {
 		t.Fatal("merge with nil b must equal a")
 	}
@@ -147,7 +129,7 @@ func TestMergeOccsMatchesReference(t *testing.T) {
 // TestSeekRunCursor checks the monotone cursor against direct run access.
 func TestSeekRunCursor(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	st, ref := buildRandom(rng, 3, 0)
+	st, ref := buildRandom(rng, 3)
 	var seqs []int
 	for s := range ref.flatten() {
 		seqs = append(seqs, s)

@@ -26,15 +26,19 @@ func unitInterval(x float64) float64 {
 }
 
 // FuzzHTPGMvsNaive mines a random database (randomDB's draw for seed) with
-// E-HTPGM, cold and then warm on one prepared view, and primed on another:
-// after a run at a stricter support (sigma + 0.2, at most 1), whose memo
-// lacks the occurrences of the slots only the fuzzed thresholds keep. All
-// three runs must produce exactly the brute-force oracle's pattern set,
-// supports and confidences. The arguments choose the thresholds (sigma is raised to at
-// least 0.3, which keeps the oracle's enumeration small), the relation
-// tolerance (eps%6 < 5 sets epsilon with d_o = 5; 5 keeps the default
-// relations), t_max (tmax%200, 0 disables it), MaxK (2 + maxK%3), the
-// pruning mode (mode%4) and serial or three-worker verification.
+// E-HTPGM four ways: cold and then warm on one prepared view; primed on
+// another, after a run at a stricter support (sigma + 0.2, at most 1),
+// whose memo lacks the occurrences of the slots only the fuzzed
+// thresholds keep; and on a delta view. For the last, the first m of the
+// n sequences (m = 1 + seed mod n) are mined on a view of their own, and
+// the full view is derived from it by core.PrepareShardsDelta, so the run
+// reads that view's L1 and L2 memo cut at m. All four runs must produce exactly the brute-force oracle's
+// pattern set, supports and confidences. The arguments choose the
+// thresholds (sigma is raised to at least 0.3, which keeps the oracle's
+// enumeration small), the relation tolerance (eps%6 < 5 sets epsilon with
+// d_o = 5; 5 keeps the default relations), t_max (tmax%200, 0 disables
+// it), MaxK (2 + maxK%3), the pruning mode (mode%4) and serial or
+// three-worker verification.
 //
 // Run continuously with: go test -fuzz FuzzHTPGMvsNaive ./internal/naive
 func FuzzHTPGMvsNaive(f *testing.F) {
@@ -72,10 +76,25 @@ func FuzzHTPGMvsNaive(f *testing.F) {
 		if _, err := core.MineShardedView(context.Background(), primed, strict); err != nil {
 			t.Fatal(err)
 		}
-		for _, pass := range []string{"cold", "warm", "primed"} {
+		m := 1 + int(uint64(seed)%uint64(db.Size()))
+		prefix, err := core.PrepareShards([]*events.DB{{Vocab: db.Vocab, Sequences: db.Sequences[:m]}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.MineShardedView(context.Background(), prefix, cfg); err != nil {
+			t.Fatal(err)
+		}
+		grown, err := core.PrepareShardsDelta(prefix, []*events.DB{db}, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pass := range []string{"cold", "warm", "primed", "delta"} {
 			v := view
-			if pass == "primed" {
+			switch pass {
+			case "primed":
 				v = primed
+			case "delta":
+				v = grown
 			}
 			got, err := core.MineShardedView(context.Background(), v, cfg)
 			if err != nil {

@@ -17,8 +17,8 @@ import (
 )
 
 // Mine enumerates all frequent temporal patterns of the database under the
-// configuration's thresholds. Pruning modes, filters and occurrence caps
-// are ignored; the relation parameters, TMax and MaxK are honoured.
+// configuration's thresholds. Pruning modes and filters are ignored; the
+// relation parameters, TMax and MaxK are honoured.
 func Mine(db *events.DB, cfg core.Config) (*core.Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -257,18 +257,18 @@ func (s *Server) metricsDoc() MetricsJSON {
 	if s.persist != nil {
 		doc.Health.StoreRetriesTotal = s.persist.retries.Load()
 	}
+	t := s.reg.totals()
 	doc.Appends = AppendMetricsJSON{
 		AppendsTotal:       s.appends.Load(),
 		AppendRowsTotal:    s.appendRows.Load(),
-		DatasetGenerations: s.reg.generations(),
+		DatasetGenerations: t.generations,
 	}
-	resident, segBytes, segments := s.reg.storageTotals()
 	doc.Storage = StorageMetricsJSON{
-		DatasetResidentBytes: resident,
-		DatasetSegmentBytes:  segBytes,
-		SegmentsTotal:        segments,
+		DatasetResidentBytes: t.resident,
+		DatasetSegmentBytes:  t.segBytes,
+		SegmentsTotal:        t.segments,
 	}
-	doc.Cache.PreparedMemoBytes = s.reg.preparedMemoBytes()
+	doc.Cache.PreparedMemoBytes = t.memo
 	doc.Events.RejectedStreams = s.streamRejected.Load()
 	doc.Events.FirehoseStreams = s.streamSubs.Load()
 	return doc

@@ -146,7 +146,7 @@ func (d *Dataset) info() DatasetInfo {
 	shardSeqs := append([]int(nil), d.lastShardSeqs...)
 	d.mu.Unlock()
 	mode, resident, onDisk := g.storage()
-	resident += d.memoBytes()
+	resident += d.memoBytes(g)
 	return DatasetInfo{
 		ID:            d.id,
 		Name:          d.name,
@@ -372,15 +372,21 @@ func (r *registry) seqNo() int {
 	return r.seq
 }
 
-// records snapshots every registered dataset for a compacting snapshot,
-// in insertion order.
-func (r *registry) records() []datasetRecord {
+// all snapshots the registered datasets in insertion order.
+func (r *registry) all() []*Dataset {
 	r.mu.RLock()
+	defer r.mu.RUnlock()
 	datasets := make([]*Dataset, len(r.ids))
 	for i, id := range r.ids {
 		datasets[i] = r.byID[id]
 	}
-	r.mu.RUnlock()
+	return datasets
+}
+
+// records snapshots every registered dataset for a compacting snapshot,
+// in insertion order.
+func (r *registry) records() []datasetRecord {
+	datasets := r.all()
 	out := make([]datasetRecord, len(datasets))
 	for i, d := range datasets {
 		out[i] = datasetRecordOf(d)
@@ -419,14 +425,8 @@ func (r *registry) remove(id string) bool {
 // dataset's current generation — the files startup orphan collection
 // must keep.
 func (r *registry) liveSegments() map[string]bool {
-	r.mu.RLock()
-	datasets := make([]*Dataset, 0, len(r.ids))
-	for _, id := range r.ids {
-		datasets = append(datasets, r.byID[id])
-	}
-	r.mu.RUnlock()
 	live := make(map[string]bool)
-	for _, d := range datasets {
+	for _, d := range r.all() {
 		for _, name := range d.view().segments {
 			live[name] = true
 		}
@@ -434,48 +434,40 @@ func (r *registry) liveSegments() map[string]bool {
 	return live
 }
 
-// storageTotals sums the storage gauges across all datasets' current
-// generations for /metrics: heap-resident segment bytes, on-disk segment
-// bytes, and the live segment file count.
-func (r *registry) storageTotals() (resident, segBytes int64, segments int) {
-	r.mu.RLock()
-	datasets := make([]*Dataset, 0, len(r.ids))
-	for _, id := range r.ids {
-		datasets = append(datasets, r.byID[id])
-	}
-	r.mu.RUnlock()
-	for _, d := range datasets {
-		g := d.view()
-		_, r, disk := g.storage()
-		resident += r + d.memoBytes()
-		segBytes += disk
-		segments += len(g.segments)
-	}
-	return resident, segBytes, segments
+// datasetTotals are the dataset gauges of /metrics, taken in one walk
+// over every dataset's current generation: heap-resident bytes (segment
+// images plus memos), the memos alone, on-disk segment bytes, the live
+// segment file count, and each dataset's generation number (nil with no
+// datasets).
+type datasetTotals struct {
+	resident, memo, segBytes int64
+	segments                 int
+	generations              map[string]int64
 }
 
-// preparedMemoBytes sums every dataset's memo footprint (memoBytes) for
-// the /metrics gauge.
-func (r *registry) preparedMemoBytes() int64 {
-	r.mu.RLock()
-	datasets := make([]*Dataset, 0, len(r.ids))
-	for _, id := range r.ids {
-		datasets = append(datasets, r.byID[id])
+func (r *registry) totals() datasetTotals {
+	var t datasetTotals
+	for _, d := range r.all() {
+		g := d.view()
+		_, resident, disk := g.storage()
+		memo := d.memoBytes(g)
+		t.resident += resident + memo
+		t.memo += memo
+		t.segBytes += disk
+		t.segments += len(g.segments)
+		if t.generations == nil {
+			t.generations = make(map[string]int64)
+		}
+		t.generations[d.id] = g.gen
 	}
-	r.mu.RUnlock()
-	var total int64
-	for _, d := range datasets {
-		total += d.memoBytes()
-	}
-	return total
+	return t
 }
 
 // memoBytes sums the memo footprint (Prepared.MemoBytes) of the Prepared
-// handles cached on the dataset's current generation. Handles of retired
-// generations that running jobs still hold are not counted; they are
-// released when those jobs finish.
-func (d *Dataset) memoBytes() int64 {
-	g := d.view()
+// handles cached on g, the dataset's current generation. Handles of
+// retired generations that running jobs still hold are not counted; they
+// are released when those jobs finish.
+func (d *Dataset) memoBytes(g *dsGen) int64 {
 	d.mu.Lock()
 	preps := make([]*ftpm.Prepared, 0, len(g.keys))
 	for _, k := range g.keys {
@@ -487,21 +479,6 @@ func (d *Dataset) memoBytes() int64 {
 		total += p.MemoBytes()
 	}
 	return total
-}
-
-// generations snapshots every dataset's current generation number, for
-// the /metrics gauge.
-func (r *registry) generations() map[string]int64 {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.ids) == 0 {
-		return nil
-	}
-	out := make(map[string]int64, len(r.ids))
-	for _, id := range r.ids {
-		out[id] = r.byID[id].view().gen
-	}
-	return out
 }
 
 // page returns up to limit dataset infos strictly after the afterSeq id

@@ -34,11 +34,6 @@ func (iv Interval) Duration() Duration { return iv.End - iv.Start }
 // Contains reports whether t lies inside [Start, End).
 func (iv Interval) Contains(t Time) bool { return t >= iv.Start && t < iv.End }
 
-// Intersects reports whether the two intervals share at least one point.
-func (iv Interval) Intersects(o Interval) bool {
-	return iv.Start < o.End && o.Start < iv.End
-}
-
 // Clip returns the part of iv inside [lo, hi) and whether it is non-empty.
 func (iv Interval) Clip(lo, hi Time) (Interval, bool) {
 	s, e := iv.Start, iv.End
@@ -187,14 +182,3 @@ func (c Config) Classify(a, b Interval) Relation {
 // [ε+1, d_o-ε) once d_o <= 2ε+1. A same-start pair always classifies as
 // Contain, since the canonical order puts the longer interval first.
 func (c Config) AlwaysRelates() bool { return c.MinOverlap <= 2*c.Epsilon+1 }
-
-// ClassifyOrdered classifies the pair after ordering it chronologically.
-// It returns the relation together with the flag swapped=true when b is the
-// chronologically earlier instance (so the relation actually reads
-// "b REL a").
-func (c Config) ClassifyOrdered(a, b Interval) (rel Relation, swapped bool) {
-	if b.Before(a) {
-		return c.Classify(b, a), true
-	}
-	return c.Classify(a, b), false
-}

@@ -23,12 +23,6 @@ func TestIntervalBasics(t *testing.T) {
 	if !iv.Contains(10) || iv.Contains(20) || !iv.Contains(19) || iv.Contains(9) {
 		t.Errorf("Contains boundary behaviour wrong for %v", iv)
 	}
-	if !iv.Intersects(NewInterval(19, 25)) {
-		t.Error("expected intersection with [19,25)")
-	}
-	if iv.Intersects(NewInterval(20, 25)) {
-		t.Error("touching intervals must not intersect (closed-open)")
-	}
 }
 
 func TestIntervalClip(t *testing.T) {
@@ -143,18 +137,6 @@ func TestClassifyPanicsOnUnordered(t *testing.T) {
 		}
 	}()
 	DefaultConfig().Classify(NewInterval(10, 20), NewInterval(0, 5))
-}
-
-func TestClassifyOrdered(t *testing.T) {
-	cfg := DefaultConfig()
-	r, swapped := cfg.ClassifyOrdered(NewInterval(10, 20), NewInterval(0, 5))
-	if !swapped || r != Follow {
-		t.Errorf("ClassifyOrdered = %v,%v want Follow,true", r, swapped)
-	}
-	r, swapped = cfg.ClassifyOrdered(NewInterval(0, 5), NewInterval(10, 20))
-	if swapped || r != Follow {
-		t.Errorf("ClassifyOrdered = %v,%v want Follow,false", r, swapped)
-	}
 }
 
 // Property: Classify returns exactly one outcome and never panics for

@@ -340,21 +340,6 @@ func (db *SymbolicDB) Step() temporal.Duration { return db.Series[0].Step }
 // End returns the common end time (start + len*step).
 func (db *SymbolicDB) End() temporal.Time { return db.Series[0].End() }
 
-// Restrict returns a new database containing only the named series, in the
-// given order. Unknown names are reported as an error. A-HTPGM uses this to
-// drop uncorrelated series before mining (Alg 2, lines 7-8).
-func (db *SymbolicDB) Restrict(names []string) (*SymbolicDB, error) {
-	out := make([]*SymbolicSeries, 0, len(names))
-	for _, n := range names {
-		s := db.Find(n)
-		if s == nil {
-			return nil, fmt.Errorf("timeseries: unknown series %q", n)
-		}
-		out = append(out, s)
-	}
-	return NewSymbolicDB(out...)
-}
-
 // SymbolSource is a read-only columnar view of a symbolic database: the
 // minimal surface the DSEQ conversion and the mutual-information analysis
 // actually consume. Both the in-memory SymbolicDB and the server's

@@ -197,20 +197,6 @@ func TestSymbolicDBAlignment(t *testing.T) {
 	}
 }
 
-func TestRestrict(t *testing.T) {
-	db := buildDB(t)
-	r, err := db.Restrict([]string{"B"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Series) != 1 || r.Series[0].Name != "B" {
-		t.Errorf("Restrict result wrong: %v", r.Series)
-	}
-	if _, err := db.Restrict([]string{"Z"}); err == nil {
-		t.Error("unknown name must error")
-	}
-}
-
 func TestSliceSamples(t *testing.T) {
 	db := buildDB(t)
 	s, err := db.SliceSamples(1, 3)

@@ -64,20 +64,6 @@ func (c *cached[T]) peek() (T, bool) {
 	return zero, false
 }
 
-// PreparedStats are the cumulative artifact-cache counters of one
-// Prepared: how often each artifact class was built versus served from
-// cache. Builds+Hits equals the number of accesses.
-type PreparedStats struct {
-	// DSEQBuilds / DSEQHits count accesses to the DSYB→DSEQ conversion
-	// (including the merged view).
-	DSEQBuilds int64 `json:"dseq_builds"`
-	DSEQHits   int64 `json:"dseq_hits"`
-	// NMIBuilds / NMIHits count accesses to the pairwise NMI tables,
-	// series-level and event-level combined.
-	NMIBuilds int64 `json:"nmi_builds"`
-	NMIHits   int64 `json:"nmi_hits"`
-}
-
 // CacheInfo reports which prepared artifacts one mining run reused. A run
 // that built an artifact itself (the first over its Prepared) reports
 // false for it, as does a run that never touched it (NMI on exact runs).
@@ -140,9 +126,6 @@ type Prepared struct {
 	prev   *Prepared
 
 	seq cached[*core.ShardedView]
-
-	dseqBuilds, dseqHits atomic.Int64
-	nmiBuilds, nmiHits   atomic.Int64
 }
 
 // Prepare builds a mining handle for one dataset geometry. The split
@@ -264,16 +247,6 @@ func (p *Prepared) Advance(next *Analysis) (*Prepared, error) {
 	return np, nil
 }
 
-// Stats snapshots the cumulative cache counters of the handle.
-func (p *Prepared) Stats() PreparedStats {
-	return PreparedStats{
-		DSEQBuilds: p.dseqBuilds.Load(),
-		DSEQHits:   p.dseqHits.Load(),
-		NMIBuilds:  p.nmiBuilds.Load(),
-		NMIHits:    p.nmiHits.Load(),
-	}
-}
-
 // MemoBytes reports the heap footprint of the mining memo on the handle's
 // converted view (core.ShardedView.MemoBytes): the L1 index, the L2
 // relation supports and occurrences, and the level-3 extensions earlier
@@ -292,7 +265,7 @@ func (p *Prepared) MemoBytes() int64 {
 // window prefix by pointer and carrying the ancestor view's memo, cut at
 // that prefix), and falls back to the full conversion otherwise.
 func (p *Prepared) sequences() (*core.ShardedView, bool, error) {
-	v, hit, err := p.seq.get(func() (*core.ShardedView, error) {
+	return p.seq.get(func() (*core.ShardedView, error) {
 		var prevView *core.ShardedView
 		var prevShards []*events.DB
 		var prevEnd Time
@@ -309,55 +282,12 @@ func (p *Prepared) sequences() (*core.ShardedView, bool, error) {
 		}
 		return core.PrepareShardsDelta(prevView, shards, stable)
 	})
-	if err != nil {
-		return nil, hit, err
-	}
-	if hit {
-		p.dseqHits.Add(1)
-	} else {
-		p.dseqBuilds.Add(1)
-	}
-	return v, hit, nil
 }
 
-// pairwise returns the memoized series-level NMI table of the shared
-// Analysis, building it on up to workers goroutines on a miss.
-func (p *Prepared) pairwise(workers int) (*mi.Pairwise, bool, error) {
-	pw, hit, err := p.an.pw.get(func() (*mi.Pairwise, error) {
-		return mi.ComputePairwiseWorkers(p.src, workers)
-	})
-	if err != nil {
-		return nil, hit, err
-	}
-	if hit {
-		p.nmiHits.Add(1)
-	} else {
-		p.nmiBuilds.Add(1)
-	}
-	return pw, hit, nil
-}
-
-// eventPairwise returns the memoized event-level NMI table of the shared
-// Analysis, building it on up to workers goroutines on a miss.
-func (p *Prepared) eventPairwise(workers int) (*mi.EventPairwise, bool, error) {
-	epw, hit, err := p.an.epw.get(func() (*mi.EventPairwise, error) {
-		return mi.ComputeEventPairwiseWorkers(p.src, workers)
-	})
-	if err != nil {
-		return nil, hit, err
-	}
-	if hit {
-		p.nmiHits.Add(1)
-	} else {
-		p.nmiBuilds.Add(1)
-	}
-	return epw, hit, nil
-}
-
-// analyze resolves the approximate options against the memoized pairwise
-// tables: it derives µ (from Mu directly or from Density against the
-// cached table) and installs the thresholded correlation graph into the
-// mining config. A table it builds runs on the config's Workers. It
+// analyze resolves the approximate options against the pairwise tables
+// the shared Analysis memoizes: it derives µ (from Mu directly or from
+// Density against the cached table) and installs the thresholded
+// correlation graph into the mining config. A table it builds runs on the config's Workers. It
 // reports whether the NMI table came from cache. The selector is
 // validated before any table access, so malformed options never trigger
 // the O(n²) analysis.
@@ -368,7 +298,9 @@ func (p *Prepared) analyze(a *ApproxOptions, cfg *core.Config, out *Result) (boo
 		return false, fmt.Errorf("ftpm: ApproxOptions requires exactly one of Mu or Density")
 	}
 	if a.EventLevel {
-		epw, hit, err := p.eventPairwise(cfg.Workers)
+		epw, hit, err := p.an.epw.get(func() (*mi.EventPairwise, error) {
+			return mi.ComputeEventPairwiseWorkers(p.src, cfg.Workers)
+		})
 		if err != nil {
 			return hit, err
 		}
@@ -385,7 +317,9 @@ func (p *Prepared) analyze(a *ApproxOptions, cfg *core.Config, out *Result) (boo
 		out.Mu = mu
 		return hit, nil
 	}
-	pw, hit, err := p.pairwise(cfg.Workers)
+	pw, hit, err := p.an.pw.get(func() (*mi.Pairwise, error) {
+		return mi.ComputePairwiseWorkers(p.src, cfg.Workers)
+	})
 	if err != nil {
 		return hit, err
 	}
